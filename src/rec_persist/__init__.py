@@ -61,8 +61,6 @@ from .simulator import (
 from .specfun import (
     beta,
     beta_real,
-    log_binomial,
-    log_gamma,
     reg_inc_beta,
     reg_inc_beta_complement,
 )
@@ -95,8 +93,6 @@ __all__ = [
     "validate_symmetric_preconditions",
     "beta",
     "beta_real",
-    "log_gamma",
-    "log_binomial",
     "reg_inc_beta",
     "reg_inc_beta_complement",
     "Method",

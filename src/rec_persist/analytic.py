@@ -28,7 +28,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
+import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import ParameterError, QuadratureError
@@ -99,33 +101,51 @@ class SurvivalCurve:
         return math.fsum(self.probabilities)
 
 
-def _survival_random_value(l: int, rec: RecParams, system: SystemParams) -> float:
+# l values per kernel call of the random survival sum: large enough that
+# numpy's per-call overhead is small, small enough that a large-D sum,
+# which reaches 0.0 within a few thousand l, stops after one block
+_SURVIVAL_BLOCK = 4096
+
+
+def _survival_random(l: np.ndarray, rec: RecParams, system: SystemParams) -> np.ndarray:
     x = (l / system.nodes) ** rec.r
     log_c = log_reg_inc_beta_complement(x, rec.q + 1, rec.p)
-    return math.exp(system.docs * log_c)
+    return np.exp(system.docs * log_c)
+
+
+def _survival_random_blocks(rec: RecParams, system: SystemParams):
+    """Pr[X > l] in blocks of l from 0, through the first block that ends in 0.0.
+
+    The curve is nonincreasing, so every later term is an exact 0.0 too.
+    """
+    for start in range(0, system.nodes + 1, _SURVIVAL_BLOCK):
+        l = np.arange(start, min(start + _SURVIVAL_BLOCK, system.nodes + 1))
+        block = _survival_random(l, rec, system).tolist()
+        yield block
+        if block[-1] == 0.0:
+            return
 
 
 def survival_random(l: int, rec: RecParams, system: SystemParams) -> float:
     """Pr[X > l] under random placement, MULTISET semantics."""
     if not 0 <= l <= system.nodes:
         raise ParameterError(f"l must lie in [0, nodes], got {l}")
-    return _survival_random_value(l, rec, system)
+    return float(_survival_random(np.array([l]), rec, system)[0])
 
 
 def survival_curve_random(rec: RecParams, system: SystemParams) -> SurvivalCurve:
     """The whole survival curve l = 0 .. N; its sum is the exact E[X]."""
-    values = tuple(
-        _survival_random_value(l, rec, system) for l in range(system.nodes + 1)
-    )
-    return SurvivalCurve(values)
+    head = tuple(chain.from_iterable(_survival_random_blocks(rec, system)))
+    return SurvivalCurve(head + (0.0,) * (system.nodes + 1 - len(head)))
 
 
 def expect_random_sum(rec: RecParams, system: SystemParams) -> AnalyticResult:
     """E[X] under random placement as the full N+1 term survival sum.
 
-    Exact up to floating-point rounding; no truncation is applied.
+    Exact up to floating-point rounding: the terms after the last
+    evaluated block are exact zeros.
     """
-    value = survival_curve_random(rec, system).expected_value
+    value = math.fsum(chain.from_iterable(_survival_random_blocks(rec, system)))
     return AnalyticResult(value, Method.EXACT_SUM, error_bound=0.0)
 
 

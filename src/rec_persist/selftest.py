@@ -18,7 +18,13 @@ from fractions import Fraction
 from . import analytic, oracle
 from .model import LossSemantics, PlacementStrategy, RecParams, SystemParams
 from .simulator import SimConfig, WorkloadClass, simulate
-from .specfun import beta, beta_real, reg_inc_beta, reg_inc_beta_complement
+from .specfun import (
+    beta,
+    beta_real,
+    log_reg_inc_beta_complement,
+    reg_inc_beta,
+    reg_inc_beta_complement,
+)
 
 __all__ = ["CheckResult", "run_selftest"]
 
@@ -56,6 +62,19 @@ def _check_complement_identity() -> CheckResult:
         "complement-identity",
         worst <= 1e-14,
         f"I + (1-I) vs 1, worst abs diff {worst:.2e}",
+    )
+
+
+def _check_small_x_precision() -> CheckResult:
+    # 1 - I_x(2, 1) = 1 - x^2: the log of the complement must keep its
+    # relative precision where I_x is far below one ulp of 1
+    got = log_reg_inc_beta_complement(1e-6, 2, 1)
+    want = math.log1p(-1e-12)
+    rel = abs(got - want) / abs(want)
+    return CheckResult(
+        "small-x-precision",
+        rel <= 1e-14,
+        f"ln(1 - I) at x=1e-6 vs log1p(-x^2), rel diff {rel:.2e}",
     )
 
 
@@ -311,6 +330,7 @@ def run_selftest(level: str = "quick", beta_scale: float = 1.0) -> list[CheckRes
     results = [
         _check_beta_identity(beta_scale),
         _check_complement_identity(),
+        _check_small_x_precision(),
         _check_monotone_shift(),
         _check_quadrature_consistency(),
         _check_survival_curve(),

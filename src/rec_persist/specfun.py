@@ -2,63 +2,40 @@
 
 Survival probabilities of replicated erasure codes reduce to the regularized
 incomplete Beta function I_x(a, b) with integer a, b >= 1.  For integer
-parameters the complement has an exact finite form,
+parameters it is a binomial tail with n = a + b - 1 trials,
 
-    1 - I_x(a, b) = sum_{j=0}^{a-1} C(a+b-1, j) x^j (1-x)^(a+b-1-j),
+    I_x(a, b)     = sum_{j=a}^{n}   C(n, j) x^j (1-x)^(n-j),
+    1 - I_x(a, b) = sum_{j=0}^{a-1} C(n, j) x^j (1-x)^(n-j),
 
-a partial binomial CDF with purely positive terms.  This module evaluates
-that sum directly (no continued fractions) and treats the natural log of the
-complement as the first-class quantity: expected-persistency formulas raise
-the complement to powers as large as the document count, so downstream code
-wants exp(D * log_complement) rather than (1 - I)^D.
+two sums of purely positive terms.  The kernel returns the natural log of
+the complement: expected-persistency formulas raise the complement to
+powers as large as the document count, so downstream code wants
+exp(D * log_complement) rather than (1 - I)^D.  An absolute error of one
+ulp in that log is multiplied by D, so the kernel always sums the smaller
+tail (DiDonato & Morris, ACM TOMS 18, 1992): below x = a/(a+b) it sums I
+and returns log1p(-I), otherwise it returns the log of the complement sum.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+import sys
+
+import numpy as np
 
 from .errors import ParameterError
 
 __all__ = [
-    "LogReal",
-    "log_gamma",
     "beta",
     "beta_real",
-    "log_binomial",
     "reg_inc_beta",
     "reg_inc_beta_complement",
     "log_reg_inc_beta_complement",
 ]
 
 _NEG_INF = float("-inf")
-
-
-@dataclass(frozen=True)
-class LogReal:
-    """A nonnegative real carried as its natural log.
-
-    log_value of -inf encodes an exact zero; is_zero mirrors that.  The
-    carrier exists so that quantities like Gamma(z) or C(n, k) stay usable
-    far beyond float overflow.
-    """
-
-    log_value: float
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_value == _NEG_INF
-
-    @property
-    def value(self) -> float:
-        return math.exp(self.log_value)
-
-    @classmethod
-    def from_value(cls, value: float) -> "LogReal":
-        if value < 0:
-            raise ParameterError(f"LogReal carries nonnegative reals, got {value!r}")
-        return cls(math.log(value)) if value > 0 else cls(_NEG_INF)
+_FLOAT_MAX = sys.float_info.max
 
 
 def _require_int(value, name: str, minimum: int) -> int:
@@ -69,17 +46,6 @@ def _require_int(value, name: str, minimum: int) -> int:
     if value < minimum:
         raise ParameterError(f"{name} must be >= {minimum}, got {value}")
     return value
-
-
-def log_gamma(z: float) -> LogReal:
-    """ln Gamma(z) for z > 0.
-
-    Backed by math.lgamma (platform libm, ~1 ulp); well under 1e-13 relative
-    error for z >= 0.1.
-    """
-    if not z > 0:
-        raise ParameterError(f"log_gamma requires z > 0, got {z!r}")
-    return LogReal(math.lgamma(z))
 
 
 def beta(a: int, b: int) -> float:
@@ -97,19 +63,7 @@ def beta_real(a: float, b: float) -> float:
     """Beta(a, b) for real a, b > 0 via the log-Gamma route."""
     if not (a > 0 and b > 0):
         raise ParameterError(f"beta_real requires a, b > 0, got a={a!r}, b={b!r}")
-    return math.exp(
-        log_gamma(a).log_value + log_gamma(b).log_value - log_gamma(a + b).log_value
-    )
-
-
-def log_binomial(n: int, k: int) -> LogReal:
-    """ln C(n, k) via log_gamma; 0 <= k <= n."""
-    n = _require_int(n, "n", 0)
-    k = _require_int(k, "k", 0)
-    if k > n:
-        raise ParameterError(f"log_binomial requires k <= n, got n={n}, k={k}")
-    lg = lambda z: log_gamma(z).log_value
-    return LogReal(lg(n + 1) - lg(k + 1) - lg(n - k + 1))
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def _check_x(x: float) -> float:
@@ -119,34 +73,98 @@ def _check_x(x: float) -> float:
     return x
 
 
-def log_reg_inc_beta_complement(x: float, a: int, b: int) -> float:
-    """ln(1 - I_x(a, b)) for integer a, b >= 1.
+def _upper_head(n: int, a: int, x, log1mx, exp, log):
+    """C(n, a) x^a (1-x)^(n-a), the largest term of I_x(a, n+1-a) below its mean."""
+    c = math.comb(n, a)
+    if c <= _FLOAT_MAX:
+        return c * x**a * exp((n - a) * log1mx)
+    # only when a and b both run into the hundreds
+    return exp(math.log(c) + a * log(x) + (n - a) * log1mx)
 
-    Evaluates the finite binomial sum for the complement entirely in log
-    space: each term is C(a+b-1, j) x^j (1-x)^(a+b-1-j), combined with a
-    log-sum-exp whose mantissa sum runs over terms in increasing magnitude.
-    Exact -inf at x = 1, exact 0.0 at x = 0.
+
+def log_reg_inc_beta_complement(x, a: int, b: int):
+    """ln(1 - I_x(a, b)) for integer a, b >= 1 and x a float or an array.
+
+    Below x = a/(a+b) the upper tail I = sum_{j>=a} is the smaller one: it
+    starts from its largest term C(n, a) x^a (1-x)^(n-a) (exact integer
+    coefficient) and adds the next terms by the ratio recurrence
+    t_{j+1} = t_j (n-j)/(j+1) x/(1-x) until they no longer change the sum,
+    so no coefficient C(n, j) is ever formed for large j.  The result is
+    log1p(-I), accurate in relative terms however small I is.  From a/(a+b)
+    up, the complement sum_{j<a} runs down from j = a-1 the same way and is
+    carried in log space, so it stays finite far below float underflow.
+    Exact 0.0 at x = 0 and -inf at x = 1.
+
+    A float (or 0-d) x takes a math-only path, which is what quadrature
+    integrands call; an array x is evaluated elementwise with numpy.
     """
-    x = _check_x(x)
     a = _require_int(a, "a", 1)
     b = _require_int(b, "b", 1)
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return _NEG_INF
     n = a + b - 1
-    log_x = math.log(x)
-    log_1mx = math.log1p(-x)
-    logs = [
-        log_binomial(n, j).log_value + j * log_x + (n - j) * log_1mx
-        for j in range(a)
-    ]
-    top = max(logs)
-    logs.sort()
-    total = top + math.log(math.fsum(math.exp(t - top) for t in logs))
-    # the complement is a probability; rounding in the mantissa sum can
-    # push its log a few ulp above 0 when the missing tail is ~1e-17
-    return min(total, 0.0)
+    switch = a / (a + b)
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = _check_x(x)
+        if x == 0.0:
+            return 0.0
+        if x == 1.0:
+            return _NEG_INF
+        log1mx = math.log1p(-x)
+        if x < switch:
+            term = total = _upper_head(n, a, x, log1mx, math.exp, math.log)
+            ratio = x / (1.0 - x)
+            for j in range(a, n):
+                term *= (n - j) / (j + 1) * ratio
+                if total + term == total:
+                    break
+                total += term
+            return math.log1p(-total)
+        # complement / its largest term C(n, a-1) x^(a-1) (1-x)^b
+        ratio = (1.0 - x) / x
+        term = total = 1.0
+        for j in range(a - 1, 0, -1):
+            term *= j / (n - j + 1) * ratio
+            if total + term == total:
+                break
+            total += term
+        return (
+            math.log(math.comb(n, a - 1)) + (a - 1) * math.log(x) + b * log1mx
+            + math.log(total)
+        )
+
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ParameterError("x must lie in [0, 1] everywhere")
+    out = np.empty_like(x)
+    upper = x < switch
+    with np.errstate(divide="ignore"):
+        xs = x[upper]
+        log1mx = np.log1p(-xs)
+        term = _upper_head(n, a, xs, log1mx, np.exp, np.log)
+        total = term.copy()
+        ratio = xs / (1.0 - xs)
+        for j in range(a, n):
+            term *= (n - j) / (j + 1) * ratio
+            grown = total + term
+            if np.array_equal(grown, total):
+                break
+            total = grown
+        out[upper] = np.log1p(-total)
+
+        xs = x[~upper]
+        ratio = (1.0 - xs) / xs
+        term = np.ones_like(xs)
+        total = term.copy()
+        for j in range(a - 1, 0, -1):
+            term *= j / (n - j + 1) * ratio
+            grown = total + term
+            if np.array_equal(grown, total):
+                break
+            total = grown
+        out[~upper] = (
+            math.log(math.comb(n, a - 1)) + (a - 1) * np.log(xs) + b * np.log1p(-xs)
+            + np.log(total)
+        )
+    return out
 
 
 def reg_inc_beta_complement(x: float, a: int, b: int) -> float:

@@ -9,6 +9,7 @@ from rec_persist import analytic, oracle
 from rec_persist.analytic import Method
 from rec_persist.errors import ParameterError
 from rec_persist.model import LossSemantics, RecParams, SystemParams
+from rec_persist.specfun import log_reg_inc_beta_complement
 
 GAMMA_3_2 = math.gamma(1.5)
 GAMMA_4_3 = math.gamma(4 / 3)
@@ -60,6 +61,21 @@ class TestSurvivalRandom:
         assert curve.expected_value == analytic.expect_random_sum(
             rec, system
         ).value
+
+    def test_curve_over_several_blocks(self):
+        # 10001 terms span three blocks of l; the curve reaches 0.0 before N
+        rec = RecParams(2, 1, 2)
+        system = SystemParams(10_000, 1000)
+        curve = analytic.survival_curve_random(rec, system)
+        assert curve.l_max == 10_000
+        assert curve.probabilities[-1] == 0.0
+        for l in range(0, 10_001, 97):
+            x = (l / system.nodes) ** rec.r
+            want = math.exp(
+                system.docs * log_reg_inc_beta_complement(x, rec.q + 1, rec.p)
+            )
+            assert curve.probabilities[l] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert curve.expected_value == analytic.expect_random_sum(rec, system).value
 
 
 class TestExpectRandomSum:

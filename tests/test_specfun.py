@@ -2,52 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rec_persist.errors import ParameterError
 from rec_persist.specfun import (
-    LogReal,
     beta,
     beta_real,
-    log_binomial,
-    log_gamma,
     log_reg_inc_beta_complement,
     reg_inc_beta,
     reg_inc_beta_complement,
 )
-
-
-class TestLogReal:
-    def test_round_trip(self):
-        assert LogReal.from_value(2.5).value == 2.5
-
-    def test_zero(self):
-        zero = LogReal.from_value(0.0)
-        assert zero.is_zero
-        assert zero.value == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ParameterError):
-            LogReal.from_value(-1.0)
-
-
-class TestLogGamma:
-    def test_half_integer(self):
-        # Gamma(3/2) = sqrt(pi)/2
-        got = log_gamma(1.5)
-        assert got.log_value == pytest.approx(-0.12078223763524518, abs=1e-15)
-        assert got.value == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-15)
-
-    def test_factorial(self):
-        assert log_gamma(6.0).value == pytest.approx(120.0, rel=1e-13)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ParameterError):
-            log_gamma(0.0)
-        with pytest.raises(ParameterError):
-            log_gamma(-1.5)
 
 
 class TestBeta:
@@ -73,24 +40,6 @@ class TestBeta:
             beta(0, 1)
         with pytest.raises(ParameterError):
             beta_real(1.0, 0.0)
-
-
-class TestLogBinomial:
-    def test_large_value(self):
-        assert log_binomial(52, 26).value == pytest.approx(
-            495918532948104, rel=1e-12
-        )
-
-    def test_edges(self):
-        assert log_binomial(5, 0).log_value == 0.0
-        assert log_binomial(5, 5).log_value == 0.0
-        assert log_binomial(7, 3).value == pytest.approx(35.0, rel=1e-13)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            log_binomial(3, 4)
-        with pytest.raises(ParameterError):
-            log_binomial(3, -1)
 
 
 class TestRegIncBeta:
@@ -164,6 +113,14 @@ class TestRegIncBeta:
         lv = log_reg_inc_beta_complement(0.999, 3, 5000)
         assert lv < -1000
         assert reg_inc_beta(1e-12, 2, 3) >= 0.0
+        # large b below the mean: C(5001, j) overflows a float for large j,
+        # so the upper tail must not form those coefficients
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            ref = mpmath.log(1 - mpmath.betainc(2, 5000, 0, 1e-12, regularized=True))
+        got = log_reg_inc_beta_complement(1e-12, 2, 5000)
+        assert got == pytest.approx(float(ref), rel=1e-14)
+        assert got < 0.0
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -172,6 +129,39 @@ class TestRegIncBeta:
             reg_inc_beta(1.1, 1, 1)
         with pytest.raises(ParameterError):
             reg_inc_beta(0.5, 0, 1)
+
+
+class TestKernelArrays:
+    def test_matches_scalar_path(self):
+        # numpy's exp and log may differ from math's by a few ulp
+        rng = np.random.default_rng(7)
+        for a in range(1, 9):
+            for b in range(1, 9):
+                x = np.concatenate([
+                    rng.random(200),
+                    10.0 ** rng.uniform(-14, 0, 200),
+                    1.0 - 10.0 ** rng.uniform(-14, -1, 100),
+                    [a / (a + b)],
+                ])
+                got = log_reg_inc_beta_complement(x, a, b)
+                want = np.array([log_reg_inc_beta_complement(float(v), a, b) for v in x])
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_boundaries_and_shape(self):
+        x = np.array([[0.0, 1.0], [0.25, 0.75]])
+        got = log_reg_inc_beta_complement(x, 2, 3)
+        assert got.shape == (2, 2)
+        assert got[0, 0] == 0.0
+        assert got[0, 1] == -math.inf
+        assert got[1, 0] == pytest.approx(
+            log_reg_inc_beta_complement(0.25, 2, 3), rel=1e-14
+        )
+
+    def test_validation(self):
+        with pytest.raises(ParameterError):
+            log_reg_inc_beta_complement(np.array([0.5, 1.5]), 2, 3)
+        with pytest.raises(ParameterError):
+            log_reg_inc_beta_complement(np.array([0.5, math.nan]), 2, 3)
 
 
 @settings(deadline=None, max_examples=120)
