@@ -22,7 +22,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -154,35 +153,24 @@ class Placement:
     def __post_init__(self):
         self.nodes = _as_int(self.nodes, "nodes", 1)
         table = np.asarray(self.table)
-        if table.ndim != 3 or table.shape[1:] != (self.rec.r, self.rec.chunks):
+        if (
+            table.ndim != 3
+            or table.shape[1:] != (self.rec.r, self.rec.chunks)
+            or table.shape[0] < 1
+        ):
             raise ParameterError(
-                f"placement table must have shape (docs, {self.rec.r}, "
+                f"placement table must have shape (docs >= 1, {self.rec.r}, "
                 f"{self.rec.chunks}), got {table.shape}"
             )
         if not np.issubdtype(table.dtype, np.integer):
             raise ParameterError("placement table must hold integer node ids")
-        if table.size and (table.min() < 0 or table.max() >= self.nodes):
+        if table.min() < 0 or table.max() >= self.nodes:
             raise ParameterError("placement table entries must lie in [0, nodes)")
         self.table = table
 
     @property
     def docs(self) -> int:
         return self.table.shape[0]
-
-    @cached_property
-    def node_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(chunk_ids, starts): fragment ids grouped by node.
-
-        Fragment id c encodes (doc k, replica j, chunk m) as
-        c = (k*r + j)*(p+q) + m.  Fragments on node v are
-        chunk_ids[starts[v]:starts[v+1]].  Built once per placement.
-        """
-        flat = self.table.reshape(-1)
-        chunk_ids = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat, minlength=self.nodes)
-        starts = np.zeros(self.nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        return chunk_ids, starts
 
 
 def is_document_lost(rec: RecParams, erased, semantics: LossSemantics) -> bool:

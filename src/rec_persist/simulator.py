@@ -1,18 +1,17 @@
 """Monte Carlo simulation of data persistency.
 
-A trial places every document's fragments, then removes nodes in a uniform
-random order until some document is lost; the persistency X of the trial is
-the number of removals at that point.  Trials are deterministic functions
-of (master_seed, trial_index), so summaries are identical no matter how
-trials are scheduled; REC_PERSIST_THREADS > 1 fans trial batches out to
-worker processes.
+A trial places every document's fragments and draws a uniform random
+removal order of the nodes; the persistency X of the trial is the number of
+removals at which the first document is lost.  With rank[v] the removal
+time of node v, a document's loss time is an order statistic of its
+fragments' ranks (see persistency), so X is the minimum of those order
+statistics over documents.  Trials are deterministic functions of
+(master_seed, trial_index) and run serially.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +35,7 @@ __all__ = [
     "place_symmetric",
     "persistency",
     "simulate",
-    "THREADS_ENV_VAR",
 ]
-
-THREADS_ENV_VAR = "REC_PERSIST_THREADS"
 
 
 def place_random(
@@ -73,8 +69,12 @@ def place_symmetric(
 def persistency(placement: Placement, order, semantics: LossSemantics) -> int:
     """Removals until the first document loss, for one removal order.
 
-    Incremental counters over the node -> fragment index: O(total fragments
-    + N) per call, returning as soon as a document dies.
+    A fragment is erased at its node's removal time, the node's 1-based
+    position in order.  A MULTISET document dies at the (q+1)-th smallest,
+    over its chunks, of the chunk's latest replica time; a PER_CLUSTER
+    document dies at the latest, over its replica clusters, of the cluster's
+    (q+1)-th smallest chunk time.  The result is the earliest death over
+    documents.
     """
     order = np.asarray(order)
     if order.shape != (placement.nodes,):
@@ -85,45 +85,20 @@ def persistency(placement: Placement, order, semantics: LossSemantics) -> int:
     if not np.array_equal(np.sort(order), np.arange(placement.nodes)):
         raise ParameterError("removal order must be a permutation of the nodes")
 
-    chunk_ids, starts = placement.node_index
-    ids = chunk_ids.tolist()
-    start_of = starts.tolist()
-    pq = placement.rec.chunks
-    r = placement.rec.r
-    need = placement.rec.q + 1
-
+    rank = np.empty(placement.nodes, dtype=np.int64)
+    rank[order] = np.arange(1, placement.nodes + 1)
+    # t[j, k, m] is the erasure time of replica j of chunk m of document k,
+    # replica-major because numpy reduces a short middle axis several times
+    # slower than it reduces over whole contiguous planes
+    t = rank.take(placement.table.transpose(1, 0, 2))
+    q = placement.rec.q
     if semantics is LossSemantics.MULTISET:
-        # fragment id c = (k*r + j)*pq + m; multiset slot = k*pq + m
-        alive = [r] * (placement.docs * pq)
-        dead = [0] * placement.docs
-        for removed, node in enumerate(order.tolist(), start=1):
-            for c in ids[start_of[node] : start_of[node + 1]]:
-                doc = c // (r * pq)
-                slot = doc * pq + c % pq
-                left = alive[slot] - 1
-                alive[slot] = left
-                if left == 0:
-                    gone = dead[doc] + 1
-                    dead[doc] = gone
-                    if gone == need:
-                        return removed
+        deaths = np.partition(t.max(axis=0), q, axis=1)[:, q]
     elif semantics is LossSemantics.PER_CLUSTER:
-        erased = [0] * (placement.docs * r)
-        dead = [0] * placement.docs
-        for removed, node in enumerate(order.tolist(), start=1):
-            for c in ids[start_of[node] : start_of[node + 1]]:
-                cluster = c // pq
-                hit = erased[cluster] + 1
-                erased[cluster] = hit
-                if hit == need:
-                    doc = cluster // r
-                    gone = dead[doc] + 1
-                    dead[doc] = gone
-                    if gone == r:
-                        return removed
+        deaths = np.partition(t, q, axis=2)[:, :, q].max(axis=0)
     else:
         raise ParameterError(f"unknown semantics {semantics!r}")
-    raise RuntimeError("no document was lost after removing every node")
+    return int(deaths.min())
 
 
 @dataclass(frozen=True)
@@ -204,18 +179,19 @@ def _symmetric_stream(config: SimConfig) -> list[Placement]:
     return placements
 
 
-def _trial_batch(args: tuple[SimConfig, int, int]) -> tuple[int, int, int, int, int]:
-    """Run trials [lo, hi); return (count, sum, sum_sq, min, max).
+def simulate(config: SimConfig) -> SimSummary:
+    """Estimate E[X] over config.trials independent trials.
 
-    Integer accumulators make the merge exact and order-insensitive.
+    The summary is a pure function of the config: trial i draws from the
+    generator seeded by (master_seed, i), first the random placements of
+    the classes in declared order, then the removal permutation, and the
+    moments are exact integer sums.
     """
-    config, lo, hi = args
     semantics = config.resolved_semantics
     symmetric = config.strategy is PlacementStrategy.SYMMETRIC
     fixed = _symmetric_stream(config) if symmetric else None
-    total = total_sq = 0
-    smallest = largest = -1
-    for trial in range(lo, hi):
+    xs = []
+    for trial in range(config.trials):
         rng = np.random.default_rng(
             np.random.SeedSequence([config.master_seed, trial])
         )
@@ -227,52 +203,11 @@ def _trial_batch(args: tuple[SimConfig, int, int]) -> tuple[int, int, int, int, 
                 for wc in config.classes
             ]
         order = rng.permutation(config.nodes)
-        x = min(persistency(pl, order, semantics) for pl in placements)
-        total += x
-        total_sq += x * x
-        if smallest < 0 or x < smallest:
-            smallest = x
-        if x > largest:
-            largest = x
-    return hi - lo, total, total_sq, smallest, largest
+        xs.append(min(persistency(pl, order, semantics) for pl in placements))
 
-
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def simulate(config: SimConfig) -> SimSummary:
-    """Estimate E[X] over config.trials independent trials.
-
-    The summary is a pure function of the config: trial i always draws from
-    generator seeded by (master_seed, i), and aggregation uses exact integer
-    sums, so worker scheduling cannot change any reported digit.
-    """
-    workers = _worker_count()
-    trials = config.trials
-    if workers > 1 and trials > 1:
-        per_batch = max(1, math.ceil(trials / (workers * 4)))
-        bounds = [
-            (config, lo, min(lo + per_batch, trials))
-            for lo in range(0, trials, per_batch)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_trial_batch, bounds))
-    else:
-        parts = [_trial_batch((config, 0, trials))]
-
-    count = sum(p[0] for p in parts)
-    total = sum(p[1] for p in parts)
-    total_sq = sum(p[2] for p in parts)
-    smallest = min(p[3] for p in parts)
-    largest = max(p[4] for p in parts)
-
+    count = len(xs)
+    total = sum(xs)
+    total_sq = sum(x * x for x in xs)
     mean = total / count
     if count >= 2:
         variance = (count * total_sq - total * total) / (count * (count - 1))
@@ -283,8 +218,8 @@ def simulate(config: SimConfig) -> SimSummary:
         mean=mean,
         std_error=std_error,
         trials=count,
-        minimum=smallest,
-        maximum=largest,
+        minimum=min(xs),
+        maximum=max(xs),
         master_seed=config.master_seed,
         out_of_theory=config.out_of_theory,
     )

@@ -11,14 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import (
-    expect_random_asymptotic,
-    expect_random_p1_beta,
-    expect_random_sum,
-    expect_symmetric_asymptotic,
-    expect_symmetric_integral,
-    expect_symmetric_p1_beta,
-)
+from .analytic import Method, expect_random, expect_symmetric
 from .errors import ParameterError, QuadratureError
 from .model import (
     LossSemantics,
@@ -271,35 +264,23 @@ def _theory_values(
     in_theory = (
         not symmetric or validate_symmetric_preconditions(rec, system) is None
     )
+    expect = expect_symmetric if symmetric else expect_random
+    methods = {
+        "exact": Method.INTEGRAL if symmetric else Method.EXACT_SUM,
+        "asymptotic": Method.ASYMPTOTIC,
+        "beta-exact": Method.BETA_EXACT,
+    }
     for kind in spec.theory:
+        if kind == "beta-exact" and rec.p != 1:
+            continue
+        if kind != "asymptotic" and not in_theory:
+            continue
         try:
-            if kind == "asymptotic":
-                res = (
-                    expect_symmetric_asymptotic(rec, system)
-                    if symmetric
-                    else expect_random_asymptotic(rec, system)
-                )
-                values[kind] = res.value
-            elif not in_theory:
-                continue
-            elif kind == "exact":
-                res = (
-                    expect_symmetric_integral(rec, system)
-                    if symmetric
-                    else expect_random_sum(rec, system)
-                )
-                values[kind] = res.value
-            elif kind == "beta-exact" and rec.p == 1:
-                res = (
-                    expect_symmetric_p1_beta(rec.q, rec.r, system)
-                    if symmetric
-                    else expect_random_p1_beta(rec.q, rec.r, system)
-                )
-                values[kind] = res.value
+            values[kind] = expect(rec, system, methods[kind]).value
         except QuadratureError:
             # leave the cell empty; the run continues with the other
             # points and overlays
-            values[kind] = None
+            pass
     return values
 
 

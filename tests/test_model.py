@@ -102,26 +102,8 @@ class TestPlacement:
             Placement(rec, 4, np.zeros((3, 2, 2), dtype=float))
         with pytest.raises(ParameterError):
             Placement(rec, 4, np.full((3, 1, 2), 4, dtype=np.int64))
-
-    def test_node_index_groups_fragments(self):
-        rec = RecParams(1, 1, 2)  # r=2, p+q=2, 4 fragments per doc
-        table = np.array(
-            [
-                [[0, 1], [2, 0]],
-                [[2, 2], [1, 0]],
-            ],
-            dtype=np.int64,
-        )
-        placement = Placement(rec, 3, table)
-        chunk_ids, starts = placement.node_index
-        by_node = {
-            v: sorted(chunk_ids[starts[v]:starts[v + 1]].tolist())
-            for v in range(3)
-        }
-        # fragment id c = (doc*r + replica)*(p+q) + chunk
-        assert by_node[0] == [0, 3, 7]
-        assert by_node[1] == [1, 6]
-        assert by_node[2] == [2, 4, 5]
+        with pytest.raises(ParameterError):
+            Placement(rec, 4, np.zeros((0, 1, 2), dtype=np.int64))
 
     def test_docs_property(self):
         rec = RecParams(1, 0, 1)

@@ -6,6 +6,8 @@ sum_l (1 - I_{(l/N)^r}(q+1, p))^D, and for symmetric placement
 (N+1) * integral_0^1 (1 - I_x(q+1, p)^r)^(N/g) dx by tanh-sinh quadrature.
 A value passes when |value - ref| <= error_bound + max(tol, 1e-12) * |ref|,
 with tol the quadrature tolerance of an integral and absent for a sum.
+The p = 1 closed Beta forms are checked as formulas, against mpmath.beta
+at the same arguments, to 1e-13 relative.
 """
 
 from functools import lru_cache
@@ -111,3 +113,33 @@ def test_symmetric_integral_large_n():
         RecParams(*REC_2_3_2), SystemParams(nodes, nodes // g)
     )
     assert_matches(result, symmetric_reference(REC_2_3_2, nodes))
+
+
+# (N+1)/s Beta(N/s + 1, 1/s) and N/s Beta(D + 1, 1/s) with s = r(q+1): the
+# log-Gamma difference inside Beta cancels at large N or D
+BETA_REL = 1e-13
+
+
+def _p1_beta_reference(q: int, r: int, scale: int, a_minus_1):
+    s = r * (q + 1)
+    with mpmath.workdps(DPS):
+        return mpf(scale) / s * mpmath.beta(mpf(a_minus_1) + 1, mpf(1) / s)
+
+
+@pytest.mark.parametrize("q,r,nodes", [
+    (0, 2, 120_000), (0, 2, 1_200_000),
+    (1, 2, 12_000), (1, 2, 120_000), (1, 2, 1_200_000),
+    (2, 1, 2640), (2, 1, 120_000), (2, 1, 1_200_000),
+])
+def test_symmetric_p1_beta(q, r, nodes):
+    result = analytic.expect_symmetric_p1_beta(q, r, SystemParams(nodes, nodes))
+    ref = _p1_beta_reference(q, r, nodes + 1, mpf(nodes) / (r * (q + 1)))
+    assert abs(result.value - float(ref)) <= BETA_REL * float(ref)
+
+
+@pytest.mark.parametrize("q,r,nodes", [(0, 2, 10**3), (1, 2, 10**6), (2, 1, 10**4)])
+def test_random_p1_beta_billion_docs(q, r, nodes):
+    docs = 10**9
+    result = analytic.expect_random_p1_beta(q, r, SystemParams(nodes, docs))
+    ref = _p1_beta_reference(q, r, nodes, docs)
+    assert abs(result.value - float(ref)) <= BETA_REL * float(ref)

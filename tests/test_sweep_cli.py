@@ -298,6 +298,43 @@ class TestCliSimulate:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
         assert "mean E[X]" in first
+        # seeded summaries pinned byte for byte: the README quick start, a
+        # symmetric per-cluster run whose documents wrap round the nodes, and
+        # a mixed-class run
+        pinned = {
+            "simulate --strategy random --p 1 --q 0 --r 2 --nodes 48 --docs 5 "
+            "--trials 2000 --seed 7": (
+                "mean E[X] = 18.699 +/- 0.19093959375737687 (std error), "
+                "trials=2000, min=1, max=43\n"
+                "strategy,p,q,r,N,D,trials,seed,mean_empirical,std_error,"
+                "min,max,semantics\n"
+                "random,1,0,2,48,5,2000,7,18.699,0.19093959375737687,1,43,"
+                "multiset\n"
+            ),
+            "simulate --strategy symmetric --p 2 --q 1 --r 2 --nodes 24 "
+            "--docs 7 --trials 200 --seed 3": (
+                "mean E[X] = 10.955 +/- 0.17193803663590862 (std error), "
+                "trials=200, min=5, max=16\n"
+                "strategy,p,q,r,N,D,trials,seed,mean_empirical,std_error,"
+                "min,max,semantics\n"
+                "symmetric,2,1,2,24,7,200,3,10.955,0.17193803663590862,5,16,"
+                "per-cluster\n"
+            ),
+            "simulate --strategy random --class 1,0,2,2 --class 2,1,1,3 "
+            "--nodes 12 --trials 30 --seed 4": (
+                "mean E[X] = 4.0 +/- 0.3032392174315614 (std error), "
+                "trials=30, min=1, max=7\n"
+                "note: no matching closed formula (mixed workload or symmetric "
+                "preconditions unmet); simulation-only result\n"
+                "strategy,p,q,r,N,D,trials,seed,mean_empirical,std_error,"
+                "min,max,semantics\n"
+                "random,1;2,0;1,2;1,12,2;3,30,4,4.0,0.3032392174315614,1,7,"
+                "multiset\n"
+            ),
+        }
+        for command, expected in pinned.items():
+            assert main(command.split()) == 0
+            assert capsys.readouterr().out == expected, command
 
     def test_mixed_classes(self, capsys):
         argv = (
