@@ -6,12 +6,14 @@ each chunk stored twice, so a document occupies six fragments.
 
 from rec_persist import (
     Method,
+    PlacementStrategy,
     RecParams,
     SystemParams,
-    expect_random,
-    expect_symmetric,
+    expect,
     survival_curve_random,
 )
+
+RANDOM, SYMMETRIC = PlacementStrategy.RANDOM, PlacementStrategy.SYMMETRIC
 
 rec = RecParams(p=2, q=1, r=2)
 system = SystemParams(nodes=48, docs=10)
@@ -23,7 +25,7 @@ print()
 
 print("Random placement")
 for method in (Method.EXACT_SUM, Method.INTEGRAL, Method.ASYMPTOTIC):
-    result = expect_random(rec, system, method)
+    result = expect(RANDOM, rec, system, method)
     bound = "-" if result.error_bound is None else f"{result.error_bound:g}"
     print(f"  {result.method.value:<12} E[X] = {result.value:10.4f}   "
           f"additive error bound: {bound}")
@@ -31,7 +33,7 @@ for method in (Method.EXACT_SUM, Method.INTEGRAL, Method.ASYMPTOTIC):
 print()
 print("Symmetric placement")
 for method in (Method.INTEGRAL, Method.ASYMPTOTIC):
-    result = expect_symmetric(rec, system, method)
+    result = expect(SYMMETRIC, rec, system, method)
     bound = "-" if result.error_bound is None else f"{result.error_bound:g}"
     print(f"  {result.method.value:<12} E[X] = {result.value:10.4f}   "
           f"additive error bound: {bound}")
@@ -50,5 +52,5 @@ print()
 print("The closed Beta form needs p = 1. REC(1, 1, 3) on the same system:")
 simple = RecParams(1, 0, 3)
 for method in (Method.EXACT_SUM, Method.BETA_EXACT, Method.ASYMPTOTIC):
-    result = expect_random(simple, system, method)
+    result = expect(RANDOM, simple, system, method)
     print(f"  {result.method.value:<12} E[X] = {result.value:10.4f}")

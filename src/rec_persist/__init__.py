@@ -11,15 +11,15 @@ output (sweep).
 
 from .analytic import (
     DEFAULT_QUADRATURE_TOL,
+    EXACT_METHOD,
     AnalyticResult,
     Method,
     SurvivalCurve,
-    expect_random,
+    expect,
     expect_random_asymptotic,
     expect_random_integral,
     expect_random_p1_beta,
     expect_random_sum,
-    expect_symmetric,
     expect_symmetric_asymptotic,
     expect_symmetric_integral,
     expect_symmetric_p1_beta,
@@ -96,17 +96,17 @@ __all__ = [
     "reg_inc_beta",
     "reg_inc_beta_complement",
     "Method",
+    "EXACT_METHOD",
     "AnalyticResult",
     "SurvivalCurve",
     "DEFAULT_QUADRATURE_TOL",
     "survival_random",
     "survival_curve_random",
-    "expect_random",
+    "expect",
     "expect_random_sum",
     "expect_random_integral",
     "expect_random_asymptotic",
     "expect_random_p1_beta",
-    "expect_symmetric",
     "expect_symmetric_integral",
     "expect_symmetric_asymptotic",
     "expect_symmetric_p1_beta",

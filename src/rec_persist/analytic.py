@@ -34,11 +34,17 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import ParameterError, QuadratureError
-from .model import RecParams, SystemParams, validate_symmetric_preconditions
+from .model import (
+    PlacementStrategy,
+    RecParams,
+    SystemParams,
+    require_symmetric_preconditions,
+)
 from .specfun import beta_real, log_reg_inc_beta_complement
 
 __all__ = [
     "Method",
+    "EXACT_METHOD",
     "AnalyticResult",
     "SurvivalCurve",
     "survival_random",
@@ -50,8 +56,7 @@ __all__ = [
     "expect_symmetric_integral",
     "expect_symmetric_asymptotic",
     "expect_symmetric_p1_beta",
-    "expect_random",
-    "expect_symmetric",
+    "expect",
     "max_over_p_check",
     "symmetric_survival_l_max",
     "DEFAULT_QUADRATURE_TOL",
@@ -63,10 +68,19 @@ DEFAULT_QUADRATURE_TOL = 1e-10
 
 
 class Method(Enum):
-    EXACT_SUM = "ExactSum"
-    INTEGRAL = "Integral"
-    ASYMPTOTIC = "Asymptotic"
-    BETA_EXACT = "BetaExact"
+    """A route to E[X]; the values are the CLI's --method names."""
+
+    EXACT_SUM = "sum"
+    INTEGRAL = "integral"
+    ASYMPTOTIC = "asymptotic"
+    BETA_EXACT = "beta-exact"
+
+
+# the route that gives each strategy's E[X] exactly
+EXACT_METHOD = {
+    PlacementStrategy.RANDOM: Method.EXACT_SUM,
+    PlacementStrategy.SYMMETRIC: Method.INTEGRAL,
+}
 
 
 @dataclass(frozen=True)
@@ -205,7 +219,7 @@ def expect_random_integral(
 ) -> AnalyticResult:
     """E[X] under random placement as N * integral of the survival function.
 
-    Carries the additive guarantee |ExactSum - value| <= 1 + N*tol.
+    Carries the additive guarantee |exact sum - value| <= 1 + N*tol.
     """
     s = _tail_order(rec)
     peak_u = 1.0 / (math.comb(rec.p + rec.q, rec.q + 1) * system.docs)
@@ -262,12 +276,6 @@ def _symmetric_base_log(rec: RecParams):
     return base_log
 
 
-def _require_symmetric(rec: RecParams, system: SystemParams) -> None:
-    violation = validate_symmetric_preconditions(rec, system)
-    if violation is not None:
-        raise ParameterError(f"symmetric preconditions failed, {violation}")
-
-
 def expect_symmetric_integral(
     rec: RecParams, system: SystemParams, tol: float = DEFAULT_QUADRATURE_TOL
 ) -> AnalyticResult:
@@ -277,7 +285,7 @@ def expect_symmetric_integral(
     (p+q)*r | N and D >= N/((p+q)*r).  The document count plays no further
     role: the value is invariant across all valid D.
     """
-    _require_symmetric(rec, system)
+    require_symmetric_preconditions(rec, system)
     g = rec.fragments
     groups = system.nodes // g
     s = _tail_order(rec)
@@ -313,53 +321,50 @@ def expect_symmetric_p1_beta(q: int, r: int, system: SystemParams) -> AnalyticRe
     (N+1)/(r(q+1)) * Beta(N/(r(q+1)) + 1, 1/(r(q+1))).
     """
     rec = RecParams(1, q, r)
-    _require_symmetric(rec, system)
+    require_symmetric_preconditions(rec, system)
     s = _tail_order(rec)
     value = (system.nodes + 1) / s * beta_real(system.nodes / s + 1.0, 1.0 / s)
     return AnalyticResult(value, Method.BETA_EXACT, error_bound=0.0)
 
 
-def expect_random(
+def expect(
+    strategy: PlacementStrategy,
     rec: RecParams,
     system: SystemParams,
     method: Method,
     tol: float = DEFAULT_QUADRATURE_TOL,
 ) -> AnalyticResult:
-    """Dispatch a random-placement method; BetaExact requires p = 1."""
-    if method is Method.EXACT_SUM:
-        return expect_random_sum(rec, system)
-    if method is Method.INTEGRAL:
-        return expect_random_integral(rec, system, tol)
-    if method is Method.ASYMPTOTIC:
-        return expect_random_asymptotic(rec, system)
-    if method is Method.BETA_EXACT:
-        if rec.p != 1:
-            raise ParameterError(f"BetaExact requires p = 1, got p = {rec.p}")
-        return expect_random_p1_beta(rec.q, rec.r, system)
-    raise ParameterError(f"unknown method {method!r}")
+    """E[X] for one strategy by one method; the single table of routes.
 
-
-def expect_symmetric(
-    rec: RecParams,
-    system: SystemParams,
-    method: Method,
-    tol: float = DEFAULT_QUADRATURE_TOL,
-) -> AnalyticResult:
-    """Dispatch a symmetric-placement method; BetaExact requires p = 1."""
-    if method is Method.INTEGRAL:
-        return expect_symmetric_integral(rec, system, tol)
-    if method is Method.ASYMPTOTIC:
-        return expect_symmetric_asymptotic(rec, system)
-    if method is Method.BETA_EXACT:
-        if rec.p != 1:
-            raise ParameterError(f"BetaExact requires p = 1, got p = {rec.p}")
-        return expect_symmetric_p1_beta(rec.q, rec.r, system)
-    if method is Method.EXACT_SUM:
+    beta-exact requires p = 1, and sum exists for random placement only.
+    Formulas are called by their module names, so wrapping one of them
+    (as a tracer does) is seen here.
+    """
+    if not isinstance(strategy, PlacementStrategy) or not isinstance(method, Method):
         raise ParameterError(
-            "ExactSum applies to random placement; symmetric has Integral, "
-            "Asymptotic, and BetaExact"
+            f"expect needs a PlacementStrategy and a Method, "
+            f"got {strategy!r} and {method!r}"
         )
-    raise ParameterError(f"unknown method {method!r}")
+    match strategy, method:
+        case _, Method.BETA_EXACT if rec.p != 1:
+            raise ParameterError(
+                f"{strategy.value} beta-exact requires p = 1, got p = {rec.p}"
+            )
+        case PlacementStrategy.RANDOM, Method.EXACT_SUM:
+            return expect_random_sum(rec, system)
+        case PlacementStrategy.RANDOM, Method.INTEGRAL:
+            return expect_random_integral(rec, system, tol)
+        case PlacementStrategy.RANDOM, Method.ASYMPTOTIC:
+            return expect_random_asymptotic(rec, system)
+        case PlacementStrategy.RANDOM, Method.BETA_EXACT:
+            return expect_random_p1_beta(rec.q, rec.r, system)
+        case PlacementStrategy.SYMMETRIC, Method.INTEGRAL:
+            return expect_symmetric_integral(rec, system, tol)
+        case PlacementStrategy.SYMMETRIC, Method.ASYMPTOTIC:
+            return expect_symmetric_asymptotic(rec, system)
+        case PlacementStrategy.SYMMETRIC, Method.BETA_EXACT:
+            return expect_symmetric_p1_beta(rec.q, rec.r, system)
+    raise ParameterError(f"{strategy.value} placement has no {method.value} route")
 
 
 def symmetric_survival_l_max(rec: RecParams, nodes: int) -> int:
@@ -375,35 +380,19 @@ def symmetric_survival_l_max(rec: RecParams, nodes: int) -> int:
     return nodes * (g - rec.p) // g + 1
 
 
-def max_over_p_check(
-    q: int,
-    r: int,
-    system: SystemParams,
-    p_max: int,
-    strategy: str = "both",
-) -> bool:
+def max_over_p_check(q: int, r: int, system: SystemParams, p_max: int) -> bool:
     """True iff E[X] is nonincreasing in p over 1..p_max at fixed q, r.
 
-    strategy selects which exact formulas to scan: "random" (full survival
-    sum), "symmetric" (exact integral; every p must satisfy the symmetric
-    preconditions), or "both".
+    Scans the exact route of each strategy (EXACT_METHOD); every p must
+    satisfy the symmetric preconditions.
     """
     if p_max < 1:
         raise ParameterError(f"p_max must be >= 1, got {p_max}")
-    if strategy not in ("random", "symmetric", "both"):
-        raise ParameterError(f"strategy must be random, symmetric or both, got {strategy!r}")
-    scans = []
-    if strategy in ("random", "both"):
-        scans.append(
-            [expect_random_sum(RecParams(p, q, r), system).value
-             for p in range(1, p_max + 1)]
-        )
-    if strategy in ("symmetric", "both"):
-        scans.append(
-            [expect_symmetric_integral(RecParams(p, q, r), system).value
-             for p in range(1, p_max + 1)]
-        )
-    for values in scans:
+    for strategy, method in EXACT_METHOD.items():
+        values = [
+            expect(strategy, RecParams(p, q, r), system, method).value
+            for p in range(1, p_max + 1)
+        ]
         for lo, hi in zip(values[1:], values):
             if lo > hi + 1e-9 * max(1.0, abs(hi)):
                 return False

@@ -23,13 +23,6 @@ from .simulator import SimConfig, WorkloadClass, simulate
 
 __all__ = ["main"]
 
-_METHODS = {
-    "sum": analytic.Method.EXACT_SUM,
-    "integral": analytic.Method.INTEGRAL,
-    "asymptotic": analytic.Method.ASYMPTOTIC,
-    "beta-exact": analytic.Method.BETA_EXACT,
-}
-
 _SIM_CSV_COLUMNS = (
     "strategy", "p", "q", "r", "N", "D", "trials", "seed",
     "mean_empirical", "std_error", "min", "max", "semantics",
@@ -62,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--nodes", type=int, required=True)
     p_an.add_argument("--docs", type=int, required=True)
     p_an.add_argument(
-        "--method", choices=sorted(_METHODS), required=True,
+        "--method", choices=sorted(m.value for m in analytic.Method),
+        required=True,
         help="sum: finite survival sum (random only); integral: quadrature "
              "form; asymptotic: leading term; beta-exact: closed p=1 form",
     )
@@ -126,11 +120,8 @@ def _cmd_analytic(args) -> int:
     rec = RecParams(args.p, args.q, args.r)
     system = SystemParams(args.nodes, args.docs)
     strategy = PlacementStrategy(args.strategy)
-    method = _METHODS[args.method]
-    if strategy is PlacementStrategy.RANDOM:
-        result = analytic.expect_random(rec, system, method, tol=args.tol)
-    else:
-        result = analytic.expect_symmetric(rec, system, method, tol=args.tol)
+    method = analytic.Method(args.method)
+    result = analytic.expect(strategy, rec, system, method, tol=args.tol)
     print(
         f"E[X] = {result.value!r}  "
         f"[{strategy.value} placement, method {result.method.value}]"
@@ -302,10 +293,13 @@ _COMMANDS = {
 }
 
 
+# built once: setting up the five subcommands costs more than most commands
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,4 +1,6 @@
-"""Exceptions shared across the library."""
+"""Exceptions shared across the library, and the integer argument check."""
+
+import operator
 
 
 class ParameterError(ValueError):
@@ -19,3 +21,14 @@ class QuadratureError(RuntimeError):
             "quadrature reached relative tolerance %.3e, requested %.3e"
             % (achieved, requested)
         )
+
+
+def require_int(value, name: str, minimum: int) -> int:
+    """value as an int, or ParameterError if it is not an integer >= minimum."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+    return value

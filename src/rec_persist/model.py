@@ -19,13 +19,12 @@ under PER_CLUSTER is always alive under MULTISET.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_int
 
 __all__ = [
     "RecParams",
@@ -37,17 +36,8 @@ __all__ = [
     "default_semantics",
     "is_document_lost",
     "validate_symmetric_preconditions",
+    "require_symmetric_preconditions",
 ]
-
-
-def _as_int(value, name: str, minimum: int) -> int:
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
-        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 class LossSemantics(Enum):
@@ -78,9 +68,9 @@ class RecParams:
     r: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _as_int(self.p, "p", 1))
-        object.__setattr__(self, "q", _as_int(self.q, "q", 0))
-        object.__setattr__(self, "r", _as_int(self.r, "r", 1))
+        object.__setattr__(self, "p", require_int(self.p, "p", 1))
+        object.__setattr__(self, "q", require_int(self.q, "q", 0))
+        object.__setattr__(self, "r", require_int(self.r, "r", 1))
 
     @property
     def chunks(self) -> int:
@@ -100,8 +90,8 @@ class SystemParams:
     docs: int
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _as_int(self.nodes, "nodes", 1))
-        object.__setattr__(self, "docs", _as_int(self.docs, "docs", 1))
+        object.__setattr__(self, "nodes", require_int(self.nodes, "nodes", 1))
+        object.__setattr__(self, "docs", require_int(self.docs, "docs", 1))
 
 
 @dataclass(frozen=True)
@@ -138,6 +128,13 @@ def validate_symmetric_preconditions(
     return None
 
 
+def require_symmetric_preconditions(rec: RecParams, system: SystemParams) -> None:
+    """ParameterError naming the failed symmetric precondition, if one fails."""
+    violation = validate_symmetric_preconditions(rec, system)
+    if violation is not None:
+        raise ParameterError(f"symmetric preconditions failed, {violation}")
+
+
 @dataclass
 class Placement:
     """Node assignment for every fragment of every document.
@@ -151,7 +148,7 @@ class Placement:
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.nodes = _as_int(self.nodes, "nodes", 1)
+        self.nodes = require_int(self.nodes, "nodes", 1)
         table = np.asarray(self.table)
         if (
             table.ndim != 3

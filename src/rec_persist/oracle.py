@@ -19,7 +19,7 @@ from .model import (
     LossSemantics,
     RecParams,
     SystemParams,
-    validate_symmetric_preconditions,
+    require_symmetric_preconditions,
 )
 from .simulator import place_symmetric
 
@@ -114,20 +114,15 @@ def group_polynomial(rec: RecParams, semantics: LossSemantics) -> GroupPolynomia
     raise ParameterError(f"unknown semantics {semantics!r}")
 
 
-def _check_symmetric_exact(rec: RecParams, system: SystemParams) -> None:
-    violation = validate_symmetric_preconditions(rec, system)
-    if violation is not None:
-        raise ParameterError(f"symmetric preconditions failed, {violation}")
+def _symmetric_alive_counts(
+    rec: RecParams, system: SystemParams, semantics: LossSemantics
+) -> list[int]:
+    require_symmetric_preconditions(rec, system)
     if system.nodes > _SYMMETRIC_NODE_LIMIT:
         raise SizeLimitError(
             f"exact symmetric expectation is guarded at nodes <= "
             f"{_SYMMETRIC_NODE_LIMIT}, got {system.nodes}"
         )
-
-
-def _symmetric_alive_counts(
-    rec: RecParams, system: SystemParams, semantics: LossSemantics
-) -> list[int]:
     gp = group_polynomial(rec, semantics)
     counts = _poly_pow(list(gp.coeffs), system.nodes // rec.fragments)
     counts += [0] * (system.nodes + 1 - len(counts))
@@ -143,7 +138,6 @@ def exact_symmetric_survival(
     polynomial.  The curve is reported up to the support bound
     l_max = N*((p+q)r - p)/((p+q)r) + 1; every later coefficient is zero.
     """
-    _check_symmetric_exact(rec, system)
     counts = _symmetric_alive_counts(rec, system, semantics)
     g = rec.fragments
     l_max = system.nodes * (g - rec.p) // g + 1
@@ -158,7 +152,6 @@ def exact_symmetric_expectation(
     rec: RecParams, system: SystemParams, semantics: LossSemantics
 ) -> Fraction:
     """Exact E[X] under symmetric placement as a reduced fraction."""
-    _check_symmetric_exact(rec, system)
     counts = _symmetric_alive_counts(rec, system, semantics)
     return sum(
         Fraction(counts[l], math.comb(system.nodes, l))

@@ -3,10 +3,6 @@
 quick: special-function identities, pinned exact values, and the small
 oracle suite (a few seconds).  full: adds the complete polynomial-versus-
 integral sweep up to N = 120 and seeded statistical checks.
-
-run_selftest accepts a beta_scale fault-injection knob so the test suite
-can verify that a perturbed identity is actually caught; 1.0 means no
-perturbation.
 """
 
 from __future__ import annotations
@@ -36,12 +32,12 @@ class CheckResult:
     detail: str
 
 
-def _check_beta_identity(beta_scale: float) -> CheckResult:
+def _check_beta_identity() -> CheckResult:
     worst = 0.0
     for a in range(1, 11):
         for b in range(1, 11):
             exact = beta(a, b)
-            real = beta_real(float(a), float(b)) * beta_scale
+            real = beta_real(float(a), float(b))
             worst = max(worst, abs(real - exact) / exact)
     return CheckResult(
         "beta-identity",
@@ -324,11 +320,11 @@ def _check_d_invariance() -> CheckResult:
     )
 
 
-def run_selftest(level: str = "quick", beta_scale: float = 1.0) -> list[CheckResult]:
+def run_selftest(level: str = "quick") -> list[CheckResult]:
     if level not in ("quick", "full"):
         raise ValueError(f"level must be quick or full, got {level!r}")
     results = [
-        _check_beta_identity(beta_scale),
+        _check_beta_identity(),
         _check_complement_identity(),
         _check_small_x_precision(),
         _check_monotone_shift(),

@@ -82,11 +82,17 @@ def persistency(placement: Placement, order, semantics: LossSemantics) -> int:
             f"removal order must list all {placement.nodes} nodes, "
             f"got shape {order.shape}"
         )
-    if not np.array_equal(np.sort(order), np.arange(placement.nodes)):
-        raise ParameterError("removal order must be a permutation of the nodes")
-
-    rank = np.empty(placement.nodes, dtype=np.int64)
+    if (
+        not np.issubdtype(order.dtype, np.integer)
+        or order.min() < 0
+        or order.max() >= placement.nodes
+    ):
+        raise ParameterError("removal order must hold node ids in [0, nodes)")
+    # a rank left at 0 marks a node that order misses, so order repeats one
+    rank = np.zeros(placement.nodes, dtype=np.int64)
     rank[order] = np.arange(1, placement.nodes + 1)
+    if not rank.all():
+        raise ParameterError("removal order must be a permutation of the nodes")
     # t[j, k, m] is the erasure time of replica j of chunk m of document k,
     # replica-major because numpy reduces a short middle axis several times
     # slower than it reduces over whole contiguous planes

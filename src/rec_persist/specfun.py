@@ -19,12 +19,11 @@ and returns log1p(-I), otherwise it returns the log of the complement sum.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_int
 
 __all__ = [
     "beta",
@@ -38,24 +37,14 @@ _NEG_INF = float("-inf")
 _FLOAT_MAX = sys.float_info.max
 
 
-def _require_int(value, name: str, minimum: int) -> int:
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
-        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
 def beta(a: int, b: int) -> float:
     """Beta(a, b) = 1 / (C(a+b-2, a-1) * (a+b-1)) for integers a, b >= 1.
 
     The binomial coefficient is evaluated exactly, so the only rounding is
     the final division.
     """
-    a = _require_int(a, "a", 1)
-    b = _require_int(b, "b", 1)
+    a = require_int(a, "a", 1)
+    b = require_int(b, "b", 1)
     return 1.0 / (math.comb(a + b - 2, a - 1) * (a + b - 1))
 
 
@@ -129,8 +118,8 @@ def log_reg_inc_beta_complement(x, a: int, b: int):
     A float (or 0-d) x takes a math-only path, which is what quadrature
     integrands call; an array x is evaluated elementwise with numpy.
     """
-    a = _require_int(a, "a", 1)
-    b = _require_int(b, "b", 1)
+    a = require_int(a, "a", 1)
+    b = require_int(b, "b", 1)
     n = a + b - 1
     switch = a / (a + b)
     if isinstance(x, float) or np.ndim(x) == 0:

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .analytic import Method, expect_random, expect_symmetric
+from .analytic import EXACT_METHOD, Method, expect
 from .errors import ParameterError, QuadratureError
 from .model import (
     LossSemantics,
@@ -110,6 +109,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One CSV row: the fields are declared in CSV_COLUMNS order."""
+
     strategy: str
     p: int
     q: int
@@ -260,23 +261,18 @@ def _theory_values(
     spec: SweepSpec, rec: RecParams, system: SystemParams
 ) -> dict[str, float | None]:
     values: dict[str, float | None] = {k: None for k in _THEORY_KINDS}
-    symmetric = spec.strategy is PlacementStrategy.SYMMETRIC
     in_theory = (
-        not symmetric or validate_symmetric_preconditions(rec, system) is None
+        spec.strategy is PlacementStrategy.RANDOM
+        or validate_symmetric_preconditions(rec, system) is None
     )
-    expect = expect_symmetric if symmetric else expect_random
-    methods = {
-        "exact": Method.INTEGRAL if symmetric else Method.EXACT_SUM,
-        "asymptotic": Method.ASYMPTOTIC,
-        "beta-exact": Method.BETA_EXACT,
-    }
     for kind in spec.theory:
         if kind == "beta-exact" and rec.p != 1:
             continue
         if kind != "asymptotic" and not in_theory:
             continue
+        method = EXACT_METHOD[spec.strategy] if kind == "exact" else Method(kind)
         try:
-            values[kind] = expect(rec, system, methods[kind]).value
+            values[kind] = expect(spec.strategy, rec, system, method).value
         except QuadratureError:
             # leave the cell empty; the run continues with the other
             # points and overlays
@@ -340,17 +336,7 @@ def rows_to_csv(rows: list[SweepRow], path: str | Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow(
-                [
-                    _cell(v)
-                    for v in (
-                        row.strategy, row.p, row.q, row.r, row.nodes, row.docs,
-                        row.trials, row.seed, row.mean_empirical, row.std_error,
-                        row.theory_exact, row.theory_asymptotic,
-                        row.theory_beta_exact, row.semantics,
-                    )
-                ]
-            )
+            writer.writerow([_cell(v) for v in astuple(row)])
 
 
 def rows_to_svg(spec: SweepSpec, rows: list[SweepRow], path: str | Path) -> None:

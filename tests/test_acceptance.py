@@ -308,9 +308,7 @@ def test_criterion_8_p_maximality():
             lcm = math.lcm(*(q + 1 + i for i in range(4)))
             nodes = lcm * r
             system = SystemParams(nodes, nodes)
-            assert analytic.max_over_p_check(
-                q, r, system, p_max=4, strategy="both"
-            ), (q, r, nodes)
+            assert analytic.max_over_p_check(q, r, system, p_max=4), (q, r, nodes)
             count += 1
     elapsed = time.monotonic() - start
     report(

@@ -8,7 +8,7 @@ import pytest
 from rec_persist import analytic, oracle
 from rec_persist.analytic import Method
 from rec_persist.errors import ParameterError
-from rec_persist.model import LossSemantics, RecParams, SystemParams
+from rec_persist.model import LossSemantics, PlacementStrategy, RecParams, SystemParams
 from rec_persist.specfun import log_reg_inc_beta_complement
 
 GAMMA_3_2 = math.gamma(1.5)
@@ -315,25 +315,60 @@ class TestDispatch:
         rec = RecParams(1, 0, 2)
         system = SystemParams(48, 5)
         for method in Method:
-            result = analytic.expect_random(rec, system, method)
+            result = analytic.expect(PlacementStrategy.RANDOM, rec, system, method)
             assert result.method is method
             assert result.value > 0
 
     def test_symmetric_rejects_sum(self):
-        with pytest.raises(ParameterError):
-            analytic.expect_symmetric(
-                RecParams(1, 0, 2), SystemParams(4, 2), Method.EXACT_SUM
+        with pytest.raises(ParameterError, match="symmetric.*sum"):
+            analytic.expect(
+                PlacementStrategy.SYMMETRIC,
+                RecParams(1, 0, 2), SystemParams(4, 2), Method.EXACT_SUM,
             )
 
     def test_beta_exact_requires_p1(self):
+        for strategy, system in (
+            (PlacementStrategy.RANDOM, SystemParams(12, 3)),
+            (PlacementStrategy.SYMMETRIC, SystemParams(12, 2)),
+        ):
+            with pytest.raises(ParameterError, match=f"{strategy.value} beta-exact"):
+                analytic.expect(strategy, RecParams(2, 1, 1), system, Method.BETA_EXACT)
+
+    def test_names_are_not_routes(self):
+        rec, system = RecParams(1, 0, 2), SystemParams(4, 2)
         with pytest.raises(ParameterError):
-            analytic.expect_random(
-                RecParams(2, 1, 1), SystemParams(12, 3), Method.BETA_EXACT
-            )
+            analytic.expect("random", rec, system, Method.EXACT_SUM)
         with pytest.raises(ParameterError):
-            analytic.expect_symmetric(
-                RecParams(2, 1, 1), SystemParams(12, 2), Method.BETA_EXACT
-            )
+            analytic.expect(PlacementStrategy.RANDOM, rec, system, "sum")
+
+    def test_routes_match_formulas(self):
+        rec = RecParams(1, 1, 1)
+        system = SystemParams(24, 12)
+        routes = {
+            (PlacementStrategy.RANDOM, Method.EXACT_SUM):
+                analytic.expect_random_sum(rec, system),
+            (PlacementStrategy.RANDOM, Method.INTEGRAL):
+                analytic.expect_random_integral(rec, system),
+            (PlacementStrategy.RANDOM, Method.ASYMPTOTIC):
+                analytic.expect_random_asymptotic(rec, system),
+            (PlacementStrategy.RANDOM, Method.BETA_EXACT):
+                analytic.expect_random_p1_beta(1, 1, system),
+            (PlacementStrategy.SYMMETRIC, Method.INTEGRAL):
+                analytic.expect_symmetric_integral(rec, system),
+            (PlacementStrategy.SYMMETRIC, Method.ASYMPTOTIC):
+                analytic.expect_symmetric_asymptotic(rec, system),
+            (PlacementStrategy.SYMMETRIC, Method.BETA_EXACT):
+                analytic.expect_symmetric_p1_beta(1, 1, system),
+        }
+        for (strategy, method), want in routes.items():
+            assert analytic.expect(strategy, rec, system, method) == want
+
+    def test_exact_method_is_exact(self):
+        rec = RecParams(1, 0, 2)
+        system = SystemParams(4, 2)
+        for strategy in PlacementStrategy:
+            method = analytic.EXACT_METHOD[strategy]
+            assert analytic.expect(strategy, rec, system, method).error_bound == 0.0
 
 
 class TestSupportBound:
@@ -364,13 +399,9 @@ class TestMaxOverP:
         for q, r in ((0, 1), (0, 2), (1, 1), (1, 2)):
             nodes = 12 * (1 + q) * r
             assert analytic.max_over_p_check(
-                q, r, SystemParams(nodes, nodes), p_max=3, strategy="both"
+                q, r, SystemParams(nodes, nodes), p_max=3
             )
 
-    def test_strategy_validation(self):
-        with pytest.raises(ParameterError):
-            analytic.max_over_p_check(
-                0, 1, SystemParams(12, 12), p_max=2, strategy="weird"
-            )
+    def test_p_max_validation(self):
         with pytest.raises(ParameterError):
             analytic.max_over_p_check(0, 1, SystemParams(12, 12), p_max=0)

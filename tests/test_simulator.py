@@ -140,8 +140,9 @@ class TestPersistency:
         placement = place_symmetric(RecParams(1, 0, 2), SystemParams(4, 2))
         with pytest.raises(ParameterError):
             persistency(placement, np.array([0, 1, 2]), MS)
-        with pytest.raises(ParameterError):
-            persistency(placement, np.array([0, 1, 2, 2]), MS)
+        for bad in ([0, 1, 2, 2], [0, 1, 2, 4], [-1, 1, 2, 3], [0.0, 1.0, 2.0, 3.0]):
+            with pytest.raises(ParameterError):
+                persistency(placement, np.array(bad), MS)
 
     def test_always_terminates_at_most_n(self):
         rng = np.random.default_rng(3)

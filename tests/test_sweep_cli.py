@@ -1,6 +1,8 @@
 """Sweep runner, CSV/SVG emission, and the command-line interface."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from rec_persist import analytic, sweep
+from rec_persist import analytic, cli, sweep
 from rec_persist.cli import main
 from rec_persist.errors import ParameterError
 from rec_persist.model import PlacementStrategy, RecParams, SystemParams
@@ -202,6 +204,12 @@ class TestRunSweep:
             assert float(rec["theory_exact"]) == row.theory_exact
             assert rec["semantics"] == "multiset"
 
+    def test_row_fields_follow_csv_columns(self):
+        # rows_to_csv writes each row's fields in declaration order
+        names = [field.name for field in dataclasses.fields(sweep.SweepRow)]
+        renamed = {"nodes": "N", "docs": "D"}
+        assert tuple(renamed.get(n, n) for n in names) == sweep.CSV_COLUMNS
+
     def test_svg_renders(self, tmp_path):
         spec = small_spec()
         rows = sweep.run_sweep(spec)
@@ -285,6 +293,34 @@ class TestCliAnalytic:
     def test_usage_error_exits_2(self):
         assert main(["analytic", "--strategy", "random"]) == 2
         assert main(["not-a-command"]) == 2
+
+    def test_missing_route_exits_2(self, capsys):
+        code = main(
+            "analytic --strategy symmetric --p 1 --q 0 --r 2 "
+            "--nodes 4 --docs 2 --method sum".split()
+        )
+        assert code == 2
+        assert "symmetric placement has no sum route" in capsys.readouterr().err
+
+    def test_beta_exact_needs_p1_exits_2(self, capsys):
+        code = main(
+            "analytic --strategy random --p 2 --q 1 --r 1 "
+            "--nodes 12 --docs 3 --method beta-exact".split()
+        )
+        assert code == 2
+        assert "random beta-exact requires p = 1" in capsys.readouterr().err
+
+    def test_method_choices(self):
+        # benchmark decks and scripts pass these names as --method
+        sub = next(
+            action for action in cli._PARSER._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        method = next(
+            action for action in sub.choices["analytic"]._actions
+            if action.dest == "method"
+        )
+        assert set(method.choices) == {"sum", "integral", "asymptotic", "beta-exact"}
 
 
 class TestCliSimulate:
@@ -458,8 +494,14 @@ class TestCliSelftest:
 
 
 class TestSelftestNegativeControl:
-    def test_perturbed_beta_is_caught(self):
-        results = run_selftest(level="quick", beta_scale=1.0 + 1e-6)
+    def test_perturbed_beta_is_caught(self, monkeypatch):
+        from rec_persist import selftest
+
+        beta_real = selftest.beta_real
+        monkeypatch.setattr(
+            selftest, "beta_real", lambda a, b: beta_real(a, b) * (1.0 + 1e-6)
+        )
+        results = run_selftest(level="quick")
         failing = [res for res in results if not res.ok]
         assert failing
         assert any(res.name == "beta-identity" for res in failing)
