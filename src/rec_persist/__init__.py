@@ -12,6 +12,7 @@ output (sweep).
 from .analytic import (
     DEFAULT_QUADRATURE_TOL,
     EXACT_METHOD,
+    MIN_QUADRATURE_TOL,
     AnalyticResult,
     Method,
     SurvivalCurve,
@@ -100,6 +101,7 @@ __all__ = [
     "AnalyticResult",
     "SurvivalCurve",
     "DEFAULT_QUADRATURE_TOL",
+    "MIN_QUADRATURE_TOL",
     "survival_random",
     "survival_curve_random",
     "expect",

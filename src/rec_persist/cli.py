@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_an.add_argument("--tol", type=float,
                       default=analytic.DEFAULT_QUADRATURE_TOL,
-                      help="relative quadrature tolerance")
+                      help="relative quadrature tolerance, at least "
+                           f"{analytic.MIN_QUADRATURE_TOL:g} and below 1")
 
     p_sim = sub.add_parser("simulate", help="run seeded Monte Carlo trials")
     p_sim.add_argument("--strategy", choices=["random", "symmetric"],
@@ -130,6 +131,12 @@ def _cmd_analytic(args) -> int:
         print("additive error bound: none (asymptotic leading term)")
     else:
         print(f"additive error bound: {result.error_bound!r}")
+    if result.quadrature_evals is not None:
+        print(
+            f"quadrature: relative error estimate {result.quadrature_error:.3e} "
+            f"(tolerance {result.quadrature_tolerance:g}), "
+            f"{result.quadrature_evals} integrand evaluations"
+        )
     bound = "none" if result.error_bound is None else repr(result.error_bound)
     print(
         "RESULT "

@@ -33,7 +33,6 @@ __all__ = [
     "log_reg_inc_beta_complement",
 ]
 
-_NEG_INF = float("-inf")
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -86,24 +85,17 @@ def beta_real(a: float, b: float) -> float:
     return math.exp(math.lgamma(b) + diff)
 
 
-def _check_x(x: float) -> float:
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ParameterError(f"x must lie in [0, 1], got {x!r}")
-    return x
-
-
-def _upper_head(n: int, a: int, x, log1mx, exp, log):
+def _upper_head(n: int, a: int, x: np.ndarray, log1mx: np.ndarray) -> np.ndarray:
     """C(n, a) x^a (1-x)^(n-a), the largest term of I_x(a, n+1-a) below its mean."""
     c = math.comb(n, a)
     if c <= _FLOAT_MAX:
-        return c * x**a * exp((n - a) * log1mx)
+        return c * x**a * np.exp((n - a) * log1mx)
     # only when a and b both run into the hundreds
-    return exp(math.log(c) + a * log(x) + (n - a) * log1mx)
+    return np.exp(math.log(c) + a * np.log(x) + (n - a) * log1mx)
 
 
 def log_reg_inc_beta_complement(x, a: int, b: int):
-    """ln(1 - I_x(a, b)) for integer a, b >= 1 and x a float or an array.
+    """ln(1 - I_x(a, b)) for integer a, b >= 1, elementwise over x.
 
     Below x = a/(a+b) the upper tail I = sum_{j>=a} is the smaller one: it
     starts from its largest term C(n, a) x^a (1-x)^(n-a) (exact integer
@@ -115,51 +107,19 @@ def log_reg_inc_beta_complement(x, a: int, b: int):
     carried in log space, so it stays finite far below float underflow.
     Exact 0.0 at x = 0 and -inf at x = 1.
 
-    A float (or 0-d) x takes a math-only path, which is what quadrature
-    integrands call; an array x is evaluated elementwise with numpy.
+    x may be an array or a float; a float (or 0-d array) gives a float.
     """
     a = require_int(a, "a", 1)
     b = require_int(b, "b", 1)
     n = a + b - 1
-    switch = a / (a + b)
-    if isinstance(x, float) or np.ndim(x) == 0:
-        x = _check_x(x)
-        if x == 0.0:
-            return 0.0
-        if x == 1.0:
-            return _NEG_INF
-        log1mx = math.log1p(-x)
-        if x < switch:
-            term = total = _upper_head(n, a, x, log1mx, math.exp, math.log)
-            ratio = x / (1.0 - x)
-            for j in range(a, n):
-                term *= (n - j) / (j + 1) * ratio
-                if total + term == total:
-                    break
-                total += term
-            return math.log1p(-total)
-        # complement / its largest term C(n, a-1) x^(a-1) (1-x)^b
-        ratio = (1.0 - x) / x
-        term = total = 1.0
-        for j in range(a - 1, 0, -1):
-            term *= j / (n - j + 1) * ratio
-            if total + term == total:
-                break
-            total += term
-        return (
-            math.log(math.comb(n, a - 1)) + (a - 1) * math.log(x) + b * log1mx
-            + math.log(total)
-        )
-
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise ParameterError("x must lie in [0, 1] everywhere")
-    out = np.empty_like(x)
-    upper = x < switch
+    arr = np.asarray(x, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ParameterError(f"x must lie in [0, 1], got {x!r}")
+    out = np.empty_like(arr)
+    upper = arr < a / (a + b)
     with np.errstate(divide="ignore"):
-        xs = x[upper]
-        log1mx = np.log1p(-xs)
-        term = _upper_head(n, a, xs, log1mx, np.exp, np.log)
+        xs = arr[upper]
+        term = _upper_head(n, a, xs, np.log1p(-xs))
         total = term.copy()
         ratio = xs / (1.0 - xs)
         for j in range(a, n):
@@ -170,7 +130,7 @@ def log_reg_inc_beta_complement(x, a: int, b: int):
             total = grown
         out[upper] = np.log1p(-total)
 
-        xs = x[~upper]
+        xs = arr[~upper]
         ratio = (1.0 - xs) / xs
         term = np.ones_like(xs)
         total = term.copy()
@@ -184,7 +144,7 @@ def log_reg_inc_beta_complement(x, a: int, b: int):
             math.log(math.comb(n, a - 1)) + (a - 1) * np.log(xs) + b * np.log1p(-xs)
             + np.log(total)
         )
-    return out
+    return out if out.ndim else float(out)
 
 
 def reg_inc_beta_complement(x: float, a: int, b: int) -> float:

@@ -7,7 +7,7 @@ import pytest
 
 from rec_persist import analytic, oracle
 from rec_persist.analytic import Method
-from rec_persist.errors import ParameterError
+from rec_persist.errors import ParameterError, QuadratureError
 from rec_persist.model import LossSemantics, PlacementStrategy, RecParams, SystemParams
 from rec_persist.specfun import log_reg_inc_beta_complement
 
@@ -237,7 +237,8 @@ class TestExpectSymmetric:
             assert result.error_bound == 0.0
 
     def test_matches_combinatorial_oracle(self):
-        for p, q, r in ((1, 0, 2), (2, 1, 1), (1, 1, 2), (2, 2, 1)):
+        # (6, 0, 3): ln(1 - I^r) must reach -inf where I rounds to 1
+        for p, q, r in ((1, 0, 2), (2, 1, 1), (1, 1, 2), (2, 2, 1), (6, 0, 3)):
             rec = RecParams(p, q, r)
             nodes = rec.fragments * 5
             system = SystemParams(nodes, nodes // rec.fragments)
@@ -369,6 +370,68 @@ class TestDispatch:
         for strategy in PlacementStrategy:
             method = analytic.EXACT_METHOD[strategy]
             assert analytic.expect(strategy, rec, system, method).error_bound == 0.0
+
+
+class TestQuadrature:
+    # (strategy, rec, system) for both integral routes
+    CASES = (
+        (PlacementStrategy.RANDOM, RecParams(2, 1, 2), SystemParams(1000, 10**6)),
+        (PlacementStrategy.SYMMETRIC, RecParams(2, 1, 2), SystemParams(1200, 200)),
+    )
+
+    @pytest.mark.parametrize(
+        "tol", [math.nan, math.inf, 0.0, -1.0, 1.0, 1e-16,
+                analytic.MIN_QUADRATURE_TOL / 2],
+    )
+    def test_tol_validation(self, tol):
+        for strategy, rec, system in self.CASES:
+            with pytest.raises(ParameterError, match="tol must lie"):
+                analytic.expect(strategy, rec, system, Method.INTEGRAL, tol)
+
+    def test_reports_error_and_evaluations(self):
+        for strategy, rec, system in self.CASES:
+            for tol in (1e-6, analytic.DEFAULT_QUADRATURE_TOL):
+                result = analytic.expect(strategy, rec, system, Method.INTEGRAL, tol)
+                assert result.quadrature_tolerance == tol
+                assert 0.0 <= result.quadrature_error <= tol
+                # at least one round: 15 nodes per panel, plus the tail's edge
+                assert result.quadrature_evals >= 16
+        result = analytic.expect_random_sum(RecParams(2, 1, 2), SystemParams(100, 10))
+        assert result.quadrature_error is None
+        assert result.quadrature_evals is None
+
+    def test_tighter_tol_is_at_least_as_close(self):
+        rec, system = RecParams(1, 1, 1), SystemParams(96, 48)
+        exact = float(oracle.exact_symmetric_expectation(
+            rec, system, LossSemantics.PER_CLUSTER))
+        loose = analytic.expect_symmetric_integral(rec, system, 1e-4)
+        tight = analytic.expect_symmetric_integral(rec, system, 1e-13)
+        assert abs(loose.value - exact) <= 1e-4 * exact
+        assert abs(tight.value - exact) <= 1e-13 * exact
+        assert tight.quadrature_evals >= loose.quadrature_evals
+
+    def test_floor_is_reached_on_benchmark_grid(self):
+        # the benchmark's analytic grid: random integrals depend on the code
+        # and D only (N scales them), symmetric ones on the code and N
+        codes = ((1, 0, 2), (1, 1, 2), (2, 1, 2), (1, 2, 1), (3, 2, 2))
+        tol = analytic.MIN_QUADRATURE_TOL
+        for p, q, r in codes:
+            rec = RecParams(p, q, r)
+            for docs in (10**3, 10**6, 10**9):
+                result = analytic.expect_random_integral(
+                    rec, SystemParams(1000, docs), tol)
+                assert result.quadrature_error <= tol
+            for nodes in (1200, 12000, 120000, 1200000):
+                result = analytic.expect_symmetric_integral(
+                    rec, SystemParams(nodes, nodes), tol)
+                assert result.quadrature_error <= tol
+
+    def test_panel_limit_raises(self, starved_quadrature):
+        for strategy, rec, system in self.CASES:
+            with pytest.raises(QuadratureError) as info:
+                analytic.expect(strategy, rec, system, Method.INTEGRAL)
+            assert info.value.requested == analytic.DEFAULT_QUADRATURE_TOL
+            assert info.value.achieved > info.value.requested
 
 
 class TestSupportBound:

@@ -179,6 +179,21 @@ class TestRunSweep:
         assert row.theory_exact is None
         assert row.theory_asymptotic is not None
 
+    def test_quadrature_failure_leaves_exact_empty(self, starved_quadrature):
+        spec = small_spec(
+            name="starved",
+            strategy=PlacementStrategy.SYMMETRIC,
+            nodes=(8, 16),
+            docs="N/g",
+            theory=("exact", "asymptotic"),
+        )
+        rows = sweep.run_sweep(spec)
+        assert [row.nodes for row in rows] == [8, 16]
+        for row in rows:
+            assert row.theory_exact is None
+            assert row.theory_asymptotic is not None
+            assert row.trials == spec.trials
+
     def test_csv_byte_identical(self, tmp_path):
         spec = small_spec()
         rows = sweep.run_sweep(spec)
@@ -289,6 +304,40 @@ class TestCliAnalytic:
         )
         assert code == 2
         assert "divisibility" in capsys.readouterr().err
+
+    def test_integral_reports_quadrature(self, capsys):
+        argv = ("analytic --strategy symmetric --p 2 --q 1 --r 2 "
+                "--nodes 1200 --docs 200 --method integral").split()
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        result = analytic.expect_symmetric_integral(
+            RecParams(2, 1, 2), SystemParams(1200, 200)
+        )
+        assert lines[2] == (
+            f"quadrature: relative error estimate {result.quadrature_error:.3e} "
+            f"(tolerance 1e-10), {result.quadrature_evals} integrand evaluations"
+        )
+        assert lines[3] == (
+            "RESULT strategy=symmetric method=integral p=2 q=1 r=2 nodes=1200 "
+            f"docs=200 value={result.value!r} error_bound=0.0"
+        )
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "1e-16", "nan", "1"])
+    def test_bad_tol_exits_2(self, tol, capsys):
+        code = main(
+            "analytic --strategy random --p 2 --q 1 --r 2 --nodes 1000 "
+            f"--docs 1000 --method integral --tol {tol}".split()
+        )
+        assert code == 2
+        assert "tol must lie" in capsys.readouterr().err
+
+    def test_quadrature_failure_exits_1(self, starved_quadrature, capsys):
+        code = main(
+            "analytic --strategy random --p 2 --q 1 --r 2 --nodes 1000 "
+            "--docs 1000 --method integral".split()
+        )
+        assert code == 1
+        assert "quadrature reached relative tolerance" in capsys.readouterr().err
 
     def test_usage_error_exits_2(self):
         assert main(["analytic", "--strategy", "random"]) == 2
@@ -509,6 +558,28 @@ class TestSelftestNegativeControl:
     def test_level_validated(self):
         with pytest.raises(ValueError):
             run_selftest(level="extreme")
+
+
+def test_cli_commands_do_not_import_scipy(tmp_path):
+    # only `selftest` needs scipy, for its independent quadrature check
+    script = f"""
+import sys
+from rec_persist.cli import main
+base = ["--p", "2", "--q", "1", "--r", "2", "--nodes", "48"]
+assert main(["simulate", "--strategy", "random", *base, "--docs", "5",
+             "--trials", "3"]) == 0
+for strategy in ("random", "symmetric"):
+    assert main(["analytic", "--strategy", strategy, *base, "--docs", "8",
+                 "--method", "integral"]) == 0
+assert main(["sweep", "--preset", "fig7", "--points", "2", "--trials", "2",
+             "--out", {str(tmp_path)!r}]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_module_entry_point():
