@@ -33,7 +33,7 @@ print()
 print("random placement by full enumeration, REC(1,1,2) on 4 nodes:")
 rec = RecParams(1, 0, 2)
 system = SystemParams(4, 1)
-brute = brute_force_random(rec, system)
+brute = brute_force_random(rec, system, LossSemantics.MULTISET)
 closed = expect_random_sum(rec, system).value
 print(f"  enumeration: {brute} = {float(brute)!r}")
 print(f"  closed sum:  {closed!r}")
@@ -53,6 +53,14 @@ print(f"  REC(2,3,2) on 6 nodes, multiset:    {multiset} "
       f"= {float(multiset)!r}")
 assert per_cluster < multiset
 print("  per-cluster loss happens no later, so its expectation is smaller")
+rec = RecParams(2, 0, 2)
+system = SystemParams(3, 1)
+for semantics in LossSemantics:
+    brute = brute_force_random(rec, system, semantics)
+    closed = expect_random_sum(rec, system, semantics).value
+    assert abs(float(brute) - closed) < 1e-12
+    print(f"  random REC(2,2,2) on 3 nodes, {semantics.value}: {brute} "
+          f"= {float(brute)!r}, matched by the survival sum")
 print()
 
 print("for p = 1 or r = 1 the semantics coincide:")

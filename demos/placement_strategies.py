@@ -9,13 +9,16 @@ paying for every extra document through the D^(-1/s) factor.
 import math
 
 from rec_persist import (
+    Method,
+    PlacementStrategy,
     RecParams,
     SystemParams,
+    expect,
     expect_random_sum,
-    expect_symmetric_asymptotic,
-    expect_symmetric_integral,
     validate_symmetric_preconditions,
 )
+
+SYMMETRIC = PlacementStrategy.SYMMETRIC
 
 rec = RecParams(p=1, q=1, r=1)
 
@@ -28,7 +31,7 @@ for nodes in (16, 64, 256, 1024):
     system = SystemParams(nodes, docs)
     assert validate_symmetric_preconditions(rec, system) is None
     random_value = expect_random_sum(rec, system).value
-    symmetric_value = expect_symmetric_integral(rec, system).value
+    symmetric_value = expect(SYMMETRIC, rec, system, Method.INTEGRAL).value
     print(f"{nodes:>6} {docs:>6} {random_value:>12.3f} "
           f"{symmetric_value:>12.3f} {symmetric_value / random_value:>8.3f}")
 print("the two strategies are nearly interchangeable at this load")
@@ -39,7 +42,7 @@ print(f"{'N':>6} {'D':>6} {'random':>12} {'symmetric':>12} {'ratio':>8}")
 for nodes in (16, 64, 256, 1024):
     system = SystemParams(nodes, nodes)
     random_value = expect_random_sum(rec, system).value
-    symmetric_value = expect_symmetric_integral(rec, system).value
+    symmetric_value = expect(SYMMETRIC, rec, system, Method.INTEGRAL).value
     print(f"{nodes:>6} {nodes:>6} {random_value:>12.3f} "
           f"{symmetric_value:>12.3f} {symmetric_value / random_value:>8.3f}")
 print("doubling the documents cost the random strategy a factor ~1/sqrt(2);")
@@ -49,7 +52,7 @@ print()
 print("the symmetric side follows its closed asymptotic:")
 for nodes in (1024, 4096):
     system = SystemParams(nodes, nodes)
-    asym = expect_symmetric_asymptotic(rec, system).value
+    asym = expect(SYMMETRIC, rec, system, Method.ASYMPTOTIC).value
     print(f"  N = {nodes}: asymptotic {asym:.2f} "
           f"= Gamma(3/2) * sqrt(2N) = "
           f"{math.gamma(1.5) * math.sqrt(2 * nodes):.2f}")

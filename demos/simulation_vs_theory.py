@@ -1,13 +1,13 @@
 """Seeded Monte Carlo runs against the matching closed formulas."""
 
 from rec_persist import (
+    EXACT_METHOD,
     PlacementStrategy,
     RecParams,
     SimConfig,
     SystemParams,
     WorkloadClass,
-    expect_random_sum,
-    expect_symmetric_integral,
+    expect,
     simulate,
 )
 
@@ -26,10 +26,7 @@ cases = [
 
 for strategy, rec, nodes, docs in cases:
     system = SystemParams(nodes, docs)
-    if strategy is PlacementStrategy.RANDOM:
-        theory = expect_random_sum(rec, system).value
-    else:
-        theory = expect_symmetric_integral(rec, system).value
+    theory = expect(strategy, rec, system, EXACT_METHOD[strategy]).value
     summary = simulate(
         SimConfig(
             strategy=strategy,

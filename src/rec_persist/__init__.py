@@ -17,13 +17,7 @@ from .analytic import (
     Method,
     SurvivalCurve,
     expect,
-    expect_random_asymptotic,
-    expect_random_integral,
-    expect_random_p1_beta,
     expect_random_sum,
-    expect_symmetric_asymptotic,
-    expect_symmetric_integral,
-    expect_symmetric_p1_beta,
     max_over_p_check,
     survival_curve_random,
     survival_random,
@@ -106,12 +100,6 @@ __all__ = [
     "survival_curve_random",
     "expect",
     "expect_random_sum",
-    "expect_random_integral",
-    "expect_random_asymptotic",
-    "expect_random_p1_beta",
-    "expect_symmetric_integral",
-    "expect_symmetric_asymptotic",
-    "expect_symmetric_p1_beta",
     "symmetric_survival_l_max",
     "max_over_p_check",
     "GroupPolynomial",

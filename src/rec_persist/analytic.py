@@ -4,22 +4,26 @@ Persistency X is the number of uniformly random node departures (without
 repair) at which some document first becomes unrecoverable; all formulas
 here compute or approximate E[X] = sum_{l>=0} Pr[X > l].
 
-Random placement (fragments dropped on nodes i.i.d. uniformly, collisions
-allowed) is analyzed under MULTISET semantics.  After l of N departures a
-single multiset is fully erased with probability (l/N)^r, so
+Every form is built from two functions of the loss rule and one scale of
+the placement strategy.  phi(x) is the probability that one document
+survives when each node is erased independently with probability x:
 
-    Pr[X > l] = (1 - I_{(l/N)^r}(q+1, p))^D,
+    MULTISET:     phi(x) = 1 - I_{x^r}(q+1, p)
+    PER_CLUSTER:  phi(x) = 1 - I_x(q+1, p)^r
 
-which is summed exactly, integrated with an additive error bound of 1, or
-replaced by its large-D power law.  Symmetric (round-robin) placement is
-analyzed under PER_CLUSTER semantics; when (p+q)*r divides N and every
-group of (p+q)*r consecutive nodes carries documents, the expectation has
-the exact D-independent integral
-
-    E[X] = (N+1) * integral_0^1 (1 - I_x(q+1, p)^r)^(N/((p+q)r)) dx.
+and kappa, C(p+q, q+1) or C(p+q, q+1)^r, is the leading coefficient of
+1 - phi(x) ~ kappa x^s, s = r(q+1).  The strategy sets the scale
+(prefactor, power, bound) in E[X] = prefactor * integral_0^1 phi^power dx:
+random placement (fragments on i.i.d. uniform nodes) has Pr[X > l] =
+phi(l/N)^D, so (N, D, 1) with an additive bound of 1 against the exact
+survival sum; symmetric (round-robin) placement, when g = (p+q)*r divides
+N and every group of g consecutive nodes carries documents, is exactly
+(N+1, N/g, 0), whatever D.  The asymptotic form is
+Gamma(1+1/s) N (kappa power)^(-1/s), and at p = 1, where phi = 1 - x^s
+under both rules, the integral is prefactor/s * Beta(power+1, 1/s).
 
 Quadrature runs in t = -ln x, where the survival function's drop near
-x = 0 becomes a smooth step of width about 1/(r(q+1)) and the integrand
+x = 0 becomes a smooth step of width about 1/s and the integrand
 F(e^-t) e^-t has no endpoint singularity.  An adaptive Gauss-Kronrod 7/15
 rule refines panels of [0, T] in rounds, one vectorised kernel call per
 round, and stops when the summed |K15 - G7| estimates, plus a bound on
@@ -38,9 +42,11 @@ import numpy as np
 
 from .errors import ParameterError, QuadratureError
 from .model import (
+    LossSemantics,
     PlacementStrategy,
     RecParams,
     SystemParams,
+    default_semantics,
     require_symmetric_preconditions,
 )
 from .specfun import beta_real, log_reg_inc_beta_complement
@@ -53,12 +59,6 @@ __all__ = [
     "survival_random",
     "survival_curve_random",
     "expect_random_sum",
-    "expect_random_integral",
-    "expect_random_asymptotic",
-    "expect_random_p1_beta",
-    "expect_symmetric_integral",
-    "expect_symmetric_asymptotic",
-    "expect_symmetric_p1_beta",
     "expect",
     "max_over_p_check",
     "symmetric_survival_l_max",
@@ -123,57 +123,86 @@ class SurvivalCurve:
         return math.fsum(self.probabilities)
 
 
+def _tail_order(rec: RecParams) -> int:
+    # s = r(q+1): a document is lost with probability ~ kappa x^s
+    return rec.r * (rec.q + 1)
+
+
+def _log_survival(x, rec: RecParams, semantics: LossSemantics):
+    """ln phi(x) over an array of x: one document survives erasures i.i.d. at x."""
+    a, b = rec.q + 1, rec.p
+    if semantics is LossSemantics.MULTISET:
+        return log_reg_inc_beta_complement(x**rec.r, a, b)
+    if semantics is not LossSemantics.PER_CLUSTER:
+        raise ParameterError(f"unknown semantics {semantics!r}")
+    # ln(1 - I^r) = ln(1 - e^y) is log1p(-e^y) below y = -ln 2 and
+    # ln(-expm1(y)) above (Maechler, 2012), so it keeps its relative
+    # precision where I^r is tiny; the ends lc = 0 and lc = -inf run through
+    # ln 0 = -inf to exactly 0 and -inf
+    lc = log_reg_inc_beta_complement(x, a, b)
+    with np.errstate(divide="ignore"):
+        y = rec.r * np.log(-np.expm1(lc))
+        small = y < -math.log(2.0)
+        return np.where(small, np.log1p(-np.exp(y)), np.log(-np.expm1(y)))
+
+
+def _leading_coefficient(rec: RecParams, semantics: LossSemantics) -> int:
+    # kappa: the erased (q+1)-subsets of the p+q multisets, or of every cluster
+    kappa = math.comb(rec.p + rec.q, rec.q + 1)
+    return kappa**rec.r if semantics is LossSemantics.PER_CLUSTER else kappa
+
+
 # l values per kernel call of the random survival sum: large enough that
 # numpy's per-call overhead is small, small enough that a large-D sum,
 # which reaches 0.0 within a few thousand l, stops after one block
 _SURVIVAL_BLOCK = 4096
 
 
-def _survival_random(l: np.ndarray, rec: RecParams, system: SystemParams) -> np.ndarray:
-    x = (l / system.nodes) ** rec.r
-    log_c = log_reg_inc_beta_complement(x, rec.q + 1, rec.p)
-    return np.exp(system.docs * log_c)
-
-
-def _survival_random_blocks(rec: RecParams, system: SystemParams):
-    """Pr[X > l] in blocks of l from 0, through the first block that ends in 0.0.
+def _survival_random_blocks(
+    rec: RecParams, system: SystemParams, semantics: LossSemantics
+):
+    """Pr[X > l] = phi(l/N)^D in blocks of l from 0, through the first
+    block that ends in 0.0.
 
     The curve is nonincreasing, so every later term is an exact 0.0 too.
     """
     for start in range(0, system.nodes + 1, _SURVIVAL_BLOCK):
         l = np.arange(start, min(start + _SURVIVAL_BLOCK, system.nodes + 1))
-        block = _survival_random(l, rec, system).tolist()
+        log_phi = _log_survival(l / system.nodes, rec, semantics)
+        block = np.exp(system.docs * log_phi).tolist()
         yield block
         if block[-1] == 0.0:
             return
 
 
-def survival_random(l: int, rec: RecParams, system: SystemParams) -> float:
-    """Pr[X > l] under random placement, MULTISET semantics."""
+def survival_random(
+    l: int, rec: RecParams, system: SystemParams, semantics=LossSemantics.MULTISET
+) -> float:
+    """Pr[X > l] under random placement."""
     if not 0 <= l <= system.nodes:
         raise ParameterError(f"l must lie in [0, nodes], got {l}")
-    return float(_survival_random(np.array([l]), rec, system)[0])
+    log_phi = _log_survival(np.array([l]) / system.nodes, rec, semantics)
+    return float(np.exp(system.docs * log_phi)[0])
 
 
-def survival_curve_random(rec: RecParams, system: SystemParams) -> SurvivalCurve:
+def survival_curve_random(
+    rec: RecParams, system: SystemParams, semantics=LossSemantics.MULTISET
+) -> SurvivalCurve:
     """The whole survival curve l = 0 .. N; its sum is the exact E[X]."""
-    head = tuple(chain.from_iterable(_survival_random_blocks(rec, system)))
+    head = tuple(chain.from_iterable(_survival_random_blocks(rec, system, semantics)))
     return SurvivalCurve(head + (0.0,) * (system.nodes + 1 - len(head)))
 
 
-def expect_random_sum(rec: RecParams, system: SystemParams) -> AnalyticResult:
+def expect_random_sum(
+    rec: RecParams, system: SystemParams, semantics=LossSemantics.MULTISET
+) -> AnalyticResult:
     """E[X] under random placement as the full N+1 term survival sum.
 
     Exact up to floating-point rounding: the terms after the last
     evaluated block are exact zeros.
     """
-    value = math.fsum(chain.from_iterable(_survival_random_blocks(rec, system)))
-    return AnalyticResult(value, Method.EXACT_SUM, error_bound=0.0)
-
-
-def _tail_order(rec: RecParams) -> int:
-    # r(q+1): a document needs q+1 multisets gone, each of r replicas.
-    return rec.r * (rec.q + 1)
+    blocks = _survival_random_blocks(rec, system, semantics)
+    return AnalyticResult(math.fsum(chain.from_iterable(blocks)), Method.EXACT_SUM, 0.0)
 
 
 # Gauss-Kronrod 7/15 pair on [-1, 1] (Piessens et al., QUADPACK, 1983): the
@@ -263,134 +292,57 @@ def _survival_integral(
         lo, hi, values, errors = lo[~split], hi[~split], values[~split], errors[~split]
 
 
-def _random_base_log(rec: RecParams):
-    a, b, r = rec.q + 1, rec.p, rec.r
+def _scale(
+    strategy: PlacementStrategy, rec: RecParams, system: SystemParams
+) -> tuple[int, int, float]:
+    """(prefactor, power, bound): E[X] = prefactor * integral_0^1 phi^power,
+    to within the additive bound."""
+    if strategy is PlacementStrategy.RANDOM:
+        return system.nodes, system.docs, 1.0
+    require_symmetric_preconditions(rec, system)
+    return system.nodes + 1, system.nodes // rec.fragments, 0.0
 
-    def base_log(t: np.ndarray) -> np.ndarray:
-        return log_reg_inc_beta_complement(np.exp(-r * t), a, b)
 
-    return base_log
-
-
-def expect_random_integral(
-    rec: RecParams, system: SystemParams, tol: float = DEFAULT_QUADRATURE_TOL
+def _expect_integral(
+    strategy: PlacementStrategy, rec: RecParams, system: SystemParams,
+    semantics: LossSemantics, tol: float,
 ) -> AnalyticResult:
-    """E[X] under random placement as N * integral of the survival function.
-
-    Carries the additive guarantee |exact sum - value| <= 1 + N*tol.
-    """
+    prefactor, power, bound = _scale(strategy, rec, system)
     s = _tail_order(rec)
-    # 1 - F(x) ~ D C(p+q, q+1) x^s for small x
-    t0 = math.log(math.comb(rec.p + rec.q, rec.q + 1) * system.docs) / s
+    # 1 - phi^power ~ power kappa x^s for small x
+    t0 = math.log(power * _leading_coefficient(rec, semantics)) / s
     integral, achieved, evals = _survival_integral(
-        _random_base_log(rec), system.docs, t0, s, tol
+        lambda t: _log_survival(np.exp(-t), rec, semantics), power, t0, s, tol
     )
     return AnalyticResult(
-        system.nodes * integral,
-        Method.INTEGRAL,
-        error_bound=1.0,
-        quadrature_tolerance=tol,
-        quadrature_error=achieved,
-        quadrature_evals=evals,
+        prefactor * integral, Method.INTEGRAL, bound, tol, achieved, evals
     )
 
 
-def expect_random_asymptotic(rec: RecParams, system: SystemParams) -> AnalyticResult:
-    """Leading-order E[X] for random placement as D grows.
-
-    Gamma(1 + 1/(r(q+1))) / C(p+q, q+1)^(1/(r(q+1))) * N * D^(-1/(r(q+1))).
-    """
+def _expect_asymptotic(
+    strategy: PlacementStrategy, rec: RecParams, system: SystemParams,
+    semantics: LossSemantics,
+) -> AnalyticResult:
+    # power is taken as a real N/g without the symmetric preconditions, so
+    # the leading term is defined at every N
     s = _tail_order(rec)
-    value = (
-        math.gamma(1.0 + 1.0 / s)
-        / math.comb(rec.p + rec.q, rec.q + 1) ** (1.0 / s)
-        * system.nodes
-        * system.docs ** (-1.0 / s)
-    )
+    if strategy is PlacementStrategy.RANDOM:
+        power = system.docs
+    else:
+        power = system.nodes / rec.fragments
+    kappa = _leading_coefficient(rec, semantics)
+    value = math.gamma(1.0 + 1.0 / s) * system.nodes * (kappa * power) ** (-1.0 / s)
     return AnalyticResult(value, Method.ASYMPTOTIC, error_bound=None)
 
 
-def expect_random_p1_beta(q: int, r: int, system: SystemParams) -> AnalyticResult:
-    """Closed Beta form for p = 1 under random placement.
-
-    N/(r(q+1)) * Beta(D+1, 1/(r(q+1))), exact up to |ER| <= 1.
-    """
-    rec = RecParams(1, q, r)
-    s = _tail_order(rec)
-    value = system.nodes / s * beta_real(system.docs + 1, 1.0 / s)
-    return AnalyticResult(value, Method.BETA_EXACT, error_bound=1.0)
-
-
-def _symmetric_base_log(rec: RecParams):
-    a, b, r = rec.q + 1, rec.p, rec.r
-
-    def base_log(t: np.ndarray) -> np.ndarray:
-        # ln(1 - I_x(q+1, p)^r) at x = e^-t.  ln(1 - e^y) is log1p(-e^y)
-        # below y = -ln 2 and ln(-expm1(y)) above (Maechler, 2012), so it
-        # keeps its relative precision where I^r is tiny; the ends lc = 0
-        # and lc = -inf run through ln 0 = -inf to exactly 0 and -inf
-        lc = log_reg_inc_beta_complement(np.exp(-t), a, b)
-        with np.errstate(divide="ignore"):
-            y = r * np.log(-np.expm1(lc))
-            return np.where(y < -math.log(2.0), np.log1p(-np.exp(y)), np.log(-np.expm1(y)))
-
-    return base_log
-
-
-def expect_symmetric_integral(
-    rec: RecParams, system: SystemParams, tol: float = DEFAULT_QUADRATURE_TOL
+def _expect_beta_exact(
+    strategy: PlacementStrategy, rec: RecParams, system: SystemParams
 ) -> AnalyticResult:
-    """Exact E[X] under symmetric placement, PER_CLUSTER semantics.
-
-    (N+1) * integral_0^1 (1 - I_x(q+1, p)^r)^(N/((p+q)r)) dx, requiring
-    (p+q)*r | N and D >= N/((p+q)*r).  The document count plays no further
-    role: the value is invariant across all valid D.
-    """
-    require_symmetric_preconditions(rec, system)
-    g = rec.fragments
-    groups = system.nodes // g
+    # at p = 1, phi = 1 - x^s under both rules
+    prefactor, power, bound = _scale(strategy, rec, system)
     s = _tail_order(rec)
-    # 1 - F(x) ~ (N/g) C(p+q, q+1)^r x^s for small x
-    t0 = math.log(groups * math.comb(rec.p + rec.q, rec.q + 1) ** rec.r) / s
-    integral, achieved, evals = _survival_integral(
-        _symmetric_base_log(rec), groups, t0, s, tol
-    )
-    return AnalyticResult(
-        (system.nodes + 1) * integral,
-        Method.INTEGRAL,
-        error_bound=0.0,
-        quadrature_tolerance=tol,
-        quadrature_error=achieved,
-        quadrature_evals=evals,
-    )
-
-
-def expect_symmetric_asymptotic(rec: RecParams, system: SystemParams) -> AnalyticResult:
-    """Leading-order E[X] for symmetric placement as N grows.
-
-    Gamma(1 + 1/(r(q+1))) * ((p+q)r)^(1/(r(q+1)))
-    / C(p+q, q+1)^(1/(q+1)) * N^(1 - 1/(r(q+1))).
-    """
-    s = _tail_order(rec)
-    value = (
-        math.gamma(1.0 + 1.0 / s)
-        * rec.fragments ** (1.0 / s)
-        / math.comb(rec.p + rec.q, rec.q + 1) ** (1.0 / (rec.q + 1))
-        * system.nodes ** (1.0 - 1.0 / s)
-    )
-    return AnalyticResult(value, Method.ASYMPTOTIC, error_bound=None)
-
-
-def expect_symmetric_p1_beta(q: int, r: int, system: SystemParams) -> AnalyticResult:
-    """Closed Beta form for p = 1 under symmetric placement, exact.
-
-    (N+1)/(r(q+1)) * Beta(N/(r(q+1)) + 1, 1/(r(q+1))).
-    """
-    rec = RecParams(1, q, r)
-    require_symmetric_preconditions(rec, system)
-    s = _tail_order(rec)
-    value = (system.nodes + 1) / s * beta_real(system.nodes / s + 1.0, 1.0 / s)
-    return AnalyticResult(value, Method.BETA_EXACT, error_bound=0.0)
+    value = prefactor / s * beta_real(power + 1, 1.0 / s)
+    return AnalyticResult(value, Method.BETA_EXACT, error_bound=bound)
 
 
 def expect(
@@ -399,37 +351,37 @@ def expect(
     system: SystemParams,
     method: Method,
     tol: float = DEFAULT_QUADRATURE_TOL,
+    semantics: LossSemantics | None = None,
 ) -> AnalyticResult:
-    """E[X] for one strategy by one method; the single table of routes.
+    """E[X] for one strategy and loss rule by one method; the one route table.
 
-    beta-exact requires p = 1, and sum exists for random placement only.
-    Formulas are called by their module names, so wrapping one of them
-    (as a tracer does) is seen here.
+    semantics None takes the strategy's default_semantics.  beta-exact
+    requires p = 1, and sum exists for random placement only.  Routes are
+    called by their module names, so wrapping one of them (as a tracer
+    does) is seen here.
     """
     if not isinstance(strategy, PlacementStrategy) or not isinstance(method, Method):
         raise ParameterError(
             f"expect needs a PlacementStrategy and a Method, "
             f"got {strategy!r} and {method!r}"
         )
-    match strategy, method:
-        case _, Method.BETA_EXACT if rec.p != 1:
+    if semantics is None:
+        semantics = default_semantics(strategy)
+    elif not isinstance(semantics, LossSemantics):
+        raise ParameterError(f"expect needs a LossSemantics, got {semantics!r}")
+    match method:
+        case Method.BETA_EXACT if rec.p != 1:
             raise ParameterError(
                 f"{strategy.value} beta-exact requires p = 1, got p = {rec.p}"
             )
-        case PlacementStrategy.RANDOM, Method.EXACT_SUM:
-            return expect_random_sum(rec, system)
-        case PlacementStrategy.RANDOM, Method.INTEGRAL:
-            return expect_random_integral(rec, system, tol)
-        case PlacementStrategy.RANDOM, Method.ASYMPTOTIC:
-            return expect_random_asymptotic(rec, system)
-        case PlacementStrategy.RANDOM, Method.BETA_EXACT:
-            return expect_random_p1_beta(rec.q, rec.r, system)
-        case PlacementStrategy.SYMMETRIC, Method.INTEGRAL:
-            return expect_symmetric_integral(rec, system, tol)
-        case PlacementStrategy.SYMMETRIC, Method.ASYMPTOTIC:
-            return expect_symmetric_asymptotic(rec, system)
-        case PlacementStrategy.SYMMETRIC, Method.BETA_EXACT:
-            return expect_symmetric_p1_beta(rec.q, rec.r, system)
+        case Method.EXACT_SUM if strategy is PlacementStrategy.RANDOM:
+            return expect_random_sum(rec, system, semantics)
+        case Method.INTEGRAL:
+            return _expect_integral(strategy, rec, system, semantics, tol)
+        case Method.ASYMPTOTIC:
+            return _expect_asymptotic(strategy, rec, system, semantics)
+        case Method.BETA_EXACT:
+            return _expect_beta_exact(strategy, rec, system)
     raise ParameterError(f"{strategy.value} placement has no {method.value} route")
 
 

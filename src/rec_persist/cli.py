@@ -17,7 +17,13 @@ from pathlib import Path
 
 from . import analytic, oracle, sweep
 from .errors import ParameterError, QuadratureError, SizeLimitError
-from .model import LossSemantics, PlacementStrategy, RecParams, SystemParams
+from .model import (
+    LossSemantics,
+    PlacementStrategy,
+    RecParams,
+    SystemParams,
+    default_semantics,
+)
 from .selftest import run_selftest
 from .simulator import SimConfig, WorkloadClass, simulate
 
@@ -109,7 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--nodes", type=int)
     p_or.add_argument("--docs", type=int)
     p_or.add_argument("--semantics", choices=["multiset", "per-cluster"],
-                      default="per-cluster")
+                      help="loss rule (default: multiset for brute-random, "
+                           "per-cluster otherwise)")
 
     p_st = sub.add_parser("selftest", help="run built-in consistency checks")
     p_st.add_argument("--level", choices=["quick", "full"], default="quick")
@@ -253,7 +260,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle(args) -> int:
     rec = RecParams(args.p, args.q, args.r)
-    semantics = LossSemantics(args.semantics)
+    # only brute-random enumerates random placements; each takes its default rule
+    strategy = (
+        PlacementStrategy.RANDOM if args.what == "brute-random"
+        else PlacementStrategy.SYMMETRIC
+    )
+    semantics = (
+        LossSemantics(args.semantics) if args.semantics else default_semantics(strategy)
+    )
     if args.what == "group-poly":
         poly = oracle.group_polynomial(rec, semantics)
         print(
@@ -263,10 +277,10 @@ def _cmd_oracle(args) -> int:
         return 0
     if args.nodes is None:
         raise ParameterError(f"--nodes is required for --what {args.what}")
-    if args.what == "brute-random":
+    if strategy is PlacementStrategy.RANDOM:
         system = SystemParams(args.nodes, 1 if args.docs is None else args.docs)
-        value = oracle.brute_force_random(rec, system)
-        label = "exhaustive placement enumeration, random strategy"
+        value = oracle.brute_force_random(rec, system, semantics)
+        label = f"exhaustive placement enumeration, random strategy, {semantics.value}"
     else:
         docs = args.docs
         if docs is None:

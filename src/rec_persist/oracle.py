@@ -222,14 +222,20 @@ def brute_force_symmetric(
     )
 
 
-def brute_force_random(rec: RecParams, system: SystemParams) -> Fraction:
+def brute_force_random(
+    rec: RecParams, system: SystemParams, semantics: LossSemantics
+) -> Fraction:
     """E[X] for a single document by enumerating every placement.
 
     Averages the surviving l-subset fraction over all N^((p+q)r) fragment
-    placements under MULTISET semantics.  The count factors over the p+q
-    independent multisets: all N^r replica tuples are enumerated once per
-    erased subset and combined by integer convolution, which counts exactly
-    the same placements without materializing each one.
+    placements under the given semantics.  The count factors over
+    independent units: under MULTISET the p+q multisets, each of r replica
+    nodes and hit when all r are erased, with the document lost once q+1
+    are hit; under PER_CLUSTER the r clusters, each of p+q chunk nodes and
+    hit when q+1 are erased, with the document lost once all r are hit.
+    All N^length node tuples of one unit are enumerated once per erased
+    subset and the units combined by integer convolution, which counts
+    exactly the same placements without materializing each one.
     """
     if system.docs != 1:
         raise ParameterError(
@@ -248,30 +254,35 @@ def brute_force_random(rec: RecParams, system: SystemParams) -> Fraction:
             f"placement enumeration is guarded at N^((p+q)r) <= "
             f"{_BRUTE_PLACEMENT_LIMIT}, got {nodes}^{g}"
         )
-    tuple_count_by_mask: dict[int, int] = {}
-    for replicas in itertools.product(range(nodes), repeat=rec.r):
-        mask = 0
-        for node in replicas:
-            mask |= 1 << node
-        tuple_count_by_mask[mask] = tuple_count_by_mask.get(mask, 0) + 1
-    tuples_total = nodes**rec.r
+    if semantics is LossSemantics.MULTISET:
+        units, length, hit_at, lost_at = rec.chunks, rec.r, rec.r, rec.q + 1
+    elif semantics is LossSemantics.PER_CLUSTER:
+        units, length, hit_at, lost_at = rec.r, rec.chunks, rec.q + 1, rec.r
+    else:
+        raise ParameterError(f"unknown semantics {semantics!r}")
+    # one unit's node tuples, counted by the nodes they use with multiplicity
+    tuple_count: dict[tuple[int, ...], int] = {}
+    for tup in itertools.product(range(nodes), repeat=length):
+        key = tuple(sorted(tup))
+        tuple_count[key] = tuple_count.get(key, 0) + 1
+    tuples_total = nodes**length
 
     alive = [0] * (nodes + 1)
     for erased_mask in range(1 << nodes):
-        erased_tuples = sum(
+        hit_tuples = sum(
             count
-            for mask, count in tuple_count_by_mask.items()
-            if mask & ~erased_mask == 0
+            for key, count in tuple_count.items()
+            if sum(erased_mask >> node & 1 for node in key) >= hit_at
         )
-        # ways[k] = placements of the multisets handled so far with k erased
+        # ways[k] = placements of the units handled so far with k hit
         ways = [1]
-        for _ in range(rec.chunks):
+        for _ in range(units):
             nxt = [0] * (len(ways) + 1)
             for k, w in enumerate(ways):
-                nxt[k] += w * (tuples_total - erased_tuples)
-                nxt[k + 1] += w * erased_tuples
+                nxt[k] += w * (tuples_total - hit_tuples)
+                nxt[k + 1] += w * hit_tuples
             ways = nxt
-        alive[erased_mask.bit_count()] += sum(ways[: rec.q + 1])
+        alive[erased_mask.bit_count()] += sum(ways[:lost_at])
 
     placements_total = nodes**g
     return sum(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analytic, oracle
+from .analytic import Method, expect
 from .model import LossSemantics, PlacementStrategy, RecParams, SystemParams
 from .simulator import SimConfig, WorkloadClass, simulate
 from .specfun import (
@@ -23,6 +24,8 @@ from .specfun import (
 )
 
 __all__ = ["CheckResult", "run_selftest"]
+
+RANDOM, SYMMETRIC = PlacementStrategy.RANDOM, PlacementStrategy.SYMMETRIC
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,7 @@ def _check_error_bounds() -> CheckResult:
         for nodes, docs in ((12, 1), (48, 5), (96, 96)):
             system = SystemParams(nodes, docs)
             exact = analytic.expect_random_sum(rec, system).value
-            integral = analytic.expect_random_integral(rec, system).value
+            integral = expect(RANDOM, rec, system, Method.INTEGRAL).value
             if abs(exact - integral) > 1.0 + nodes * tol:
                 return CheckResult(
                     "additive-error-bounds", False,
@@ -153,7 +156,7 @@ def _check_error_bounds() -> CheckResult:
                     f"p={p} q={q} r={r} N={nodes} D={docs}",
                 )
             if p == 1:
-                closed = analytic.expect_random_p1_beta(q, r, system).value
+                closed = expect(RANDOM, rec, system, Method.BETA_EXACT).value
                 if abs(exact - closed) > 1.0:
                     return CheckResult(
                         "additive-error-bounds", False,
@@ -179,18 +182,17 @@ def _check_exact_vs_integral(limit: int, name: str) -> CheckResult:
     worst = 0.0
     count = 0
     for rec, system in _symmetric_pairs(limit):
-        exact = float(
-            oracle.exact_symmetric_expectation(
-                rec, system, LossSemantics.PER_CLUSTER
-            )
-        )
-        integral = analytic.expect_symmetric_integral(rec, system).value
-        worst = max(worst, abs(integral - exact) / exact)
-        count += 1
+        for semantics in LossSemantics:
+            exact = float(oracle.exact_symmetric_expectation(rec, system, semantics))
+            integral = expect(
+                SYMMETRIC, rec, system, Method.INTEGRAL, semantics=semantics
+            ).value
+            worst = max(worst, abs(integral - exact) / exact)
+            count += 1
     return CheckResult(
         name,
         worst <= 1e-8,
-        f"{count} instances, worst rel diff {worst:.2e}",
+        f"{count} instances under both rules, worst rel diff {worst:.2e}",
     )
 
 
@@ -217,25 +219,29 @@ def _check_brute_vs_polynomial() -> CheckResult:
 
 
 def _check_brute_random() -> CheckResult:
-    for rec, nodes, expected in (
-        (RecParams(1, 0, 2), 3, Fraction(22, 9)),
-        (RecParams(1, 1, 1), 3, Fraction(22, 9)),
-        (RecParams(1, 0, 1), 3, Fraction(2)),
+    for rec, nodes, semantics, expected in (
+        (RecParams(1, 0, 2), 3, LossSemantics.MULTISET, Fraction(22, 9)),
+        (RecParams(1, 1, 1), 3, LossSemantics.MULTISET, Fraction(22, 9)),
+        (RecParams(1, 0, 1), 3, LossSemantics.MULTISET, Fraction(2)),
+        (RecParams(2, 0, 2), 3, LossSemantics.MULTISET, Fraction(170, 81)),
+        (RecParams(2, 0, 2), 3, LossSemantics.PER_CLUSTER, Fraction(154, 81)),
     ):
         system = SystemParams(nodes, 1)
-        brute = oracle.brute_force_random(rec, system)
+        brute = oracle.brute_force_random(rec, system, semantics)
         if brute != expected:
             return CheckResult(
-                "brute-random-pinned", False, f"{brute} != {expected}"
+                "brute-random-pinned", False,
+                f"{brute} != {expected} ({semantics.value})",
             )
-        exact = analytic.expect_random_sum(rec, system).value
+        exact = analytic.expect_random_sum(rec, system, semantics).value
         if abs(float(brute) - exact) > 1e-12 * max(1.0, exact):
             return CheckResult(
                 "brute-random-pinned", False,
-                f"enumeration {float(brute)!r} vs sum {exact!r}",
+                f"enumeration {float(brute)!r} vs sum {exact!r} ({semantics.value})",
             )
     return CheckResult(
-        "brute-random-pinned", True, "enumeration matches the survival sum"
+        "brute-random-pinned", True,
+        "enumeration matches the survival sum under both rules",
     )
 
 
@@ -252,13 +258,15 @@ def _check_pinned_values() -> CheckResult:
         ),
         (
             "symmetric (1,1,1) N=8",
-            analytic.expect_symmetric_p1_beta(1, 1, SystemParams(8, 4)).value,
+            expect(
+                SYMMETRIC, RecParams(1, 1, 1), SystemParams(8, 4), Method.BETA_EXACT
+            ).value,
             128 / 35,
         ),
         (
             "symmetric integral (1,0,2) N=4",
-            analytic.expect_symmetric_integral(
-                RecParams(1, 0, 2), SystemParams(4, 2)
+            expect(
+                SYMMETRIC, RecParams(1, 0, 2), SystemParams(4, 2), Method.INTEGRAL
             ).value,
             8 / 3,
         ),
@@ -273,7 +281,7 @@ def _check_pinned_values() -> CheckResult:
 
 def _check_simulation_agreement() -> CheckResult:
     random_cfg = SimConfig(
-        strategy=PlacementStrategy.RANDOM,
+        strategy=RANDOM,
         classes=(WorkloadClass(RecParams(1, 0, 2), 5),),
         nodes=48,
         trials=4000,
@@ -287,15 +295,15 @@ def _check_simulation_agreement() -> CheckResult:
             f"random: |{summary.mean:.3f} - {exact:.3f}| > 3 SE",
         )
     sym_cfg = SimConfig(
-        strategy=PlacementStrategy.SYMMETRIC,
+        strategy=SYMMETRIC,
         classes=(WorkloadClass(RecParams(1, 1, 1), 48),),
         nodes=96,
         trials=4000,
         master_seed=1102,
     )
     summary = simulate(sym_cfg)
-    exact = analytic.expect_symmetric_integral(
-        RecParams(1, 1, 1), SystemParams(96, 48)
+    exact = expect(
+        SYMMETRIC, RecParams(1, 1, 1), SystemParams(96, 48), Method.INTEGRAL
     ).value
     if abs(summary.mean - exact) > 3 * summary.std_error:
         return CheckResult(
@@ -309,8 +317,8 @@ def _check_simulation_agreement() -> CheckResult:
 
 def _check_d_invariance() -> CheckResult:
     rec = RecParams(1, 1, 1)
-    lo = analytic.expect_symmetric_integral(rec, SystemParams(96, 48)).value
-    hi = analytic.expect_symmetric_integral(rec, SystemParams(96, 480)).value
+    lo = expect(SYMMETRIC, rec, SystemParams(96, 48), Method.INTEGRAL).value
+    hi = expect(SYMMETRIC, rec, SystemParams(96, 480), Method.INTEGRAL).value
     if lo != hi:
         return CheckResult(
             "symmetric-d-invariance", False, f"{lo!r} != {hi!r} across D"

@@ -149,9 +149,9 @@ class SimConfig:
     def out_of_theory(self) -> bool:
         """True when no closed-form analysis covers this configuration.
 
-        Mixed workloads have no single-formula counterpart, and symmetric
-        runs leave the theory when the divisibility or document-count
-        preconditions fail.
+        The analysis covers either loss rule.  Mixed workloads have no
+        single-formula counterpart, and symmetric runs leave the theory
+        when the divisibility or document-count preconditions fail.
         """
         if len(self.classes) > 1:
             return True

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from html import escape
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .errors import ParameterError
 
@@ -128,7 +128,7 @@ def render_chart(
     out.append(
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15" font-weight="bold">'
-        f"{escape(title)}</text>"
+        f"{escape(title, quote=False)}</text>"
     )
     for t in x_ticks:
         x = px(t)
@@ -157,13 +157,13 @@ def render_chart(
     out.append(
         f'<text x="{left + plot_w / 2:.1f}" y="{height - 14}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f"{escape(x_label)}</text>"
+        f"{escape(x_label, quote=False)}</text>"
     )
     out.append(
         f'<text x="18" y="{top + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 18 {top + plot_h / 2:.1f})">'
-        f"{escape(y_label)}</text>"
+        f"{escape(y_label, quote=False)}</text>"
     )
 
     for s, pts in drawable:
@@ -195,7 +195,7 @@ def render_chart(
             )
         out.append(
             f'<text x="{lx + 26}" y="{legend_y}" font-family="sans-serif" '
-            f'font-size="11">{escape(s.label)}</text>'
+            f'font-size="11">{escape(s.label, quote=False)}</text>'
         )
         legend_y += 16
 

@@ -12,13 +12,7 @@ import numpy as np
 
 from .analytic import EXACT_METHOD, Method, expect
 from .errors import ParameterError, QuadratureError
-from .model import (
-    LossSemantics,
-    PlacementStrategy,
-    RecParams,
-    SystemParams,
-    validate_symmetric_preconditions,
-)
+from .model import LossSemantics, PlacementStrategy, RecParams, SystemParams
 from .simulator import SimConfig, WorkloadClass, simulate
 from .svg import PALETTE, Series, render_chart
 
@@ -258,21 +252,22 @@ def _point_seed(base: int, nodes: int, docs: int) -> int:
 
 
 def _theory_values(
-    spec: SweepSpec, rec: RecParams, system: SystemParams
+    spec: SweepSpec, config: SimConfig, system: SystemParams
 ) -> dict[str, float | None]:
+    """The requested overlays under the loss rule the point simulates."""
     values: dict[str, float | None] = {k: None for k in _THEORY_KINDS}
-    in_theory = (
-        spec.strategy is PlacementStrategy.RANDOM
-        or validate_symmetric_preconditions(rec, system) is None
-    )
+    in_theory = not config.out_of_theory
     for kind in spec.theory:
-        if kind == "beta-exact" and rec.p != 1:
+        if kind == "beta-exact" and spec.p != 1:
             continue
         if kind != "asymptotic" and not in_theory:
             continue
         method = EXACT_METHOD[spec.strategy] if kind == "exact" else Method(kind)
         try:
-            values[kind] = expect(spec.strategy, rec, system, method).value
+            values[kind] = expect(
+                spec.strategy, spec.rec, system, method,
+                semantics=config.resolved_semantics,
+            ).value
         except QuadratureError:
             # leave the cell empty; the run continues with the other
             # points and overlays
@@ -300,7 +295,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             semantics=spec.semantics,
         )
         summary = simulate(config)
-        theory = _theory_values(spec, rec, system)
+        theory = _theory_values(spec, config, system)
         rows.append(
             SweepRow(
                 strategy=spec.strategy.value,

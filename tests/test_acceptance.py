@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from rec_persist import analytic, oracle
+from rec_persist.analytic import Method
 from rec_persist.model import (
     LossSemantics,
     PlacementStrategy,
@@ -27,6 +28,7 @@ from rec_persist.simulator import (
 
 PC = LossSemantics.PER_CLUSTER
 MS = LossSemantics.MULTISET
+RANDOM, SYMMETRIC = PlacementStrategy.RANDOM, PlacementStrategy.SYMMETRIC
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -49,9 +51,7 @@ def test_criterion_1_symmetric_oracle_vs_integral():
                     exact = float(
                         oracle.exact_symmetric_expectation(rec, system, PC)
                     )
-                    got = analytic.expect_symmetric_integral(
-                        rec, system
-                    ).value
+                    got = analytic.expect(SYMMETRIC, rec, system, Method.INTEGRAL).value
                     worst = max(worst, abs(got - exact) / exact)
                     count += 1
                     if (p, q, r, nodes) == (1, 0, 2, 4):
@@ -108,19 +108,22 @@ def test_criterion_3_random_sum_vs_enumeration():
                     continue
                 for nodes in range(2, 7):
                     system = SystemParams(nodes, 1)
-                    brute = float(oracle.brute_force_random(rec, system))
-                    got = analytic.expect_random_sum(rec, system).value
-                    worst = max(
-                        worst, abs(got - brute) / max(1.0, abs(brute))
-                    )
-                    count += 1
+                    for semantics in (MS, PC):
+                        brute = float(
+                            oracle.brute_force_random(rec, system, semantics)
+                        )
+                        got = analytic.expect_random_sum(rec, system, semantics).value
+                        worst = max(
+                            worst, abs(got - brute) / max(1.0, abs(brute))
+                        )
+                        count += 1
     elapsed = time.monotonic() - start
     ok = worst <= 1e-12
     report(
         3,
         ok,
-        f"{count} enumerated instances ((p+q)r <= 6, N <= 6), worst rel "
-        f"diff {worst:.2e} <= 1e-12, {elapsed:.1f}s",
+        f"{count} enumerated instances ((p+q)r <= 6, N <= 6, both rules), "
+        f"worst rel diff {worst:.2e} <= 1e-12, {elapsed:.1f}s",
     )
 
 
@@ -135,15 +138,13 @@ def test_criterion_4_additive_error_bounds():
             for docs in (1, 5, nodes):
                 system = SystemParams(nodes, docs)
                 exact = analytic.expect_random_sum(rec, system).value
-                integral = analytic.expect_random_integral(
-                    rec, system
-                ).value
+                integral = analytic.expect(RANDOM, rec, system, Method.INTEGRAL).value
                 gap = abs(exact - integral)
                 assert gap <= 1.0 + nodes * tol, (p, q, r, nodes, docs, gap)
                 worst_integral = max(worst_integral, gap)
                 if p == 1:
-                    closed = analytic.expect_random_p1_beta(
-                        q, r, system
+                    closed = analytic.expect(
+                        RANDOM, RecParams(1, q, r), system, Method.BETA_EXACT
                     ).value
                     gap_b = abs(exact - closed)
                     assert gap_b <= 1.0, (q, r, nodes, docs, gap_b)
@@ -189,7 +190,7 @@ def test_criterion_5_monte_carlo_agreement():
             master_seed=8,
         )
     )
-    exact = analytic.expect_symmetric_integral(rec, system).value
+    exact = analytic.expect(SYMMETRIC, rec, system, Method.INTEGRAL).value
     z_symmetric = abs(summary.mean - exact) / summary.std_error
     t_symmetric = time.monotonic() - start
     assert z_symmetric <= 3.0, f"symmetric z = {z_symmetric:.2f}"
@@ -250,9 +251,11 @@ def test_criterion_7_asymptotic_convergence():
         deviations = []
         for docs in (10**4, 10**6):
             system = SystemParams(10**6, docs)
-            exact = analytic.expect_random_p1_beta(q, r, system).value
-            asym = analytic.expect_random_asymptotic(
-                RecParams(1, q, r), system
+            exact = analytic.expect(
+                RANDOM, RecParams(1, q, r), system, Method.BETA_EXACT
+            ).value
+            asym = analytic.expect(
+                RANDOM, RecParams(1, q, r), system, Method.ASYMPTOTIC
             ).value
             dev = abs(exact / asym - 1.0)
             deviations.append(dev)
@@ -270,9 +273,11 @@ def test_criterion_7_asymptotic_convergence():
         for base in (2**12, 2**16):
             nodes = base - base % g
             system = SystemParams(nodes, nodes)
-            exact = analytic.expect_symmetric_p1_beta(q, r, system).value
-            asym = analytic.expect_symmetric_asymptotic(
-                RecParams(1, q, r), system
+            exact = analytic.expect(
+                SYMMETRIC, RecParams(1, q, r), system, Method.BETA_EXACT
+            ).value
+            asym = analytic.expect(
+                SYMMETRIC, RecParams(1, q, r), system, Method.ASYMPTOTIC
             ).value
             dev = abs(exact / asym - 1.0)
             deviations.append(dev)
@@ -352,8 +357,8 @@ def test_criterion_9_d_independence_and_slopes():
             nodes = 48 * k
             if nodes % g:
                 continue
-            value = analytic.expect_symmetric_integral(
-                rec, SystemParams(nodes, max(1, nodes // g))
+            value = analytic.expect(
+                SYMMETRIC, rec, SystemParams(nodes, max(1, nodes // g)), Method.INTEGRAL
             ).value
             xs.append(math.log(nodes))
             ys.append(math.log(value))

@@ -1,5 +1,6 @@
 """Formula layer: survival probabilities, expectations, asymptotics."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,11 +9,19 @@ import pytest
 from rec_persist import analytic, oracle
 from rec_persist.analytic import Method
 from rec_persist.errors import ParameterError, QuadratureError
-from rec_persist.model import LossSemantics, PlacementStrategy, RecParams, SystemParams
+from rec_persist.model import (
+    LossSemantics,
+    PlacementStrategy,
+    RecParams,
+    SystemParams,
+    default_semantics,
+)
 from rec_persist.specfun import log_reg_inc_beta_complement
 
 GAMMA_3_2 = math.gamma(1.5)
 GAMMA_4_3 = math.gamma(4 / 3)
+RANDOM, SYMMETRIC = PlacementStrategy.RANDOM, PlacementStrategy.SYMMETRIC
+MS, PC = LossSemantics.MULTISET, LossSemantics.PER_CLUSTER
 
 
 class TestSurvivalRandom:
@@ -104,20 +113,21 @@ class TestExpectRandomSum:
             assert result.value == pytest.approx(22 / 9, rel=1e-14)
 
     def test_agrees_with_enumeration(self):
-        cases = ((1, 0, 2, 4), (2, 1, 1, 5), (1, 1, 2, 3), (2, 0, 1, 6))
+        cases = ((1, 0, 2, 4), (2, 1, 1, 5), (1, 1, 2, 3), (2, 0, 1, 6), (2, 0, 2, 3))
         for p, q, r, nodes in cases:
             rec = RecParams(p, q, r)
             system = SystemParams(nodes, 1)
-            brute = oracle.brute_force_random(rec, system)
-            got = analytic.expect_random_sum(rec, system).value
-            assert got == pytest.approx(float(brute), rel=1e-12)
+            for semantics in (MS, PC):
+                brute = oracle.brute_force_random(rec, system, semantics)
+                got = analytic.expect_random_sum(rec, system, semantics).value
+                assert got == pytest.approx(float(brute), rel=1e-12)
 
 
 class TestExpectRandomIntegral:
     def test_linear_case(self):
         # N * integral of (1-x) dx = N/2
-        result = analytic.expect_random_integral(
-            RecParams(1, 0, 1), SystemParams(100, 1)
+        result = analytic.expect(
+            RANDOM, RecParams(1, 0, 1), SystemParams(100, 1), Method.INTEGRAL
         )
         assert result.value == pytest.approx(50.0, rel=1e-10)
         assert result.error_bound == 1.0
@@ -130,15 +140,13 @@ class TestExpectRandomIntegral:
                 for docs in (1, 5, nodes):
                     system = SystemParams(nodes, docs)
                     exact = analytic.expect_random_sum(rec, system).value
-                    approx = analytic.expect_random_integral(
-                        rec, system
-                    ).value
+                    approx = analytic.expect(RANDOM, rec, system, Method.INTEGRAL).value
                     tol = 1.0 + nodes * analytic.DEFAULT_QUADRATURE_TOL
                     assert abs(exact - approx) <= tol
 
     def test_large_document_count_stays_finite(self):
-        result = analytic.expect_random_integral(
-            RecParams(1, 0, 2), SystemParams(1000, 10**9)
+        result = analytic.expect(
+            RANDOM, RecParams(1, 0, 2), SystemParams(1000, 10**9), Method.INTEGRAL
         )
         assert 0.0 < result.value < 1000.0
 
@@ -146,13 +154,17 @@ class TestExpectRandomIntegral:
 class TestExpectRandomP1Beta:
     def test_closed_form_value(self):
         # N/s * B(D+1, 1/s) at q=0, r=2, N=48, D=5: 24 * 512/693
-        result = analytic.expect_random_p1_beta(0, 2, SystemParams(48, 5))
+        result = analytic.expect(
+            RANDOM, RecParams(1, 0, 2), SystemParams(48, 5), Method.BETA_EXACT
+        )
         assert result.value == pytest.approx(24 * 512 / 693, rel=1e-12)
         assert result.error_bound == 1.0
 
     def test_linear_growth_at_fixed_docs(self):
         # at D=5 the closed form is the line (B(6,1/2)/2) * N = 0.3694 * N
-        result = analytic.expect_random_p1_beta(0, 2, SystemParams(2976, 5))
+        result = analytic.expect(
+            RANDOM, RecParams(1, 0, 2), SystemParams(2976, 5), Method.BETA_EXACT
+        )
         assert result.value == pytest.approx(
             (512 / 693) / 2 * 2976, rel=1e-12
         )
@@ -161,9 +173,11 @@ class TestExpectRandomP1Beta:
         for q, r in ((0, 2), (1, 1), (2, 1), (1, 2)):
             for nodes, docs in ((48, 5), (96, 96), (240, 7)):
                 system = SystemParams(nodes, docs)
-                closed = analytic.expect_random_p1_beta(q, r, system).value
-                quad = analytic.expect_random_integral(
-                    RecParams(1, q, r), system
+                closed = analytic.expect(
+                    RANDOM, RecParams(1, q, r), system, Method.BETA_EXACT
+                ).value
+                quad = analytic.expect(
+                    RANDOM, RecParams(1, q, r), system, Method.INTEGRAL
                 ).value
                 assert closed == pytest.approx(quad, rel=1e-8)
 
@@ -172,8 +186,8 @@ class TestExpectRandomP1Beta:
             for nodes in (12, 48, 96):
                 for docs in (1, 5, nodes):
                     system = SystemParams(nodes, docs)
-                    closed = analytic.expect_random_p1_beta(
-                        q, r, system
+                    closed = analytic.expect(
+                        RANDOM, RecParams(1, q, r), system, Method.BETA_EXACT
                     ).value
                     exact = analytic.expect_random_sum(
                         RecParams(1, q, r), system
@@ -185,8 +199,9 @@ class TestExpectRandomAsymptotic:
     def test_sqrt_n_shape(self):
         # p=1, q=0, r=2, D=N: Gamma(3/2) * sqrt(N)
         for nodes in (48, 2976):
-            result = analytic.expect_random_asymptotic(
-                RecParams(1, 0, 2), SystemParams(nodes, nodes)
+            result = analytic.expect(
+                RANDOM, RecParams(1, 0, 2), SystemParams(nodes, nodes),
+                Method.ASYMPTOTIC,
             )
             assert result.value == pytest.approx(
                 GAMMA_3_2 * math.sqrt(nodes), rel=1e-12
@@ -195,8 +210,8 @@ class TestExpectRandomAsymptotic:
 
     def test_two_thirds_shape(self):
         # p=1, q=2, r=1, D=N: Gamma(4/3) * N^(2/3)
-        result = analytic.expect_random_asymptotic(
-            RecParams(1, 2, 1), SystemParams(1000, 1000)
+        result = analytic.expect(
+            RANDOM, RecParams(1, 2, 1), SystemParams(1000, 1000), Method.ASYMPTOTIC
         )
         assert result.value == pytest.approx(
             GAMMA_4_3 * 1000 ** (2 / 3), rel=1e-12
@@ -204,8 +219,8 @@ class TestExpectRandomAsymptotic:
 
     def test_fixed_docs_scales_with_inverse_root_of_docs(self):
         # Gamma(3/2) * N / sqrt(D) at p=1, q=0, r=2
-        result = analytic.expect_random_asymptotic(
-            RecParams(1, 0, 2), SystemParams(2976, 5)
+        result = analytic.expect(
+            RANDOM, RecParams(1, 0, 2), SystemParams(2976, 5), Method.ASYMPTOTIC
         )
         assert result.value == pytest.approx(
             GAMMA_3_2 * 2976 / math.sqrt(5), rel=1e-12
@@ -215,9 +230,11 @@ class TestExpectRandomAsymptotic:
         deviations = []
         for docs in (10**2, 10**4, 10**6):
             system = SystemParams(10**9, docs)
-            exact = analytic.expect_random_p1_beta(0, 2, system).value
-            asym = analytic.expect_random_asymptotic(
-                RecParams(1, 0, 2), system
+            exact = analytic.expect(
+                RANDOM, RecParams(1, 0, 2), system, Method.BETA_EXACT
+            ).value
+            asym = analytic.expect(
+                RANDOM, RecParams(1, 0, 2), system, Method.ASYMPTOTIC
             ).value
             deviations.append(abs(asym / exact - 1.0))
         assert deviations[0] > deviations[1] > deviations[2]
@@ -232,7 +249,7 @@ class TestExpectSymmetric:
             (RecParams(2, 1, 1), SystemParams(6, 2), Fraction(13, 5)),
         )
         for rec, system, expected in cases:
-            result = analytic.expect_symmetric_integral(rec, system)
+            result = analytic.expect(SYMMETRIC, rec, system, Method.INTEGRAL)
             assert result.value == pytest.approx(float(expected), rel=1e-10)
             assert result.error_bound == 0.0
 
@@ -247,36 +264,40 @@ class TestExpectSymmetric:
                     rec, system, LossSemantics.PER_CLUSTER
                 )
             )
-            got = analytic.expect_symmetric_integral(rec, system).value
+            got = analytic.expect(SYMMETRIC, rec, system, Method.INTEGRAL).value
             assert got == pytest.approx(exact, rel=1e-8)
 
     def test_p1_beta_closed_form(self):
-        result = analytic.expect_symmetric_p1_beta(1, 1, SystemParams(8, 4))
+        result = analytic.expect(
+            SYMMETRIC, RecParams(1, 1, 1), SystemParams(8, 4), Method.BETA_EXACT
+        )
         assert result.value == pytest.approx(128 / 35, rel=1e-12)
         assert result.error_bound == 0.0
 
     def test_p1_beta_equals_integral(self):
         for q, r, nodes in ((0, 2, 48), (1, 1, 96), (2, 1, 48), (1, 2, 64)):
             system = SystemParams(nodes, nodes)
-            closed = analytic.expect_symmetric_p1_beta(q, r, system).value
-            quad = analytic.expect_symmetric_integral(
-                RecParams(1, q, r), system
+            closed = analytic.expect(
+                SYMMETRIC, RecParams(1, q, r), system, Method.BETA_EXACT
+            ).value
+            quad = analytic.expect(
+                SYMMETRIC, RecParams(1, q, r), system, Method.INTEGRAL
             ).value
             assert closed == pytest.approx(quad, rel=1e-9)
 
     def test_docs_do_not_change_value(self):
         rec = RecParams(1, 1, 1)
         results = {
-            analytic.expect_symmetric_integral(
-                rec, SystemParams(96, docs)
+            analytic.expect(
+                SYMMETRIC, rec, SystemParams(96, docs), Method.INTEGRAL
             ).value
             for docs in (48, 96, 480, 10**6)
         }
         assert len(results) == 1
 
     def test_asymptotic_sqrt_2n(self):
-        result = analytic.expect_symmetric_asymptotic(
-            RecParams(1, 1, 1), SystemParams(2976, 1488)
+        result = analytic.expect(
+            SYMMETRIC, RecParams(1, 1, 1), SystemParams(2976, 1488), Method.ASYMPTOTIC
         )
         assert result.value == pytest.approx(
             GAMMA_3_2 * math.sqrt(2 * 2976), rel=1e-12
@@ -284,15 +305,15 @@ class TestExpectSymmetric:
 
     def test_asymptotic_cube_root_shapes(self):
         # (2,2,1): the placement-group factor cancels the code factor
-        result = analytic.expect_symmetric_asymptotic(
-            RecParams(2, 2, 1), SystemParams(1200, 300)
+        result = analytic.expect(
+            SYMMETRIC, RecParams(2, 2, 1), SystemParams(1200, 300), Method.ASYMPTOTIC
         )
         assert result.value == pytest.approx(
             GAMMA_4_3 * 1200 ** (2 / 3), rel=1e-12
         )
         # (1,2,1): extra 3^(1/3)
-        result = analytic.expect_symmetric_asymptotic(
-            RecParams(1, 2, 1), SystemParams(1200, 400)
+        result = analytic.expect(
+            SYMMETRIC, RecParams(1, 2, 1), SystemParams(1200, 400), Method.ASYMPTOTIC
         )
         assert result.value == pytest.approx(
             GAMMA_4_3 * 3 ** (1 / 3) * 1200 ** (2 / 3), rel=1e-12
@@ -300,15 +321,17 @@ class TestExpectSymmetric:
 
     def test_precondition_violations_raise(self):
         with pytest.raises(ParameterError):
-            analytic.expect_symmetric_integral(
-                RecParams(1, 1, 1), SystemParams(7, 7)
+            analytic.expect(
+                SYMMETRIC, RecParams(1, 1, 1), SystemParams(7, 7), Method.INTEGRAL
             )
         with pytest.raises(ParameterError):
-            analytic.expect_symmetric_integral(
-                RecParams(1, 1, 1), SystemParams(8, 2)
+            analytic.expect(
+                SYMMETRIC, RecParams(1, 1, 1), SystemParams(8, 2), Method.INTEGRAL
             )
         with pytest.raises(ParameterError):
-            analytic.expect_symmetric_p1_beta(1, 1, SystemParams(7, 7))
+            analytic.expect(
+                SYMMETRIC, RecParams(1, 1, 1), SystemParams(7, 7), Method.BETA_EXACT
+            )
 
 
 class TestDispatch:
@@ -342,34 +365,118 @@ class TestDispatch:
         with pytest.raises(ParameterError):
             analytic.expect(PlacementStrategy.RANDOM, rec, system, "sum")
 
-    def test_routes_match_formulas(self):
-        rec = RecParams(1, 1, 1)
-        system = SystemParams(24, 12)
-        routes = {
-            (PlacementStrategy.RANDOM, Method.EXACT_SUM):
-                analytic.expect_random_sum(rec, system),
-            (PlacementStrategy.RANDOM, Method.INTEGRAL):
-                analytic.expect_random_integral(rec, system),
-            (PlacementStrategy.RANDOM, Method.ASYMPTOTIC):
-                analytic.expect_random_asymptotic(rec, system),
-            (PlacementStrategy.RANDOM, Method.BETA_EXACT):
-                analytic.expect_random_p1_beta(1, 1, system),
-            (PlacementStrategy.SYMMETRIC, Method.INTEGRAL):
-                analytic.expect_symmetric_integral(rec, system),
-            (PlacementStrategy.SYMMETRIC, Method.ASYMPTOTIC):
-                analytic.expect_symmetric_asymptotic(rec, system),
-            (PlacementStrategy.SYMMETRIC, Method.BETA_EXACT):
-                analytic.expect_symmetric_p1_beta(1, 1, system),
-        }
-        for (strategy, method), want in routes.items():
-            assert analytic.expect(strategy, rec, system, method) == want
-
     def test_exact_method_is_exact(self):
         rec = RecParams(1, 0, 2)
         system = SystemParams(4, 2)
         for strategy in PlacementStrategy:
             method = analytic.EXACT_METHOD[strategy]
             assert analytic.expect(strategy, rec, system, method).error_bound == 0.0
+
+
+class TestSemantics:
+    """Every route under both loss rules, not only each strategy's default."""
+
+    def test_default_is_per_strategy(self):
+        rec = RecParams(2, 1, 2)
+        for strategy, system in ((RANDOM, SystemParams(48, 5)),
+                                 (SYMMETRIC, SystemParams(48, 8))):
+            default = default_semantics(strategy)
+            for method in (Method.INTEGRAL, Method.ASYMPTOTIC):
+                assert analytic.expect(strategy, rec, system, method) == (
+                    analytic.expect(strategy, rec, system, method, semantics=default)
+                )
+
+    def test_rejects_non_semantics(self):
+        with pytest.raises(ParameterError, match="LossSemantics"):
+            analytic.expect(
+                RANDOM, RecParams(2, 1, 2), SystemParams(48, 5), Method.EXACT_SUM,
+                semantics="per-cluster",
+            )
+
+    def test_symmetric_integral_matches_oracle(self):
+        worst = 0.0
+        for p, q, r in itertools.product((1, 2, 3), (0, 1, 2), (1, 2, 3)):
+            rec = RecParams(p, q, r)
+            g = rec.fragments
+            if g > 20:
+                continue
+            for nodes in (g * k for k in (1, 2, 5) if g * k <= 120):
+                system = SystemParams(nodes, nodes // g)
+                for semantics in (MS, PC):
+                    exact = float(
+                        oracle.exact_symmetric_expectation(rec, system, semantics)
+                    )
+                    got = analytic.expect(
+                        SYMMETRIC, rec, system, Method.INTEGRAL, semantics=semantics
+                    ).value
+                    worst = max(worst, abs(got - exact) / exact)
+        assert worst <= 1e-13
+
+    def test_per_cluster_loses_no_later(self):
+        # a document alive under PER_CLUSTER is alive under MULTISET, and the
+        # rules coincide at p = 1 or r = 1
+        for p, q, r in ((2, 1, 2), (3, 0, 2), (2, 2, 3), (1, 1, 3), (3, 1, 1)):
+            rec = RecParams(p, q, r)
+            random_system = SystemParams(60, 7)
+            symmetric_system = SystemParams(rec.fragments * 10, 10)
+            values = {
+                semantics: (
+                    analytic.expect_random_sum(rec, random_system, semantics).value,
+                    analytic.expect(SYMMETRIC, rec, symmetric_system,
+                                    Method.INTEGRAL, semantics=semantics).value,
+                )
+                for semantics in (MS, PC)
+            }
+            for multiset, per_cluster in zip(values[MS], values[PC]):
+                if p == 1 or r == 1:
+                    assert per_cluster == pytest.approx(multiset, rel=1e-14)
+                else:
+                    assert per_cluster < multiset
+
+    def test_random_per_cluster_integral_within_bound(self):
+        for p, q, r in ((2, 1, 2), (3, 2, 2), (2, 0, 3)):
+            rec = RecParams(p, q, r)
+            for nodes, docs in ((12, 1), (48, 5), (96, 96)):
+                system = SystemParams(nodes, docs)
+                exact = analytic.expect_random_sum(rec, system, PC).value
+                approx = analytic.expect(
+                    RANDOM, rec, system, Method.INTEGRAL, semantics=PC
+                )
+                assert approx.error_bound == 1.0
+                tol = 1.0 + nodes * analytic.DEFAULT_QUADRATURE_TOL
+                assert abs(exact - approx.value) <= tol
+
+    def test_asymptotic_leading_coefficient(self):
+        # REC(2,3,2), s = 4: kappa = C(3,2) = 3 under MULTISET, 3^2 per cluster
+        rec, gamma = RecParams(2, 1, 2), math.gamma(1.25)
+        for strategy, system, power in (
+            (RANDOM, SystemParams(2976, 5), 5),
+            (SYMMETRIC, SystemParams(2976, 496), 496),
+        ):
+            for semantics, kappa in ((MS, 3), (PC, 9)):
+                result = analytic.expect(
+                    strategy, rec, system, Method.ASYMPTOTIC, semantics=semantics
+                )
+                assert result.value == pytest.approx(
+                    gamma * 2976 * (kappa * power) ** -0.25, rel=1e-14
+                )
+
+    def test_asymptotic_is_defined_off_the_symmetric_grid(self):
+        rec, system = RecParams(1, 1, 1), SystemParams(7, 7)
+        with pytest.raises(ParameterError):
+            analytic.expect(SYMMETRIC, rec, system, Method.INTEGRAL)
+        result = analytic.expect(SYMMETRIC, rec, system, Method.ASYMPTOTIC)
+        assert result.value == pytest.approx(GAMMA_3_2 * math.sqrt(2 * 7), rel=1e-14)
+
+    def test_survival_curve_under_per_cluster(self):
+        # one document, REC(2,2,2): a cluster dies once either chunk is
+        # erased, 1 - (1-x)^2, and the document once both clusters have
+        rec, system = RecParams(2, 0, 2), SystemParams(10, 1)
+        curve = analytic.survival_curve_random(rec, system, PC)
+        for l, prob in enumerate(curve.probabilities):
+            x = l / 10
+            assert prob == pytest.approx(1 - (1 - (1 - x) ** 2) ** 2, abs=1e-15)
+            assert prob == analytic.survival_random(l, rec, system, PC)
 
 
 class TestQuadrature:
@@ -404,8 +511,8 @@ class TestQuadrature:
         rec, system = RecParams(1, 1, 1), SystemParams(96, 48)
         exact = float(oracle.exact_symmetric_expectation(
             rec, system, LossSemantics.PER_CLUSTER))
-        loose = analytic.expect_symmetric_integral(rec, system, 1e-4)
-        tight = analytic.expect_symmetric_integral(rec, system, 1e-13)
+        loose = analytic.expect(SYMMETRIC, rec, system, Method.INTEGRAL, 1e-4)
+        tight = analytic.expect(SYMMETRIC, rec, system, Method.INTEGRAL, 1e-13)
         assert abs(loose.value - exact) <= 1e-4 * exact
         assert abs(tight.value - exact) <= 1e-13 * exact
         assert tight.quadrature_evals >= loose.quadrature_evals
@@ -418,12 +525,14 @@ class TestQuadrature:
         for p, q, r in codes:
             rec = RecParams(p, q, r)
             for docs in (10**3, 10**6, 10**9):
-                result = analytic.expect_random_integral(
-                    rec, SystemParams(1000, docs), tol)
+                result = analytic.expect(
+                    RANDOM, rec, SystemParams(1000, docs), Method.INTEGRAL, tol
+                )
                 assert result.quadrature_error <= tol
             for nodes in (1200, 12000, 120000, 1200000):
-                result = analytic.expect_symmetric_integral(
-                    rec, SystemParams(nodes, nodes), tol)
+                result = analytic.expect(
+                    SYMMETRIC, rec, SystemParams(nodes, nodes), Method.INTEGRAL, tol
+                )
                 assert result.quadrature_error <= tol
 
     def test_panel_limit_raises(self, starved_quadrature):

@@ -1,5 +1,6 @@
 """Exact combinatorial baselines: group polynomials and enumerations."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -185,14 +186,25 @@ class TestBruteForceSymmetric:
 class TestBruteForceRandom:
     def test_pinned_values(self):
         assert oracle.brute_force_random(
-            RecParams(1, 0, 2), SystemParams(3, 1)
+            RecParams(1, 0, 2), SystemParams(3, 1), MS
         ) == Fraction(22, 9)
         assert oracle.brute_force_random(
-            RecParams(1, 1, 1), SystemParams(3, 1)
+            RecParams(1, 1, 1), SystemParams(3, 1), MS
         ) == Fraction(22, 9)
         assert oracle.brute_force_random(
-            RecParams(1, 0, 1), SystemParams(3, 1)
+            RecParams(1, 0, 1), SystemParams(3, 1), MS
         ) == Fraction(2)
+
+    def test_rules_split_at_p2_r2(self):
+        # REC(2,2,2) on 3 nodes: two chunks, two replicas each
+        rec, system = RecParams(2, 0, 2), SystemParams(3, 1)
+        assert oracle.brute_force_random(rec, system, MS) == Fraction(170, 81)
+        assert oracle.brute_force_random(rec, system, PC) == Fraction(154, 81)
+        # and for p = 1 or r = 1 they coincide
+        for rec in (RecParams(1, 0, 2), RecParams(2, 1, 1)):
+            assert oracle.brute_force_random(
+                rec, system, MS
+            ) == oracle.brute_force_random(rec, system, PC)
 
     def test_matches_survival_sum(self):
         for p, q, r in ((1, 0, 1), (1, 0, 2), (1, 1, 1), (2, 0, 1), (2, 1, 1),
@@ -200,18 +212,18 @@ class TestBruteForceRandom:
             rec = RecParams(p, q, r)
             if rec.fragments > 6:
                 continue
-            for nodes in (2, 4, 6):
+            for nodes, semantics in itertools.product((2, 4, 6), (MS, PC)):
                 system = SystemParams(nodes, 1)
-                brute = float(oracle.brute_force_random(rec, system))
-                got = analytic.expect_random_sum(rec, system).value
+                brute = float(oracle.brute_force_random(rec, system, semantics))
+                got = analytic.expect_random_sum(rec, system, semantics).value
                 assert got == pytest.approx(brute, rel=1e-12)
 
     def test_requires_single_document(self):
         with pytest.raises(ParameterError):
-            oracle.brute_force_random(RecParams(1, 0, 2), SystemParams(4, 2))
+            oracle.brute_force_random(RecParams(1, 0, 2), SystemParams(4, 2), MS)
 
     def test_size_guards(self):
         with pytest.raises(SizeLimitError):
-            oracle.brute_force_random(RecParams(1, 0, 2), SystemParams(40, 1))
+            oracle.brute_force_random(RecParams(1, 0, 2), SystemParams(40, 1), MS)
         with pytest.raises(SizeLimitError):
-            oracle.brute_force_random(RecParams(4, 4, 2), SystemParams(12, 1))
+            oracle.brute_force_random(RecParams(4, 4, 2), SystemParams(12, 1), PC)

@@ -13,6 +13,7 @@ import pytest
 from rec_persist import analytic, cli, sweep
 from rec_persist.cli import main
 from rec_persist.errors import ParameterError
+from rec_persist.analytic import Method
 from rec_persist.model import PlacementStrategy, RecParams, SystemParams
 from rec_persist.selftest import run_selftest
 from rec_persist.svg import Series, render_chart
@@ -148,11 +149,11 @@ class TestRunSweep:
             assert row.theory_exact == analytic.expect_random_sum(
                 rec, system
             ).value
-            assert row.theory_asymptotic == analytic.expect_random_asymptotic(
-                rec, system
+            assert row.theory_asymptotic == analytic.expect(
+                PlacementStrategy.RANDOM, rec, system, Method.ASYMPTOTIC
             ).value
-            assert row.theory_beta_exact == analytic.expect_random_p1_beta(
-                row.q, row.r, system
+            assert row.theory_beta_exact == analytic.expect(
+                PlacementStrategy.RANDOM, rec, system, Method.BETA_EXACT
             ).value
 
     def test_symmetric_out_of_theory_rows_have_empty_exact(self):
@@ -293,8 +294,9 @@ class TestCliAnalytic:
         value = float(dict(
             part.split("=", 1) for part in result_line.split()[1:]
         )["value"])
-        assert value == analytic.expect_random_p1_beta(
-            0, 2, SystemParams(48, 5)
+        assert value == analytic.expect(
+            PlacementStrategy.RANDOM, RecParams(1, 0, 2), SystemParams(48, 5),
+            Method.BETA_EXACT,
         ).value
 
     def test_precondition_violation_exits_2(self, capsys):
@@ -310,8 +312,9 @@ class TestCliAnalytic:
                 "--nodes 1200 --docs 200 --method integral").split()
         assert main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
-        result = analytic.expect_symmetric_integral(
-            RecParams(2, 1, 2), SystemParams(1200, 200)
+        result = analytic.expect(
+            PlacementStrategy.SYMMETRIC, RecParams(2, 1, 2), SystemParams(1200, 200),
+            Method.INTEGRAL,
         )
         assert lines[2] == (
             f"quadrature: relative error estimate {result.quadrature_error:.3e} "
@@ -485,11 +488,43 @@ class TestCliSweep:
             rows = list(csv.DictReader(fh))
         for row in rows:
             system = SystemParams(int(row["N"]), int(row["D"]))
-            expected = analytic.expect_symmetric_integral(
-                RecParams(1, 1, 1), system
+            expected = analytic.expect(
+                PlacementStrategy.SYMMETRIC, RecParams(1, 1, 1), system,
+                Method.INTEGRAL,
             ).value
             assert float(row["theory_exact"]) == expected
             assert row["semantics"] == "per-cluster"
+
+    def test_theory_follows_configured_semantics(self, tmp_path, capsys):
+        # REC(2,3,2), where the two loss rules differ, with each strategy
+        # under the rule that is not its default
+        sweeps = [
+            {
+                "name": f"{strategy}-{semantics}",
+                "strategy": strategy,
+                "p": 2, "q": 1, "r": 2,
+                "nodes": [48, 96],
+                "docs": docs,
+                "trials": 2000,
+                "seed": 6,
+                "semantics": semantics,
+            }
+            for strategy, semantics, docs in (
+                ("random", "per-cluster", 5),
+                ("symmetric", "multiset", "N/g"),
+            )
+        ]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"schema_version": 1, "sweeps": sweeps}))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+        for spec in sweeps:
+            with open(tmp_path / f"{spec['name']}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 2
+            for row in rows:
+                assert row["semantics"] == spec["semantics"]
+                gap = abs(float(row["theory_exact"]) - float(row["mean_empirical"]))
+                assert gap <= 5 * float(row["std_error"]), row
 
     def test_missing_config_exits_2(self, tmp_path):
         argv = ["sweep", "--config", str(tmp_path / "nope.json")]
@@ -509,6 +544,18 @@ class TestCliOracle:
         argv = "oracle --what brute-random --p 1 --q 0 --r 2 --nodes 3".split()
         assert main(argv) == 0
         assert "22/9" in capsys.readouterr().out
+
+    def test_brute_random_follows_semantics(self, capsys):
+        # REC(2,2,2) on 3 nodes: the rules differ, and brute-random
+        # defaults to the random strategy's multiset rule
+        argv = "oracle --what brute-random --p 2 --q 0 --r 2 --nodes 3".split()
+        for extra, want in (
+            ([], "E[X] = 170/81 "),
+            (["--semantics", "multiset"], "E[X] = 170/81 "),
+            (["--semantics", "per-cluster"], "E[X] = 154/81 "),
+        ):
+            assert main(argv + extra) == 0
+            assert capsys.readouterr().out.startswith(want)
 
     def test_group_poly(self, capsys):
         argv = "oracle --what group-poly --p 2 --q 1 --r 1".split()
@@ -561,7 +608,8 @@ class TestSelftestNegativeControl:
 
 
 def test_cli_commands_do_not_import_scipy(tmp_path):
-    # only `selftest` needs scipy, for its independent quadrature check
+    # only `selftest` needs scipy, for its independent quadrature check; the
+    # SVG writer escapes text without xml.sax, which loads urllib and email
     script = f"""
 import sys
 from rec_persist.cli import main
@@ -573,7 +621,8 @@ for strategy in ("random", "symmetric"):
                  "--method", "integral"]) == 0
 assert main(["sweep", "--preset", "fig7", "--points", "2", "--trials", "2",
              "--out", {str(tmp_path)!r}]) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+heavy = ("scipy", "email", "urllib.request", "http.client")
+print(sorted(m for m in sys.modules if m.split(".")[0] in heavy or m in heavy))
 """
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True
