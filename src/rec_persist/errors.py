@@ -8,7 +8,7 @@ class ParameterError(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """An exact enumeration was requested above its guarded size bound."""
+    """An enumeration or simulation was requested above its guarded size bound."""
 
 
 class QuadratureError(RuntimeError):

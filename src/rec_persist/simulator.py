@@ -4,19 +4,28 @@ A trial places every document's fragments and draws a uniform random
 removal order of the nodes; the persistency X of the trial is the number of
 removals at which the first document is lost.  With rank[v] the removal
 time of node v, a document's loss time is an order statistic of its
-fragments' ranks (see persistency), so X is the minimum of those order
-statistics over documents.  Trials are deterministic functions of
-(master_seed, trial_index) and run serially.
+fragments' ranks, so X is the minimum of those order statistics over
+documents.  One evaluator, _first_loss, computes it for a batch of trials
+with elementwise min/max over planes of erasure times; persistency runs it
+on a batch of one.
+
+Trials are deterministic functions of (master_seed, trial_index) and run
+serially.  simulate stacks the int32 rank rows of several trials and
+evaluates them together when they share a placement (the symmetric
+strategy); a random placement belongs to one trial, so its batch holds one.
+Node ids and ranks are int32, which caps nodes below 2^31, and a trial's
+arrays are capped at TRIAL_LIMIT entries before anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, SizeLimitError
 from .model import (
     LossSemantics,
     Placement,
@@ -37,13 +46,29 @@ __all__ = [
     "simulate",
 ]
 
+# int32 entries (rank rows plus erasure times) one batch of trials holds;
+# with the gather's temporaries a full batch takes about 2 MiB
+BUDGET = 1 << 17
+# int32 entries of one trial, its rank row plus every class's placement
+# table (256 MiB; the gather's int64 index copy makes the peak about four
+# times that); simulate refuses larger runs before allocating
+TRIAL_LIMIT = 1 << 26
+
+
+def _id_dtype(nodes: int):
+    # an int32 draw equals the int64 draw from the same state below 2^31
+    return np.int32 if nodes < 2**31 else np.int64
+
 
 def place_random(
     rec: RecParams, system: SystemParams, rng: np.random.Generator
 ) -> Placement:
     """Drop every fragment on an i.i.d. uniform node; collisions allowed."""
     table = rng.integers(
-        0, system.nodes, size=(system.docs, rec.r, rec.chunks), dtype=np.int64
+        0,
+        system.nodes,
+        size=(system.docs, rec.r, rec.chunks),
+        dtype=_id_dtype(system.nodes),
     )
     return Placement(rec, system.nodes, table)
 
@@ -58,12 +83,67 @@ def place_symmetric(
     start offsets the whole stream; it is used when several workload
     classes share one placement counter.
     """
-    flat = (start + np.arange(system.docs * rec.fragments, dtype=np.int64)) % (
-        system.nodes
-    )
+    # entry i is (start + i) mod N: the rotated node list, repeated
+    nodes = np.arange(system.nodes, dtype=_id_dtype(system.nodes))
+    flat = np.resize(np.roll(nodes, -start), system.docs * rec.fragments)
     return Placement(
         rec, system.nodes, flat.reshape(system.docs, rec.r, rec.chunks)
     )
+
+
+def _erasure_times(ranks: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """t[b, k, j, m] = ranks[b, table[k, j, m]], shape (batch, D, r, p+q).
+
+    The gather runs through the table's (r, p+q, D) view, so each (j, m)
+    plane of t is contiguous over documents and the elementwise passes in
+    _first_loss stream through memory.
+    """
+    return ranks.take(table.transpose(1, 2, 0), axis=1).transpose(0, 3, 1, 2)
+
+
+def _order_statistic(values: np.ndarray, q: int) -> np.ndarray:
+    """The (q+1)-th smallest over the last axis, by insertion over its planes.
+
+    Of n values only min(q+1, n-q) extremes matter: the q+1 smallest, whose
+    largest is the answer, or the n-q largest, whose smallest is.  Each
+    plane values[..., m] is inserted into that sorted list with elementwise
+    min/max; the value pushed off the list's end is dropped.
+    """
+    n = values.shape[-1]
+    if q + 1 <= n - q:
+        keep, inner, outer = q + 1, np.minimum, np.maximum
+    else:
+        keep, inner, outer = n - q, np.maximum, np.minimum
+    kept = []
+    for m in range(n):
+        x = values[..., m]
+        for i, y in enumerate(kept):
+            if i + 1 == keep:
+                kept[i] = inner(y, x)
+            else:
+                kept[i], x = inner(y, x), outer(y, x)
+        if len(kept) < keep:
+            kept.append(x)
+    return kept[-1]
+
+
+def _first_loss(t: np.ndarray, q: int, semantics: LossSemantics) -> np.ndarray:
+    """First document loss of each batch row, for erasure times t.
+
+    t[b, k, j, m] is the erasure time of replica j of chunk m of document k
+    in row b, shape (batch, D, r, p+q).  A MULTISET document dies at the
+    (q+1)-th smallest, over its chunks, of the chunk's latest replica time;
+    a PER_CLUSTER document dies at the latest, over its replica clusters,
+    of the cluster's (q+1)-th smallest chunk time.  Returns the earliest
+    death over documents, shape (batch,).
+    """
+    if semantics is LossSemantics.MULTISET:
+        deaths = _order_statistic(t.max(axis=2), q)
+    elif semantics is LossSemantics.PER_CLUSTER:
+        deaths = _order_statistic(t, q).max(axis=2)
+    else:
+        raise ParameterError(f"unknown semantics {semantics!r}")
+    return deaths.min(axis=1)
 
 
 def persistency(placement: Placement, order, semantics: LossSemantics) -> int:
@@ -89,22 +169,12 @@ def persistency(placement: Placement, order, semantics: LossSemantics) -> int:
     ):
         raise ParameterError("removal order must hold node ids in [0, nodes)")
     # a rank left at 0 marks a node that order misses, so order repeats one
-    rank = np.zeros(placement.nodes, dtype=np.int64)
-    rank[order] = np.arange(1, placement.nodes + 1)
+    rank = np.zeros((1, placement.nodes), dtype=np.int64)
+    rank[0, order] = np.arange(1, placement.nodes + 1)
     if not rank.all():
         raise ParameterError("removal order must be a permutation of the nodes")
-    # t[j, k, m] is the erasure time of replica j of chunk m of document k,
-    # replica-major because numpy reduces a short middle axis several times
-    # slower than it reduces over whole contiguous planes
-    t = rank.take(placement.table.transpose(1, 0, 2))
-    q = placement.rec.q
-    if semantics is LossSemantics.MULTISET:
-        deaths = np.partition(t.max(axis=0), q, axis=1)[:, q]
-    elif semantics is LossSemantics.PER_CLUSTER:
-        deaths = np.partition(t, q, axis=2)[:, :, q].max(axis=0)
-    else:
-        raise ParameterError(f"unknown semantics {semantics!r}")
-    return int(deaths.min())
+    t = _erasure_times(rank, placement.table)
+    return int(_first_loss(t, placement.rec.q, semantics)[0])
 
 
 @dataclass(frozen=True)
@@ -191,25 +261,51 @@ def simulate(config: SimConfig) -> SimSummary:
     The summary is a pure function of the config: trial i draws from the
     generator seeded by (master_seed, i), first the random placements of
     the classes in declared order, then the removal permutation, and the
-    moments are exact integer sums.
+    moments are exact integer sums.  Symmetric trials share one placement
+    and are evaluated max(1, BUDGET // entries) at a time, where entries is
+    one trial's rank row plus placement tables; random trials one at a
+    time.  Raises SizeLimitError, before allocating, when nodes >= 2^31 or
+    entries exceeds TRIAL_LIMIT.
     """
+    nodes = config.nodes
+    entries = nodes + sum(wc.docs * wc.rec.fragments for wc in config.classes)
+    if nodes >= 2**31:
+        raise SizeLimitError(f"simulate needs nodes < 2^31 for int32 ids, got {nodes}")
+    if entries > TRIAL_LIMIT:
+        raise SizeLimitError(
+            f"one trial needs {entries} int32 entries (nodes plus "
+            f"docs*(p+q)*r per class), above the limit of {TRIAL_LIMIT}"
+        )
     semantics = config.resolved_semantics
     symmetric = config.strategy is PlacementStrategy.SYMMETRIC
-    fixed = _symmetric_stream(config) if symmetric else None
+    if symmetric:
+        placements = _symmetric_stream(config)
+        size = max(1, BUDGET // entries)
+    else:
+        size = 1  # each trial draws its own placements
+    removal = np.arange(1, nodes + 1, dtype=np.int32)
     xs = []
-    for trial in range(config.trials):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([config.master_seed, trial])
+    for first in range(0, config.trials, size):
+        batch = range(first, min(first + size, config.trials))
+        ranks = np.zeros((len(batch), nodes), dtype=np.int32)
+        for row, trial in enumerate(batch):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([config.master_seed, trial])
+            )
+            if not symmetric:
+                placements = [
+                    place_random(wc.rec, SystemParams(nodes, wc.docs), rng)
+                    for wc in config.classes
+                ]
+            ranks[row, rng.permutation(nodes)] = removal
+        # a rank left at 0 marks a node the permutation missed
+        if not ranks.all():
+            raise ParameterError("removal order must be a permutation of the nodes")
+        deaths = (
+            _first_loss(_erasure_times(ranks, pl.table), pl.rec.q, semantics)
+            for pl in placements
         )
-        if symmetric:
-            placements = fixed
-        else:
-            placements = [
-                place_random(wc.rec, SystemParams(config.nodes, wc.docs), rng)
-                for wc in config.classes
-            ]
-        order = rng.permutation(config.nodes)
-        xs.append(min(persistency(pl, order, semantics) for pl in placements))
+        xs.extend(reduce(np.minimum, deaths).tolist())
 
     count = len(xs)
     total = sum(xs)

@@ -1,12 +1,14 @@
 """Monte Carlo engine: placements, single-run persistency, seeded trials."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rec_persist import analytic
-from rec_persist.errors import ParameterError
+from rec_persist import analytic, simulator
+from rec_persist.cli import main
+from rec_persist.errors import ParameterError, SizeLimitError
 from rec_persist.model import (
     LossSemantics,
     Placement,
@@ -17,6 +19,7 @@ from rec_persist.model import (
 )
 from rec_persist.simulator import (
     SimConfig,
+    SimSummary,
     WorkloadClass,
     persistency,
     place_random,
@@ -70,10 +73,75 @@ class TestPlaceSymmetric:
         )
         assert placement.table.tolist() == [[[3], [0]]]
 
+    def test_wraps_from_start_offset(self):
+        placement = place_symmetric(
+            RecParams(2, 0, 1), SystemParams(5, 4), start=7
+        )
+        assert placement.table.reshape(-1).tolist() == [2, 3, 4, 0, 1, 2, 3, 4]
+
     def test_replica_major_layout(self):
         # row j of a document is cluster j: chunks of one coded copy
         placement = place_symmetric(RecParams(2, 1, 2), SystemParams(6, 1))
         assert placement.table[0].tolist() == [[0, 1, 2], [3, 4, 5]]
+
+
+class TestInt32Draws:
+    @pytest.mark.parametrize("nodes", [48, 2976, 10**6, 2**31 - 1])
+    def test_int32_draw_equals_int64_draw(self, nodes):
+        # int32 placement tables keep seeded output only while numpy draws
+        # the same values for both dtypes below 2^31
+        for seed in range(3):
+            size = (333, 2, 3)
+            wide = np.random.default_rng(seed).integers(0, nodes, size, dtype=np.int64)
+            narrow = np.random.default_rng(seed).integers(0, nodes, size, dtype=np.int32)
+            assert narrow.dtype == np.int32
+            assert np.array_equal(narrow, wide)
+
+    def test_place_random_keeps_the_int64_stream(self):
+        rec, system = RecParams(2, 1, 2), SystemParams(2976, 40)
+        placement = place_random(rec, system, np.random.default_rng(8))
+        wide = np.random.default_rng(8).integers(0, 2976, (40, 2, 3), dtype=np.int64)
+        assert placement.table.dtype == np.int32
+        assert np.array_equal(placement.table, wide)
+
+
+def _reference_first_loss(t, q, semantics):
+    if semantics is MS:
+        return np.partition(t.max(axis=2), q, axis=2)[..., q].min(axis=1)
+    return np.partition(t, q, axis=3)[..., q].max(axis=2).min(axis=1)
+
+
+class TestFirstLoss:
+    @pytest.mark.parametrize("chunks", range(1, 9))
+    def test_matches_partition(self, chunks):
+        # small values force ties; the plane-major copy has the memory
+        # layout simulate gathers into
+        rng = np.random.default_rng(chunks)
+        for q in range(chunks):
+            for r in (1, 2, 3):
+                for batch in (1, 7):
+                    t = rng.integers(1, 9, (batch, 5, r, chunks), dtype=np.int32)
+                    planar = np.ascontiguousarray(t.transpose(0, 2, 3, 1))
+                    selected = simulator._order_statistic(t, q)
+                    assert np.array_equal(
+                        selected, np.partition(t, q, axis=3)[..., q]
+                    )
+                    for sem in (MS, PC):
+                        expected = _reference_first_loss(t, q, sem)
+                        for layout in (t, planar.transpose(0, 3, 1, 2)):
+                            got = simulator._first_loss(layout, q, sem)
+                            assert got.shape == (batch,)
+                            assert np.array_equal(got, expected)
+
+    def test_extremes_are_min_and_max(self):
+        t = np.random.default_rng(4).integers(0, 100, (3, 6, 2, 4), dtype=np.int32)
+        assert np.array_equal(simulator._order_statistic(t, 0), t.min(axis=3))
+        assert np.array_equal(simulator._order_statistic(t, 3), t.max(axis=3))
+
+    def test_unknown_semantics(self):
+        t = np.ones((1, 1, 1, 1), dtype=np.int32)
+        with pytest.raises(ParameterError):
+            simulator._first_loss(t, 0, "multiset")
 
 
 def _reference_persistency(placement, order, semantics):
@@ -341,6 +409,19 @@ class TestSimulate:
             math.sqrt(var / len(xs)), rel=1e-12
         )
 
+    def test_more_than_one_block_of_trials(self):
+        # symmetric N = 2976 trials hold 5952 entries, so 30 trials need two
+        # batches at the default budget
+        config = SimConfig(
+            strategy=PlacementStrategy.SYMMETRIC,
+            classes=(WorkloadClass(RecParams(2, 1, 2), 496),),
+            nodes=2976,
+            trials=30,
+            master_seed=31,
+        )
+        assert simulator.BUDGET // 5952 < 30
+        assert simulate(config) == _persistency_loop(config)
+
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             SimConfig(
@@ -360,3 +441,103 @@ class TestSimulate:
             )
         with pytest.raises(ParameterError):
             WorkloadClass(RecParams(1, 0, 1), 0)
+
+
+def _persistency_loop(config: SimConfig) -> SimSummary:
+    """Symmetric simulate's documented stream, one persistency call a trial."""
+    placements = []
+    start = 0
+    for wc in config.classes:
+        system = SystemParams(config.nodes, wc.docs)
+        placements.append(place_symmetric(wc.rec, system, start=start))
+        start = (start + wc.docs * wc.rec.fragments) % config.nodes
+    xs = []
+    for trial in range(config.trials):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([config.master_seed, trial])
+        )
+        order = rng.permutation(config.nodes)
+        xs.append(
+            min(persistency(pl, order, config.resolved_semantics) for pl in placements)
+        )
+    n, total, total_sq = len(xs), sum(xs), sum(x * x for x in xs)
+    variance = (n * total_sq - total * total) / (n * (n - 1)) if n > 1 else 0.0
+    return SimSummary(
+        mean=total / n,
+        std_error=math.sqrt(max(variance, 0.0) / n) if n > 1 else 0.0,
+        trials=n,
+        minimum=min(xs),
+        maximum=max(xs),
+        master_seed=config.master_seed,
+        out_of_theory=config.out_of_theory,
+    )
+
+
+def _sym(classes, nodes, trials=10, seed=3, semantics=None):
+    return SimConfig(
+        strategy=PlacementStrategy.SYMMETRIC,
+        classes=tuple(WorkloadClass(RecParams(*code), docs) for code, docs in classes),
+        nodes=nodes,
+        trials=trials,
+        master_seed=seed,
+        semantics=semantics,
+    )
+
+
+class TestBatches:
+    CONFIGS = {
+        "single": _sym([((2, 1, 2), 8)], 48),
+        "single-multiset": _sym([((2, 3, 2), 5)], 50, semantics=MS),
+        "mixed": _sym([((1, 0, 2), 3), ((2, 1, 1), 4)], 18),
+        # the first class wraps at 13 nodes, so the second starts at node 2
+        "wrapping": _sym([((1, 2, 1), 5), ((2, 2, 2), 3)], 13, semantics=PC),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("per_batch", [1, 3, None])
+    def test_same_summary_as_persistency_loop(self, name, per_batch, monkeypatch):
+        config = self.CONFIGS[name]
+        entries = config.nodes + sum(
+            wc.docs * wc.rec.fragments for wc in config.classes
+        )
+        if per_batch is None:
+            per_batch = config.trials
+        monkeypatch.setattr(simulator, "BUDGET", per_batch * entries + entries - 1)
+        assert simulate(config) == _persistency_loop(config)
+
+
+class TestSizeGuard:
+    def test_huge_table_exits_2_without_allocating(self, capsys):
+        argv = (
+            "simulate --strategy random --p 2 --q 1 --r 2 --nodes 1000 "
+            "--docs 1000000000"
+        ).split()
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        assert "limit" in capsys.readouterr().err
+
+    def test_nodes_must_fit_int32(self):
+        config = SimConfig(
+            strategy=PlacementStrategy.SYMMETRIC,
+            classes=(WorkloadClass(RecParams(1, 0, 1), 1),),
+            nodes=2**31,
+            trials=1,
+            master_seed=0,
+        )
+        with pytest.raises(SizeLimitError):
+            simulate(config)
+
+    def test_limit_counts_rank_row_and_every_table(self, monkeypatch):
+        config = _sym([((1, 0, 2), 3), ((2, 1, 1), 4)], 18, trials=2)
+        entries = 18 + 3 * 2 + 4 * 3
+        monkeypatch.setattr(simulator, "TRIAL_LIMIT", entries)
+        simulate(config)
+        monkeypatch.setattr(simulator, "TRIAL_LIMIT", entries - 1)
+        with pytest.raises(SizeLimitError):
+            simulate(config)

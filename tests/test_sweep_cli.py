@@ -526,6 +526,48 @@ class TestCliSweep:
                 gap = abs(float(row["theory_exact"]) - float(row["mean_empirical"]))
                 assert gap <= 5 * float(row["std_error"]), row
 
+    # simulation columns (N, D, trials, seed, mean_empirical, std_error)
+    # written by the per-trial evaluator before trials were batched
+    PINNED_SIM_COLUMNS = {
+        "fig9-symmetric-p1-q2-r1": [
+            "48,16,30,12636138104699361980,18.0,0.8944271909999159",
+            "96,32,30,16560130046885250685,27.166666666666668,1.7727719273819207",
+            "144,48,30,9248929795131850392,34.766666666666666,2.330055168471898",
+        ],
+        "cfg-p2-q1-r2": [
+            "48,8,30,4495922754561874015,16.4,0.7359410271226213",
+            "96,16,30,2597183348474425653,28.866666666666667,1.413996808051587",
+            "144,24,30,15561232503917306277,33.5,1.9117002121539417",
+        ],
+        "cfg-p2-q3-r2": [
+            "40,4,30,3458605122215810314,25.8,0.6598502094040546",
+            "80,8,30,10112410024342082567,45.56666666666667,0.9903944800197747",
+            "120,12,30,16994654315139619169,65.83333333333333,1.8023505299886011",
+        ],
+    }
+
+    def test_simulation_columns_pinned(self, tmp_path, capsys):
+        sweeps = [
+            {
+                "name": f"cfg-p2-q{q}-r2", "strategy": "symmetric",
+                "p": 2, "q": q, "r": 2, "nodes": nodes, "docs": "N/g",
+                "semantics": "per-cluster", "seed": seed, "theory": ["exact"],
+            }
+            for q, nodes, seed in (
+                (1, [48, 96, 144, 192], 11), (3, [40, 80, 120, 160], 12),
+            )
+        ]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"schema_version": 1, "sweeps": sweeps}))
+        tail = ["--points", "3", "--trials", "30", "--out", str(tmp_path)]
+        assert main(["sweep", "--preset", "fig9", *tail]) == 0
+        assert main(["sweep", "--config", str(config), *tail]) == 0
+        for name, pinned in self.PINNED_SIM_COLUMNS.items():
+            with open(tmp_path / f"{name}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            columns = ("N", "D", "trials", "seed", "mean_empirical", "std_error")
+            assert [",".join(row[c] for c in columns) for row in rows] == pinned
+
     def test_missing_config_exits_2(self, tmp_path):
         argv = ["sweep", "--config", str(tmp_path / "nope.json")]
         assert main(argv) == 2
