@@ -98,6 +98,7 @@ class AnalyticResult:
     When quadrature was involved, quadrature_tolerance echoes the relative
     tolerance requested, quadrature_error is the relative error estimate
     reached and quadrature_evals the number of integrand evaluations.
+    sum_terms is the number of leading survival terms in an exact sum.
     """
 
     value: float
@@ -106,6 +107,7 @@ class AnalyticResult:
     quadrature_tolerance: float | None = None
     quadrature_error: float | None = None
     quadrature_evals: int | None = None
+    sum_terms: int | None = None
 
 
 @dataclass(frozen=True)
@@ -156,23 +158,32 @@ def _leading_coefficient(rec: RecParams, semantics: LossSemantics) -> int:
 # numpy's per-call overhead is small, small enough that a large-D sum,
 # which reaches 0.0 within a few thousand l, stops after one block
 _SURVIVAL_BLOCK = 4096
+# the survival sum tries to stop once the bound on its remaining terms is
+# at most this share of the running sum, far below half an ulp of it
+_TAIL_SHARE = 2.0**-60
 
 
 def _survival_random_blocks(
     rec: RecParams, system: SystemParams, semantics: LossSemantics
 ):
-    """Pr[X > l] = phi(l/N)^D in blocks of l from 0, through the first
-    block that ends in 0.0.
+    """Pr[X > l] = phi(l/N)^D as arrays over blocks of l from 0, through
+    the first block that ends in 0.0.
 
     The curve is nonincreasing, so every later term is an exact 0.0 too.
     """
     for start in range(0, system.nodes + 1, _SURVIVAL_BLOCK):
         l = np.arange(start, min(start + _SURVIVAL_BLOCK, system.nodes + 1))
         log_phi = _log_survival(l / system.nodes, rec, semantics)
-        block = np.exp(system.docs * log_phi).tolist()
+        block = np.exp(system.docs * log_phi)
         yield block
         if block[-1] == 0.0:
             return
+
+
+def _fsum(blocks, *extra) -> float:
+    # fed term by term through memoryviews of the blocks, so no list of
+    # the terms is built
+    return math.fsum(chain(chain.from_iterable(map(memoryview, blocks)), extra))
 
 
 def survival_random(
@@ -189,20 +200,47 @@ def survival_curve_random(
     rec: RecParams, system: SystemParams, semantics=LossSemantics.MULTISET
 ) -> SurvivalCurve:
     """The whole survival curve l = 0 .. N; its sum is the exact E[X]."""
-    head = tuple(chain.from_iterable(_survival_random_blocks(rec, system, semantics)))
+    blocks = _survival_random_blocks(rec, system, semantics)
+    head = tuple(chain.from_iterable(b.tolist() for b in blocks))
     return SurvivalCurve(head + (0.0,) * (system.nodes + 1 - len(head)))
 
 
 def expect_random_sum(
     rec: RecParams, system: SystemParams, semantics=LossSemantics.MULTISET
 ) -> AnalyticResult:
-    """E[X] under random placement as the full N+1 term survival sum.
+    """E[X] under random placement as the N+1 term survival sum.
 
-    Exact up to floating-point rounding: the terms after the last
-    evaluated block are exact zeros.
+    The result is math.fsum of every term, rounded once, but it stops
+    early.  After term l the N - l later terms add at most
+    rest = 2 (N - l) Pr[X > l]: the curve is nonincreasing, and the factor
+    2 covers the terms' own rounding (about 1e-12 relative, as
+    |ln Pr| <= 745).  At the first l whose rest is at most 2^-60 of an
+    approximate running sum, total = fsum(terms 0..l) is returned when
+    fsum(terms 0..l, rest) rounds to total as well: the full sum lies
+    between the two, and rounding is monotone.  Otherwise the sum goes on
+    to the next block, and at worst through the first block that ends in
+    0.0, after which every term is an exact zero.  sum_terms is the number
+    of leading terms summed.
     """
-    blocks = _survival_random_blocks(rec, system, semantics)
-    return AnalyticResult(math.fsum(chain.from_iterable(blocks)), Method.EXACT_SUM, 0.0)
+    kept = []
+    count = 0
+    running = 0.0
+    for block in _survival_random_blocks(rec, system, semantics):
+        kept.append(block)
+        cumulative = running + np.cumsum(block)
+        running = cumulative[-1]
+        rest = 2.0 * (system.nodes - count - np.arange(block.size)) * block
+        hits = np.flatnonzero(rest <= _TAIL_SHARE * cumulative)
+        if hits.size:
+            i = int(hits[0])
+            head = kept[:-1] + [block[: i + 1]]
+            total = _fsum(head)
+            if _fsum(head, float(rest[i])) == total:
+                return AnalyticResult(
+                    total, Method.EXACT_SUM, 0.0, sum_terms=count + i + 1
+                )
+        count += block.size
+    return AnalyticResult(_fsum(kept), Method.EXACT_SUM, 0.0, sum_terms=count)
 
 
 # Gauss-Kronrod 7/15 pair on [-1, 1] (Piessens et al., QUADPACK, 1983): the

@@ -144,6 +144,8 @@ def _cmd_analytic(args) -> int:
             f"(tolerance {result.quadrature_tolerance:g}), "
             f"{result.quadrature_evals} integrand evaluations"
         )
+    if result.sum_terms is not None:
+        print(f"survival sum: {result.sum_terms} of {system.nodes + 1} terms")
     bound = "none" if result.error_bound is None else repr(result.error_bound)
     print(
         "RESULT "

@@ -122,6 +122,8 @@ def _check_survival_curve() -> CheckResult:
     for rec, system in (
         (RecParams(1, 0, 2), SystemParams(48, 5)),
         (RecParams(2, 1, 2), SystemParams(30, 7)),
+        # several blocks of l, and the sum stops well before the curve ends
+        (RecParams(2, 1, 2), SystemParams(10_000, 1000)),
     ):
         curve = analytic.survival_curve_random(rec, system)
         total = analytic.expect_random_sum(rec, system).value

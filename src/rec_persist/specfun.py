@@ -94,6 +94,37 @@ def _upper_head(n: int, a: int, x: np.ndarray, log1mx: np.ndarray) -> np.ndarray
     return np.exp(math.log(c) + a * np.log(x) + (n - a) * log1mx)
 
 
+def _upper_tail(n: int, a: int, xs: np.ndarray) -> np.ndarray:
+    """I_x(a, n+1-a) for x below a/(n+1): the tail from its largest term up."""
+    term = _upper_head(n, a, xs, np.log1p(-xs))
+    total = term.copy()
+    ratio = xs / (1.0 - xs)
+    for j in range(a, n):
+        term *= (n - j) / (j + 1) * ratio
+        grown = total + term
+        if np.array_equal(grown, total):
+            break
+        total = grown
+    return total
+
+
+def _log_lower_tail(n: int, a: int, b: int, xs: np.ndarray) -> np.ndarray:
+    """ln(1 - I_x(a, b)) for x from a/(a+b) up: the complement from j = a-1 down."""
+    ratio = (1.0 - xs) / xs
+    term = np.ones_like(xs)
+    total = term.copy()
+    for j in range(a - 1, 0, -1):
+        term *= j / (n - j + 1) * ratio
+        grown = total + term
+        if np.array_equal(grown, total):
+            break
+        total = grown
+    return (
+        math.log(math.comb(n, a - 1)) + (a - 1) * np.log(xs) + b * np.log1p(-xs)
+        + np.log(total)
+    )
+
+
 def log_reg_inc_beta_complement(x, a: int, b: int):
     """ln(1 - I_x(a, b)) for integer a, b >= 1, elementwise over x.
 
@@ -117,33 +148,15 @@ def log_reg_inc_beta_complement(x, a: int, b: int):
         raise ParameterError(f"x must lie in [0, 1], got {x!r}")
     out = np.empty_like(arr)
     upper = arr < a / (a + b)
+    n_upper = np.count_nonzero(upper)
+    # each half only when it has points: on an empty half numpy's fixed
+    # per-call cost is most of a float's or a one-sided block's time
     with np.errstate(divide="ignore"):
-        xs = arr[upper]
-        term = _upper_head(n, a, xs, np.log1p(-xs))
-        total = term.copy()
-        ratio = xs / (1.0 - xs)
-        for j in range(a, n):
-            term *= (n - j) / (j + 1) * ratio
-            grown = total + term
-            if np.array_equal(grown, total):
-                break
-            total = grown
-        out[upper] = np.log1p(-total)
-
-        xs = arr[~upper]
-        ratio = (1.0 - xs) / xs
-        term = np.ones_like(xs)
-        total = term.copy()
-        for j in range(a - 1, 0, -1):
-            term *= j / (n - j + 1) * ratio
-            grown = total + term
-            if np.array_equal(grown, total):
-                break
-            total = grown
-        out[~upper] = (
-            math.log(math.comb(n, a - 1)) + (a - 1) * np.log(xs) + b * np.log1p(-xs)
-            + np.log(total)
-        )
+        if n_upper:
+            out[upper] = np.log1p(-_upper_tail(n, a, arr[upper]))
+        if n_upper < arr.size:
+            lower = ~upper
+            out[lower] = _log_lower_tail(n, a, b, arr[lower])
     return out if out.ndim else float(out)
 
 

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rec_persist import analytic, oracle
@@ -22,6 +23,33 @@ GAMMA_3_2 = math.gamma(1.5)
 GAMMA_4_3 = math.gamma(4 / 3)
 RANDOM, SYMMETRIC = PlacementStrategy.RANDOM, PlacementStrategy.SYMMETRIC
 MS, PC = LossSemantics.MULTISET, LossSemantics.PER_CLUSTER
+FULL_SUM_BLOCK = analytic._SURVIVAL_BLOCK
+
+
+def full_random_sum(rec, system, semantics=MS):
+    """The survival sum without the early stop: fsum over every block of l
+    through the first one that ends in 0.0."""
+    terms = []
+    for start in range(0, system.nodes + 1, FULL_SUM_BLOCK):
+        l = np.arange(start, min(start + FULL_SUM_BLOCK, system.nodes + 1))
+        log_phi = analytic._log_survival(l / system.nodes, rec, semantics)
+        terms += np.exp(system.docs * log_phi).tolist()
+        if terms[-1] == 0.0:
+            break
+    return math.fsum(terms)
+
+
+def random_instances(seed, count, max_nodes):
+    """Seeded (rec, system, semantics): p 1-5, q 0-4, r 1-3, both rules,
+    N log-uniform in [1, max_nodes] and D log-uniform in [1, 3e9]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        rec = RecParams(
+            int(rng.integers(1, 6)), int(rng.integers(0, 5)), int(rng.integers(1, 4))
+        )
+        nodes = int(round(10 ** rng.uniform(0, math.log10(max_nodes))))
+        docs = int(round(10 ** rng.uniform(0, math.log10(3e9))))
+        yield rec, SystemParams(nodes, docs), (MS, PC)[int(rng.integers(2))]
 
 
 class TestSurvivalRandom:
@@ -121,6 +149,51 @@ class TestExpectRandomSum:
                 brute = oracle.brute_force_random(rec, system, semantics)
                 got = analytic.expect_random_sum(rec, system, semantics).value
                 assert got == pytest.approx(float(brute), rel=1e-12)
+
+
+class TestSurvivalSumStop:
+    """The sum stops early only where the remaining terms cannot move its
+    rounded value, so it equals the sum through the curve's first 0.0."""
+
+    def test_equals_full_sum_on_seeded_grid(self):
+        stopped = 0
+        for rec, system, semantics in random_instances(2024, 300, 10**5):
+            result = analytic.expect_random_sum(rec, system, semantics)
+            assert result.value == full_random_sum(rec, system, semantics)
+            assert 1 <= result.sum_terms <= system.nodes + 1
+            stopped += result.sum_terms < system.nodes + 1
+        assert stopped > 100
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_size_does_not_change_the_sum(self, block, monkeypatch):
+        monkeypatch.setattr(analytic, "_SURVIVAL_BLOCK", block)
+        for rec, system, semantics in random_instances(block, 30, 3000):
+            assert analytic.expect_random_sum(
+                rec, system, semantics
+            ).value == full_random_sum(rec, system, semantics)
+
+    def test_failed_guard_falls_back(self, monkeypatch):
+        # at a share of 1 the bound on the rest is as large as the sum, so
+        # the guard fails and the sum goes on to the block that ends in 0.0
+        monkeypatch.setattr(analytic, "_TAIL_SHARE", 1.0)
+        for rec, system, semantics in random_instances(5, 60, 20_000):
+            assert analytic.expect_random_sum(
+                rec, system, semantics
+            ).value == full_random_sum(rec, system, semantics)
+        rec, system = RecParams(1, 0, 2), SystemParams(1000, 10)
+        result = analytic.expect_random_sum(rec, system)
+        assert result.sum_terms == 1001
+        assert result.value == full_random_sum(rec, system)
+
+    def test_million_nodes(self):
+        rec, system = RecParams(1, 0, 2), SystemParams(10**6, 1000)
+        result = analytic.expect_random_sum(rec, system)
+        assert result.value == full_random_sum(rec, system)
+        assert result.sum_terms < system.nodes // 2
+
+    def test_stops_early(self):
+        result = analytic.expect_random_sum(RecParams(1, 0, 2), SystemParams(10**5, 1000))
+        assert result.sum_terms <= 25_000
 
 
 class TestExpectRandomIntegral:
@@ -503,6 +576,7 @@ class TestQuadrature:
                 assert 0.0 <= result.quadrature_error <= tol
                 # at least one round: 15 nodes per panel, plus the tail's edge
                 assert result.quadrature_evals >= 16
+                assert result.sum_terms is None
         result = analytic.expect_random_sum(RecParams(2, 1, 2), SystemParams(100, 10))
         assert result.quadrature_error is None
         assert result.quadrature_evals is None

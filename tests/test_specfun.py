@@ -172,6 +172,23 @@ class TestKernelArrays:
         for x0 in (0.25, np.float64(0.25), np.array(0.25)):
             assert type(log_reg_inc_beta_complement(x0, 2, 3)) is float
 
+    def test_halves_are_independent(self):
+        # each half is evaluated only when it has points, and alone it gives
+        # the same floats as inside a mixed array or as a float
+        rng = np.random.default_rng(11)
+        for a, b in ((1, 1), (3, 2), (2, 5), (6, 4)):
+            x = np.sort(rng.random(64))
+            below, above = x[x < a / (a + b)], x[x >= a / (a + b)]
+            assert below.size and above.size
+            got = log_reg_inc_beta_complement(x, a, b)
+            np.testing.assert_array_equal(got, np.concatenate((
+                log_reg_inc_beta_complement(below, a, b),
+                log_reg_inc_beta_complement(above, a, b),
+            )))
+            for v, want in zip(x.tolist(), got.tolist()):
+                assert log_reg_inc_beta_complement(v, a, b) == want
+                assert log_reg_inc_beta_complement(np.array([v]), a, b)[0] == want
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             log_reg_inc_beta_complement(np.array([0.5, 1.5]), 2, 3)

@@ -325,6 +325,21 @@ class TestCliAnalytic:
             f"docs=200 value={result.value!r} error_bound=0.0"
         )
 
+    def test_sum_reports_terms(self, capsys):
+        argv = ("analytic --strategy random --p 2 --q 1 --r 2 "
+                "--nodes 10000 --docs 1000 --method sum").split()
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        result = analytic.expect(
+            PlacementStrategy.RANDOM, RecParams(2, 1, 2), SystemParams(10000, 1000),
+            Method.EXACT_SUM,
+        )
+        assert lines[2] == f"survival sum: {result.sum_terms} of 10001 terms"
+        assert lines[3] == (
+            "RESULT strategy=random method=sum p=2 q=1 r=2 nodes=10000 "
+            f"docs=1000 value={result.value!r} error_bound=0.0"
+        )
+
     @pytest.mark.parametrize("tol", ["0", "-1", "1e-16", "nan", "1"])
     def test_bad_tol_exits_2(self, tol, capsys):
         code = main(
