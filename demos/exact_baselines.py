@@ -17,9 +17,9 @@ from rec_persist import (
 )
 
 print("erasure polynomial of one placement group, REC(2,3,1):")
-gp = group_polynomial(RecParams(2, 1, 1), LossSemantics.PER_CLUSTER)
+alive = group_polynomial(RecParams(2, 1, 1), LossSemantics.PER_CLUSTER)
 print(f"  a_t (number of erased t-subsets that keep the group alive): "
-      f"{list(gp.coeffs)}")
+      f"{list(alive)}")
 print()
 
 print("symmetric placement, REC(2,3,1) on 6 nodes:")
@@ -67,6 +67,6 @@ print("for p = 1 or r = 1 the semantics coincide:")
 for rec in (RecParams(1, 1, 3), RecParams(3, 2, 1)):
     pc = group_polynomial(rec, LossSemantics.PER_CLUSTER)
     ms = group_polynomial(rec, LossSemantics.MULTISET)
-    assert pc.coeffs == ms.coeffs
+    assert pc == ms
     print(f"  REC({rec.p},{rec.chunks},{rec.r}): identical polynomials "
-          f"{list(pc.coeffs)}")
+          f"{list(pc)}")

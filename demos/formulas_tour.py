@@ -4,6 +4,8 @@ The running example is REC(2, 3, 2): two data chunks coded into three,
 each chunk stored twice, so a document occupies six fragments.
 """
 
+import math
+
 from rec_persist import (
     Method,
     PlacementStrategy,
@@ -45,8 +47,8 @@ curve = survival_curve_random(rec, system)
 print("survival curve Pr[X > l] under random placement:")
 shown = [0, 4, 8, 12, 16, 24, 32, 48]
 for l in shown:
-    print(f"  l = {l:2d}: {curve.probabilities[l]:.6f}")
-print(f"sum of the curve = E[X] = {curve.expected_value:.4f}")
+    print(f"  l = {l:2d}: {curve[l]:.6f}")
+print(f"sum of the curve = E[X] = {math.fsum(curve):.4f}")
 
 print()
 print("The closed Beta form needs p = 1. REC(1, 1, 3) on the same system:")

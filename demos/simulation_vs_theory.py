@@ -56,4 +56,4 @@ mixed = SimConfig(
 summary = simulate(mixed)
 print(f"  20 docs of REC(1,1,3) + 5 docs of REC(2,3,1) on 48 nodes: "
       f"E[X] ~ {summary.mean:.3f} +/- {summary.std_error:.3f} "
-      f"(out_of_theory={summary.out_of_theory})")
+      f"(out_of_theory={mixed.out_of_theory})")

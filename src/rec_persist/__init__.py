@@ -15,20 +15,17 @@ from .analytic import (
     MIN_QUADRATURE_TOL,
     AnalyticResult,
     Method,
-    SurvivalCurve,
     expect,
     expect_random_sum,
     max_over_p_check,
     survival_curve_random,
     survival_random,
-    symmetric_survival_l_max,
 )
 from .errors import ParameterError, QuadratureError, SizeLimitError
 from .model import (
     LossSemantics,
     Placement,
     PlacementStrategy,
-    PreconditionViolation,
     RecParams,
     SystemParams,
     default_semantics,
@@ -36,12 +33,12 @@ from .model import (
     validate_symmetric_preconditions,
 )
 from .oracle import (
-    GroupPolynomial,
     brute_force_random,
     brute_force_symmetric,
     exact_symmetric_expectation,
     exact_symmetric_survival,
     group_polynomial,
+    symmetric_survival_l_max,
 )
 from .selftest import CheckResult, run_selftest
 from .simulator import (
@@ -81,7 +78,6 @@ __all__ = [
     "SystemParams",
     "PlacementStrategy",
     "LossSemantics",
-    "PreconditionViolation",
     "Placement",
     "default_semantics",
     "is_document_lost",
@@ -93,17 +89,15 @@ __all__ = [
     "Method",
     "EXACT_METHOD",
     "AnalyticResult",
-    "SurvivalCurve",
     "DEFAULT_QUADRATURE_TOL",
     "MIN_QUADRATURE_TOL",
     "survival_random",
     "survival_curve_random",
     "expect",
     "expect_random_sum",
-    "symmetric_survival_l_max",
     "max_over_p_check",
-    "GroupPolynomial",
     "group_polynomial",
+    "symmetric_survival_l_max",
     "exact_symmetric_survival",
     "exact_symmetric_expectation",
     "brute_force_symmetric",

@@ -55,13 +55,11 @@ __all__ = [
     "Method",
     "EXACT_METHOD",
     "AnalyticResult",
-    "SurvivalCurve",
     "survival_random",
     "survival_curve_random",
     "expect_random_sum",
     "expect",
     "max_over_p_check",
-    "symmetric_survival_l_max",
     "DEFAULT_QUADRATURE_TOL",
     "MIN_QUADRATURE_TOL",
 ]
@@ -110,21 +108,6 @@ class AnalyticResult:
     sum_terms: int | None = None
 
 
-@dataclass(frozen=True)
-class SurvivalCurve:
-    """Pr[X > l] for l = 0 .. l_max, nonincreasing, starting at 1."""
-
-    probabilities: tuple[float, ...]
-
-    @property
-    def l_max(self) -> int:
-        return len(self.probabilities) - 1
-
-    @property
-    def expected_value(self) -> float:
-        return math.fsum(self.probabilities)
-
-
 def _tail_order(rec: RecParams) -> int:
     # s = r(q+1): a document is lost with probability ~ kappa x^s
     return rec.r * (rec.q + 1)
@@ -163,6 +146,13 @@ _SURVIVAL_BLOCK = 4096
 _TAIL_SHARE = 2.0**-60
 
 
+def _survival_random_terms(
+    l: np.ndarray, rec: RecParams, system: SystemParams, semantics: LossSemantics
+) -> np.ndarray:
+    """Pr[X > l] = phi(l/N)^D under random placement, over an array of l."""
+    return np.exp(system.docs * _log_survival(l / system.nodes, rec, semantics))
+
+
 def _survival_random_blocks(
     rec: RecParams, system: SystemParams, semantics: LossSemantics
 ):
@@ -173,8 +163,7 @@ def _survival_random_blocks(
     """
     for start in range(0, system.nodes + 1, _SURVIVAL_BLOCK):
         l = np.arange(start, min(start + _SURVIVAL_BLOCK, system.nodes + 1))
-        log_phi = _log_survival(l / system.nodes, rec, semantics)
-        block = np.exp(system.docs * log_phi)
+        block = _survival_random_terms(l, rec, system, semantics)
         yield block
         if block[-1] == 0.0:
             return
@@ -192,17 +181,19 @@ def survival_random(
     """Pr[X > l] under random placement."""
     if not 0 <= l <= system.nodes:
         raise ParameterError(f"l must lie in [0, nodes], got {l}")
-    log_phi = _log_survival(np.array([l]) / system.nodes, rec, semantics)
-    return float(np.exp(system.docs * log_phi)[0])
+    return float(_survival_random_terms(np.array([l]), rec, system, semantics)[0])
 
 
 def survival_curve_random(
     rec: RecParams, system: SystemParams, semantics=LossSemantics.MULTISET
-) -> SurvivalCurve:
-    """The whole survival curve l = 0 .. N; its sum is the exact E[X]."""
+) -> tuple[float, ...]:
+    """Pr[X > l] for l = 0 .. N under random placement, nonincreasing from 1.
+
+    Its math.fsum is the exact E[X].
+    """
     blocks = _survival_random_blocks(rec, system, semantics)
     head = tuple(chain.from_iterable(b.tolist() for b in blocks))
-    return SurvivalCurve(head + (0.0,) * (system.nodes + 1 - len(head)))
+    return head + (0.0,) * (system.nodes + 1 - len(head))
 
 
 def expect_random_sum(
@@ -421,19 +412,6 @@ def expect(
         case Method.BETA_EXACT:
             return _expect_beta_exact(strategy, rec, system)
     raise ParameterError(f"{strategy.value} placement has no {method.value} route")
-
-
-def symmetric_survival_l_max(rec: RecParams, nodes: int) -> int:
-    """Length bound for the symmetric survival curve.
-
-    Pr[X > l] = 0 once l >= N*((r-1)(p+q)+q)/((p+q)r) + 1: a surviving group
-    keeps at least p fragments, one per multiset it can still decode from,
-    and (r-1)(p+q)+q = (p+q)r - p erasures per group is attainable.
-    """
-    g = rec.fragments
-    if nodes % g != 0:
-        raise ParameterError(f"(p+q)*r = {g} does not divide nodes = {nodes}")
-    return nodes * (g - rec.p) // g + 1
 
 
 def max_over_p_check(q: int, r: int, system: SystemParams, p_max: int) -> bool:

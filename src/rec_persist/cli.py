@@ -204,10 +204,10 @@ def _cmd_simulate(args) -> int:
     summary = simulate(config)
     print(
         f"mean E[X] = {summary.mean!r} +/- {summary.std_error!r} (std error), "
-        f"trials={summary.trials}, min={summary.minimum}, "
+        f"trials={config.trials}, min={summary.minimum}, "
         f"max={summary.maximum}"
     )
-    if summary.out_of_theory:
+    if config.out_of_theory:
         print(
             "note: no matching closed formula (mixed workload or symmetric "
             "preconditions unmet); simulation-only result"
@@ -219,7 +219,7 @@ def _cmd_simulate(args) -> int:
         _join(c.rec.r for c in classes),
         str(config.nodes),
         _join(c.docs for c in classes),
-        str(summary.trials),
+        str(config.trials),
         str(config.master_seed),
         repr(summary.mean),
         repr(summary.std_error),
@@ -271,11 +271,9 @@ def _cmd_oracle(args) -> int:
         LossSemantics(args.semantics) if args.semantics else default_semantics(strategy)
     )
     if args.what == "group-poly":
-        poly = oracle.group_polynomial(rec, semantics)
-        print(
-            f"alive counts a_t for t = 0..{poly.degree} [{semantics.value}]:"
-        )
-        print(" ".join(str(c) for c in poly.coeffs))
+        alive = oracle.group_polynomial(rec, semantics)
+        print(f"alive counts a_t for t = 0..{len(alive) - 1} [{semantics.value}]:")
+        print(" ".join(str(c) for c in alive))
         return 0
     if args.nodes is None:
         raise ParameterError(f"--nodes is required for --what {args.what}")

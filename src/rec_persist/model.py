@@ -32,7 +32,6 @@ __all__ = [
     "LossSemantics",
     "PlacementStrategy",
     "Placement",
-    "PreconditionViolation",
     "default_semantics",
     "is_document_lost",
     "validate_symmetric_preconditions",
@@ -94,36 +93,23 @@ class SystemParams:
         object.__setattr__(self, "docs", require_int(self.docs, "docs", 1))
 
 
-@dataclass(frozen=True)
-class PreconditionViolation:
-    """Names the symmetric-placement precondition that failed."""
-
-    condition: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.condition}: {self.message}"
-
-
 def validate_symmetric_preconditions(
     rec: RecParams, system: SystemParams
-) -> PreconditionViolation | None:
-    """Check the symmetric theory's preconditions; None when they hold.
+) -> str | None:
+    """The first failed symmetric-theory precondition, or None when they hold.
 
     The closed-form symmetric results need (p+q)*r to divide N and enough
     documents to occupy every group of (p+q)*r consecutive nodes, i.e.
-    D >= N / ((p+q)*r).
+    D >= N / ((p+q)*r).  The message starts with the condition's name,
+    "divisibility" or "document-count".
     """
     g = rec.fragments
     if system.nodes % g != 0:
-        return PreconditionViolation(
-            "divisibility",
-            f"(p+q)*r = {g} does not divide nodes = {system.nodes}",
-        )
+        return f"divisibility: (p+q)*r = {g} does not divide nodes = {system.nodes}"
     if system.docs * g < system.nodes:
-        return PreconditionViolation(
-            "document-count",
-            f"docs = {system.docs} is below nodes/((p+q)*r) = {system.nodes // g}",
+        return (
+            f"document-count: docs = {system.docs} is below "
+            f"nodes/((p+q)*r) = {system.nodes // g}"
         )
     return None
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError, SizeLimitError
@@ -24,8 +23,8 @@ from .model import (
 from .simulator import place_symmetric
 
 __all__ = [
-    "GroupPolynomial",
     "group_polynomial",
+    "symmetric_survival_l_max",
     "exact_symmetric_survival",
     "exact_symmetric_expectation",
     "brute_force_symmetric",
@@ -38,7 +37,7 @@ _BRUTE_SUBSET_LIMIT = 16  # 2^N subsets
 _BRUTE_PLACEMENT_LIMIT = 10**6  # N^((p+q)r) placements
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+def _poly_mul(a, b) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -48,39 +47,22 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _poly_pow(base: list[int], exponent: int) -> list[int]:
+def _poly_pow(base, exponent: int) -> list[int]:
     out = [1]
     for _ in range(exponent):
         out = _poly_mul(out, base)
     return out
 
 
-@dataclass(frozen=True)
-class GroupPolynomial:
-    """Per-group survival counts a_t for one group of (p+q)*r nodes.
+def group_polynomial(rec: RecParams, semantics: LossSemantics) -> tuple[int, ...]:
+    """Alive counts a_t of one group of g = (p+q)*r nodes, t = 0 .. g.
 
-    coeffs[t] is the number of t-subsets of the group's nodes whose erasure
-    leaves the group's documents recoverable under the given semantics.
-    """
-
-    rec: RecParams
-    semantics: LossSemantics
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def dead(self, t: int) -> int:
-        return math.comb(self.rec.fragments, t) - self.coeffs[t]
-
-
-def group_polynomial(rec: RecParams, semantics: LossSemantics) -> GroupPolynomial:
-    """Count surviving t-subsets of one group, t = 0 .. (p+q)*r.
-
-    PER_CLUSTER comes from coefficient extraction: a killing pattern gives
-    every cluster at least q+1 erasures, so dead counts are the coefficients
-    of (sum_{s=q+1}^{p+q} C(p+q, s) z^s)^r.  MULTISET has no such product
+    a_t is the number of t-subsets of the group's nodes whose erasure
+    leaves the group's documents recoverable under the given semantics;
+    the other C(g, t) - a_t subsets kill it.  PER_CLUSTER comes from
+    coefficient extraction: a killing pattern gives every cluster at least
+    q+1 erasures, so dead counts are the coefficients of
+    (sum_{s=q+1}^{p+q} C(p+q, s) z^s)^r.  MULTISET has no such product
     structure and is enumerated over all 2^((p+q)r) erasure patterns.
     """
     pq = rec.chunks
@@ -91,8 +73,7 @@ def group_polynomial(rec: RecParams, semantics: LossSemantics) -> GroupPolynomia
             inner[s] = math.comb(pq, s)
         dead = _poly_pow(inner, rec.r)
         dead += [0] * (g + 1 - len(dead))
-        coeffs = tuple(math.comb(g, t) - dead[t] for t in range(g + 1))
-        return GroupPolynomial(rec, semantics, coeffs)
+        return tuple(math.comb(g, t) - dead[t] for t in range(g + 1))
     if semantics is LossSemantics.MULTISET:
         if g > _MULTISET_ENUM_LIMIT:
             raise SizeLimitError(
@@ -110,23 +91,21 @@ def group_polynomial(rec: RecParams, semantics: LossSemantics) -> GroupPolynomia
             )
             if erased <= rec.q:
                 alive[pattern.bit_count()] += 1
-        return GroupPolynomial(rec, semantics, tuple(alive))
+        return tuple(alive)
     raise ParameterError(f"unknown semantics {semantics!r}")
 
 
-def _symmetric_alive_counts(
-    rec: RecParams, system: SystemParams, semantics: LossSemantics
-) -> list[int]:
-    require_symmetric_preconditions(rec, system)
-    if system.nodes > _SYMMETRIC_NODE_LIMIT:
-        raise SizeLimitError(
-            f"exact symmetric expectation is guarded at nodes <= "
-            f"{_SYMMETRIC_NODE_LIMIT}, got {system.nodes}"
-        )
-    gp = group_polynomial(rec, semantics)
-    counts = _poly_pow(list(gp.coeffs), system.nodes // rec.fragments)
-    counts += [0] * (system.nodes + 1 - len(counts))
-    return counts
+def symmetric_survival_l_max(rec: RecParams, nodes: int) -> int:
+    """The last l at which the symmetric Pr[X > l] can be nonzero.
+
+    Pr[X > l] = 0 once l >= N*((r-1)(p+q)+q)/((p+q)r) + 1: a surviving group
+    keeps at least p fragments, one per multiset it can still decode from,
+    and (r-1)(p+q)+q = (p+q)r - p erasures per group is attainable.
+    """
+    g = rec.fragments
+    if nodes % g != 0:
+        raise ParameterError(f"(p+q)*r = {g} does not divide nodes = {nodes}")
+    return nodes * (g - rec.p) // g + 1
 
 
 def exact_symmetric_survival(
@@ -135,13 +114,19 @@ def exact_symmetric_survival(
     """Exact Pr[X > l], l = 0 .. l_max, under symmetric placement.
 
     Pr[X > l] = [z^l] G(z)^(N/(p+q)r) / C(N, l) with G the group survival
-    polynomial.  The curve is reported up to the support bound
-    l_max = N*((p+q)r - p)/((p+q)r) + 1; every later coefficient is zero.
+    polynomial.  The curve ends at the support bound
+    l_max = symmetric_survival_l_max(rec, N); every later coefficient is
+    zero.
     """
-    counts = _symmetric_alive_counts(rec, system, semantics)
-    g = rec.fragments
-    l_max = system.nodes * (g - rec.p) // g + 1
-    if any(counts[l] for l in range(l_max + 1, system.nodes + 1)):
+    require_symmetric_preconditions(rec, system)
+    if system.nodes > _SYMMETRIC_NODE_LIMIT:
+        raise SizeLimitError(
+            f"exact symmetric expectation is guarded at nodes <= "
+            f"{_SYMMETRIC_NODE_LIMIT}, got {system.nodes}"
+        )
+    counts = _poly_pow(group_polynomial(rec, semantics), system.nodes // rec.fragments)
+    l_max = symmetric_survival_l_max(rec, system.nodes)
+    if any(counts[l_max + 1 :]):
         raise RuntimeError("survival count found beyond the support bound")
     return tuple(
         Fraction(counts[l], math.comb(system.nodes, l)) for l in range(l_max + 1)
@@ -152,11 +137,7 @@ def exact_symmetric_expectation(
     rec: RecParams, system: SystemParams, semantics: LossSemantics
 ) -> Fraction:
     """Exact E[X] under symmetric placement as a reduced fraction."""
-    counts = _symmetric_alive_counts(rec, system, semantics)
-    return sum(
-        Fraction(counts[l], math.comb(system.nodes, l))
-        for l in range(system.nodes + 1)
-    )
+    return sum(exact_symmetric_survival(rec, system, semantics))
 
 
 def brute_force_symmetric(

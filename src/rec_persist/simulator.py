@@ -25,7 +25,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ParameterError, SizeLimitError
+from .errors import ParameterError, SizeLimitError, require_int
 from .model import (
     LossSemantics,
     Placement,
@@ -185,8 +185,7 @@ class WorkloadClass:
     docs: int
 
     def __post_init__(self):
-        if not isinstance(self.docs, int) or self.docs < 1:
-            raise ParameterError(f"docs must be a positive integer, got {self.docs!r}")
+        object.__setattr__(self, "docs", require_int(self.docs, "docs", 1))
 
 
 @dataclass(frozen=True)
@@ -202,12 +201,9 @@ class SimConfig:
         object.__setattr__(self, "classes", tuple(self.classes))
         if not self.classes:
             raise ParameterError("at least one workload class is required")
-        if self.nodes < 1:
-            raise ParameterError(f"nodes must be >= 1, got {self.nodes}")
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        if self.master_seed < 0:
-            raise ParameterError(f"master_seed must be >= 0, got {self.master_seed}")
+        for name, minimum in (("nodes", 1), ("trials", 1), ("master_seed", 0)):
+            value = require_int(getattr(self, name), name, minimum)
+            object.__setattr__(self, name, value)
 
     @property
     def resolved_semantics(self) -> LossSemantics:
@@ -234,13 +230,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimSummary:
+    """The moments and range of X over a SimConfig's trials."""
+
     mean: float
     std_error: float
-    trials: int
     minimum: int
     maximum: int
-    master_seed: int
-    out_of_theory: bool
 
 
 def _symmetric_stream(config: SimConfig) -> list[Placement]:
@@ -317,11 +312,5 @@ def simulate(config: SimConfig) -> SimSummary:
     else:
         std_error = 0.0
     return SimSummary(
-        mean=mean,
-        std_error=std_error,
-        trials=count,
-        minimum=min(xs),
-        maximum=max(xs),
-        master_seed=config.master_seed,
-        out_of_theory=config.out_of_theory,
+        mean=mean, std_error=std_error, minimum=min(xs), maximum=max(xs)
     )

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import EXACT_METHOD, Method, expect
-from .errors import ParameterError, QuadratureError
+from .errors import ParameterError, QuadratureError, require_int
 from .model import LossSemantics, PlacementStrategy, RecParams, SystemParams
 from .simulator import SimConfig, WorkloadClass, simulate
 from .svg import PALETTE, Series, render_chart
@@ -206,16 +206,18 @@ def spec_from_dict(raw: dict) -> SweepSpec:
     docs = raw["docs"]
     if not isinstance(docs, (int, str)):
         raise ParameterError(f"docs must be an integer or rule string, got {docs!r}")
+    if not isinstance(raw["nodes"], (list, tuple)):
+        raise ParameterError(f"nodes must be a list of integers, got {raw['nodes']!r}")
     return SweepSpec(
         name=str(raw["name"]),
         strategy=strategy,
-        p=int(raw["p"]),
-        q=int(raw["q"]),
-        r=int(raw["r"]),
-        nodes=tuple(int(n) for n in raw["nodes"]),
+        p=require_int(raw["p"], "p", 1),
+        q=require_int(raw["q"], "q", 0),
+        r=require_int(raw["r"], "r", 1),
+        nodes=tuple(require_int(n, "nodes", 1) for n in raw["nodes"]),
         docs=docs,
-        trials=int(raw.get("trials", 500)),
-        seed=int(raw.get("seed", 0)),
+        trials=require_int(raw.get("trials", 500), "trials", 1),
+        seed=require_int(raw.get("seed", 0), "seed", 0),
         theory=tuple(raw.get("theory", ["exact"])),
         semantics=semantics,
         log_axes=bool(raw.get("log_axes", True)),
@@ -304,7 +306,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 r=rec.r,
                 nodes=nodes,
                 docs=docs,
-                trials=summary.trials,
+                trials=config.trials,
                 seed=config.master_seed,
                 mean_empirical=summary.mean,
                 std_error=summary.std_error,

@@ -84,35 +84,37 @@ class TestSurvivalRandom:
             analytic.survival_random(5, rec, system)
 
     def test_curve_matches_pointwise_and_sums(self):
-        rec = RecParams(2, 1, 2)
-        system = SystemParams(12, 3)
-        curve = analytic.survival_curve_random(rec, system)
-        assert curve.l_max == 12
-        assert curve.probabilities[0] == 1.0
-        for l, prob in enumerate(curve.probabilities):
-            assert prob == analytic.survival_random(l, rec, system)
-        assert all(
-            hi >= lo
-            for hi, lo in zip(curve.probabilities, curve.probabilities[1:])
-        )
-        assert curve.expected_value == analytic.expect_random_sum(
-            rec, system
-        ).value
+        # REC(1,0,2) at N = 48, D = 5 stays positive past N(g-p)/g + 1 = 25,
+        # the support bound of the symmetric curve only
+        for rec, system in (
+            (RecParams(2, 1, 2), SystemParams(12, 3)),
+            (RecParams(1, 0, 2), SystemParams(48, 5)),
+        ):
+            curve = analytic.survival_curve_random(rec, system)
+            assert len(curve) - 1 == system.nodes
+            assert curve[0] == 1.0
+            for l, prob in enumerate(curve):
+                assert prob == analytic.survival_random(l, rec, system)
+            assert all(prob > 0.0 for prob in curve[: system.nodes])
+            assert all(hi >= lo for hi, lo in zip(curve, curve[1:]))
+            assert math.fsum(curve) == analytic.expect_random_sum(
+                rec, system
+            ).value
 
     def test_curve_over_several_blocks(self):
         # 10001 terms span three blocks of l; the curve reaches 0.0 before N
         rec = RecParams(2, 1, 2)
         system = SystemParams(10_000, 1000)
         curve = analytic.survival_curve_random(rec, system)
-        assert curve.l_max == 10_000
-        assert curve.probabilities[-1] == 0.0
+        assert len(curve) - 1 == 10_000
+        assert curve[-1] == 0.0
         for l in range(0, 10_001, 97):
             x = (l / system.nodes) ** rec.r
             want = math.exp(
                 system.docs * log_reg_inc_beta_complement(x, rec.q + 1, rec.p)
             )
-            assert curve.probabilities[l] == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert curve.expected_value == analytic.expect_random_sum(rec, system).value
+            assert curve[l] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert math.fsum(curve) == analytic.expect_random_sum(rec, system).value
 
 
 class TestExpectRandomSum:
@@ -546,7 +548,7 @@ class TestSemantics:
         # erased, 1 - (1-x)^2, and the document once both clusters have
         rec, system = RecParams(2, 0, 2), SystemParams(10, 1)
         curve = analytic.survival_curve_random(rec, system, PC)
-        for l, prob in enumerate(curve.probabilities):
+        for l, prob in enumerate(curve):
             x = l / 10
             assert prob == pytest.approx(1 - (1 - (1 - x) ** 2) ** 2, abs=1e-15)
             assert prob == analytic.survival_random(l, rec, system, PC)
@@ -621,11 +623,11 @@ class TestSupportBound:
     def test_replication_heavy_bound(self):
         # p=1, q=0, r=2, N=4: groups survive up to 2 erasures, curve
         # support ends at l = 3
-        assert analytic.symmetric_survival_l_max(RecParams(1, 0, 2), 4) == 3
+        assert oracle.symmetric_survival_l_max(RecParams(1, 0, 2), 4) == 3
 
     def test_requires_divisibility(self):
         with pytest.raises(ParameterError):
-            analytic.symmetric_survival_l_max(RecParams(1, 0, 2), 5)
+            oracle.symmetric_survival_l_max(RecParams(1, 0, 2), 5)
 
     def test_matches_oracle_support(self):
         for p, q, r in ((1, 0, 2), (2, 1, 2), (1, 2, 1), (3, 1, 1)):
@@ -635,7 +637,7 @@ class TestSupportBound:
             curve = oracle.exact_symmetric_survival(
                 rec, system, LossSemantics.PER_CLUSTER
             )
-            l_max = analytic.symmetric_survival_l_max(rec, nodes)
+            l_max = oracle.symmetric_survival_l_max(rec, nodes)
             assert len(curve) == l_max + 1
             assert curve[l_max - 1] > 0
 

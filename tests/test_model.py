@@ -68,15 +68,15 @@ class TestSymmetricPreconditions:
             RecParams(1, 1, 1), SystemParams(7, 7)
         )
         assert violation is not None
-        assert violation.condition == "divisibility"
+        assert violation.startswith("divisibility: ")
 
     def test_document_count_violation(self):
         violation = validate_symmetric_preconditions(
             RecParams(1, 1, 1), SystemParams(8, 2)
         )
         assert violation is not None
-        assert violation.condition == "document-count"
-        assert "document" in str(violation)
+        assert violation.startswith("document-count: ")
+        assert "document" in violation
 
     def test_satisfied(self):
         assert (

@@ -583,6 +583,25 @@ class TestCliSweep:
             columns = ("N", "D", "trials", "seed", "mean_empirical", "std_error")
             assert [",".join(row[c] for c in columns) for row in rows] == pinned
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("p", "two"), ("q", 1.5), ("r", None), ("trials", None), ("seed", "7"),
+         ("nodes", 48), ("nodes", [48, 48.7]), ("nodes", [48, "96"])],
+        ids=["p-string", "q-float", "r-null", "trials-null", "seed-string",
+             "nodes-scalar", "nodes-float", "nodes-string"],
+    )
+    def test_malformed_config_exits_2(self, key, value, tmp_path, capsys):
+        raw = {"name": "bad", "strategy": "random", "p": 1, "q": 0, "r": 2,
+               "nodes": [48, 96], "docs": 5, "trials": 2, "seed": 1}
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps({"schema_version": 1, "sweeps": [{**raw, key: value}]})
+        )
+        argv = ["sweep", "--config", str(config), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "bad.csv").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         argv = ["sweep", "--config", str(tmp_path / "nope.json")]
         assert main(argv) == 2
@@ -665,8 +684,8 @@ class TestSelftestNegativeControl:
 
 
 def test_cli_commands_do_not_import_scipy(tmp_path):
-    # only `selftest` needs scipy, for its independent quadrature check; the
-    # SVG writer escapes text without xml.sax, which loads urllib and email
+    # no command needs scipy, selftest included; the SVG writer escapes
+    # text without xml.sax, which loads urllib and email
     script = f"""
 import sys
 from rec_persist.cli import main
@@ -678,6 +697,7 @@ for strategy in ("random", "symmetric"):
                  "--method", "integral"]) == 0
 assert main(["sweep", "--preset", "fig7", "--points", "2", "--trials", "2",
              "--out", {str(tmp_path)!r}]) == 0
+assert main(["selftest", "--level", "quick"]) == 0
 heavy = ("scipy", "email", "urllib.request", "http.client")
 print(sorted(m for m in sys.modules if m.split(".")[0] in heavy or m in heavy))
 """
