@@ -20,6 +20,9 @@ print("erasure polynomial of one placement group, REC(2,3,1):")
 alive = group_polynomial(RecParams(2, 1, 1), LossSemantics.PER_CLUSTER)
 print(f"  a_t (number of erased t-subsets that keep the group alive): "
       f"{list(alive)}")
+# one generating function serves both rules, so g = 24 needs no 2^24 loop
+alive = group_polynomial(RecParams(4, 2, 4), LossSemantics.MULTISET)
+print(f"  REC(4,6,4) under multiset, g = 24: {list(alive)}")
 print()
 
 print("symmetric placement, REC(2,3,1) on 6 nodes:")

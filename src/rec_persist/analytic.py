@@ -12,7 +12,8 @@ survives when each node is erased independently with probability x:
     PER_CLUSTER:  phi(x) = 1 - I_x(q+1, p)^r
 
 and kappa, C(p+q, q+1) or C(p+q, q+1)^r, is the leading coefficient of
-1 - phi(x) ~ kappa x^s, s = r(q+1).  The strategy sets the scale
+1 - phi(x) ~ kappa x^s, s = r(q+1); both follow from the rule's
+model.loss_thresholds.  The strategy sets the scale
 (prefactor, power, bound) in E[X] = prefactor * integral_0^1 phi^power dx:
 random placement (fragments on i.i.d. uniform nodes) has Pr[X > l] =
 phi(l/N)^D, so (N, D, 1) with an additive bound of 1 against the exact
@@ -47,6 +48,7 @@ from .model import (
     RecParams,
     SystemParams,
     default_semantics,
+    loss_thresholds,
     require_symmetric_preconditions,
 )
 from .specfun import beta_real, log_reg_inc_beta_complement
@@ -108,33 +110,36 @@ class AnalyticResult:
     sum_terms: int | None = None
 
 
-def _tail_order(rec: RecParams) -> int:
-    # s = r(q+1): a document is lost with probability ~ kappa x^s
-    return rec.r * (rec.q + 1)
+def _tail(rec: RecParams, semantics: LossSemantics) -> tuple[int, int]:
+    """(s, kappa) with 1 - phi(x) ~ kappa x^s: the likeliest losses hit
+    lost_at units of the rule's loss_thresholds with hit_at erasures each."""
+    unit_axis, hit_at, lost_at = loss_thresholds(rec, semantics)
+    grid = (rec.r, rec.chunks)
+    units, length = grid[unit_axis], grid[1 - unit_axis]
+    kappa = math.comb(units, lost_at) * math.comb(length, hit_at) ** lost_at
+    return hit_at * lost_at, kappa
 
 
 def _log_survival(x, rec: RecParams, semantics: LossSemantics):
-    """ln phi(x) over an array of x: one document survives erasures i.i.d. at x."""
-    a, b = rec.q + 1, rec.p
+    """ln phi(x) over an array of x: one document survives erasures i.i.d. at x.
+
+    One level of each rule's loss_thresholds is a plain power, and each
+    branch keeps relative precision through the other level's complement.
+    """
+    _, hit_at, lost_at = loss_thresholds(rec, semantics)
     if semantics is LossSemantics.MULTISET:
-        return log_reg_inc_beta_complement(x**rec.r, a, b)
-    if semantics is not LossSemantics.PER_CLUSTER:
-        raise ParameterError(f"unknown semantics {semantics!r}")
+        # a multiset is hit with probability x^r
+        return log_reg_inc_beta_complement(x**hit_at, lost_at, rec.p)
+    # a cluster is hit with probability I = I_x(q+1, p), and all r must be:
     # ln(1 - I^r) = ln(1 - e^y) is log1p(-e^y) below y = -ln 2 and
     # ln(-expm1(y)) above (Maechler, 2012), so it keeps its relative
     # precision where I^r is tiny; the ends lc = 0 and lc = -inf run through
     # ln 0 = -inf to exactly 0 and -inf
-    lc = log_reg_inc_beta_complement(x, a, b)
+    lc = log_reg_inc_beta_complement(x, hit_at, rec.p)
     with np.errstate(divide="ignore"):
-        y = rec.r * np.log(-np.expm1(lc))
+        y = lost_at * np.log(-np.expm1(lc))
         small = y < -math.log(2.0)
         return np.where(small, np.log1p(-np.exp(y)), np.log(-np.expm1(y)))
-
-
-def _leading_coefficient(rec: RecParams, semantics: LossSemantics) -> int:
-    # kappa: the erased (q+1)-subsets of the p+q multisets, or of every cluster
-    kappa = math.comb(rec.p + rec.q, rec.q + 1)
-    return kappa**rec.r if semantics is LossSemantics.PER_CLUSTER else kappa
 
 
 # l values per kernel call of the random survival sum: large enough that
@@ -337,9 +342,9 @@ def _expect_integral(
     semantics: LossSemantics, tol: float,
 ) -> AnalyticResult:
     prefactor, power, bound = _scale(strategy, rec, system)
-    s = _tail_order(rec)
+    s, kappa = _tail(rec, semantics)
     # 1 - phi^power ~ power kappa x^s for small x
-    t0 = math.log(power * _leading_coefficient(rec, semantics)) / s
+    t0 = math.log(power * kappa) / s
     integral, achieved, evals = _survival_integral(
         lambda t: _log_survival(np.exp(-t), rec, semantics), power, t0, s, tol
     )
@@ -354,22 +359,22 @@ def _expect_asymptotic(
 ) -> AnalyticResult:
     # power is taken as a real N/g without the symmetric preconditions, so
     # the leading term is defined at every N
-    s = _tail_order(rec)
+    s, kappa = _tail(rec, semantics)
     if strategy is PlacementStrategy.RANDOM:
         power = system.docs
     else:
         power = system.nodes / rec.fragments
-    kappa = _leading_coefficient(rec, semantics)
     value = math.gamma(1.0 + 1.0 / s) * system.nodes * (kappa * power) ** (-1.0 / s)
     return AnalyticResult(value, Method.ASYMPTOTIC, error_bound=None)
 
 
 def _expect_beta_exact(
-    strategy: PlacementStrategy, rec: RecParams, system: SystemParams
+    strategy: PlacementStrategy, rec: RecParams, system: SystemParams,
+    semantics: LossSemantics,
 ) -> AnalyticResult:
     # at p = 1, phi = 1 - x^s under both rules
     prefactor, power, bound = _scale(strategy, rec, system)
-    s = _tail_order(rec)
+    s, _ = _tail(rec, semantics)
     value = prefactor / s * beta_real(power + 1, 1.0 / s)
     return AnalyticResult(value, Method.BETA_EXACT, error_bound=bound)
 
@@ -410,7 +415,7 @@ def expect(
         case Method.ASYMPTOTIC:
             return _expect_asymptotic(strategy, rec, system, semantics)
         case Method.BETA_EXACT:
-            return _expect_beta_exact(strategy, rec, system)
+            return _expect_beta_exact(strategy, rec, system, semantics)
     raise ParameterError(f"{strategy.value} placement has no {method.value} route")
 
 

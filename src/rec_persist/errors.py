@@ -26,6 +26,8 @@ class QuadratureError(RuntimeError):
 def require_int(value, name: str, minimum: int) -> int:
     """value as an int, or ParameterError if it is not an integer >= minimum."""
     try:
+        if isinstance(value, bool):  # an int to Python, but no count
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None

@@ -6,12 +6,15 @@ Fragment (j, m) is replica j of chunk m.  Replication multiset m collects
 the r replicas of chunk m; replica cluster j collects the p+q chunks that
 share replica index j.
 
-Two loss rules are supported and deliberately kept distinct:
+Two loss rules are supported, and both are one two-level threshold over
+the document's (r, p+q) fragment grid (loss_thresholds): the grid splits
+into units along one axis, a unit is hit once hit_at of its fragments are
+erased, and the document is lost once lost_at of its units are hit.
 
-* MULTISET: the document is lost when at least q+1 replication multisets
-  are fully erased (every replica of those chunks gone).
-* PER_CLUSTER: the document is lost when every replica cluster has at
-  least q+1 erased chunks.
+* MULTISET: the units are the p+q multisets, each hit when all r of its
+  replicas are erased, and q+1 hit multisets lose the document.
+* PER_CLUSTER: the units are the r clusters, each hit when q+1 of its
+  chunks are erased, and the document is lost once all r are hit.
 
 They coincide for p = 1 or r = 1 and differ otherwise; a document alive
 under PER_CLUSTER is always alive under MULTISET.
@@ -33,6 +36,7 @@ __all__ = [
     "PlacementStrategy",
     "Placement",
     "default_semantics",
+    "loss_thresholds",
     "is_document_lost",
     "validate_symmetric_preconditions",
     "require_symmetric_preconditions",
@@ -79,6 +83,22 @@ class RecParams:
     def fragments(self) -> int:
         """Stored fragments per document, (p+q)*r; the symmetric group size."""
         return (self.p + self.q) * self.r
+
+
+def loss_thresholds(rec: RecParams, semantics: LossSemantics) -> tuple[int, int, int]:
+    """(unit_axis, hit_at, lost_at): the loss rule as a two-level threshold.
+
+    A document's (r, p+q) fragment grid splits into units along unit_axis:
+    its r rows, the replica clusters (0), or its p+q columns, the
+    replication multisets (1).  A unit is hit once hit_at of its fragments
+    are erased, and the document is lost once lost_at of its units are hit.
+    Every loss evaluator, predicate and count derives from this definition.
+    """
+    if semantics is LossSemantics.MULTISET:
+        return 1, rec.r, rec.q + 1
+    if semantics is LossSemantics.PER_CLUSTER:
+        return 0, rec.q + 1, rec.r
+    raise ParameterError(f"unknown semantics {semantics!r}")
 
 
 @dataclass(frozen=True)
@@ -167,9 +187,6 @@ def is_document_lost(rec: RecParams, erased, semantics: LossSemantics) -> bool:
         raise ParameterError(
             f"erased flags must have shape ({rec.r}, {rec.chunks}), got {flags.shape}"
         )
-    if semantics is LossSemantics.MULTISET:
-        fully_erased = int(flags.all(axis=0).sum())
-        return fully_erased >= rec.q + 1
-    if semantics is LossSemantics.PER_CLUSTER:
-        return bool((flags.sum(axis=1) >= rec.q + 1).all())
-    raise ParameterError(f"unknown semantics {semantics!r}")
+    unit_axis, hit_at, lost_at = loss_thresholds(rec, semantics)
+    hit = flags.sum(axis=1 - unit_axis) >= hit_at
+    return bool(hit.sum() >= lost_at)

@@ -2,9 +2,9 @@
 
 Everything here counts: generating polynomials over one placement group,
 exhaustive subset enumeration, and exhaustive placement enumeration, all in
-big integers and fractions.Fraction.  None of it touches the floating-point
-formula code, so agreement between the two routes is evidence, not
-tautology.
+big integers and fractions.Fraction, with the loss rule read from
+model.loss_thresholds.  None of it touches the floating-point formula
+code, so agreement between the two routes is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .model import (
     LossSemantics,
     RecParams,
     SystemParams,
+    loss_thresholds,
     require_symmetric_preconditions,
 )
 from .simulator import place_symmetric
@@ -31,7 +32,6 @@ __all__ = [
     "brute_force_random",
 ]
 
-_MULTISET_ENUM_LIMIT = 20  # 2^((p+q)r) patterns
 _SYMMETRIC_NODE_LIMIT = 120
 _BRUTE_SUBSET_LIMIT = 16  # 2^N subsets
 _BRUTE_PLACEMENT_LIMIT = 10**6  # N^((p+q)r) placements
@@ -54,45 +54,47 @@ def _poly_pow(base, exponent: int) -> list[int]:
     return out
 
 
+def _units(rec: RecParams, semantics: LossSemantics) -> tuple[int, int, int, int]:
+    # (units, length, hit_at, lost_at): loss_thresholds with the unit count
+    # and the fragments per unit
+    unit_axis, hit_at, lost_at = loss_thresholds(rec, semantics)
+    grid = (rec.r, rec.chunks)
+    return grid[unit_axis], grid[1 - unit_axis], hit_at, lost_at
+
+
+def _lost_weight(units: int, lost_at: int, hit, miss) -> list[int]:
+    """sum_{k >= lost_at} C(units, k) hit^k miss^(units-k), a polynomial.
+
+    hit and miss count one unit's outcomes that hit it and that miss it
+    (polynomials in z, or constants as one-term lists); the units are
+    independent, so the sum counts the outcomes of all of them that hit
+    at least lost_at.
+    """
+    out = [0] * ((len(hit) - 1) * units + 1)  # miss is no longer than hit
+    for k in range(lost_at, units + 1):
+        term = _poly_mul(_poly_pow(hit, k), _poly_pow(miss, units - k))
+        for t, c in enumerate(term):
+            out[t] += math.comb(units, k) * c
+    return out
+
+
 def group_polynomial(rec: RecParams, semantics: LossSemantics) -> tuple[int, ...]:
     """Alive counts a_t of one group of g = (p+q)*r nodes, t = 0 .. g.
 
     a_t is the number of t-subsets of the group's nodes whose erasure
     leaves the group's documents recoverable under the given semantics;
-    the other C(g, t) - a_t subsets kill it.  PER_CLUSTER comes from
-    coefficient extraction: a killing pattern gives every cluster at least
-    q+1 erasures, so dead counts are the coefficients of
-    (sum_{s=q+1}^{p+q} C(p+q, s) z^s)^r.  MULTISET has no such product
-    structure and is enumerated over all 2^((p+q)r) erasure patterns.
+    the other C(g, t) - a_t subsets kill it.  Under the rule's
+    loss_thresholds the units are independent, so the dead counts are the
+    coefficients of sum_{k >= lost_at} C(units, k) h(z)^k m(z)^(units-k),
+    where h(z) = sum_{s >= hit_at} C(length, s) z^s counts the erasures
+    that hit one unit of length fragments and m(z) those that miss it.
     """
-    pq = rec.chunks
-    g = rec.fragments
-    if semantics is LossSemantics.PER_CLUSTER:
-        inner = [0] * (pq + 1)
-        for s in range(rec.q + 1, pq + 1):
-            inner[s] = math.comb(pq, s)
-        dead = _poly_pow(inner, rec.r)
-        dead += [0] * (g + 1 - len(dead))
-        return tuple(math.comb(g, t) - dead[t] for t in range(g + 1))
-    if semantics is LossSemantics.MULTISET:
-        if g > _MULTISET_ENUM_LIMIT:
-            raise SizeLimitError(
-                f"multiset enumeration is guarded at (p+q)*r <= "
-                f"{_MULTISET_ENUM_LIMIT}, got {g}"
-            )
-        # slot (j, m) of the canonical group pattern is bit j*(p+q) + m
-        multiset_masks = [
-            sum(1 << (j * pq + m) for j in range(rec.r)) for m in range(pq)
-        ]
-        alive = [0] * (g + 1)
-        for pattern in range(1 << g):
-            erased = sum(
-                1 for mask in multiset_masks if pattern & mask == mask
-            )
-            if erased <= rec.q:
-                alive[pattern.bit_count()] += 1
-        return tuple(alive)
-    raise ParameterError(f"unknown semantics {semantics!r}")
+    units, length, hit_at, lost_at = _units(rec, semantics)
+    erased = [math.comb(length, s) for s in range(length + 1)]
+    hit = [0] * hit_at + erased[hit_at:]
+    miss = erased[:hit_at]
+    dead = _lost_weight(units, lost_at, hit, miss)
+    return tuple(math.comb(rec.fragments, t) - d for t, d in enumerate(dead))
 
 
 def symmetric_survival_l_max(rec: RecParams, nodes: int) -> int:
@@ -156,43 +158,23 @@ def brute_force_symmetric(
             f"got {nodes}"
         )
     placement = place_symmetric(rec, system)
-    table = placement.table.tolist()
-    need = rec.q + 1
-    if semantics is LossSemantics.MULTISET:
-        # per document: one node mask per multiset (all replicas of chunk m)
-        doc_masks = [
-            [
-                sum(1 << doc[j][m] for j in range(rec.r))
-                for m in range(rec.chunks)
-            ]
-            for doc in table
-        ]
+    unit_axis, hit_at, lost_at = loss_thresholds(rec, semantics)
+    # doc_units[k][u] lists the nodes of unit u of document k; a wrapped
+    # placement can repeat a node there, and each fragment on it counts
+    doc_units = placement.table.swapaxes(1, 1 + unit_axis).tolist()
 
-        def lost(erased_mask: int) -> bool:
-            for masks in doc_masks:
-                full = 0
-                for mask in masks:
-                    if erased_mask & mask == mask:
-                        full += 1
-                        if full == need:
-                            return True
-            return False
-
-    elif semantics is LossSemantics.PER_CLUSTER:
-        def lost(erased_mask: int) -> bool:
-            for doc in table:
-                for row in doc:
-                    hit = 0
-                    for node in row:
-                        hit += erased_mask >> node & 1
-                    if hit < need:
-                        break
-                else:
-                    return True
-            return False
-
-    else:
-        raise ParameterError(f"unknown semantics {semantics!r}")
+    def lost(erased_mask: int) -> bool:
+        for units in doc_units:
+            hit = 0
+            for unit in units:
+                erased = 0
+                for node in unit:
+                    erased += erased_mask >> node & 1
+                if erased >= hit_at:
+                    hit += 1
+                    if hit == lost_at:
+                        return True
+        return False
 
     alive = [0] * (nodes + 1)
     for erased_mask in range(1 << nodes):
@@ -209,14 +191,12 @@ def brute_force_random(
     """E[X] for a single document by enumerating every placement.
 
     Averages the surviving l-subset fraction over all N^((p+q)r) fragment
-    placements under the given semantics.  The count factors over
-    independent units: under MULTISET the p+q multisets, each of r replica
-    nodes and hit when all r are erased, with the document lost once q+1
-    are hit; under PER_CLUSTER the r clusters, each of p+q chunk nodes and
-    hit when q+1 are erased, with the document lost once all r are hit.
-    All N^length node tuples of one unit are enumerated once per erased
-    subset and the units combined by integer convolution, which counts
-    exactly the same placements without materializing each one.
+    placements under the given semantics.  The count factors over the
+    independent units of the rule's loss_thresholds: all N^length node
+    tuples of one unit are enumerated once per erased subset, the ones
+    with at least hit_at erased fragments counted as hit, and the units
+    combined by the binomial sum over at least lost_at hit units, which
+    counts exactly the same placements without materializing each one.
     """
     if system.docs != 1:
         raise ParameterError(
@@ -235,18 +215,14 @@ def brute_force_random(
             f"placement enumeration is guarded at N^((p+q)r) <= "
             f"{_BRUTE_PLACEMENT_LIMIT}, got {nodes}^{g}"
         )
-    if semantics is LossSemantics.MULTISET:
-        units, length, hit_at, lost_at = rec.chunks, rec.r, rec.r, rec.q + 1
-    elif semantics is LossSemantics.PER_CLUSTER:
-        units, length, hit_at, lost_at = rec.r, rec.chunks, rec.q + 1, rec.r
-    else:
-        raise ParameterError(f"unknown semantics {semantics!r}")
+    units, length, hit_at, lost_at = _units(rec, semantics)
     # one unit's node tuples, counted by the nodes they use with multiplicity
     tuple_count: dict[tuple[int, ...], int] = {}
     for tup in itertools.product(range(nodes), repeat=length):
         key = tuple(sorted(tup))
         tuple_count[key] = tuple_count.get(key, 0) + 1
     tuples_total = nodes**length
+    placements_total = nodes**g
 
     alive = [0] * (nodes + 1)
     for erased_mask in range(1 << nodes):
@@ -255,17 +231,9 @@ def brute_force_random(
             for key, count in tuple_count.items()
             if sum(erased_mask >> node & 1 for node in key) >= hit_at
         )
-        # ways[k] = placements of the units handled so far with k hit
-        ways = [1]
-        for _ in range(units):
-            nxt = [0] * (len(ways) + 1)
-            for k, w in enumerate(ways):
-                nxt[k] += w * (tuples_total - hit_tuples)
-                nxt[k + 1] += w * hit_tuples
-            ways = nxt
-        alive[erased_mask.bit_count()] += sum(ways[:lost_at])
+        dead = _lost_weight(units, lost_at, [hit_tuples], [tuples_total - hit_tuples])
+        alive[erased_mask.bit_count()] += placements_total - dead[0]
 
-    placements_total = nodes**g
     return sum(
         Fraction(alive[l], math.comb(nodes, l) * placements_total)
         for l in range(nodes + 1)

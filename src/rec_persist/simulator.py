@@ -3,11 +3,12 @@
 A trial places every document's fragments and draws a uniform random
 removal order of the nodes; the persistency X of the trial is the number of
 removals at which the first document is lost.  With rank[v] the removal
-time of node v, a document's loss time is an order statistic of its
-fragments' ranks, so X is the minimum of those order statistics over
-documents.  One evaluator, _first_loss, computes it for a batch of trials
-with elementwise min/max over planes of erasure times; persistency runs it
-on a batch of one.
+time of node v, a document's loss time is an order statistic over its
+units of each unit's order statistic of its fragments' ranks (the two
+levels of model.loss_thresholds), so X is the minimum of those loss times
+over documents.  One evaluator, _first_loss, computes it for a batch of
+trials with elementwise min/max over planes of erasure times; persistency
+runs it on a batch of one.
 
 Trials are deterministic functions of (master_seed, trial_index) and run
 serially.  simulate stacks the int32 rank rows of several trials and
@@ -33,6 +34,7 @@ from .model import (
     RecParams,
     SystemParams,
     default_semantics,
+    loss_thresholds,
     validate_symmetric_preconditions,
 )
 
@@ -131,29 +133,23 @@ def _first_loss(t: np.ndarray, q: int, semantics: LossSemantics) -> np.ndarray:
     """First document loss of each batch row, for erasure times t.
 
     t[b, k, j, m] is the erasure time of replica j of chunk m of document k
-    in row b, shape (batch, D, r, p+q).  A MULTISET document dies at the
-    (q+1)-th smallest, over its chunks, of the chunk's latest replica time;
-    a PER_CLUSTER document dies at the latest, over its replica clusters,
-    of the cluster's (q+1)-th smallest chunk time.  Returns the earliest
-    death over documents, shape (batch,).
+    in row b, shape (batch, D, r, p+q).  Under the rule's loss_thresholds a
+    unit is hit at the hit_at-th smallest time of its fragments, and a
+    document dies at the lost_at-th smallest hit time of its units.
+    Returns the earliest death over documents, shape (batch,).
     """
-    if semantics is LossSemantics.MULTISET:
-        deaths = _order_statistic(t.max(axis=2), q)
-    elif semantics is LossSemantics.PER_CLUSTER:
-        deaths = _order_statistic(t, q).max(axis=2)
-    else:
-        raise ParameterError(f"unknown semantics {semantics!r}")
-    return deaths.min(axis=1)
+    rec = RecParams(t.shape[3] - q, q, t.shape[2])
+    unit_axis, hit_at, lost_at = loss_thresholds(rec, semantics)
+    hits = _order_statistic(t.swapaxes(3 - unit_axis, 3), hit_at - 1)
+    return _order_statistic(hits, lost_at - 1).min(axis=1)
 
 
 def persistency(placement: Placement, order, semantics: LossSemantics) -> int:
     """Removals until the first document loss, for one removal order.
 
     A fragment is erased at its node's removal time, the node's 1-based
-    position in order.  A MULTISET document dies at the (q+1)-th smallest,
-    over its chunks, of the chunk's latest replica time; a PER_CLUSTER
-    document dies at the latest, over its replica clusters, of the cluster's
-    (q+1)-th smallest chunk time.  The result is the earliest death over
+    position in order, and a document dies once its fragments' erasures
+    meet the rule's loss_thresholds.  The result is the earliest death over
     documents.
     """
     order = np.asarray(order)

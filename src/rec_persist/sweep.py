@@ -57,7 +57,8 @@ class SweepSpec:
 
     docs is either a fixed document count or one of the rules "N"
     (one document per node) and "N/g" (the minimum covering count
-    N/((p+q)*r), rounded down but at least 1).
+    N/((p+q)*r), rounded down but at least 1).  name names the output
+    files, so it must be a plain file name.
     """
 
     name: str
@@ -74,15 +75,25 @@ class SweepSpec:
     log_axes: bool = True
 
     def __post_init__(self):
+        name = self.name if isinstance(self.name, str) else ""
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ParameterError(
+                f"name must be a file name, not empty, '.', '..' or a path, "
+                f"got {self.name!r}"
+            )
         if not self.nodes:
             raise ParameterError(f"sweep {self.name!r} has an empty node grid")
-        if isinstance(self.docs, str) and self.docs not in _DOC_RULES:
+        if not isinstance(self.docs, str):
+            object.__setattr__(self, "docs", require_int(self.docs, "docs", 1))
+        elif self.docs not in _DOC_RULES:
             raise ParameterError(
                 f"docs must be a positive integer or one of {_DOC_RULES}, "
                 f"got {self.docs!r}"
             )
-        if isinstance(self.docs, int) and self.docs < 1:
-            raise ParameterError(f"docs must be >= 1, got {self.docs}")
+        if not isinstance(self.log_axes, bool):
+            raise ParameterError(
+                f"log_axes must be true or false, got {self.log_axes!r}"
+            )
         for kind in self.theory:
             if kind not in _THEORY_KINDS:
                 raise ParameterError(
@@ -203,9 +214,6 @@ def spec_from_dict(raw: dict) -> SweepSpec:
             semantics = LossSemantics(semantics)
         except ValueError:
             raise ParameterError(f"unknown semantics {raw['semantics']!r}") from None
-    docs = raw["docs"]
-    if not isinstance(docs, (int, str)):
-        raise ParameterError(f"docs must be an integer or rule string, got {docs!r}")
     if not isinstance(raw["nodes"], (list, tuple)):
         raise ParameterError(f"nodes must be a list of integers, got {raw['nodes']!r}")
     return SweepSpec(
@@ -215,12 +223,12 @@ def spec_from_dict(raw: dict) -> SweepSpec:
         q=require_int(raw["q"], "q", 0),
         r=require_int(raw["r"], "r", 1),
         nodes=tuple(require_int(n, "nodes", 1) for n in raw["nodes"]),
-        docs=docs,
+        docs=raw["docs"],
         trials=require_int(raw.get("trials", 500), "trials", 1),
         seed=require_int(raw.get("seed", 0), "seed", 0),
         theory=tuple(raw.get("theory", ["exact"])),
         semantics=semantics,
-        log_axes=bool(raw.get("log_axes", True)),
+        log_axes=raw.get("log_axes", True),
     )
 
 

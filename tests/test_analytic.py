@@ -536,6 +536,14 @@ class TestSemantics:
                     gamma * 2976 * (kappa * power) ** -0.25, rel=1e-14
                 )
 
+    def test_tail_follows_the_thresholds(self):
+        # s = hit_at lost_at and kappa = C(units, lost_at) C(length, hit_at)^lost_at
+        # are the explicit r(q+1), C(p+q, q+1) and C(p+q, q+1)^r
+        for p, q, r in itertools.product(range(1, 5), range(4), range(1, 5)):
+            rec, kappa = RecParams(p, q, r), math.comb(p + q, q + 1)
+            assert analytic._tail(rec, MS) == (r * (q + 1), kappa)
+            assert analytic._tail(rec, PC) == (r * (q + 1), kappa**r)
+
     def test_asymptotic_is_defined_off_the_symmetric_grid(self):
         rec, system = RecParams(1, 1, 1), SystemParams(7, 7)
         with pytest.raises(ParameterError):

@@ -14,6 +14,7 @@ from rec_persist.model import (
     SystemParams,
     default_semantics,
     is_document_lost,
+    loss_thresholds,
     validate_symmetric_preconditions,
 )
 
@@ -173,6 +174,18 @@ class TestIsDocumentLost:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             _lost(RecParams(1, 1, 2), [[True, False]], LossSemantics.MULTISET)
+
+    def test_loss_thresholds(self):
+        # (unit_axis, hit_at, lost_at): q+1 of the p+q multisets fully
+        # erased, or all r clusters with q+1 erased chunks each
+        rec = RecParams(2, 1, 3)
+        assert loss_thresholds(rec, LossSemantics.MULTISET) == (1, 3, 2)
+        assert loss_thresholds(rec, LossSemantics.PER_CLUSTER) == (0, 2, 3)
+        for bad in ("multiset", None):
+            with pytest.raises(ParameterError, match="unknown semantics"):
+                loss_thresholds(rec, bad)
+            with pytest.raises(ParameterError, match="unknown semantics"):
+                _lost(rec, np.zeros((3, 3), dtype=bool), bad)
 
     def test_monotone_in_erasures(self):
         # erasing more never revives a document

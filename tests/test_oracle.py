@@ -4,14 +4,38 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rec_persist import analytic, oracle
 from rec_persist.errors import ParameterError, SizeLimitError
-from rec_persist.model import LossSemantics, RecParams, SystemParams
+from rec_persist.model import (
+    LossSemantics,
+    RecParams,
+    SystemParams,
+    is_document_lost,
+)
+from rec_persist.simulator import place_symmetric
 
 PC = LossSemantics.PER_CLUSTER
 MS = LossSemantics.MULTISET
+
+
+def _enumerated_alive(rec, semantics):
+    # alive counts over all 2^g erasure patterns of one group; slot (j, m),
+    # replica j of chunk m, is bit j*(p+q) + m
+    pq, g, need = rec.chunks, rec.fragments, rec.q + 1
+    columns = [sum(1 << (j * pq + m) for j in range(rec.r)) for m in range(pq)]
+    rows = [sum(1 << (j * pq + m) for m in range(pq)) for j in range(rec.r)]
+    alive = [0] * (g + 1)
+    for pattern in range(1 << g):
+        if semantics is MS:
+            lost = sum(pattern & c == c for c in columns) >= need
+        else:
+            lost = all((pattern & row).bit_count() >= need for row in rows)
+        if not lost:
+            alive[pattern.bit_count()] += 1
+    return tuple(alive)
 
 
 class TestGroupPolynomial:
@@ -56,9 +80,34 @@ class TestGroupPolynomial:
             pc = oracle.group_polynomial(rec, PC)
             assert all(a <= b for a, b in zip(pc, ms))
 
-    def test_multiset_size_guard(self):
-        with pytest.raises(SizeLimitError):
-            oracle.group_polynomial(RecParams(4, 2, 4), MS)
+    def test_matches_enumeration_up_to_g12(self):
+        count = 0
+        for chunks, r in itertools.product(range(1, 13), range(1, 13)):
+            if chunks * r > 12:
+                continue
+            for p in range(1, chunks + 1):
+                rec = RecParams(p, chunks - p, r)
+                for sem in (MS, PC):
+                    assert oracle.group_polynomial(rec, sem) == _enumerated_alive(
+                        rec, sem
+                    ), (rec, sem)
+                    count += 1
+        assert count == 2 * 127
+
+    def test_multiset_beyond_enumeration(self):
+        # g = 24: the rules coincide at p = 1, and REC(4,6,4) keeps the
+        # subset-count invariants
+        for rec in (RecParams(1, 23, 1), RecParams(1, 11, 2)):
+            assert oracle.group_polynomial(rec, MS) == oracle.group_polynomial(
+                rec, PC
+            )
+        alive = oracle.group_polynomial(RecParams(4, 2, 4), MS)
+        assert len(alive) == 25 and alive[0] == 1 and alive[24] == 0
+        assert all(0 <= a_t <= math.comb(24, t) for t, a_t in enumerate(alive))
+        # 12 erasures kill first (3 full multisets of 4), 20 survive at most
+        assert alive[:12] == tuple(math.comb(24, t) for t in range(12))
+        assert alive[12] == math.comb(24, 12) - math.comb(6, 3)
+        assert alive[20] == math.comb(6, 2) * 4**4 and not any(alive[21:])
 
 
 class TestExactSymmetricSurvival:
@@ -173,6 +222,36 @@ class TestBruteForceSymmetric:
             brute = oracle.brute_force_symmetric(rec, system, sem)
             poly = oracle.exact_symmetric_expectation(rec, system, sem)
             assert brute == poly
+
+    def test_wrapped_placement_counts_every_fragment(self):
+        # below g nodes the placement wraps, and a unit can hold one node
+        # twice: REC(1,1,2) on one node loses its document at the first
+        # removal under both rules
+        for sem in (MS, PC):
+            assert oracle.brute_force_symmetric(
+                RecParams(1, 0, 2), SystemParams(1, 1), sem
+            ) == 1
+        for rec, nodes, docs in (
+            (RecParams(2, 1, 2), 4, 1), (RecParams(1, 1, 3), 5, 2),
+            (RecParams(2, 0, 3), 4, 3), (RecParams(3, 1, 2), 7, 1),
+        ):
+            system = SystemParams(nodes, docs)
+            table = place_symmetric(rec, system).table
+            for sem in (MS, PC):
+                alive = [0] * (nodes + 1)
+                for erased in itertools.chain.from_iterable(
+                    itertools.combinations(range(nodes), l)
+                    for l in range(nodes + 1)
+                ):
+                    if not any(
+                        is_document_lost(rec, np.isin(doc, erased), sem)
+                        for doc in table
+                    ):
+                        alive[len(erased)] += 1
+                expected = sum(
+                    Fraction(a, math.comb(nodes, l)) for l, a in enumerate(alive)
+                )
+                assert oracle.brute_force_symmetric(rec, system, sem) == expected
 
     def test_node_guard(self):
         with pytest.raises(SizeLimitError):

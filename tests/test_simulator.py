@@ -468,6 +468,24 @@ class TestSimulate:
             with pytest.raises(ParameterError, match="docs"):
                 WorkloadClass(RecParams(1, 0, 1), docs)
 
+    def test_bools_are_not_integers(self):
+        # True passes operator.index as 1, but it is no count
+        base = dict(
+            strategy=PlacementStrategy.RANDOM,
+            classes=(WorkloadClass(RecParams(1, 0, 1), 1),),
+            nodes=5,
+            trials=1,
+            master_seed=0,
+        )
+        for field in ("nodes", "trials", "master_seed"):
+            with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+                SimConfig(**{**base, field: True})
+        with pytest.raises(ParameterError, match="docs must be an integer"):
+            WorkloadClass(RecParams(1, 0, 1), True)
+        for args in ((True, 0, 1), (1, False, 1), (1, 0, True)):
+            with pytest.raises(ParameterError, match="must be an integer"):
+                RecParams(*args)
+
 
 def _persistency_loop(config: SimConfig) -> SimSummary:
     """Symmetric simulate's documented stream, one persistency call a trial."""

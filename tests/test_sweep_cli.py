@@ -47,6 +47,23 @@ class TestSweepSpec:
         with pytest.raises(ParameterError):
             small_spec(docs=0)
 
+    def test_name_bool_and_log_axes_checked(self):
+        for name in ("", ".", "..", "sub/a", "../x", "a\\b"):
+            with pytest.raises(ParameterError, match="name must be a file name"):
+                small_spec(name=name)
+        with pytest.raises(ParameterError, match="docs must be an integer"):
+            small_spec(docs=True)
+        for value in ("false", 0, "yes", None):
+            with pytest.raises(ParameterError, match="log_axes must be"):
+                small_spec(log_axes=value)
+        raw = {"name": "x", "strategy": "random", "p": 1, "q": 0, "r": 1,
+               "nodes": [4], "docs": 1}
+        assert sweep.spec_from_dict({**raw, "log_axes": False}).log_axes is False
+        assert sweep.spec_from_dict(raw).log_axes is True
+        for key in ("p", "docs", "trials"):
+            with pytest.raises(ParameterError, match=f"{key} must be an integer"):
+                sweep.spec_from_dict({**raw, key: True})
+
     def test_bad_theory_rejected(self):
         with pytest.raises(ParameterError):
             small_spec(theory=("exact", "magic"))
@@ -586,9 +603,15 @@ class TestCliSweep:
     @pytest.mark.parametrize(
         "key, value",
         [("p", "two"), ("q", 1.5), ("r", None), ("trials", None), ("seed", "7"),
-         ("nodes", 48), ("nodes", [48, 48.7]), ("nodes", [48, "96"])],
+         ("nodes", 48), ("nodes", [48, 48.7]), ("nodes", [48, "96"]),
+         ("p", True), ("docs", True), ("log_axes", "false"), ("log_axes", 0),
+         ("log_axes", "yes"), ("name", ""), ("name", "."), ("name", ".."),
+         ("name", "sub/a")],
         ids=["p-string", "q-float", "r-null", "trials-null", "seed-string",
-             "nodes-scalar", "nodes-float", "nodes-string"],
+             "nodes-scalar", "nodes-float", "nodes-string", "p-bool",
+             "docs-bool", "log_axes-string-false", "log_axes-zero",
+             "log_axes-string-yes", "name-empty", "name-dot", "name-dotdot",
+             "name-subdir"],
     )
     def test_malformed_config_exits_2(self, key, value, tmp_path, capsys):
         raw = {"name": "bad", "strategy": "random", "p": 1, "q": 0, "r": 2,
@@ -601,6 +624,17 @@ class TestCliSweep:
         assert main(argv) == 2
         assert f"error: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "bad.csv").exists()
+
+    def test_name_outside_out_dir_exits_2(self, tmp_path, capsys):
+        raw = {"name": "../x", "strategy": "random", "p": 1, "q": 0, "r": 2,
+               "nodes": [48], "docs": 5, "trials": 2, "seed": 1}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"schema_version": 1, "sweeps": [raw]}))
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(config), "--out", str(out)]
+        assert main(argv) == 2
+        assert "error: name must be a file name" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
 
     def test_missing_config_exits_2(self, tmp_path):
         argv = ["sweep", "--config", str(tmp_path / "nope.json")]
@@ -637,6 +671,13 @@ class TestCliOracle:
         argv = "oracle --what group-poly --p 2 --q 1 --r 1".split()
         assert main(argv) == 0
         assert "1 3 0 0" in capsys.readouterr().out
+
+    def test_group_poly_multiset_at_g24(self, capsys):
+        argv = "oracle --what group-poly --p 4 --q 2 --r 4 --semantics multiset"
+        assert main(argv.split()) == 0
+        out = capsys.readouterr().out
+        assert "t = 0..24 [multiset]" in out
+        assert out.splitlines()[1].endswith(" 3840 0 0 0 0")
 
     def test_nodes_required(self, capsys):
         argv = "oracle --what symmetric-exact --p 1 --q 0 --r 2".split()
