@@ -26,8 +26,8 @@ for key in sorted(PRESETS):
     rows_to_csv(rows, csv_path)
     rows_to_svg(thinned, rows, svg_path)
     top = rows[-1]
-    print(f"{key}: {len(rows)} points, largest grid N={top.nodes} "
-          f"D={top.docs} mean={top.mean_empirical:.2f} "
+    print(f"{key}: {len(rows)} points, largest grid N={top.N} "
+          f"D={top.D} mean={top.mean_empirical:.2f} "
           f"(exact={top.theory_exact})")
     print(f"  wrote {csv_path.name} and {svg_path.name}")
 

@@ -239,8 +239,6 @@ def _cmd_sweep(args) -> int:
         specs = [sweep.preset_spec(args.preset)]
     overrides = {}
     if args.trials is not None:
-        if args.trials < 1:
-            raise ParameterError(f"--trials must be >= 1, got {args.trials}")
         overrides["trials"] = args.trials
     if args.points is not None and args.points < 1:
         raise ParameterError(f"--points must be >= 1, got {args.points}")

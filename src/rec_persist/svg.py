@@ -24,12 +24,12 @@ class Series:
     marker: bool = False  # draw circles at points; otherwise a polyline
 
 
-def _finite_points(s: Series, log_x: bool, log_y: bool):
+def _finite_points(s: Series, log: bool):
     pts = []
     for x, y in zip(s.xs, s.ys):
         if not (math.isfinite(x) and math.isfinite(y)):
             continue
-        if log_x and x <= 0 or log_y and y <= 0:
+        if log and (x <= 0 or y <= 0):
             continue
         pts.append((float(x), float(y)))
     return pts
@@ -75,27 +75,29 @@ def render_chart(
     title: str,
     x_label: str,
     y_label: str,
-    log_x: bool = False,
-    log_y: bool = False,
-    width: int = 800,
-    height: int = 560,
+    log: bool = False,
 ) -> str:
-    """Render the series to an SVG document string (pure function)."""
+    """Render the series to an SVG document string (pure function).
+
+    log puts both axes on a log scale and drops points with x <= 0 or
+    y <= 0.
+    """
     if not series:
         raise ParameterError("at least one series is required")
+    width, height = 800, 560
     left, right, top, bottom = 72, 24, 48, 56
     plot_w = width - left - right
     plot_h = height - top - bottom
 
-    drawable = [(s, _finite_points(s, log_x, log_y)) for s in series]
+    drawable = [(s, _finite_points(s, log)) for s in series]
     drawable = [(s, pts) for s, pts in drawable if pts]
     xs = [x for _, pts in drawable for x, _ in pts]
     ys = [y for _, pts in drawable for _, y in pts]
     if not xs:
         xs = ys = [1.0]
 
-    fx = math.log10 if log_x else float
-    fy = math.log10 if log_y else float
+    scale = math.log10 if log else float
+    ticks = _log_ticks if log else _linear_ticks
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
 
@@ -107,17 +109,17 @@ def render_chart(
         pad = (b - a) * 0.05
         return a - pad, b + pad
 
-    fx_lo, fx_hi = _span(x_lo, x_hi, fx)
-    fy_lo, fy_hi = _span(y_lo, y_hi, fy)
+    fx_lo, fx_hi = _span(x_lo, x_hi, scale)
+    fy_lo, fy_hi = _span(y_lo, y_hi, scale)
 
     def px(x: float) -> float:
-        return left + (fx(x) - fx_lo) / (fx_hi - fx_lo) * plot_w
+        return left + (scale(x) - fx_lo) / (fx_hi - fx_lo) * plot_w
 
     def py(y: float) -> float:
-        return top + plot_h - (fy(y) - fy_lo) / (fy_hi - fy_lo) * plot_h
+        return top + plot_h - (scale(y) - fy_lo) / (fy_hi - fy_lo) * plot_h
 
-    x_ticks = _log_ticks(x_lo, x_hi) if log_x else _linear_ticks(x_lo, x_hi)
-    y_ticks = _log_ticks(y_lo, y_hi) if log_y else _linear_ticks(y_lo, y_hi)
+    x_ticks = ticks(x_lo, x_hi)
+    y_ticks = ticks(y_lo, y_hi)
 
     out = []
     out.append(

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import astuple, dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,25 +31,23 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-CSV_COLUMNS = (
-    "strategy",
-    "p",
-    "q",
-    "r",
-    "N",
-    "D",
-    "trials",
-    "seed",
-    "mean_empirical",
-    "std_error",
-    "theory_exact",
-    "theory_asymptotic",
-    "theory_beta_exact",
-    "semantics",
-)
-
 _THEORY_KINDS = ("exact", "asymptotic", "beta-exact")
 _DOC_RULES = ("N", "N/g")
+
+
+def _member(enum, value, name: str):
+    try:
+        return enum(value)
+    except ValueError:
+        raise ParameterError(
+            f"{name} must be one of {[m.value for m in enum]}, got {value!r}"
+        ) from None
+
+
+def _listed(value, name: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ParameterError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,9 @@ class SweepSpec:
     docs is either a fixed document count or one of the rules "N"
     (one document per node) and "N/g" (the minimum covering count
     N/((p+q)*r), rounded down but at least 1).  name names the output
-    files, so it must be a plain file name.
+    files, so it must be a plain file name.  Construction checks every
+    field, and turns strategy and semantics names into their enums and
+    the nodes and theory lists into tuples.
     """
 
     name: str
@@ -75,16 +76,29 @@ class SweepSpec:
     log_axes: bool = True
 
     def __post_init__(self):
+        def put(field: str, value) -> None:
+            object.__setattr__(self, field, value)
+
         name = self.name if isinstance(self.name, str) else ""
         if name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ParameterError(
                 f"name must be a file name, not empty, '.', '..' or a path, "
                 f"got {self.name!r}"
             )
+        put("strategy", _member(PlacementStrategy, self.strategy, "strategy"))
+        if self.semantics is not None:
+            put("semantics", _member(LossSemantics, self.semantics, "semantics"))
+        for field, minimum in (
+            ("p", 1), ("q", 0), ("r", 1), ("trials", 1), ("seed", 0)
+        ):
+            put(field, require_int(getattr(self, field), field, minimum))
+        put("nodes", tuple(
+            require_int(n, "nodes", 1) for n in _listed(self.nodes, "nodes")
+        ))
         if not self.nodes:
             raise ParameterError(f"sweep {self.name!r} has an empty node grid")
         if not isinstance(self.docs, str):
-            object.__setattr__(self, "docs", require_int(self.docs, "docs", 1))
+            put("docs", require_int(self.docs, "docs", 1))
         elif self.docs not in _DOC_RULES:
             raise ParameterError(
                 f"docs must be a positive integer or one of {_DOC_RULES}, "
@@ -94,6 +108,7 @@ class SweepSpec:
             raise ParameterError(
                 f"log_axes must be true or false, got {self.log_axes!r}"
             )
+        put("theory", _listed(self.theory, "theory"))
         for kind in self.theory:
             if kind not in _THEORY_KINDS:
                 raise ParameterError(
@@ -112,16 +127,15 @@ class SweepSpec:
         return self.docs
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One CSV row: the fields are declared in CSV_COLUMNS order."""
+class SweepRow(NamedTuple):
+    """One grid point; the field names are the CSV header."""
 
     strategy: str
     p: int
     q: int
     r: int
-    nodes: int
-    docs: int
+    N: int
+    D: int
     trials: int
     seed: int
     mean_empirical: float
@@ -130,6 +144,9 @@ class SweepRow:
     theory_asymptotic: float | None
     theory_beta_exact: float | None
     semantics: str
+
+
+CSV_COLUMNS = SweepRow._fields
 
 
 _FIG_GRID = tuple(48 * k for k in range(1, 63))
@@ -191,45 +208,25 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-_SPEC_KEYS = {
-    "name", "strategy", "p", "q", "r", "nodes", "docs", "trials", "seed",
-    "theory", "semantics", "log_axes",
-}
+_SPEC_KEYS = {field.name for field in fields(SweepSpec)}
+_REQUIRED_KEYS = [
+    field.name for field in fields(SweepSpec) if field.default is MISSING
+]
 
 
 def spec_from_dict(raw: dict) -> SweepSpec:
+    """The SweepSpec of one config entry; SweepSpec checks the values."""
+    if not isinstance(raw, dict):
+        raise ParameterError(
+            f"sweeps must be a list of JSON objects, got the entry {raw!r}"
+        )
     unknown = set(raw) - _SPEC_KEYS
     if unknown:
         raise ParameterError(f"unknown sweep keys: {sorted(unknown)}")
-    for key in ("name", "strategy", "p", "q", "r", "nodes", "docs"):
+    for key in _REQUIRED_KEYS:
         if key not in raw:
             raise ParameterError(f"sweep is missing required key {key!r}")
-    try:
-        strategy = PlacementStrategy(raw["strategy"])
-    except ValueError:
-        raise ParameterError(f"unknown strategy {raw['strategy']!r}") from None
-    semantics = raw.get("semantics")
-    if semantics is not None:
-        try:
-            semantics = LossSemantics(semantics)
-        except ValueError:
-            raise ParameterError(f"unknown semantics {raw['semantics']!r}") from None
-    if not isinstance(raw["nodes"], (list, tuple)):
-        raise ParameterError(f"nodes must be a list of integers, got {raw['nodes']!r}")
-    return SweepSpec(
-        name=str(raw["name"]),
-        strategy=strategy,
-        p=require_int(raw["p"], "p", 1),
-        q=require_int(raw["q"], "q", 0),
-        r=require_int(raw["r"], "r", 1),
-        nodes=tuple(require_int(n, "nodes", 1) for n in raw["nodes"]),
-        docs=raw["docs"],
-        trials=require_int(raw.get("trials", 500), "trials", 1),
-        seed=require_int(raw.get("seed", 0), "seed", 0),
-        theory=tuple(raw.get("theory", ["exact"])),
-        semantics=semantics,
-        log_axes=raw.get("log_axes", True),
-    )
+    return SweepSpec(**raw)
 
 
 def preset_spec(name: str) -> SweepSpec:
@@ -252,7 +249,9 @@ def load_config(path: str | Path) -> list[SweepSpec]:
         )
     sweeps = raw.get("sweeps")
     if not isinstance(sweeps, list) or not sweeps:
-        raise ParameterError("sweep config must list at least one sweep")
+        raise ParameterError(
+            f"sweeps must be a non-empty list of sweeps, got {sweeps!r}"
+        )
     return [spec_from_dict(s) for s in sweeps]
 
 
@@ -262,25 +261,22 @@ def _point_seed(base: int, nodes: int, docs: int) -> int:
 
 
 def _theory_values(
-    spec: SweepSpec, config: SimConfig, system: SystemParams
+    spec: SweepSpec, system: SystemParams, semantics: LossSemantics
 ) -> dict[str, float | None]:
-    """The requested overlays under the loss rule the point simulates."""
-    values: dict[str, float | None] = {k: None for k in _THEORY_KINDS}
-    in_theory = not config.out_of_theory
+    """The requested overlays under the loss rule the point simulates.
+
+    A cell stays empty where expect has no route (beta-exact at p != 1),
+    the point is outside the theory (symmetric preconditions unmet) or
+    the quadrature fails; the run continues with the other cells.
+    """
+    values: dict[str, float | None] = dict.fromkeys(_THEORY_KINDS)
     for kind in spec.theory:
-        if kind == "beta-exact" and spec.p != 1:
-            continue
-        if kind != "asymptotic" and not in_theory:
-            continue
         method = EXACT_METHOD[spec.strategy] if kind == "exact" else Method(kind)
         try:
             values[kind] = expect(
-                spec.strategy, spec.rec, system, method,
-                semantics=config.resolved_semantics,
+                spec.strategy, spec.rec, system, method, semantics=semantics
             ).value
-        except QuadratureError:
-            # leave the cell empty; the run continues with the other
-            # points and overlays
+        except (ParameterError, QuadratureError):
             pass
     return values
 
@@ -305,15 +301,16 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             semantics=spec.semantics,
         )
         summary = simulate(config)
-        theory = _theory_values(spec, config, system)
+        semantics = config.resolved_semantics
+        theory = _theory_values(spec, system, semantics)
         rows.append(
             SweepRow(
                 strategy=spec.strategy.value,
                 p=rec.p,
                 q=rec.q,
                 r=rec.r,
-                nodes=nodes,
-                docs=docs,
+                N=nodes,
+                D=docs,
                 trials=config.trials,
                 seed=config.master_seed,
                 mean_empirical=summary.mean,
@@ -321,31 +318,25 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 theory_exact=theory["exact"],
                 theory_asymptotic=theory["asymptotic"],
                 theory_beta_exact=theory["beta-exact"],
-                semantics=config.resolved_semantics.value,
+                semantics=semantics.value,
             )
         )
     return rows
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def rows_to_csv(rows: list[SweepRow], path: str | Path) -> None:
-    """Write rows in the stable column order; reruns are byte-identical."""
+    """Write rows in the stable column order; reruns are byte-identical.
+
+    csv writes None as an empty cell and a float by its repr.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_cell(v) for v in astuple(row)])
+        writer.writerows(rows)
 
 
 def rows_to_svg(spec: SweepSpec, rows: list[SweepRow], path: str | Path) -> None:
-    xs = [row.nodes for row in rows]
+    xs = [row.N for row in rows]
     series = [
         Series(
             label="simulation mean",
@@ -363,7 +354,7 @@ def rows_to_svg(spec: SweepSpec, rows: list[SweepRow], path: str | Path) -> None
     color = 1
     for attr, label in overlays:
         pts = [
-            (row.nodes, getattr(row, attr))
+            (row.N, getattr(row, attr))
             for row in rows
             if getattr(row, attr) is not None
         ]
@@ -387,7 +378,6 @@ def rows_to_svg(spec: SweepSpec, rows: list[SweepRow], path: str | Path) -> None
         title=title,
         x_label="nodes N",
         y_label="expected persistency E[X]",
-        log_x=spec.log_axes,
-        log_y=spec.log_axes,
+        log=spec.log_axes,
     )
     Path(path).write_text(text)

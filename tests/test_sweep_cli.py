@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import dataclasses
 import json
 import subprocess
 import sys
@@ -10,11 +9,13 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from rec_persist import analytic, cli, sweep
+from rec_persist import analytic, cli, oracle, sweep
 from rec_persist.cli import main
 from rec_persist.errors import ParameterError
 from rec_persist.analytic import Method
-from rec_persist.model import PlacementStrategy, RecParams, SystemParams
+from rec_persist.model import (
+    LossSemantics, PlacementStrategy, RecParams, SystemParams,
+)
 from rec_persist.selftest import run_selftest
 from rec_persist.svg import Series, render_chart
 
@@ -34,6 +35,22 @@ def small_spec(**overrides):
     )
     base.update(overrides)
     return sweep.SweepSpec(**base)
+
+
+def x_ticks(svg_text):
+    """(label value, x position) of each x-axis tick label, left to right."""
+    root = ET.fromstring(svg_text)
+    return [
+        (float(el.text), float(el.get("x")))
+        for el in root.iter("{http://www.w3.org/2000/svg}text")
+        if el.get("font-size") == "11" and el.get("text-anchor") == "middle"
+    ]
+
+
+def evenly_spaced(positions):
+    # positions are written to 0.01 px
+    steps = [b - a for a, b in zip(positions, positions[1:])]
+    return len(steps) >= 2 and max(steps) - min(steps) <= 0.02
 
 
 class TestSweepSpec:
@@ -155,14 +172,14 @@ class TestRunSweep:
     def test_rows_sorted_and_reproducible(self):
         spec = small_spec()
         rows = sweep.run_sweep(spec)
-        assert [row.nodes for row in rows] == [6, 12, 18]
+        assert [row.N for row in rows] == [6, 12, 18]
         assert rows == sweep.run_sweep(spec)
 
     def test_theory_cells_equal_module_calls(self):
         spec = small_spec()
         for row in sweep.run_sweep(spec):
             rec = RecParams(row.p, row.q, row.r)
-            system = SystemParams(row.nodes, row.docs)
+            system = SystemParams(row.N, row.D)
             assert row.theory_exact == analytic.expect_random_sum(
                 rec, system
             ).value
@@ -182,7 +199,7 @@ class TestRunSweep:
             theory=("exact", "asymptotic"),
         )
         rows = sweep.run_sweep(spec)
-        by_nodes = {row.nodes: row for row in rows}
+        by_nodes = {row.N: row for row in rows}
         assert by_nodes[8].theory_exact is not None
         # 10 is not a multiple of (p+q)*r = 2... it is; use docs too small
         assert by_nodes[10].theory_exact is not None
@@ -206,7 +223,7 @@ class TestRunSweep:
             theory=("exact", "asymptotic"),
         )
         rows = sweep.run_sweep(spec)
-        assert [row.nodes for row in rows] == [8, 16]
+        assert [row.N for row in rows] == [8, 16]
         for row in rows:
             assert row.theory_exact is None
             assert row.theory_asymptotic is not None
@@ -232,16 +249,26 @@ class TestRunSweep:
             parsed = list(csv.DictReader(fh))
         assert len(parsed) == len(rows)
         for row, rec in zip(rows, parsed):
-            assert int(rec["N"]) == row.nodes
+            assert int(rec["N"]) == row.N
             assert float(rec["mean_empirical"]) == row.mean_empirical
             assert float(rec["theory_exact"]) == row.theory_exact
             assert rec["semantics"] == "multiset"
 
-    def test_row_fields_follow_csv_columns(self):
-        # rows_to_csv writes each row's fields in declaration order
-        names = [field.name for field in dataclasses.fields(sweep.SweepRow)]
-        renamed = {"nodes": "N", "docs": "D"}
-        assert tuple(renamed.get(n, n) for n in names) == sweep.CSV_COLUMNS
+    def test_row_fields_follow_csv_columns(self, tmp_path):
+        # the header is the row's field names, and each cell the field's
+        # value: empty for None, repr for a float
+        assert sweep.CSV_COLUMNS is sweep.SweepRow._fields
+        rows = sweep.run_sweep(small_spec(theory=("asymptotic",)))
+        path = tmp_path / "out.csv"
+        sweep.rows_to_csv(rows, path)
+        with open(path, newline="") as fh:
+            parsed = list(csv.DictReader(fh))
+        for row, rec in zip(rows, parsed, strict=True):
+            assert rec == {
+                name: "" if value is None
+                else repr(value) if isinstance(value, float) else str(value)
+                for name, value in row._asdict().items()
+            }
 
     def test_svg_renders(self, tmp_path):
         spec = small_spec()
@@ -255,6 +282,19 @@ class TestRunSweep:
         assert "simulation mean" in body
         assert "asymptotic" in body
 
+    def test_svg_linear_axes(self, tmp_path):
+        nodes = (12, 24, 36, 48, 60)
+        for log_axes, linear in ((False, True), (True, False)):
+            spec = small_spec(nodes=nodes, log_axes=log_axes)
+            path = tmp_path / f"log-{log_axes}.svg"
+            sweep.rows_to_svg(spec, sweep.run_sweep(spec), path)
+            labels, xs = zip(*x_ticks(path.read_text()))
+            if linear:
+                assert labels == (20.0, 30.0, 40.0, 50.0, 60.0)
+                assert evenly_spaced(xs)
+            else:
+                assert labels == (20.0, 50.0)
+
 
 class TestRenderChart:
     def test_log_axes_skip_nonpositive(self):
@@ -263,10 +303,23 @@ class TestRenderChart:
             title="t",
             x_label="x",
             y_label="y",
-            log_x=True,
-            log_y=True,
+            log=True,
         )
         ET.fromstring(text)
+
+    def test_linear_axes_keep_zero(self):
+        text = render_chart(
+            [Series("s", [0, 1, 2, 3, 4], [0.0, 10.0, 20.0, 30.0, 40.0])],
+            title="t",
+            x_label="x",
+            y_label="y",
+            log=False,
+        )
+        labels, xs = zip(*x_ticks(text))
+        assert labels == (0.0, 1.0, 2.0, 3.0, 4.0)
+        assert evenly_spaced(xs)
+        points = ET.fromstring(text).find("{http://www.w3.org/2000/svg}polyline")
+        assert len(points.get("points").split()) == 5
 
     def test_empty_series_rejected(self):
         with pytest.raises(ParameterError):
@@ -477,6 +530,17 @@ class TestCliSimulate:
         argv = "simulate --strategy random --class 1,0,2 --nodes 12".split()
         assert main(argv) == 2
 
+    @pytest.mark.parametrize(
+        "workload, message",
+        [("--class 1,x,2,5", "--class expects four integers"),
+         ("", "simulate needs either --p --q --r --docs or at least one --class")],
+        ids=["class-not-integer", "no-workload"],
+    )
+    def test_workload_errors_exit_2(self, workload, message, capsys):
+        argv = f"simulate --strategy random --nodes 12 {workload}".split()
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 class TestCliSweep:
     def test_preset_with_overrides(self, tmp_path, capsys):
@@ -606,20 +670,24 @@ class TestCliSweep:
          ("nodes", 48), ("nodes", [48, 48.7]), ("nodes", [48, "96"]),
          ("p", True), ("docs", True), ("log_axes", "false"), ("log_axes", 0),
          ("log_axes", "yes"), ("name", ""), ("name", "."), ("name", ".."),
-         ("name", "sub/a")],
+         ("name", "sub/a"), ("name", None), ("theory", 5), ("theory", None),
+         ("strategy", "clustered"), ("semantics", "strict"),
+         ("sweeps", [5]), ("sweeps", [None]), ("sweeps", [])],
         ids=["p-string", "q-float", "r-null", "trials-null", "seed-string",
              "nodes-scalar", "nodes-float", "nodes-string", "p-bool",
              "docs-bool", "log_axes-string-false", "log_axes-zero",
              "log_axes-string-yes", "name-empty", "name-dot", "name-dotdot",
-             "name-subdir"],
+             "name-subdir", "name-null", "theory-scalar", "theory-null",
+             "strategy-unknown", "semantics-unknown", "sweeps-number",
+             "sweeps-null", "sweeps-empty"],
     )
     def test_malformed_config_exits_2(self, key, value, tmp_path, capsys):
+        # key "sweeps" replaces the whole list of sweep entries
         raw = {"name": "bad", "strategy": "random", "p": 1, "q": 0, "r": 2,
                "nodes": [48, 96], "docs": 5, "trials": 2, "seed": 1}
+        sweeps = value if key == "sweeps" else [{**raw, key: value}]
         config = tmp_path / "cfg.json"
-        config.write_text(
-            json.dumps({"schema_version": 1, "sweeps": [{**raw, key: value}]})
-        )
+        config.write_text(json.dumps({"schema_version": 1, "sweeps": sweeps}))
         argv = ["sweep", "--config", str(config), "--out", str(tmp_path)]
         assert main(argv) == 2
         assert f"error: {key} must be" in capsys.readouterr().err
@@ -635,6 +703,13 @@ class TestCliSweep:
         assert main(argv) == 2
         assert "error: name must be a file name" in capsys.readouterr().err
         assert not list(tmp_path.glob("x.*"))
+
+    @pytest.mark.parametrize("flag", ["--points", "--trials"])
+    def test_nonpositive_override_exits_2(self, flag, tmp_path, capsys):
+        argv = ["sweep", "--preset", "fig4", "--out", str(tmp_path), flag, "0"]
+        assert main(argv) == 2
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_missing_config_exits_2(self, tmp_path):
         argv = ["sweep", "--config", str(tmp_path / "nope.json")]
@@ -679,6 +754,21 @@ class TestCliOracle:
         assert "t = 0..24 [multiset]" in out
         assert out.splitlines()[1].endswith(" 3840 0 0 0 0")
 
+    @pytest.mark.parametrize(
+        "what, baseline",
+        [("symmetric-exact", oracle.exact_symmetric_expectation),
+         ("brute-symmetric", oracle.brute_force_symmetric)],
+    )
+    def test_symmetric_value_matches_module(self, what, baseline, capsys):
+        argv = f"oracle --what {what} --p 1 --q 1 --r 2 --nodes 8".split()
+        assert main(argv) == 0
+        value = baseline(
+            RecParams(1, 1, 2), SystemParams(8, 2), LossSemantics.PER_CLUSTER
+        )
+        assert capsys.readouterr().out.startswith(
+            f"E[X] = {value} = {float(value)!r}  ["
+        )
+
     def test_nodes_required(self, capsys):
         argv = "oracle --what symmetric-exact --p 1 --q 0 --r 2".split()
         assert main(argv) == 2
@@ -694,6 +784,15 @@ class TestCliSelftest:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "beta-identity" in out
+
+    def test_full_level_passes(self):
+        # the full level adds the exact-versus-integral sweep to N = 120
+        # and the simulation-versus-theory checks
+        results = run_selftest(level="full")
+        assert {"symmetric-exact-vs-integral-full", "simulation-agreement"} <= {
+            res.name for res in results
+        }
+        assert [res for res in results if not res.ok] == []
 
     def test_failure_sets_exit_code(self, capsys, monkeypatch):
         from rec_persist.selftest import CheckResult
