@@ -149,6 +149,8 @@ _SURVIVAL_BLOCK = 4096
 # the survival sum tries to stop once the bound on its remaining terms is
 # at most this share of the running sum, far below half an ulp of it
 _TAIL_SHARE = 2.0**-60
+# the smallest positive float
+_SUBNORMAL = math.ldexp(1.0, -1074)
 
 
 def _survival_random_terms(
@@ -178,6 +180,63 @@ def _fsum(blocks, *extra) -> float:
     # fed term by term through memoryviews of the blocks, so no list of
     # the terms is built
     return math.fsum(chain(chain.from_iterable(map(memoryview, blocks)), extra))
+
+
+def _certified_sum(blocks, rest: float) -> float | None:
+    """math.fsum of the blocks' terms when it provably equals their fsum with
+    rest added, else None.
+
+    blocks are 1-d float arrays and rest >= 0.  Two ExtractVector levels
+    (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008) split off
+    the n terms' leading bits: with m = 2^ceil(log2(n + 2)) and the power
+    of two sigma >= m max|term|, hi = (sigma + low) - sigma and low - hi
+    are exact, and so is the sum of the hi in any order, since each is a
+    multiple of 2^-53 sigma and all of them add up to less than sigma.
+    What is left has |low| <= 2^-53 sigma and is summed in plain floating
+    point to within bound = 2 n 2^-53 sum|low|; the smallest subnormal on
+    top covers the rounding of that product.  The exact sum then lies in
+    [parts + approx - bound, parts + approx + bound], and with rest added
+    the upper end only grows; when both ends round to the same float,
+    rounding being monotone, fsum(terms) and fsum(terms, rest) are it.
+    The blocks are split one at a time, so no copy of all terms is made.
+    """
+    n = sum(block.size for block in blocks)
+    top = max((float(np.abs(block).max()) for block in blocks if block.size),
+              default=0.0)
+    if not top < 2.0**900:  # also nan; sigma must stay finite
+        return None
+    scale = (n + 1).bit_length()  # m = 2^scale >= n + 2
+    first = math.ldexp(1.0, scale + math.frexp(top)[1])
+    sigmas = (first, first * math.ldexp(1.0, scale - 53))
+    parts = [0.0, 0.0]
+    approx = residual = 0.0
+    for block in blocks:
+        low = block
+        for level, sigma in enumerate(sigmas):
+            hi = (sigma + low) - sigma
+            low = low - hi
+            parts[level] += float(hi.sum())
+        approx += float(low.sum())
+        residual += float(np.abs(low).sum())
+    bound = math.ldexp(n, -52) * residual + _SUBNORMAL
+    total = math.fsum((*parts, approx, -bound))
+    if math.fsum((*parts, approx, bound, rest)) == total:
+        return total
+    return None
+
+
+def _settled_sum(blocks, rest: float) -> float | None:
+    """fsum of the blocks' terms if adding rest leaves it unchanged, else None.
+
+    Certified in numpy where _certified_sum can decide it, by two fsum
+    passes where it cannot (one when rest is 0).
+    """
+    total = _certified_sum(blocks, rest)
+    if total is None:
+        total = _fsum(blocks)
+        if rest and _fsum(blocks, rest) != total:
+            return None
+    return total
 
 
 def survival_random(
@@ -217,6 +276,11 @@ def expect_random_sum(
     to the next block, and at worst through the first block that ends in
     0.0, after which every term is an exact zero.  sum_terms is the number
     of leading terms summed.
+
+    Both roundings are settled by _certified_sum, a few numpy passes of
+    error-free splitting that prove them equal without summing exactly;
+    only when the sum lies too close to a rounding boundary for its
+    bound (a few stops in a thousand) do two math.fsum passes decide.
     """
     kept = []
     count = 0
@@ -229,14 +293,14 @@ def expect_random_sum(
         hits = np.flatnonzero(rest <= _TAIL_SHARE * cumulative)
         if hits.size:
             i = int(hits[0])
-            head = kept[:-1] + [block[: i + 1]]
-            total = _fsum(head)
-            if _fsum(head, float(rest[i])) == total:
+            total = _settled_sum(kept[:-1] + [block[: i + 1]], float(rest[i]))
+            if total is not None:
                 return AnalyticResult(
                     total, Method.EXACT_SUM, 0.0, sum_terms=count + i + 1
                 )
         count += block.size
-    return AnalyticResult(_fsum(kept), Method.EXACT_SUM, 0.0, sum_terms=count)
+    total = _settled_sum(kept, 0.0)
+    return AnalyticResult(total, Method.EXACT_SUM, 0.0, sum_terms=count)
 
 
 # Gauss-Kronrod 7/15 pair on [-1, 1] (Piessens et al., QUADPACK, 1983): the

@@ -243,7 +243,9 @@ def load_config(path: str | Path) -> list[SweepSpec]:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParameterError(f"cannot read sweep config {path}: {exc}") from None
-    if not isinstance(raw, dict) or raw.get("schema_version") != SCHEMA_VERSION:
+    version = raw.get("schema_version") if isinstance(raw, dict) else None
+    # true and 1.0 compare equal to 1, but are no version number
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ParameterError(
             f"sweep config must declare schema_version = {SCHEMA_VERSION}"
         )

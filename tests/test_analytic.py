@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rec_persist import analytic, oracle
 from rec_persist.analytic import Method
@@ -196,6 +198,94 @@ class TestSurvivalSumStop:
     def test_stops_early(self):
         result = analytic.expect_random_sum(RecParams(1, 0, 2), SystemParams(10**5, 1000))
         assert result.sum_terms <= 25_000
+
+
+# term strategies for _certified_sum: signed values in [-1, 1] with their
+# subnormals, magnitudes from 1 down to 1e-300, and subnormals alone
+_UNIT_FLOATS = st.floats(-1.0, 1.0)
+_WIDE_FLOATS = st.builds(
+    math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-997, 0)
+)
+_SUBNORMALS = st.floats(0.0, 2.0**-1022)
+_TERMS = st.lists(_UNIT_FLOATS | _WIDE_FLOATS | _SUBNORMALS, min_size=1, max_size=400)
+# a rest as a share of the sum, up to well past half an ulp of it
+_SHARES = (
+    st.sampled_from([0.0, 2.0**-60, 2.0**-54, 2.0**-53]) | st.floats(0.0, 2.0**-50)
+)
+
+
+def assert_certified(terms, rest, chunk=None):
+    """_certified_sum of terms cut into blocks of chunk is None or
+    fsum(terms), and then also fsum(terms, rest)."""
+    array = np.array(terms, dtype=float)
+    blocks = np.split(array, range(chunk, array.size, chunk)) if chunk else [array]
+    got = analytic._certified_sum(blocks, rest)
+    if got is not None:
+        assert got == math.fsum(terms)
+        assert got == math.fsum(terms + [rest])
+    return got
+
+
+class TestCertifiedSum:
+    @settings(deadline=None, max_examples=300)
+    @given(_TERMS, _SHARES, st.none() | st.integers(1, 100))
+    def test_none_or_exact(self, terms, share, chunk):
+        assert_certified(terms, share * abs(math.fsum(terms)), chunk)
+
+    @settings(deadline=None, max_examples=100)
+    @given(_UNIT_FLOATS | _WIDE_FLOATS | _SUBNORMALS, st.integers(1, 5000), _SHARES)
+    def test_constant_arrays(self, value, size, share):
+        assert_certified([value] * size, share * abs(value) * size)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(-1074, 0), st.integers(0, 60), st.integers(1, 3))
+    def test_ties(self, exponent, gap, copies):
+        # 2^e plus pieces at and below half its ulp: exact ties (one piece
+        # at gap 0, two at gap 1) and sums just off them
+        head = math.ldexp(1.0, exponent)
+        terms = [head] + [math.ldexp(head, -53 - gap)] * copies
+        assert_certified(terms, 0.0)
+        assert_certified(terms, math.ldexp(head, -60))
+
+    def test_tie_that_rest_breaks_is_refused(self):
+        # 1 + 2^-53 rounds down to 1.0, and up to 1 + 2^-52 with any rest
+        terms = [1.0, 2.0**-53]
+        assert assert_certified(terms, 0.0) in (1.0, None)
+        assert analytic._certified_sum([np.array(terms)], 2.0**-60) is None
+
+    def test_bound_covers_the_residual_sum(self):
+        # 2^-101 is below both levels' extraction, so plain summation of the
+        # residual drops 2^-160 against it: the residual's exact sum pushes
+        # the tie 1 + 2^-53 up, its floating-point sum leaves it on the tie
+        terms = [1.0, 2.0**-53, 2.0**-101, 2.0**-160, -(2.0**-101)]
+        assert math.fsum(terms) == 1.0 + 2.0**-52
+        assert assert_certified(terms, 0.0) is None
+
+    def test_survival_terms_are_settled(self):
+        # a helper that always declined would be exact but save nothing
+        settled = declined = 0
+        for rec, system, semantics in random_instances(7, 60, 10**5):
+            terms = np.concatenate(
+                list(analytic._survival_random_blocks(rec, system, semantics))
+            ).tolist()
+            for rest in (0.0, 2.0**-60 * math.fsum(terms)):
+                if assert_certified(terms, rest, analytic._SURVIVAL_BLOCK) is None:
+                    declined += 1
+                else:
+                    settled += 1
+        assert declined <= settled // 20
+
+    def test_non_finite_terms_are_declined(self):
+        for bad in (math.inf, math.nan, 1e308):
+            assert analytic._certified_sum([np.array([1.0, bad])], 0.0) is None
+
+    def test_sum_falls_back_to_fsum(self, monkeypatch):
+        cases = list(random_instances(11, 40, 20_000))
+        expected = [analytic.expect_random_sum(*case) for case in cases]
+        monkeypatch.setattr(analytic, "_certified_sum", lambda terms, rest: None)
+        for case, certified in zip(cases, expected):
+            assert analytic.expect_random_sum(*case) == certified
+            assert certified.value == full_random_sum(*case)
 
 
 class TestExpectRandomIntegral:

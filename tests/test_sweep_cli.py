@@ -159,6 +159,19 @@ class TestLoadConfig:
         with pytest.raises(ParameterError):
             sweep.load_config(path)
 
+    @pytest.mark.parametrize(
+        "version", [True, 1.0, "1"], ids=["bool", "float", "string"]
+    )
+    def test_version_must_be_the_integer_1(self, version, tmp_path, capsys):
+        raw = {"name": "v", "strategy": "random", "p": 1, "q": 0, "r": 2,
+               "nodes": [48], "docs": 5, "trials": 2, "seed": 1}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"schema_version": version, "sweeps": [raw]}))
+        argv = ["sweep", "--config", str(config), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "schema_version = 1" in capsys.readouterr().err
+        assert not (tmp_path / "v.csv").exists()
+
     def test_unreadable(self, tmp_path):
         with pytest.raises(ParameterError):
             sweep.load_config(tmp_path / "missing.json")
@@ -410,6 +423,28 @@ class TestCliAnalytic:
             f"docs=1000 value={result.value!r} error_bound=0.0"
         )
 
+    @pytest.mark.parametrize("strategy", ["random", "symmetric"])
+    @pytest.mark.parametrize("rule", ["multiset", "per-cluster"])
+    def test_semantics_flag_follows_expect(self, strategy, rule, capsys):
+        # p = 2, where the rules give different values
+        argv = (f"analytic --strategy {strategy} --p 2 --q 1 --r 2 --nodes 1200 "
+                f"--docs 200 --method integral --semantics {rule}").split()
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        strategy = PlacementStrategy(strategy)
+        result = analytic.expect(
+            strategy, RecParams(2, 1, 2), SystemParams(1200, 200),
+            Method.INTEGRAL, semantics=LossSemantics(rule),
+        )
+        assert lines[0] == (
+            f"E[X] = {result.value!r}  "
+            f"[{strategy.value} placement, {rule} rule, method integral]"
+        )
+        assert lines[-1].endswith(
+            f"value={result.value!r} error_bound={result.error_bound!r} "
+            f"semantics={rule}"
+        )
+
     @pytest.mark.parametrize("tol", ["0", "-1", "1e-16", "nan", "1"])
     def test_bad_tol_exits_2(self, tol, capsys):
         code = main(
@@ -458,6 +493,65 @@ class TestCliAnalytic:
             if action.dest == "method"
         )
         assert set(method.choices) == {"sum", "integral", "asymptotic", "beta-exact"}
+
+
+class TestCliDispatch:
+    """A subcommand's argv is parsed by its own parser alone, to the same
+    Namespace, exit code and output as through the top-level parser."""
+
+    ARGVS = [
+        "analytic --strategy random --p 1 --q 1 --r 2 --nodes 1000 --docs 10 "
+        "--method asymptotic",
+        "analytic --method sum --docs 5 --nodes 48 --r 2 --q 0 --p 1 "
+        "--strategy random --semantics per-cluster",
+        "analytic --strategy symmetric --p 2 --q 1 --r 2 --nodes 1200 --docs 200 "
+        "--meth integral --tol 1e-8",
+        "analytic --strategy=random --p=1 --q=0 --r=2 --nodes=48 --docs=5 "
+        "--method=sum",
+        "simulate --strategy random --p 1 --q 0 --r 2 --nodes 48 --docs 5",
+        "simulate --strategy random --nodes 96 --class 1,0,2,5 --class 2,1,2,3 "
+        "--trials 4 --seed -3 --semantics multiset",
+        "sweep --preset fig7 --points 2 --trials 2 --out x",
+        "sweep --config cfg.json",
+        "oracle --what group-poly --p 1 --q 0 --r 2",
+        "oracle --what brute-random --p 1 --q 0 --r 1 --nodes 3 --docs 1 "
+        "--semantics per-cluster",
+        "selftest",
+        "selftest --level full",
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda a: " ".join(a.split()[:2]))
+    def test_same_namespace(self, argv):
+        argv = argv.split()
+        expected = cli._PARSER.parse_args(argv)
+        assert cli._SUBPARSERS[argv[0]].parse_args(argv[1:]) == expected
+        assert cli._parse(argv) == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["", "--help", "not-a-command", "analytic --help", "sweep -h",
+         "analytic --strategy random", "analytic --strategy random --p 1 --q 0 "
+         "--r 2 --nodes 48 --docs 5 --method sum --bogus 1", "selftest --level",
+         "analytic --strategy random --p 1 --q 0 --r 2 --nodes 48 --docs 5 "
+         "--method median"],
+        ids=["empty", "help", "unknown", "analytic-help", "sweep-help",
+             "missing-flag", "unrecognized", "missing-value", "bad-choice"],
+    )
+    def test_usage_and_errors_unchanged(self, argv, capsys):
+        argv = argv.split()
+        with pytest.raises(SystemExit) as exc:
+            cli._PARSER.parse_args(argv)
+        expected = (int(exc.value.code or 0), *capsys.readouterr())
+        assert (main(argv), *capsys.readouterr()) == expected
+
+    def test_abbreviation_runs(self, capsys):
+        argv = ("analytic --strategy random --p 1 --q 1 --r 2 --nodes 1000 "
+                "--docs 10 --meth asymptotic").split()
+        assert main(argv) == 0
+        full = [a.replace("--meth", "--method") for a in argv]
+        out = capsys.readouterr().out
+        assert main(full) == 0
+        assert capsys.readouterr().out == out
 
 
 class TestCliSimulate:
