@@ -41,7 +41,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ParameterError, QuadratureError
+from .errors import ParameterError, QuadratureError, require_int
 from .model import (
     LossSemantics,
     PlacementStrategy,
@@ -113,9 +113,7 @@ class AnalyticResult:
 def _tail(rec: RecParams, semantics: LossSemantics) -> tuple[int, int]:
     """(s, kappa) with 1 - phi(x) ~ kappa x^s: the likeliest losses hit
     lost_at units of the rule's loss_thresholds with hit_at erasures each."""
-    unit_axis, hit_at, lost_at = loss_thresholds(rec, semantics)
-    grid = (rec.r, rec.chunks)
-    units, length = grid[unit_axis], grid[1 - unit_axis]
+    units, length, hit_at, lost_at = loss_thresholds(rec, semantics)
     kappa = math.comb(units, lost_at) * math.comb(length, hit_at) ** lost_at
     return hit_at * lost_at, kappa
 
@@ -126,7 +124,7 @@ def _log_survival(x, rec: RecParams, semantics: LossSemantics):
     One level of each rule's loss_thresholds is a plain power, and each
     branch keeps relative precision through the other level's complement.
     """
-    _, hit_at, lost_at = loss_thresholds(rec, semantics)
+    _, _, hit_at, lost_at = loss_thresholds(rec, semantics)
     if semantics is LossSemantics.MULTISET:
         # a multiset is hit with probability x^r
         return log_reg_inc_beta_complement(x**hit_at, lost_at, rec.p)
@@ -243,7 +241,8 @@ def survival_random(
     l: int, rec: RecParams, system: SystemParams, semantics=LossSemantics.MULTISET
 ) -> float:
     """Pr[X > l] under random placement."""
-    if not 0 <= l <= system.nodes:
+    l = require_int(l, "l", 0)
+    if l > system.nodes:
         raise ParameterError(f"l must lie in [0, nodes], got {l}")
     return float(_survival_random_terms(np.array([l]), rec, system, semantics)[0])
 

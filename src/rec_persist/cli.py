@@ -29,6 +29,8 @@ from .simulator import SimConfig, WorkloadClass, simulate
 
 __all__ = ["main"]
 
+_STRATEGIES = [s.value for s in PlacementStrategy]
+_SEMANTICS = [s.value for s in LossSemantics]
 _SIM_CSV_COLUMNS = (
     "strategy", "p", "q", "r", "N", "D", "trials", "seed",
     "mean_empirical", "std_error", "min", "max", "semantics",
@@ -56,8 +58,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_an = sub.add_parser(
         "analytic", help="evaluate a persistency formula",
     )
-    p_an.add_argument("--strategy", choices=["random", "symmetric"],
-                      required=True)
+    p_an.add_argument("--strategy", choices=_STRATEGIES, required=True)
     _add_rec_flags(p_an)
     p_an.add_argument("--nodes", type=int, required=True)
     p_an.add_argument("--docs", type=int, required=True)
@@ -71,12 +72,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                       default=analytic.DEFAULT_QUADRATURE_TOL,
                       help="relative quadrature tolerance, at least "
                            f"{analytic.MIN_QUADRATURE_TOL:g} and below 1")
-    p_an.add_argument("--semantics", choices=["multiset", "per-cluster"],
+    p_an.add_argument("--semantics", choices=_SEMANTICS,
                       help="loss rule override (default depends on strategy)")
 
     p_sim = sub.add_parser("simulate", help="run seeded Monte Carlo trials")
-    p_sim.add_argument("--strategy", choices=["random", "symmetric"],
-                       required=True)
+    p_sim.add_argument("--strategy", choices=_STRATEGIES, required=True)
     _add_rec_flags(p_sim, required=False)
     p_sim.add_argument("--nodes", type=int, required=True)
     p_sim.add_argument("--docs", type=int)
@@ -87,7 +87,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     p_sim.add_argument("--trials", type=int, default=500)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--semantics", choices=["multiset", "per-cluster"],
+    p_sim.add_argument("--semantics", choices=_SEMANTICS,
                        help="loss rule override (default depends on strategy)")
 
     p_sw = sub.add_parser(
@@ -117,7 +117,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_rec_flags(p_or)
     p_or.add_argument("--nodes", type=int)
     p_or.add_argument("--docs", type=int)
-    p_or.add_argument("--semantics", choices=["multiset", "per-cluster"],
+    p_or.add_argument("--semantics", choices=_SEMANTICS,
                       help="loss rule (default: multiset for brute-random, "
                            "per-cluster otherwise)")
 
@@ -204,14 +204,13 @@ def _join(values) -> str:
 
 def _cmd_simulate(args) -> int:
     classes = _sim_classes(args)
-    semantics = LossSemantics(args.semantics) if args.semantics else None
     config = SimConfig(
-        strategy=PlacementStrategy(args.strategy),
+        strategy=args.strategy,
         classes=classes,
         nodes=args.nodes,
         trials=args.trials,
         master_seed=args.seed,
-        semantics=semantics,
+        semantics=args.semantics,
     )
     summary = simulate(config)
     print(

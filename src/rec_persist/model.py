@@ -8,7 +8,7 @@ share replica index j.
 
 Two loss rules are supported, and both are one two-level threshold over
 the document's (r, p+q) fragment grid (loss_thresholds): the grid splits
-into units along one axis, a unit is hit once hit_at of its fragments are
+into units (by_unit), a unit is hit once hit_at of its fragments are
 erased, and the document is lost once lost_at of its units are hit.
 
 * MULTISET: the units are the p+q multisets, each hit when all r of its
@@ -34,9 +34,11 @@ __all__ = [
     "SystemParams",
     "LossSemantics",
     "PlacementStrategy",
+    "require_member",
     "Placement",
     "default_semantics",
     "loss_thresholds",
+    "by_unit",
     "is_document_lost",
     "validate_symmetric_preconditions",
     "require_symmetric_preconditions",
@@ -53,6 +55,16 @@ class LossSemantics(Enum):
 class PlacementStrategy(Enum):
     RANDOM = "random"
     SYMMETRIC = "symmetric"
+
+
+def require_member(enum: type[Enum], value, name: str):
+    """The member of enum that value is or names, or ParameterError."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise ParameterError(
+            f"{name} must be one of {[m.value for m in enum]}, got {value!r}"
+        ) from None
 
 
 def default_semantics(strategy: PlacementStrategy) -> LossSemantics:
@@ -85,19 +97,28 @@ class RecParams:
         return (self.p + self.q) * self.r
 
 
-def loss_thresholds(rec: RecParams, semantics: LossSemantics) -> tuple[int, int, int]:
-    """(unit_axis, hit_at, lost_at): the loss rule as a two-level threshold.
+def loss_thresholds(rec: RecParams, semantics: LossSemantics) -> tuple[int, ...]:
+    """(units, length, hit_at, lost_at): the loss rule as a two-level threshold.
 
-    A document's (r, p+q) fragment grid splits into units along unit_axis:
-    its r rows, the replica clusters (0), or its p+q columns, the
-    replication multisets (1).  A unit is hit once hit_at of its fragments
-    are erased, and the document is lost once lost_at of its units are hit.
-    Every loss evaluator, predicate and count derives from this definition.
+    A document's (r, p+q) fragment grid splits into units of length
+    fragments, its p+q columns, the replication multisets, or its r rows,
+    the replica clusters (by_unit).  A unit is hit once hit_at of its
+    fragments are erased, and the document is lost once lost_at of its
+    units are hit.  Every loss evaluator, predicate and count derives from it.
     """
     if semantics is LossSemantics.MULTISET:
-        return 1, rec.r, rec.q + 1
+        return rec.chunks, rec.r, rec.r, rec.q + 1
     if semantics is LossSemantics.PER_CLUSTER:
-        return 0, rec.q + 1, rec.r
+        return rec.r, rec.chunks, rec.q + 1, rec.r
+    raise ParameterError(f"unknown semantics {semantics!r}")
+
+
+def by_unit(grid: np.ndarray, semantics: LossSemantics) -> np.ndarray:
+    """grid, last two axes (r, p+q), as (unit, fragment) of loss_thresholds."""
+    if semantics is LossSemantics.MULTISET:
+        return grid.swapaxes(-1, -2)
+    if semantics is LossSemantics.PER_CLUSTER:
+        return grid
     raise ParameterError(f"unknown semantics {semantics!r}")
 
 
@@ -187,6 +208,6 @@ def is_document_lost(rec: RecParams, erased, semantics: LossSemantics) -> bool:
         raise ParameterError(
             f"erased flags must have shape ({rec.r}, {rec.chunks}), got {flags.shape}"
         )
-    unit_axis, hit_at, lost_at = loss_thresholds(rec, semantics)
-    hit = flags.sum(axis=1 - unit_axis) >= hit_at
+    _, _, hit_at, lost_at = loss_thresholds(rec, semantics)
+    hit = by_unit(flags, semantics).sum(axis=1) >= hit_at
     return bool(hit.sum() >= lost_at)

@@ -18,6 +18,7 @@ from .model import (
     LossSemantics,
     RecParams,
     SystemParams,
+    by_unit,
     loss_thresholds,
     require_symmetric_preconditions,
 )
@@ -54,14 +55,6 @@ def _poly_pow(base, exponent: int) -> list[int]:
     return out
 
 
-def _units(rec: RecParams, semantics: LossSemantics) -> tuple[int, int, int, int]:
-    # (units, length, hit_at, lost_at): loss_thresholds with the unit count
-    # and the fragments per unit
-    unit_axis, hit_at, lost_at = loss_thresholds(rec, semantics)
-    grid = (rec.r, rec.chunks)
-    return grid[unit_axis], grid[1 - unit_axis], hit_at, lost_at
-
-
 def _lost_weight(units: int, lost_at: int, hit, miss) -> list[int]:
     """sum_{k >= lost_at} C(units, k) hit^k miss^(units-k), a polynomial.
 
@@ -89,11 +82,10 @@ def group_polynomial(rec: RecParams, semantics: LossSemantics) -> tuple[int, ...
     where h(z) = sum_{s >= hit_at} C(length, s) z^s counts the erasures
     that hit one unit of length fragments and m(z) those that miss it.
     """
-    units, length, hit_at, lost_at = _units(rec, semantics)
+    units, length, hit_at, lost_at = loss_thresholds(rec, semantics)
     erased = [math.comb(length, s) for s in range(length + 1)]
     hit = [0] * hit_at + erased[hit_at:]
-    miss = erased[:hit_at]
-    dead = _lost_weight(units, lost_at, hit, miss)
+    dead = _lost_weight(units, lost_at, hit, miss=erased[:hit_at])
     return tuple(math.comb(rec.fragments, t) - d for t, d in enumerate(dead))
 
 
@@ -157,11 +149,10 @@ def brute_force_symmetric(
             f"subset enumeration is guarded at nodes <= {_BRUTE_SUBSET_LIMIT}, "
             f"got {nodes}"
         )
-    placement = place_symmetric(rec, system)
-    unit_axis, hit_at, lost_at = loss_thresholds(rec, semantics)
+    _, _, hit_at, lost_at = loss_thresholds(rec, semantics)
     # doc_units[k][u] lists the nodes of unit u of document k; a wrapped
     # placement can repeat a node there, and each fragment on it counts
-    doc_units = placement.table.swapaxes(1, 1 + unit_axis).tolist()
+    doc_units = by_unit(place_symmetric(rec, system).table, semantics).tolist()
 
     def lost(erased_mask: int) -> bool:
         for units in doc_units:
@@ -215,7 +206,7 @@ def brute_force_random(
             f"placement enumeration is guarded at N^((p+q)r) <= "
             f"{_BRUTE_PLACEMENT_LIMIT}, got {nodes}^{g}"
         )
-    units, length, hit_at, lost_at = _units(rec, semantics)
+    units, length, hit_at, lost_at = loss_thresholds(rec, semantics)
     # one unit's node tuples, counted by the nodes they use with multiplicity
     tuple_count: dict[tuple[int, ...], int] = {}
     for tup in itertools.product(range(nodes), repeat=length):

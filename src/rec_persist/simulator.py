@@ -14,8 +14,10 @@ Trials are deterministic functions of (master_seed, trial_index) and run
 serially.  simulate stacks the int32 rank rows of several trials and
 evaluates them together when they share a placement (the symmetric
 strategy); a random placement belongs to one trial, so its batch holds one.
-Node ids and ranks are int32, which caps nodes below 2^31, and a trial's
-arrays are capped at TRIAL_LIMIT entries before anything is allocated.
+A symmetric class stores one period of its documents, N/gcd(N, g), since
+the rest repeat its nodes.  Node ids and ranks are int32, which caps nodes
+below 2^31, and a trial's arrays are capped at TRIAL_LIMIT entries before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ from .model import (
     PlacementStrategy,
     RecParams,
     SystemParams,
+    by_unit,
     default_semantics,
     loss_thresholds,
+    require_member,
     validate_symmetric_preconditions,
 )
 
@@ -139,8 +143,8 @@ def _first_loss(t: np.ndarray, q: int, semantics: LossSemantics) -> np.ndarray:
     Returns the earliest death over documents, shape (batch,).
     """
     rec = RecParams(t.shape[3] - q, q, t.shape[2])
-    unit_axis, hit_at, lost_at = loss_thresholds(rec, semantics)
-    hits = _order_statistic(t.swapaxes(3 - unit_axis, 3), hit_at - 1)
+    _, _, hit_at, lost_at = loss_thresholds(rec, semantics)
+    hits = _order_statistic(by_unit(t, semantics), hit_at - 1)
     return _order_statistic(hits, lost_at - 1).min(axis=1)
 
 
@@ -186,6 +190,12 @@ class WorkloadClass:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Seeded trials of one placement strategy over workload classes.
+
+    Construction checks every field and turns strategy and semantics names
+    into their enums; semantics None means default_semantics(strategy).
+    """
+
     strategy: PlacementStrategy
     classes: tuple[WorkloadClass, ...]
     nodes: int
@@ -194,12 +204,17 @@ class SimConfig:
     semantics: LossSemantics | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
+        def put(field: str, value) -> None:
+            object.__setattr__(self, field, value)
+
+        put("strategy", require_member(PlacementStrategy, self.strategy, "strategy"))
+        if self.semantics is not None:
+            put("semantics", require_member(LossSemantics, self.semantics, "semantics"))
+        put("classes", tuple(self.classes))
         if not self.classes:
             raise ParameterError("at least one workload class is required")
         for name, minimum in (("nodes", 1), ("trials", 1), ("master_seed", 0)):
-            value = require_int(getattr(self, name), name, minimum)
-            object.__setattr__(self, name, value)
+            put(name, require_int(getattr(self, name), name, minimum))
 
     @property
     def resolved_semantics(self) -> LossSemantics:
@@ -234,14 +249,30 @@ class SimSummary:
     maximum: int
 
 
-def _symmetric_stream(config: SimConfig) -> list[Placement]:
-    # one placement counter runs across classes in declared order
+def _stored_docs(config: SimConfig) -> list[int]:
+    """Documents each class's placement table holds, in declared order.
+
+    A random class stores all of its documents, a symmetric class one
+    period: its document k starts at node (start + k*g) mod N, so
+    documents k and k + N/gcd(N, g) sit on the same nodes, and a repeat
+    cannot change the first loss.
+    """
+    if config.strategy is PlacementStrategy.RANDOM:
+        return [wc.docs for wc in config.classes]
+    return [
+        min(wc.docs, config.nodes // math.gcd(config.nodes, wc.rec.fragments))
+        for wc in config.classes
+    ]
+
+
+def _symmetric_stream(config: SimConfig, stored: list[int]) -> list[Placement]:
+    # one placement counter runs across classes in declared order, and
+    # each class advances it by all of its documents, stored or not
     placements = []
     start = 0
-    for wc in config.classes:
-        placements.append(
-            place_symmetric(wc.rec, SystemParams(config.nodes, wc.docs), start=start)
-        )
+    for wc, docs in zip(config.classes, stored):
+        system = SystemParams(config.nodes, docs)
+        placements.append(place_symmetric(wc.rec, system, start=start))
         start = (start + wc.docs * wc.rec.fragments) % config.nodes
     return placements
 
@@ -254,23 +285,27 @@ def simulate(config: SimConfig) -> SimSummary:
     the classes in declared order, then the removal permutation, and the
     moments are exact integer sums.  Symmetric trials share one placement
     and are evaluated max(1, BUDGET // entries) at a time, where entries is
-    one trial's rank row plus placement tables; random trials one at a
-    time.  Raises SizeLimitError, before allocating, when nodes >= 2^31 or
-    entries exceeds TRIAL_LIMIT.
+    one trial's rank row plus placement tables, which hold _stored_docs
+    documents per class; random trials one at a time.  Raises
+    SizeLimitError, before allocating, when nodes >= 2^31 or entries
+    exceeds TRIAL_LIMIT.
     """
     nodes = config.nodes
-    entries = nodes + sum(wc.docs * wc.rec.fragments for wc in config.classes)
+    stored = _stored_docs(config)
+    entries = nodes + sum(
+        docs * wc.rec.fragments for wc, docs in zip(config.classes, stored)
+    )
     if nodes >= 2**31:
         raise SizeLimitError(f"simulate needs nodes < 2^31 for int32 ids, got {nodes}")
     if entries > TRIAL_LIMIT:
         raise SizeLimitError(
-            f"one trial needs {entries} int32 entries (nodes plus "
+            f"one trial needs {entries} int32 entries (nodes plus stored "
             f"docs*(p+q)*r per class), above the limit of {TRIAL_LIMIT}"
         )
     semantics = config.resolved_semantics
     symmetric = config.strategy is PlacementStrategy.SYMMETRIC
     if symmetric:
-        placements = _symmetric_stream(config)
+        placements = _symmetric_stream(config, stored)
         size = max(1, BUDGET // entries)
     else:
         size = 1  # each trial draws its own placements

@@ -13,7 +13,13 @@ import numpy as np
 
 from .analytic import EXACT_METHOD, Method, expect
 from .errors import ParameterError, QuadratureError, require_int
-from .model import LossSemantics, PlacementStrategy, RecParams, SystemParams
+from .model import (
+    LossSemantics,
+    PlacementStrategy,
+    RecParams,
+    SystemParams,
+    require_member,
+)
 from .simulator import SimConfig, WorkloadClass, simulate
 from .svg import PALETTE, Series, render_chart
 
@@ -33,15 +39,6 @@ SCHEMA_VERSION = 1
 
 _THEORY_KINDS = ("exact", "asymptotic", "beta-exact")
 _DOC_RULES = ("N", "N/g")
-
-
-def _member(enum, value, name: str):
-    try:
-        return enum(value)
-    except ValueError:
-        raise ParameterError(
-            f"{name} must be one of {[m.value for m in enum]}, got {value!r}"
-        ) from None
 
 
 def _listed(value, name: str) -> tuple:
@@ -85,9 +82,9 @@ class SweepSpec:
                 f"name must be a file name, not empty, '.', '..' or a path, "
                 f"got {self.name!r}"
             )
-        put("strategy", _member(PlacementStrategy, self.strategy, "strategy"))
+        put("strategy", require_member(PlacementStrategy, self.strategy, "strategy"))
         if self.semantics is not None:
-            put("semantics", _member(LossSemantics, self.semantics, "semantics"))
+            put("semantics", require_member(LossSemantics, self.semantics, "semantics"))
         for field, minimum in (
             ("p", 1), ("q", 0), ("r", 1), ("trials", 1), ("seed", 0)
         ):

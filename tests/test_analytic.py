@@ -85,6 +85,14 @@ class TestSurvivalRandom:
         with pytest.raises(ParameterError):
             analytic.survival_random(5, rec, system)
 
+    def test_l_must_be_an_integer(self):
+        rec = RecParams(1, 0, 1)
+        system = SystemParams(4, 1)
+        for l in (2.5, 2.0, True, "3", None):
+            with pytest.raises(ParameterError, match="l must be an integer"):
+                analytic.survival_random(l, rec, system)
+        assert analytic.survival_random(np.int64(2), rec, system) == 0.5
+
     def test_curve_matches_pointwise_and_sums(self):
         # REC(1,0,2) at N = 48, D = 5 stays positive past N(g-p)/g + 1 = 25,
         # the support bound of the symmetric curve only

@@ -12,6 +12,7 @@ from rec_persist.model import (
     PlacementStrategy,
     RecParams,
     SystemParams,
+    by_unit,
     default_semantics,
     is_document_lost,
     loss_thresholds,
@@ -176,16 +177,40 @@ class TestIsDocumentLost:
             _lost(RecParams(1, 1, 2), [[True, False]], LossSemantics.MULTISET)
 
     def test_loss_thresholds(self):
-        # (unit_axis, hit_at, lost_at): q+1 of the p+q multisets fully
-        # erased, or all r clusters with q+1 erased chunks each
-        rec = RecParams(2, 1, 3)
-        assert loss_thresholds(rec, LossSemantics.MULTISET) == (1, 3, 2)
-        assert loss_thresholds(rec, LossSemantics.PER_CLUSTER) == (0, 2, 3)
+        # (units, length, hit_at, lost_at): q+1 = 3 of the p+q = 5
+        # multisets with all r = 2 replicas erased, or both r = 2 clusters
+        # of 5 chunks with q+1 = 3 erased each; r != p+q keeps units and
+        # length apart
+        rec = RecParams(3, 2, 2)
+        assert loss_thresholds(rec, LossSemantics.MULTISET) == (5, 2, 2, 3)
+        assert loss_thresholds(rec, LossSemantics.PER_CLUSTER) == (2, 5, 3, 2)
+        rec = RecParams(4, 1, 3)
+        assert loss_thresholds(rec, LossSemantics.MULTISET) == (5, 3, 3, 2)
+        assert loss_thresholds(rec, LossSemantics.PER_CLUSTER) == (3, 5, 2, 3)
         for bad in ("multiset", None):
             with pytest.raises(ParameterError, match="unknown semantics"):
                 loss_thresholds(rec, bad)
             with pytest.raises(ParameterError, match="unknown semantics"):
-                _lost(rec, np.zeros((3, 3), dtype=bool), bad)
+                _lost(rec, np.zeros((3, 5), dtype=bool), bad)
+
+    def test_by_unit(self):
+        # a multiset is a column of the (r, p+q) grid, a cluster a row, and
+        # the view's last two axes are (units, length) of loss_thresholds
+        rec = RecParams(3, 1, 2)
+        grid = np.arange(2 * 5 * rec.fragments).reshape(2, 5, rec.r, rec.chunks)
+        for sem, unit_of in (
+            (LossSemantics.MULTISET, lambda u: grid[..., :, u]),
+            (LossSemantics.PER_CLUSTER, lambda u: grid[..., u, :]),
+        ):
+            units, length, _, _ = loss_thresholds(rec, sem)
+            view = by_unit(grid, sem)
+            assert view.shape == (2, 5, units, length)
+            assert np.shares_memory(view, grid)
+            for u in range(units):
+                assert np.array_equal(view[..., u, :], unit_of(u))
+        for bad in ("per-cluster", None):
+            with pytest.raises(ParameterError, match="unknown semantics"):
+                by_unit(grid, bad)
 
     def test_monotone_in_erasures(self):
         # erasing more never revives a document

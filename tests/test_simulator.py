@@ -486,6 +486,43 @@ class TestSimulate:
             with pytest.raises(ParameterError, match="must be an integer"):
                 RecParams(*args)
 
+    def test_names_run_the_model_they_name(self):
+        # a name must run the model its enum runs: the same placement, the
+        # same default rule and the same theory tag
+        base = dict(
+            classes=(WorkloadClass(RecParams(2, 3, 2), 8),),
+            nodes=48,
+            trials=50,
+            master_seed=1,
+        )
+        for strategy in PlacementStrategy:
+            by_name = SimConfig(**base, strategy=strategy.value)
+            by_enum = SimConfig(**base, strategy=strategy)
+            assert by_name == by_enum
+            assert by_name.strategy is strategy
+            assert simulate(by_name) == simulate(by_enum)
+        # 10 does not divide 48, so symmetric placement is out of theory
+        assert SimConfig(**base, strategy="symmetric").out_of_theory
+        by_name = SimConfig(**base, strategy="symmetric", semantics="multiset")
+        by_enum = SimConfig(**base, strategy="symmetric", semantics=MS)
+        assert by_name.semantics is MS
+        assert simulate(by_name) == simulate(by_enum)
+
+    def test_unknown_names_raise_at_construction(self):
+        base = dict(
+            classes=(WorkloadClass(RecParams(1, 0, 1), 1),),
+            nodes=5,
+            trials=1,
+            master_seed=0,
+            strategy="random",
+        )
+        for field, value in (
+            ("strategy", "Random"), ("strategy", None), ("strategy", MS),
+            ("semantics", "per_cluster"), ("semantics", PlacementStrategy.RANDOM),
+        ):
+            with pytest.raises(ParameterError, match=f"{field} must be one of"):
+                SimConfig(**{**base, field: value})
+
 
 def _persistency_loop(config: SimConfig) -> SimSummary:
     """Symmetric simulate's documented stream, one persistency call a trial."""
@@ -532,6 +569,14 @@ class TestBatches:
         "mixed": _sym([((1, 0, 2), 3), ((2, 1, 1), 4)], 18),
         # the first class wraps at 13 nodes, so the second starts at node 2
         "wrapping": _sym([((1, 2, 1), 5), ((2, 2, 2), 3)], 13, semantics=PC),
+        # more documents than the one period, N/gcd(N, g), that simulate
+        # stores: 8 at N = 48, and 25 at N = 50, which g = 6 does not divide
+        "over-period": _sym([((2, 1, 2), 30)], 48, semantics=MS),
+        "over-period-off-grid": _sym([((2, 1, 2), 60)], 50),
+        # periods 14 and 7; the second class starts at node 15*5 mod 14 = 5,
+        # advanced by the first class's full count, where its stored period
+        # would give node 0, and its pairs then start at odd nodes only
+        "over-period-wrapping": _sym([((1, 4, 1), 15), ((1, 0, 2), 9)], 14),
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -539,7 +584,8 @@ class TestBatches:
     def test_same_summary_as_persistency_loop(self, name, per_batch, monkeypatch):
         config = self.CONFIGS[name]
         entries = config.nodes + sum(
-            wc.docs * wc.rec.fragments for wc in config.classes
+            docs * wc.rec.fragments
+            for wc, docs in zip(config.classes, simulator._stored_docs(config))
         )
         if per_batch is None:
             per_batch = config.trials
@@ -582,3 +628,34 @@ class TestSizeGuard:
         monkeypatch.setattr(simulator, "TRIAL_LIMIT", entries - 1)
         with pytest.raises(SizeLimitError):
             simulate(config)
+
+    def test_symmetric_limit_counts_one_period(self, monkeypatch):
+        # 1000 documents of g = 6 on 18 nodes store one period of 3
+        config = _sym([((2, 1, 2), 1000)], 18, trials=2)
+        monkeypatch.setattr(simulator, "TRIAL_LIMIT", 18 + 3 * 6)
+        simulate(config)
+        monkeypatch.setattr(simulator, "TRIAL_LIMIT", 18 + 3 * 6 - 1)
+        with pytest.raises(SizeLimitError):
+            simulate(config)
+
+    def test_symmetric_billion_documents_in_bounded_memory(self, capsys):
+        # one period of N/gcd(N, 6) = 200,000 documents stands for all 1e9:
+        # 1.2e6 table entries plus the rank row, a tracemalloc peak of
+        # about 28 MiB (Python 3.11, numpy 2.4) where 6e9 entries would be
+        # refused
+        argv = (
+            "simulate --strategy symmetric --p 2 --q 1 --r 2 --nodes 1200000 "
+            "--docs 1000000000 --trials 3"
+        ).split()
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 48 << 20
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert row[:8] == [
+            "symmetric", "2", "1", "2", "1200000", "1000000000", "3", "0"
+        ]
