@@ -36,6 +36,7 @@ __all__ = [
     "PlacementStrategy",
     "require_member",
     "Placement",
+    "require_node_ids",
     "default_semantics",
     "loss_thresholds",
     "by_unit",
@@ -188,13 +189,18 @@ class Placement:
             )
         if not np.issubdtype(table.dtype, np.integer):
             raise ParameterError("placement table must hold integer node ids")
-        if table.min() < 0 or table.max() >= self.nodes:
-            raise ParameterError("placement table entries must lie in [0, nodes)")
+        require_node_ids(table, self.nodes)
         self.table = table
 
     @property
     def docs(self) -> int:
         return self.table.shape[0]
+
+
+def require_node_ids(table: np.ndarray, nodes: int) -> None:
+    """ParameterError unless every entry of the integer array table is in [0, nodes)."""
+    if table.min() < 0 or table.max() >= nodes:
+        raise ParameterError("placement table entries must lie in [0, nodes)")
 
 
 def is_document_lost(rec: RecParams, erased, semantics: LossSemantics) -> bool:

@@ -11,13 +11,14 @@ trials with elementwise min/max over planes of erasure times; persistency
 runs it on a batch of one.
 
 Trials are deterministic functions of (master_seed, trial_index) and run
-serially.  simulate stacks the int32 rank rows of several trials and
-evaluates them together when they share a placement (the symmetric
-strategy); a random placement belongs to one trial, so its batch holds one.
-A symmetric class stores one period of its documents, N/gcd(N, g), since
-the rest repeat its nodes.  Node ids and ranks are int32, which caps nodes
-below 2^31, and a trial's arrays are capped at TRIAL_LIMIT entries before
-anything is allocated.
+serially, in batches.  simulate stacks the int32 rank rows of a batch's
+trials and evaluates each class once a batch.  Symmetric trials share one
+placement table, gathered through once; a random trial draws its own
+tables, which go into one (batch, D, r, p+q) stack a class, checked once a
+batch and gathered row by row in one call.  A symmetric class stores one
+period of its documents, N/gcd(N, g), since the rest repeat its nodes.
+Node ids and ranks are int32, which caps nodes below 2^31, and a trial's
+arrays are capped at TRIAL_LIMIT entries before anything is allocated.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .model import (
     default_semantics,
     loss_thresholds,
     require_member,
+    require_node_ids,
     validate_symmetric_preconditions,
 )
 
@@ -52,12 +54,14 @@ __all__ = [
     "simulate",
 ]
 
-# int32 entries (rank rows plus erasure times) one batch of trials holds;
-# with the gather's temporaries a full batch takes about 2 MiB
+# int32 entries (rank rows plus erasure times) one batch of trials holds; a
+# random batch also holds its drawn tables, as many again, and with the
+# gather's temporaries a full batch takes about 2 MiB
 BUDGET = 1 << 17
 # int32 entries of one trial, its rank row plus every class's placement
 # table (256 MiB; the gather's int64 index copy makes the peak about four
-# times that); simulate refuses larger runs before allocating
+# times that); simulate refuses larger runs before allocating, and a trial
+# this large runs in a batch of its own
 TRIAL_LIMIT = 1 << 26
 
 
@@ -66,16 +70,19 @@ def _id_dtype(nodes: int):
     return np.int32 if nodes < 2**31 else np.int64
 
 
+def _draw_table(
+    rec: RecParams, nodes: int, docs: int, rng: np.random.Generator
+) -> np.ndarray:
+    """A (docs, r, p+q) table of i.i.d. uniform node ids, drawn from rng."""
+    size = (docs, rec.r, rec.chunks)
+    return rng.integers(0, nodes, size=size, dtype=_id_dtype(nodes))
+
+
 def place_random(
     rec: RecParams, system: SystemParams, rng: np.random.Generator
 ) -> Placement:
     """Drop every fragment on an i.i.d. uniform node; collisions allowed."""
-    table = rng.integers(
-        0,
-        system.nodes,
-        size=(system.docs, rec.r, rec.chunks),
-        dtype=_id_dtype(system.nodes),
-    )
+    table = _draw_table(rec, system.nodes, system.docs, rng)
     return Placement(rec, system.nodes, table)
 
 
@@ -105,6 +112,20 @@ def _erasure_times(ranks: np.ndarray, table: np.ndarray) -> np.ndarray:
     _first_loss stream through memory.
     """
     return ranks.take(table.transpose(1, 2, 0), axis=1).transpose(0, 3, 1, 2)
+
+
+def _stacked_erasure_times(ranks: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """t[b, k, j, m] = ranks[b, stack[b, k, j, m]]: each row its own table.
+
+    Row b's ids index the flattened ranks from b*N on.  The index is built
+    in one pass, contiguous in the stack's (batch, r, p+q, D) view, so take
+    copies nothing more and each plane of t is contiguous over documents,
+    as in _erasure_times.
+    """
+    batch, nodes = ranks.shape
+    offsets = np.arange(0, batch * nodes, nodes, dtype=np.intp)[:, None, None, None]
+    index = np.add(stack.transpose(0, 2, 3, 1), offsets, dtype=np.intp, order="C")
+    return ranks.reshape(-1).take(index).transpose(0, 3, 1, 2)
 
 
 def _order_statistic(values: np.ndarray, q: int) -> np.ndarray:
@@ -185,6 +206,8 @@ class WorkloadClass:
     docs: int
 
     def __post_init__(self):
+        if not isinstance(self.rec, RecParams):
+            raise ParameterError(f"rec must be a RecParams, got {self.rec!r}")
         object.__setattr__(self, "docs", require_int(self.docs, "docs", 1))
 
 
@@ -213,6 +236,9 @@ class SimConfig:
         put("classes", tuple(self.classes))
         if not self.classes:
             raise ParameterError("at least one workload class is required")
+        for wc in self.classes:
+            if not isinstance(wc, WorkloadClass):
+                raise ParameterError(f"classes must hold WorkloadClasses, got {wc!r}")
         for name, minimum in (("nodes", 1), ("trials", 1), ("master_seed", 0)):
             put(name, require_int(getattr(self, name), name, minimum))
 
@@ -283,12 +309,13 @@ def simulate(config: SimConfig) -> SimSummary:
     The summary is a pure function of the config: trial i draws from the
     generator seeded by (master_seed, i), first the random placements of
     the classes in declared order, then the removal permutation, and the
-    moments are exact integer sums.  Symmetric trials share one placement
-    and are evaluated max(1, BUDGET // entries) at a time, where entries is
-    one trial's rank row plus placement tables, which hold _stored_docs
-    documents per class; random trials one at a time.  Raises
-    SizeLimitError, before allocating, when nodes >= 2^31 or entries
-    exceeds TRIAL_LIMIT.
+    moments are exact integer sums.  Trials are evaluated
+    max(1, BUDGET // entries) at a time, where entries is one trial's rank
+    row plus placement tables, which hold _stored_docs documents per class.
+    Symmetric trials share one placement; random trials stack their drawn
+    tables, whose ids are checked against [0, nodes) once a batch
+    (ParameterError).  Raises SizeLimitError, before allocating, when
+    nodes >= 2^31 or entries exceeds TRIAL_LIMIT.
     """
     nodes = config.nodes
     stored = _stored_docs(config)
@@ -306,31 +333,37 @@ def simulate(config: SimConfig) -> SimSummary:
     symmetric = config.strategy is PlacementStrategy.SYMMETRIC
     if symmetric:
         placements = _symmetric_stream(config, stored)
-        size = max(1, BUDGET // entries)
-    else:
-        size = 1  # each trial draws its own placements
+    size = max(1, BUDGET // entries)
     removal = np.arange(1, nodes + 1, dtype=np.int32)
     xs = []
     for first in range(0, config.trials, size):
         batch = range(first, min(first + size, config.trials))
         ranks = np.zeros((len(batch), nodes), dtype=np.int32)
+        # one stack of drawn tables per random class; none when symmetric
+        stacks = [
+            np.empty((len(batch), wc.docs, wc.rec.r, wc.rec.chunks), np.int32)
+            for wc in (() if symmetric else config.classes)
+        ]
         for row, trial in enumerate(batch):
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.master_seed, trial])
             )
-            if not symmetric:
-                placements = [
-                    place_random(wc.rec, SystemParams(nodes, wc.docs), rng)
-                    for wc in config.classes
-                ]
+            for wc, stack in zip(config.classes, stacks):
+                stack[row] = _draw_table(wc.rec, nodes, wc.docs, rng)
             ranks[row, rng.permutation(nodes)] = removal
         # a rank left at 0 marks a node the permutation missed
         if not ranks.all():
             raise ParameterError("removal order must be a permutation of the nodes")
-        deaths = (
-            _first_loss(_erasure_times(ranks, pl.table), pl.rec.q, semantics)
-            for pl in placements
-        )
+        for stack in stacks:
+            require_node_ids(stack, nodes)
+        if symmetric:
+            times = ((_erasure_times(ranks, pl.table), pl.rec.q) for pl in placements)
+        else:
+            times = (
+                (_stacked_erasure_times(ranks, stack), wc.rec.q)
+                for wc, stack in zip(config.classes, stacks)
+            )
+        deaths = (_first_loss(t, q, semantics) for t, q in times)
         xs.extend(reduce(np.minimum, deaths).tolist())
 
     count = len(xs)

@@ -1,7 +1,11 @@
 """Monte Carlo engine: placements, single-run persistency, seeded trials."""
 
+import io
+import json
 import math
 import tracemalloc
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,6 +447,20 @@ class TestSimulate:
         with pytest.raises(ParameterError):
             WorkloadClass(RecParams(1, 0, 1), 0)
 
+    def test_classes_must_hold_workload_classes(self):
+        with pytest.raises(ParameterError, match="WorkloadClass"):
+            SimConfig(
+                strategy="random",
+                classes=((RecParams(1, 0, 1), 3),),
+                nodes=5,
+                trials=1,
+                master_seed=0,
+            )
+
+    def test_workload_class_needs_rec_params(self):
+        with pytest.raises(ParameterError, match="rec must be a RecParams"):
+            WorkloadClass("x", 3)
+
     def test_integer_fields(self):
         base = dict(
             strategy=PlacementStrategy.RANDOM,
@@ -525,10 +543,15 @@ class TestSimulate:
 
 
 def _persistency_loop(config: SimConfig) -> SimSummary:
-    """Symmetric simulate's documented stream, one persistency call a trial."""
+    """simulate's documented stream, one persistency call a class and trial.
+
+    Symmetric classes share one placement counter across trials; random
+    ones draw fresh placements, in declared order, before the permutation.
+    """
+    symmetric = config.strategy is PlacementStrategy.SYMMETRIC
     placements = []
     start = 0
-    for wc in config.classes:
+    for wc in config.classes if symmetric else ():
         system = SystemParams(config.nodes, wc.docs)
         placements.append(place_symmetric(wc.rec, system, start=start))
         start = (start + wc.docs * wc.rec.fragments) % config.nodes
@@ -537,6 +560,11 @@ def _persistency_loop(config: SimConfig) -> SimSummary:
         rng = np.random.default_rng(
             np.random.SeedSequence([config.master_seed, trial])
         )
+        if not symmetric:
+            placements = [
+                place_random(wc.rec, SystemParams(config.nodes, wc.docs), rng)
+                for wc in config.classes
+            ]
         order = rng.permutation(config.nodes)
         xs.append(
             min(persistency(pl, order, config.resolved_semantics) for pl in placements)
@@ -551,9 +579,9 @@ def _persistency_loop(config: SimConfig) -> SimSummary:
     )
 
 
-def _sym(classes, nodes, trials=10, seed=3, semantics=None):
+def _config(classes, nodes, trials=10, seed=3, semantics=None, strategy="symmetric"):
     return SimConfig(
-        strategy=PlacementStrategy.SYMMETRIC,
+        strategy=strategy,
         classes=tuple(WorkloadClass(RecParams(*code), docs) for code, docs in classes),
         nodes=nodes,
         trials=trials,
@@ -564,19 +592,32 @@ def _sym(classes, nodes, trials=10, seed=3, semantics=None):
 
 class TestBatches:
     CONFIGS = {
-        "single": _sym([((2, 1, 2), 8)], 48),
-        "single-multiset": _sym([((2, 3, 2), 5)], 50, semantics=MS),
-        "mixed": _sym([((1, 0, 2), 3), ((2, 1, 1), 4)], 18),
+        "single": _config([((2, 1, 2), 8)], 48),
+        "single-multiset": _config([((2, 3, 2), 5)], 50, semantics=MS),
+        "mixed": _config([((1, 0, 2), 3), ((2, 1, 1), 4)], 18),
         # the first class wraps at 13 nodes, so the second starts at node 2
-        "wrapping": _sym([((1, 2, 1), 5), ((2, 2, 2), 3)], 13, semantics=PC),
+        "wrapping": _config([((1, 2, 1), 5), ((2, 2, 2), 3)], 13, semantics=PC),
         # more documents than the one period, N/gcd(N, g), that simulate
         # stores: 8 at N = 48, and 25 at N = 50, which g = 6 does not divide
-        "over-period": _sym([((2, 1, 2), 30)], 48, semantics=MS),
-        "over-period-off-grid": _sym([((2, 1, 2), 60)], 50),
+        "over-period": _config([((2, 1, 2), 30)], 48, semantics=MS),
+        "over-period-off-grid": _config([((2, 1, 2), 60)], 50),
         # periods 14 and 7; the second class starts at node 15*5 mod 14 = 5,
         # advanced by the first class's full count, where its stored period
         # would give node 0, and its pairs then start at odd nodes only
-        "over-period-wrapping": _sym([((1, 4, 1), 15), ((1, 0, 2), 9)], 14),
+        "over-period-wrapping": _config([((1, 4, 1), 15), ((1, 0, 2), 9)], 14),
+        # random placements, drawn per trial into one stack a class: few
+        # documents (late first loss), D = N (early), and mixed classes
+        "random-late": _config([((2, 3, 2), 5)], 48, strategy="random"),
+        "random-early-per-cluster": _config(
+            [((2, 1, 2), 40)], 40, semantics=PC, strategy="random"
+        ),
+        "random-mixed": _config(
+            [((1, 0, 2), 5), ((2, 1, 2), 48)], 48, strategy="random"
+        ),
+        "random-mixed-per-cluster": _config(
+            [((1, 1, 2), 7), ((2, 2, 2), 3), ((3, 0, 1), 9)], 30,
+            semantics=PC, strategy="random",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -591,6 +632,36 @@ class TestBatches:
             per_batch = config.trials
         monkeypatch.setattr(simulator, "BUDGET", per_batch * entries + entries - 1)
         assert simulate(config) == _persistency_loop(config)
+
+    @pytest.mark.parametrize("bad_id", [-1, 48])
+    def test_random_batch_checks_node_ids(self, bad_id, monkeypatch):
+        # the drawn stack is checked once a batch, with Placement's rule
+        def draw(rec, nodes, docs, rng):
+            table = np.zeros((docs, rec.r, rec.chunks), dtype=np.int32)
+            table[-1, -1, -1] = bad_id
+            return table
+
+        monkeypatch.setattr(simulator, "_draw_table", draw)
+        with pytest.raises(ParameterError, match=r"entries must lie in \[0, nodes\)"):
+            simulate(self.CONFIGS["random-mixed"])
+
+
+class TestSeededOutput:
+    PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
+
+    def test_pinned_simulate_outputs_replay_byte_for_byte(self):
+        # every default-seed simulate command the benchmark pins (random
+        # placement, one class, D = 5 or N) must print what it printed then
+        pinned = json.loads(self.PINNED.read_text())["simulate"]
+        assert len(pinned) == 248
+        changed = []
+        for command, expected in pinned.items():
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = main(command.split())
+            if code != 0 or out.getvalue() != expected:
+                changed.append(command)
+        assert changed == []
 
 
 class TestSizeGuard:
@@ -621,7 +692,7 @@ class TestSizeGuard:
             simulate(config)
 
     def test_limit_counts_rank_row_and_every_table(self, monkeypatch):
-        config = _sym([((1, 0, 2), 3), ((2, 1, 1), 4)], 18, trials=2)
+        config = _config([((1, 0, 2), 3), ((2, 1, 1), 4)], 18, trials=2)
         entries = 18 + 3 * 2 + 4 * 3
         monkeypatch.setattr(simulator, "TRIAL_LIMIT", entries)
         simulate(config)
@@ -631,7 +702,7 @@ class TestSizeGuard:
 
     def test_symmetric_limit_counts_one_period(self, monkeypatch):
         # 1000 documents of g = 6 on 18 nodes store one period of 3
-        config = _sym([((2, 1, 2), 1000)], 18, trials=2)
+        config = _config([((2, 1, 2), 1000)], 18, trials=2)
         monkeypatch.setattr(simulator, "TRIAL_LIMIT", 18 + 3 * 6)
         simulate(config)
         monkeypatch.setattr(simulator, "TRIAL_LIMIT", 18 + 3 * 6 - 1)
