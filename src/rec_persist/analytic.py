@@ -462,10 +462,9 @@ def expect(
             f"expect needs a PlacementStrategy and a Method, "
             f"got {strategy!r} and {method!r}"
         )
-    if semantics is None:
-        semantics = default_semantics(strategy)
-    elif not isinstance(semantics, LossSemantics):
+    if semantics is not None and not isinstance(semantics, LossSemantics):
         raise ParameterError(f"expect needs a LossSemantics, got {semantics!r}")
+    semantics = default_semantics(strategy, semantics)
     match method:
         case Method.BETA_EXACT if rec.p != 1:
             raise ParameterError(

@@ -236,7 +236,7 @@ def _cmd_simulate(args) -> int:
         repr(summary.std_error),
         str(summary.minimum),
         str(summary.maximum),
-        config.resolved_semantics.value,
+        config.semantics.value,
     )
     print(",".join(_SIM_CSV_COLUMNS))
     print(",".join(row))
@@ -254,7 +254,10 @@ def _cmd_sweep(args) -> int:
     if args.points is not None and args.points < 1:
         raise ParameterError(f"--points must be >= 1, got {args.points}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot write sweep output: {exc}") from None
     for spec in specs:
         if args.points is not None:
             overrides["nodes"] = spec.nodes[: args.points]
@@ -263,8 +266,11 @@ def _cmd_sweep(args) -> int:
         rows = sweep.run_sweep(spec)
         csv_path = out_dir / f"{spec.name}.csv"
         svg_path = out_dir / f"{spec.name}.svg"
-        sweep.rows_to_csv(rows, csv_path)
-        sweep.rows_to_svg(spec, rows, svg_path)
+        try:
+            sweep.rows_to_csv(rows, csv_path)
+            sweep.rows_to_svg(spec, rows, svg_path)
+        except OSError as exc:
+            raise ParameterError(f"cannot write sweep output: {exc}") from None
         print(f"wrote {csv_path} and {svg_path} ({len(rows)} points)")
     return 0
 
@@ -276,9 +282,7 @@ def _cmd_oracle(args) -> int:
         PlacementStrategy.RANDOM if args.what == "brute-random"
         else PlacementStrategy.SYMMETRIC
     )
-    semantics = (
-        LossSemantics(args.semantics) if args.semantics else default_semantics(strategy)
-    )
+    semantics = default_semantics(strategy, args.semantics)
     if args.what == "group-poly":
         alive = oracle.group_polynomial(rec, semantics)
         print(f"alive counts a_t for t = 0..{len(alive) - 1} [{semantics.value}]:")

@@ -68,8 +68,17 @@ def require_member(enum: type[Enum], value, name: str):
         ) from None
 
 
-def default_semantics(strategy: PlacementStrategy) -> LossSemantics:
-    """Semantics each strategy's analysis is phrased in."""
+def default_semantics(
+    strategy: PlacementStrategy, semantics: LossSemantics | str | None = None
+) -> LossSemantics:
+    """The loss rule a run of strategy uses; the one place it is settled.
+
+    semantics, a LossSemantics or its name, overrides the rule the
+    strategy's analysis is phrased in and is checked by require_member;
+    None keeps that rule: multiset for random, per-cluster for symmetric.
+    """
+    if semantics is not None:
+        return require_member(LossSemantics, semantics, "semantics")
     if strategy is PlacementStrategy.RANDOM:
         return LossSemantics.MULTISET
     return LossSemantics.PER_CLUSTER

@@ -215,8 +215,10 @@ class WorkloadClass:
 class SimConfig:
     """Seeded trials of one placement strategy over workload classes.
 
-    Construction checks every field and turns strategy and semantics names
-    into their enums; semantics None means default_semantics(strategy).
+    Construction checks every field, turns a strategy name into its enum
+    and settles the loss rule: semantics is default_semantics(strategy,
+    semantics), a LossSemantics member whether it was omitted, named or
+    given as one.
     """
 
     strategy: PlacementStrategy
@@ -231,8 +233,7 @@ class SimConfig:
             object.__setattr__(self, field, value)
 
         put("strategy", require_member(PlacementStrategy, self.strategy, "strategy"))
-        if self.semantics is not None:
-            put("semantics", require_member(LossSemantics, self.semantics, "semantics"))
+        put("semantics", default_semantics(self.strategy, self.semantics))
         put("classes", tuple(self.classes))
         if not self.classes:
             raise ParameterError("at least one workload class is required")
@@ -241,12 +242,6 @@ class SimConfig:
                 raise ParameterError(f"classes must hold WorkloadClasses, got {wc!r}")
         for name, minimum in (("nodes", 1), ("trials", 1), ("master_seed", 0)):
             put(name, require_int(getattr(self, name), name, minimum))
-
-    @property
-    def resolved_semantics(self) -> LossSemantics:
-        if self.semantics is not None:
-            return self.semantics
-        return default_semantics(self.strategy)
 
     @property
     def out_of_theory(self) -> bool:
@@ -329,7 +324,7 @@ def simulate(config: SimConfig) -> SimSummary:
             f"one trial needs {entries} int32 entries (nodes plus stored "
             f"docs*(p+q)*r per class), above the limit of {TRIAL_LIMIT}"
         )
-    semantics = config.resolved_semantics
+    semantics = config.semantics
     symmetric = config.strategy is PlacementStrategy.SYMMETRIC
     if symmetric:
         placements = _symmetric_stream(config, stored)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -18,6 +19,7 @@ from .model import (
     PlacementStrategy,
     RecParams,
     SystemParams,
+    default_semantics,
     require_member,
 )
 from .simulator import SimConfig, WorkloadClass, simulate
@@ -55,8 +57,8 @@ class SweepSpec:
     (one document per node) and "N/g" (the minimum covering count
     N/((p+q)*r), rounded down but at least 1).  name names the output
     files, so it must be a plain file name.  Construction checks every
-    field, and turns strategy and semantics names into their enums and
-    the nodes and theory lists into tuples.
+    field, turns a strategy name into its enum and the nodes and theory
+    lists into tuples, and settles the loss rule as SimConfig does.
     """
 
     name: str
@@ -83,8 +85,7 @@ class SweepSpec:
                 f"got {self.name!r}"
             )
         put("strategy", require_member(PlacementStrategy, self.strategy, "strategy"))
-        if self.semantics is not None:
-            put("semantics", require_member(LossSemantics, self.semantics, "semantics"))
+        put("semantics", default_semantics(self.strategy, self.semantics))
         for field, minimum in (
             ("p", 1), ("q", 0), ("r", 1), ("trials", 1), ("seed", 0)
         ):
@@ -251,7 +252,14 @@ def load_config(path: str | Path) -> list[SweepSpec]:
         raise ParameterError(
             f"sweeps must be a non-empty list of sweeps, got {sweeps!r}"
         )
-    return [spec_from_dict(s) for s in sweeps]
+    specs = [spec_from_dict(s) for s in sweeps]
+    # a sweep's name names its files, so a repeated name would overwrite them
+    name, count = Counter(spec.name for spec in specs).most_common(1)[0]
+    if count > 1:
+        raise ParameterError(
+            f"sweeps must be uniquely named: {name!r} appears {count} times"
+        )
+    return specs
 
 
 def _point_seed(base: int, nodes: int, docs: int) -> int:
@@ -259,9 +267,7 @@ def _point_seed(base: int, nodes: int, docs: int) -> int:
     return int(ss.generate_state(2, dtype=np.uint64)[0])
 
 
-def _theory_values(
-    spec: SweepSpec, system: SystemParams, semantics: LossSemantics
-) -> dict[str, float | None]:
+def _theory_values(spec: SweepSpec, system: SystemParams) -> dict[str, float | None]:
     """The requested overlays under the loss rule the point simulates.
 
     A cell stays empty where expect has no route (beta-exact at p != 1),
@@ -273,7 +279,7 @@ def _theory_values(
         method = EXACT_METHOD[spec.strategy] if kind == "exact" else Method(kind)
         try:
             values[kind] = expect(
-                spec.strategy, spec.rec, system, method, semantics=semantics
+                spec.strategy, spec.rec, system, method, semantics=spec.semantics
             ).value
         except (ParameterError, QuadratureError):
             pass
@@ -300,8 +306,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             semantics=spec.semantics,
         )
         summary = simulate(config)
-        semantics = config.resolved_semantics
-        theory = _theory_values(spec, system, semantics)
+        theory = _theory_values(spec, system)
         rows.append(
             SweepRow(
                 strategy=spec.strategy.value,
@@ -317,7 +322,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 theory_exact=theory["exact"],
                 theory_asymptotic=theory["asymptotic"],
                 theory_beta_exact=theory["beta-exact"],
-                semantics=semantics.value,
+                semantics=spec.semantics.value,
             )
         )
     return rows

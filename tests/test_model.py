@@ -18,6 +18,8 @@ from rec_persist.model import (
     loss_thresholds,
     validate_symmetric_preconditions,
 )
+from rec_persist.simulator import SimConfig, WorkloadClass
+from rec_persist.sweep import PRESETS, SweepSpec, preset_spec
 
 
 class TestRecParams:
@@ -62,6 +64,44 @@ class TestDefaultSemantics:
             default_semantics(PlacementStrategy.SYMMETRIC)
             is LossSemantics.PER_CLUSTER
         )
+
+    @pytest.mark.parametrize("strategy", list(PlacementStrategy))
+    @pytest.mark.parametrize("rule", list(LossSemantics))
+    def test_override_by_enum_or_name(self, strategy, rule):
+        assert default_semantics(strategy, rule) is rule
+        assert default_semantics(strategy, rule.value) is rule
+
+    @pytest.mark.parametrize("strategy", list(PlacementStrategy))
+    def test_none_keeps_the_strategy_rule(self, strategy):
+        assert default_semantics(strategy, None) is default_semantics(strategy)
+
+    @pytest.mark.parametrize("rule", ["per_cluster", PlacementStrategy.RANDOM])
+    def test_bad_rule_raises(self, rule):
+        with pytest.raises(ParameterError, match="semantics must be one of"):
+            default_semantics(PlacementStrategy.RANDOM, rule)
+
+    @pytest.mark.parametrize("strategy", list(PlacementStrategy))
+    def test_settled_at_construction(self, strategy):
+        config = dict(
+            strategy=strategy.value,
+            classes=(WorkloadClass(RecParams(2, 1, 2), 2),),
+            nodes=10,
+            trials=1,
+            master_seed=0,
+        )
+        spec = dict(
+            name="s", strategy=strategy.value, p=2, q=1, r=2, nodes=[10], docs=2
+        )
+        rule = default_semantics(strategy)
+        for cls, fields in ((SimConfig, config), (SweepSpec, spec)):
+            omitted = cls(**fields)
+            assert omitted == cls(**fields, semantics=rule)
+            assert omitted == cls(**fields, semantics=rule.value)
+            assert omitted.semantics is rule
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets_hold_a_member(self, preset):
+        assert isinstance(preset_spec(preset).semantics, LossSemantics)
 
 
 class TestSymmetricPreconditions:

@@ -379,7 +379,7 @@ class TestSimulate:
             master_seed=13,
             semantics=PC,
         )
-        assert config.resolved_semantics is PC
+        assert config.semantics is PC
         default = SimConfig(
             strategy=PlacementStrategy.RANDOM,
             classes=(WorkloadClass(RecParams(2, 1, 2), 2),),
@@ -387,7 +387,7 @@ class TestSimulate:
             trials=300,
             master_seed=13,
         )
-        assert default.resolved_semantics is MS
+        assert default.semantics is MS
         # per-trial dominance keeps the per-cluster mean at or below
         assert simulate(config).mean <= simulate(default).mean
 
@@ -567,7 +567,7 @@ def _persistency_loop(config: SimConfig) -> SimSummary:
             ]
         order = rng.permutation(config.nodes)
         xs.append(
-            min(persistency(pl, order, config.resolved_semantics) for pl in placements)
+            min(persistency(pl, order, config.semantics) for pl in placements)
         )
     n, total, total_sq = len(xs), sum(xs), sum(x * x for x in xs)
     variance = (n * total_sq - total * total) / (n * (n - 1)) if n > 1 else 0.0

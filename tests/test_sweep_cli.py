@@ -766,14 +766,18 @@ class TestCliSweep:
          ("log_axes", "yes"), ("name", ""), ("name", "."), ("name", ".."),
          ("name", "sub/a"), ("name", None), ("theory", 5), ("theory", None),
          ("strategy", "clustered"), ("semantics", "strict"),
-         ("sweeps", [5]), ("sweeps", [None]), ("sweeps", [])],
+         ("sweeps", [5]), ("sweeps", [None]), ("sweeps", []),
+         ("sweeps", [{"name": "bad", "strategy": "random", "p": 1, "q": 0,
+                      "r": 2, "nodes": [48], "docs": 5, "trials": 2},
+                     {"name": "bad", "strategy": "random", "p": 1, "q": 0,
+                      "r": 2, "nodes": [96], "docs": 5, "trials": 2}])],
         ids=["p-string", "q-float", "r-null", "trials-null", "seed-string",
              "nodes-scalar", "nodes-float", "nodes-string", "p-bool",
              "docs-bool", "log_axes-string-false", "log_axes-zero",
              "log_axes-string-yes", "name-empty", "name-dot", "name-dotdot",
              "name-subdir", "name-null", "theory-scalar", "theory-null",
              "strategy-unknown", "semantics-unknown", "sweeps-number",
-             "sweeps-null", "sweeps-empty"],
+             "sweeps-null", "sweeps-empty", "sweeps-same-name"],
     )
     def test_malformed_config_exits_2(self, key, value, tmp_path, capsys):
         # key "sweeps" replaces the whole list of sweep entries
@@ -804,6 +808,26 @@ class TestCliSweep:
         assert main(argv) == 2
         assert "must be >= 1, got 0" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_text("")
+        argv = ["sweep", "--preset", "fig7", "--points", "1", "--trials", "2",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "error: cannot write sweep output: " in capsys.readouterr().err
+        assert out.read_text() == ""
+
+    def test_csv_path_is_a_directory_exits_2(self, tmp_path, capsys):
+        csv_dir = tmp_path / "fig7-symmetric-p2-q2-r1.csv"
+        csv_dir.mkdir()
+        argv = ["sweep", "--preset", "fig7", "--points", "1", "--trials", "2",
+                "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write sweep output: ")
+        assert str(csv_dir) in err
+        assert not list(csv_dir.iterdir())
 
     def test_missing_config_exits_2(self, tmp_path):
         argv = ["sweep", "--config", str(tmp_path / "nope.json")]
