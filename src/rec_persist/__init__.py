@@ -49,6 +49,7 @@ from .simulator import (
     place_random,
     place_symmetric,
     simulate,
+    simulate_trials,
 )
 from .specfun import (
     beta,
@@ -109,6 +110,7 @@ __all__ = [
     "place_symmetric",
     "persistency",
     "simulate",
+    "simulate_trials",
     "SweepSpec",
     "SweepRow",
     "PRESETS",

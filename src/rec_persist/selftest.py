@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import analytic, oracle
 from .analytic import Method, expect
+from .errors import ParameterError
 from .model import LossSemantics, PlacementStrategy, RecParams, SystemParams
 from .simulator import SimConfig, WorkloadClass, simulate
 from .specfun import (
@@ -341,7 +342,7 @@ def _check_d_invariance() -> CheckResult:
 
 def run_selftest(level: str = "quick") -> list[CheckResult]:
     if level not in ("quick", "full"):
-        raise ValueError(f"level must be quick or full, got {level!r}")
+        raise ParameterError(f"level must be quick or full, got {level!r}")
     results = [
         _check_beta_identity(),
         _check_complement_identity(),

@@ -11,14 +11,13 @@ trials with elementwise min/max over planes of erasure times; persistency
 runs it on a batch of one.
 
 Trials are deterministic functions of (master_seed, trial_index) and run
-serially, in batches.  simulate stacks the int32 rank rows of a batch's
-trials and evaluates each class once a batch.  Symmetric trials share one
-placement table, gathered through once; a random trial draws its own
-tables, which go into one (batch, D, r, p+q) stack a class, checked once a
-batch and gathered row by row in one call.  A symmetric class stores one
-period of its documents, N/gcd(N, g), since the rest repeat its nodes.
-Node ids and ranks are int32, which caps nodes below 2^31, and a trial's
-arrays are capped at TRIAL_LIMIT entries before anything is allocated.
+serially, in batches.  simulate_trials returns each trial's X; simulate
+summarises them.  Symmetric trials share one placement table, gathered
+through once; random trials draw their tables into one (batch, r, p+q, D)
+intp buffer a class, which becomes the gather's index.  A symmetric class
+stores one period of its documents, N/gcd(N, g), since the rest repeat its
+nodes.  Node ids and ranks are int32, which caps nodes below 2^31, and a
+trial's arrays are capped at TRIAL_LIMIT entries before anything is allocated.
 """
 
 from __future__ import annotations
@@ -51,17 +50,18 @@ __all__ = [
     "place_random",
     "place_symmetric",
     "persistency",
+    "simulate_trials",
     "simulate",
 ]
 
-# int32 entries (rank rows plus erasure times) one batch of trials holds; a
-# random batch also holds its drawn tables, as many again, and with the
-# gather's temporaries a full batch takes about 2 MiB
+# entries (rank rows plus erasure times, int32) one batch of trials holds;
+# a random batch also holds its drawn ids, as many again but intp, and with
+# the gather's temporaries a full batch takes about 2 MiB
 BUDGET = 1 << 17
-# int32 entries of one trial, its rank row plus every class's placement
-# table (256 MiB; the gather's int64 index copy makes the peak about four
-# times that); simulate refuses larger runs before allocating, and a trial
-# this large runs in a batch of its own
+# entries of one trial, its rank row plus every class's placement table
+# (256 MiB as int32; a random trial's intp ids and the times gathered
+# through them make its peak about three times that); simulate refuses
+# larger runs before allocating, and a trial this large runs alone
 TRIAL_LIMIT = 1 << 26
 
 
@@ -112,20 +112,6 @@ def _erasure_times(ranks: np.ndarray, table: np.ndarray) -> np.ndarray:
     _first_loss stream through memory.
     """
     return ranks.take(table.transpose(1, 2, 0), axis=1).transpose(0, 3, 1, 2)
-
-
-def _stacked_erasure_times(ranks: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """t[b, k, j, m] = ranks[b, stack[b, k, j, m]]: each row its own table.
-
-    Row b's ids index the flattened ranks from b*N on.  The index is built
-    in one pass, contiguous in the stack's (batch, r, p+q, D) view, so take
-    copies nothing more and each plane of t is contiguous over documents,
-    as in _erasure_times.
-    """
-    batch, nodes = ranks.shape
-    offsets = np.arange(0, batch * nodes, nodes, dtype=np.intp)[:, None, None, None]
-    index = np.add(stack.transpose(0, 2, 3, 1), offsets, dtype=np.intp, order="C")
-    return ranks.reshape(-1).take(index).transpose(0, 3, 1, 2)
 
 
 def _order_statistic(values: np.ndarray, q: int) -> np.ndarray:
@@ -286,31 +272,18 @@ def _stored_docs(config: SimConfig) -> list[int]:
     ]
 
 
-def _symmetric_stream(config: SimConfig, stored: list[int]) -> list[Placement]:
-    # one placement counter runs across classes in declared order, and
-    # each class advances it by all of its documents, stored or not
-    placements = []
-    start = 0
-    for wc, docs in zip(config.classes, stored):
-        system = SystemParams(config.nodes, docs)
-        placements.append(place_symmetric(wc.rec, system, start=start))
-        start = (start + wc.docs * wc.rec.fragments) % config.nodes
-    return placements
+def simulate_trials(config: SimConfig) -> np.ndarray:
+    """X of each of config.trials trials, in trial order, as int64.
 
-
-def simulate(config: SimConfig) -> SimSummary:
-    """Estimate E[X] over config.trials independent trials.
-
-    The summary is a pure function of the config: trial i draws from the
-    generator seeded by (master_seed, i), first the random placements of
-    the classes in declared order, then the removal permutation, and the
-    moments are exact integer sums.  Trials are evaluated
-    max(1, BUDGET // entries) at a time, where entries is one trial's rank
-    row plus placement tables, which hold _stored_docs documents per class.
-    Symmetric trials share one placement; random trials stack their drawn
-    tables, whose ids are checked against [0, nodes) once a batch
-    (ParameterError).  Raises SizeLimitError, before allocating, when
-    nodes >= 2^31 or entries exceeds TRIAL_LIMIT.
+    Trial i draws from the generator seeded by (master_seed, i): first the
+    random placements of the classes in declared order, then the removal
+    permutation.  Symmetric classes share one placement counter, which each
+    advances by all of its documents.  Trials run max(1, BUDGET // entries)
+    at a time, where entries is one trial's rank row plus placement tables
+    (_stored_docs documents a class).  A random class's drawn ids are
+    checked against [0, nodes) once a batch (ParameterError).  Raises
+    SizeLimitError, before allocating, when nodes >= 2^31 or entries
+    exceeds TRIAL_LIMIT.
     """
     nodes = config.nodes
     stored = _stored_docs(config)
@@ -324,43 +297,64 @@ def simulate(config: SimConfig) -> SimSummary:
             f"one trial needs {entries} int32 entries (nodes plus stored "
             f"docs*(p+q)*r per class), above the limit of {TRIAL_LIMIT}"
         )
-    semantics = config.semantics
     symmetric = config.strategy is PlacementStrategy.SYMMETRIC
-    if symmetric:
-        placements = _symmetric_stream(config, stored)
+    placements, start = [], 0
+    for wc, docs in zip(config.classes, stored) if symmetric else ():
+        system = SystemParams(nodes, docs)
+        placements.append(place_symmetric(wc.rec, system, start=start))
+        start = (start + wc.docs * wc.rec.fragments) % nodes
+    drawn = () if symmetric else config.classes
     size = max(1, BUDGET // entries)
     removal = np.arange(1, nodes + 1, dtype=np.int32)
-    xs = []
+    xs = np.empty(config.trials, dtype=np.int64)
     for first in range(0, config.trials, size):
         batch = range(first, min(first + size, config.trials))
         ranks = np.zeros((len(batch), nodes), dtype=np.int32)
-        # one stack of drawn tables per random class; none when symmetric
-        stacks = [
-            np.empty((len(batch), wc.docs, wc.rec.r, wc.rec.chunks), np.int32)
-            for wc in (() if symmetric else config.classes)
+        # one buffer of drawn ids per random class, in the gather's
+        # (batch, r, p+q, D) layout; none when symmetric
+        buffers = [
+            np.empty((len(batch), wc.rec.r, wc.rec.chunks, wc.docs), np.intp)
+            for wc in drawn
         ]
         for row, trial in enumerate(batch):
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.master_seed, trial])
             )
-            for wc, stack in zip(config.classes, stacks):
-                stack[row] = _draw_table(wc.rec, nodes, wc.docs, rng)
+            # indexed, so no loop variable keeps a buffer alive
+            for c, wc in enumerate(drawn):
+                buffers[c][row] = _draw_table(
+                    wc.rec, nodes, wc.docs, rng
+                ).transpose(1, 2, 0)
             ranks[row, rng.permutation(nodes)] = removal
         # a rank left at 0 marks a node the permutation missed
         if not ranks.all():
             raise ParameterError("removal order must be a permutation of the nodes")
-        for stack in stacks:
-            require_node_ids(stack, nodes)
-        if symmetric:
-            times = ((_erasure_times(ranks, pl.table), pl.rec.q) for pl in placements)
-        else:
-            times = (
-                (_stacked_erasure_times(ranks, stack), wc.rec.q)
-                for wc, stack in zip(config.classes, stacks)
-            )
-        deaths = (_first_loss(t, q, semantics) for t, q in times)
-        xs.extend(reduce(np.minimum, deaths).tolist())
+        offsets = np.arange(0, len(batch) * nodes, nodes, dtype=np.intp)
+        deaths = []
+        for c, wc in enumerate(config.classes):
+            if symmetric:
+                t = _erasure_times(ranks, placements[c].table)
+            else:
+                # row b's ids index the flattened ranks from b*N on, and
+                # t's planes are contiguous over documents, as in _erasure_times
+                require_node_ids(buffers[c], nodes)
+                buffers[c] += offsets[:, None, None, None]
+                t = ranks.reshape(-1).take(buffers[c]).transpose(0, 3, 1, 2)
+                buffers[c] = None
+            deaths.append(_first_loss(t, wc.rec.q, config.semantics))
+            del t  # before the next gather, or the next batch, allocates
+        xs[batch.start : batch.stop] = reduce(np.minimum, deaths)
+    return xs
 
+
+def simulate(config: SimConfig) -> SimSummary:
+    """Estimate E[X] over config.trials independent trials.
+
+    The summary is a pure function of the config: its moments are exact
+    integer sums over simulate_trials(config), which raises ParameterError
+    and SizeLimitError as documented there.
+    """
+    xs = simulate_trials(config).tolist()
     count = len(xs)
     total = sum(xs)
     total_sq = sum(x * x for x in xs)

@@ -79,10 +79,10 @@ class SweepSpec:
             object.__setattr__(self, field, value)
 
         name = self.name if isinstance(self.name, str) else ""
-        if name in ("", ".", "..") or "/" in name or "\\" in name:
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
             raise ParameterError(
-                f"name must be a file name, not empty, '.', '..' or a path, "
-                f"got {self.name!r}"
+                f"name must be a file name without NUL bytes, not empty, '.', "
+                f"'..' or a path, got {self.name!r}"
             )
         put("strategy", require_member(PlacementStrategy, self.strategy, "strategy"))
         put("semantics", default_semantics(self.strategy, self.semantics))

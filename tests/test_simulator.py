@@ -5,12 +5,13 @@ import json
 import math
 import tracemalloc
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rec_persist import analytic, simulator
+from rec_persist import analytic, oracle, simulator
 from rec_persist.cli import main
 from rec_persist.errors import ParameterError, SizeLimitError
 from rec_persist.model import (
@@ -29,6 +30,7 @@ from rec_persist.simulator import (
     place_random,
     place_symmetric,
     simulate,
+    simulate_trials,
 )
 
 PC = LossSemantics.PER_CLUSTER
@@ -286,8 +288,8 @@ class TestSimulate:
         assert a.mean != b.mean
 
     def test_mixed_workload_is_min_over_classes(self):
-        # replay the documented per-trial stream: placements drawn per
-        # class in declared order, then one removal permutation
+        # the replay draws placements per class in declared order, then one
+        # removal permutation, and takes each trial's minimum over classes
         classes = (
             WorkloadClass(RecParams(1, 0, 2), 2),
             WorkloadClass(RecParams(2, 1, 1), 3),
@@ -300,26 +302,12 @@ class TestSimulate:
             trials=60,
             master_seed=77,
         )
+        xs = _persistency_loop(config)
+        assert simulate_trials(config).tolist() == xs
         summary = simulate(config)
-        total = 0
-        smallest = None
-        largest = 0
-        for trial in range(60):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([77, trial])
-            )
-            placements = [
-                place_random(wc.rec, SystemParams(nodes, wc.docs), rng)
-                for wc in classes
-            ]
-            order = rng.permutation(nodes)
-            x = min(persistency(pl, order, MS) for pl in placements)
-            total += x
-            smallest = x if smallest is None else min(smallest, x)
-            largest = max(largest, x)
-        assert summary.mean == total / 60
-        assert summary.minimum == smallest
-        assert summary.maximum == largest
+        assert summary.mean == sum(xs) / 60
+        assert summary.minimum == min(xs)
+        assert summary.maximum == max(xs)
 
     def test_symmetric_mixed_classes_share_counter(self):
         config = SimConfig(
@@ -400,14 +388,8 @@ class TestSimulate:
             master_seed=55,
         )
         summary = simulate(config)
-        xs = []
-        for trial in range(400):
-            rng = np.random.default_rng(np.random.SeedSequence([55, trial]))
-            placement = place_random(
-                RecParams(1, 0, 1), SystemParams(6, 1), rng
-            )
-            order = rng.permutation(6)
-            xs.append(persistency(placement, order, MS))
+        xs = _persistency_loop(config)
+        assert simulate_trials(config).tolist() == xs
         mean = sum(xs) / len(xs)
         var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
         assert summary.std_error == pytest.approx(
@@ -425,7 +407,9 @@ class TestSimulate:
             master_seed=31,
         )
         assert simulator.BUDGET // 5952 < 30
-        assert simulate(config) == _persistency_loop(config)
+        xs = _persistency_loop(config)
+        assert simulate_trials(config).tolist() == xs
+        assert simulate(config) == _summary(xs)
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -542,11 +526,12 @@ class TestSimulate:
                 SimConfig(**{**base, field: value})
 
 
-def _persistency_loop(config: SimConfig) -> SimSummary:
-    """simulate's documented stream, one persistency call a class and trial.
+def _persistency_loop(config: SimConfig) -> list[int]:
+    """Each trial's X, one persistency call a class and trial.
 
-    Symmetric classes share one placement counter across trials; random
-    ones draw fresh placements, in declared order, before the permutation.
+    It replays simulate's documented stream: symmetric classes share one
+    placement counter across trials; random ones draw fresh placements, in
+    declared order, before the permutation.
     """
     symmetric = config.strategy is PlacementStrategy.SYMMETRIC
     placements = []
@@ -569,6 +554,10 @@ def _persistency_loop(config: SimConfig) -> SimSummary:
         xs.append(
             min(persistency(pl, order, config.semantics) for pl in placements)
         )
+    return xs
+
+
+def _summary(xs: list[int]) -> SimSummary:
     n, total, total_sq = len(xs), sum(xs), sum(x * x for x in xs)
     variance = (n * total_sq - total * total) / (n * (n - 1)) if n > 1 else 0.0
     return SimSummary(
@@ -631,11 +620,15 @@ class TestBatches:
         if per_batch is None:
             per_batch = config.trials
         monkeypatch.setattr(simulator, "BUDGET", per_batch * entries + entries - 1)
-        assert simulate(config) == _persistency_loop(config)
+        xs = _persistency_loop(config)
+        trials = simulate_trials(config)
+        assert trials.dtype == np.int64
+        assert trials.tolist() == xs
+        assert simulate(config) == _summary(xs)
 
     @pytest.mark.parametrize("bad_id", [-1, 48])
     def test_random_batch_checks_node_ids(self, bad_id, monkeypatch):
-        # the drawn stack is checked once a batch, with Placement's rule
+        # the drawn buffer is checked once a batch, with Placement's rule
         def draw(rec, nodes, docs, rng):
             table = np.zeros((docs, rec.r, rec.chunks), dtype=np.int32)
             table[-1, -1, -1] = bad_id
@@ -644,6 +637,67 @@ class TestBatches:
         monkeypatch.setattr(simulator, "_draw_table", draw)
         with pytest.raises(ParameterError, match=r"entries must lie in \[0, nodes\)"):
             simulate(self.CONFIGS["random-mixed"])
+
+
+KS_BOUND = 1.949  # 0.999 quantile of the Kolmogorov law; conservative when discrete
+
+
+def _ks_statistic(xs: np.ndarray, survival, nodes: int) -> float:
+    """sqrt(n) max_l |F_emp(l) - (1 - Pr[X > l])| over l = 0 .. nodes.
+
+    survival lists Pr[X > l] from l = 0; later terms are zero.
+    """
+    exceeds = np.zeros(nodes + 1)
+    exceeds[: len(survival)] = [float(s) for s in survival]
+    empirical = np.cumsum(np.bincount(xs, minlength=nodes + 1)) / len(xs)
+    return math.sqrt(len(xs)) * float(np.abs(empirical - (1.0 - exceeds)).max())
+
+
+class TestDistribution:
+    # one draw of 4000 seeded trials a case and rule, tested against the
+    # exact law of X: the survival sum's curve for random placement and the
+    # rational oracle's for symmetric placement
+    CASES = [
+        ("random", (2, 1, 2), 48, 5),
+        ("random", (2, 1, 2), 48, 48),
+        ("random", (2, 3, 2), 60, 60),
+        ("symmetric", (2, 1, 2), 60, 10),
+        # p = 1: both rules give one law
+        ("symmetric", (1, 2, 2), 96, 16),
+        ("symmetric", (1, 1, 1), 96, 48),
+    ]
+
+    @staticmethod
+    def _survival(strategy, rec, system, semantics):
+        if strategy == "random":
+            return analytic.survival_curve_random(rec, system, semantics)
+        return oracle.exact_symmetric_survival(rec, system, semantics)
+
+    @pytest.mark.parametrize("semantics", [MS, PC], ids=["multiset", "per-cluster"])
+    @pytest.mark.parametrize("strategy, code, nodes, docs", CASES)
+    def test_trials_follow_the_exact_law(self, strategy, code, nodes, docs, semantics):
+        rec, system = RecParams(*code), SystemParams(nodes, docs)
+        config = SimConfig(
+            strategy=strategy,
+            classes=(WorkloadClass(rec, docs),),
+            nodes=nodes,
+            trials=4000,
+            master_seed=2024,
+            semantics=semantics,
+        )
+        xs = simulate_trials(config)
+        assert xs.shape == (4000,)
+        survival = self._survival(strategy, rec, system, semantics)
+        assert _ks_statistic(xs, survival, nodes) < KS_BOUND
+        # negative control: where the rules differ, the other rule's law
+        # must be rejected by the same trials
+        other = PC if semantics is MS else MS
+        if rec.p > 1 and rec.r > 1:
+            wrong = self._survival(strategy, rec, system, other)
+            assert _ks_statistic(xs, wrong, nodes) > KS_BOUND
+        else:
+            same = simulate_trials(replace(config, semantics=other))
+            assert xs.tolist() == same.tolist()
 
 
 class TestSeededOutput:
@@ -679,6 +733,22 @@ class TestSizeGuard:
         assert code == 2
         assert peak < 1 << 20
         assert "limit" in capsys.readouterr().err
+
+    def test_random_batch_peak_memory(self):
+        # a random batch holds one intp id buffer a class, which becomes the
+        # gather's index: 6 trials of 17,856 ids take 12 bytes an id with the
+        # gathered times, about 1.31 MiB in all (Python 3.11, numpy 2.4); a
+        # second copy of the ids, as int32 or intp, would break the bound
+        small = _config([((2, 1, 2), 4)], 8, trials=2, strategy="random")
+        simulate(small)  # first-call set-up is not a batch's memory
+        config = _config([((2, 1, 2), 2976)], 2976, trials=20, strategy="random")
+        tracemalloc.start()
+        try:
+            simulate(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     def test_nodes_must_fit_int32(self):
         config = SimConfig(

@@ -764,7 +764,8 @@ class TestCliSweep:
          ("nodes", 48), ("nodes", [48, 48.7]), ("nodes", [48, "96"]),
          ("p", True), ("docs", True), ("log_axes", "false"), ("log_axes", 0),
          ("log_axes", "yes"), ("name", ""), ("name", "."), ("name", ".."),
-         ("name", "sub/a"), ("name", None), ("theory", 5), ("theory", None),
+         ("name", "sub/a"), ("name", None), ("name", "a\0b"),
+         ("theory", 5), ("theory", None),
          ("strategy", "clustered"), ("semantics", "strict"),
          ("sweeps", [5]), ("sweeps", [None]), ("sweeps", []),
          ("sweeps", [{"name": "bad", "strategy": "random", "p": 1, "q": 0,
@@ -775,8 +776,8 @@ class TestCliSweep:
              "nodes-scalar", "nodes-float", "nodes-string", "p-bool",
              "docs-bool", "log_axes-string-false", "log_axes-zero",
              "log_axes-string-yes", "name-empty", "name-dot", "name-dotdot",
-             "name-subdir", "name-null", "theory-scalar", "theory-null",
-             "strategy-unknown", "semantics-unknown", "sweeps-number",
+             "name-subdir", "name-null", "name-nul-byte", "theory-scalar",
+             "theory-null", "strategy-unknown", "semantics-unknown", "sweeps-number",
              "sweeps-null", "sweeps-empty", "sweeps-same-name"],
     )
     def test_malformed_config_exits_2(self, key, value, tmp_path, capsys):
@@ -937,7 +938,7 @@ class TestSelftestNegativeControl:
         assert any(res.name == "beta-identity" for res in failing)
 
     def test_level_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="level must be quick or full"):
             run_selftest(level="extreme")
 
 
