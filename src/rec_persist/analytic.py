@@ -238,9 +238,15 @@ def _settled_sum(blocks, rest: float) -> float | None:
 
 
 def survival_random(
-    l: int, rec: RecParams, system: SystemParams, semantics=LossSemantics.MULTISET
+    l: int, rec: RecParams, system: SystemParams,
+    semantics: LossSemantics | None = None,
 ) -> float:
-    """Pr[X > l] under random placement."""
+    """Pr[X > l] under random placement.
+
+    semantics None, here and in the other random functions, is random
+    placement's default_semantics (multiset).
+    """
+    semantics = default_semantics(PlacementStrategy.RANDOM, semantics)
     l = require_int(l, "l", 0)
     if l > system.nodes:
         raise ParameterError(f"l must lie in [0, nodes], got {l}")
@@ -248,19 +254,20 @@ def survival_random(
 
 
 def survival_curve_random(
-    rec: RecParams, system: SystemParams, semantics=LossSemantics.MULTISET
+    rec: RecParams, system: SystemParams, semantics: LossSemantics | None = None
 ) -> tuple[float, ...]:
     """Pr[X > l] for l = 0 .. N under random placement, nonincreasing from 1.
 
     Its math.fsum is the exact E[X].
     """
+    semantics = default_semantics(PlacementStrategy.RANDOM, semantics)
     blocks = _survival_random_blocks(rec, system, semantics)
     head = tuple(chain.from_iterable(b.tolist() for b in blocks))
     return head + (0.0,) * (system.nodes + 1 - len(head))
 
 
 def expect_random_sum(
-    rec: RecParams, system: SystemParams, semantics=LossSemantics.MULTISET
+    rec: RecParams, system: SystemParams, semantics: LossSemantics | None = None
 ) -> AnalyticResult:
     """E[X] under random placement as the N+1 term survival sum.
 
@@ -281,6 +288,7 @@ def expect_random_sum(
     only when the sum lies too close to a rounding boundary for its
     bound (a few stops in a thousand) do two math.fsum passes decide.
     """
+    semantics = default_semantics(PlacementStrategy.RANDOM, semantics)
     kept = []
     count = 0
     running = 0.0
@@ -427,7 +435,15 @@ def _expect_asymptotic(
         power = system.docs
     else:
         power = system.nodes / rec.fragments
-    value = math.gamma(1.0 + 1.0 / s) * system.nodes * (kappa * power) ** (-1.0 / s)
+    try:
+        scale = (kappa * power) ** (-1.0 / s)
+    except OverflowError:
+        scale = 0.0
+    if not scale:
+        # kappa * power is past the float range (an OverflowError, or inf
+        # and a scale of 0.0), so only its logarithm is taken
+        scale = math.exp(-(math.log(kappa) + math.log(power)) / s)
+    value = math.gamma(1.0 + 1.0 / s) * system.nodes * scale
     return AnalyticResult(value, Method.ASYMPTOTIC, error_bound=None)
 
 

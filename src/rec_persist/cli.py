@@ -24,13 +24,22 @@ from .model import (
     SystemParams,
     default_semantics,
 )
-from .selftest import run_selftest
+from .selftest import CHECKS, run_selftest
 from .simulator import SimConfig, WorkloadClass, simulate
 
 __all__ = ["main"]
 
 _STRATEGIES = [s.value for s in PlacementStrategy]
 _SEMANTICS = [s.value for s in LossSemantics]
+# --what -> (strategy whose default loss rule it takes, oracle, label)
+_ORACLES = {
+    "symmetric-exact": (PlacementStrategy.SYMMETRIC,
+                        oracle.exact_symmetric_expectation, "group polynomial count"),
+    "brute-symmetric": (PlacementStrategy.SYMMETRIC,
+                        oracle.brute_force_symmetric, "exhaustive subset enumeration"),
+    "brute-random": (PlacementStrategy.RANDOM, oracle.brute_force_random,
+                     "exhaustive placement enumeration, random strategy"),
+}
 _SIM_CSV_COLUMNS = (
     "strategy", "p", "q", "r", "N", "D", "trials", "seed",
     "mean_empirical", "std_error", "min", "max", "semantics",
@@ -110,8 +119,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     p_or.add_argument(
         "--what",
-        choices=["symmetric-exact", "brute-symmetric", "brute-random",
-                 "group-poly"],
+        choices=[*_ORACLES, "group-poly"],
         required=True,
     )
     _add_rec_flags(p_or)
@@ -122,7 +130,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                            "per-cluster otherwise)")
 
     p_st = sub.add_parser("selftest", help="run built-in consistency checks")
-    p_st.add_argument("--level", choices=["quick", "full"], default="quick")
+    p_st.add_argument("--level", choices=list(CHECKS), default="quick")
 
     # a subcommand's parser sets the name the top-level parser would
     for name, subparser in sub.choices.items():
@@ -277,35 +285,25 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle(args) -> int:
     rec = RecParams(args.p, args.q, args.r)
-    # only brute-random enumerates random placements; each takes its default rule
-    strategy = (
-        PlacementStrategy.RANDOM if args.what == "brute-random"
-        else PlacementStrategy.SYMMETRIC
-    )
-    semantics = default_semantics(strategy, args.semantics)
     if args.what == "group-poly":
+        semantics = default_semantics(PlacementStrategy.SYMMETRIC, args.semantics)
         alive = oracle.group_polynomial(rec, semantics)
         print(f"alive counts a_t for t = 0..{len(alive) - 1} [{semantics.value}]:")
         print(" ".join(str(c) for c in alive))
         return 0
+    strategy, baseline, label = _ORACLES[args.what]
+    semantics = default_semantics(strategy, args.semantics)
     if args.nodes is None:
         raise ParameterError(f"--nodes is required for --what {args.what}")
-    if strategy is PlacementStrategy.RANDOM:
-        system = SystemParams(args.nodes, 1 if args.docs is None else args.docs)
-        value = oracle.brute_force_random(rec, system, semantics)
-        label = f"exhaustive placement enumeration, random strategy, {semantics.value}"
-    else:
+    # by default one document, or the symmetric minimum covering count
+    if args.docs is not None:
         docs = args.docs
-        if docs is None:
-            docs = max(1, args.nodes // rec.fragments)
-        system = SystemParams(args.nodes, docs)
-        if args.what == "symmetric-exact":
-            value = oracle.exact_symmetric_expectation(rec, system, semantics)
-            label = f"group polynomial count, {semantics.value}"
-        else:
-            value = oracle.brute_force_symmetric(rec, system, semantics)
-            label = f"exhaustive subset enumeration, {semantics.value}"
-    print(f"E[X] = {value} = {float(value)!r}  [{label}]")
+    elif strategy is PlacementStrategy.RANDOM:
+        docs = 1
+    else:
+        docs = max(1, args.nodes // rec.fragments)
+    value = baseline(rec, SystemParams(args.nodes, docs), semantics)
+    print(f"E[X] = {value} = {float(value)!r}  [{label}, {semantics.value}]")
     return 0
 
 

@@ -24,7 +24,7 @@ from .specfun import (
     reg_inc_beta_complement,
 )
 
-__all__ = ["CheckResult", "run_selftest"]
+__all__ = ["CHECKS", "CheckResult", "run_selftest"]
 
 RANDOM, SYMMETRIC = PlacementStrategy.RANDOM, PlacementStrategy.SYMMETRIC
 
@@ -36,21 +36,20 @@ class CheckResult:
     detail: str
 
 
-def _check_beta_identity() -> CheckResult:
+def _check_beta_identity() -> tuple[bool, str]:
     worst = 0.0
     for a in range(1, 11):
         for b in range(1, 11):
             exact = beta(a, b)
             real = beta_real(float(a), float(b))
             worst = max(worst, abs(real - exact) / exact)
-    return CheckResult(
-        "beta-identity",
+    return (
         worst <= 1e-12,
         f"binomial form vs log-Gamma form, worst rel diff {worst:.2e}",
     )
 
 
-def _check_complement_identity() -> CheckResult:
+def _check_complement_identity() -> tuple[bool, str]:
     worst = 0.0
     for a in range(1, 7):
         for b in range(1, 7):
@@ -58,27 +57,19 @@ def _check_complement_identity() -> CheckResult:
                 x = i / 20
                 s = reg_inc_beta(x, a, b) + reg_inc_beta_complement(x, a, b)
                 worst = max(worst, abs(s - 1.0))
-    return CheckResult(
-        "complement-identity",
-        worst <= 1e-14,
-        f"I + (1-I) vs 1, worst abs diff {worst:.2e}",
-    )
+    return worst <= 1e-14, f"I + (1-I) vs 1, worst abs diff {worst:.2e}"
 
 
-def _check_small_x_precision() -> CheckResult:
+def _check_small_x_precision() -> tuple[bool, str]:
     # 1 - I_x(2, 1) = 1 - x^2: the log of the complement must keep its
     # relative precision where I_x is far below one ulp of 1
     got = log_reg_inc_beta_complement(1e-6, 2, 1)
     want = math.log1p(-1e-12)
     rel = abs(got - want) / abs(want)
-    return CheckResult(
-        "small-x-precision",
-        rel <= 1e-14,
-        f"ln(1 - I) at x=1e-6 vs log1p(-x^2), rel diff {rel:.2e}",
-    )
+    return rel <= 1e-14, f"ln(1 - I) at x=1e-6 vs log1p(-x^2), rel diff {rel:.2e}"
 
 
-def _check_monotone_shift() -> CheckResult:
+def _check_monotone_shift() -> tuple[bool, str]:
     worst = 0.0
     for p in range(1, 5):
         for q in range(0, 5):
@@ -90,15 +81,8 @@ def _check_monotone_shift() -> CheckResult:
                 )
                 worst = max(worst, abs(diff - closed))
                 if diff < -1e-15:
-                    return CheckResult(
-                        "monotone-shift-identity", False,
-                        f"negative shift {diff:.2e} at x={x}, p={p}, q={q}",
-                    )
-    return CheckResult(
-        "monotone-shift-identity",
-        worst <= 1e-12,
-        f"shift vs closed form, worst abs diff {worst:.2e}",
-    )
+                    return False, f"negative shift {diff:.2e} at x={x}, p={p}, q={q}"
+    return worst <= 1e-12, f"shift vs closed form, worst abs diff {worst:.2e}"
 
 
 def _inc_beta_integral(x: Fraction, a: int, b: int) -> Fraction:
@@ -117,20 +101,19 @@ def _inc_beta_integral(x: Fraction, a: int, b: int) -> Fraction:
     return integral / beta_ab
 
 
-def _check_quadrature_consistency() -> CheckResult:
+def _check_quadrature_consistency() -> tuple[bool, str]:
     worst = 0.0
     for a, b in ((1, 1), (2, 3), (3, 2), (5, 4), (6, 1)):
         for x in (0.1, 0.5, 0.9):
             exact = float(_inc_beta_integral(Fraction(x), a, b))
             worst = max(worst, abs(exact - reg_inc_beta(x, a, b)))
-    return CheckResult(
-        "incomplete-beta-quadrature",
+    return (
         worst <= 1e-15,
         f"binomial sum vs exact integral definition, worst abs diff {worst:.2e}",
     )
 
 
-def _check_survival_curve() -> CheckResult:
+def _check_survival_curve() -> tuple[bool, str]:
     for rec, system in (
         (RecParams(1, 0, 2), SystemParams(48, 5)),
         (RecParams(2, 1, 2), SystemParams(30, 7)),
@@ -141,20 +124,14 @@ def _check_survival_curve() -> CheckResult:
         curve_sum = math.fsum(curve)
         total = analytic.expect_random_sum(rec, system).value
         if curve_sum != total:
-            return CheckResult(
-                "survival-curve-sum", False,
-                f"curve sum {curve_sum!r} != exact sum {total!r}",
-            )
+            return False, f"curve sum {curve_sum!r} != exact sum {total!r}"
         if any(hi < lo for hi, lo in zip(curve, curve[1:])):
-            return CheckResult("survival-curve-sum", False, "curve not nonincreasing")
-    return CheckResult(
-        "survival-curve-sum", True, "curve sums equal the exact expectation"
-    )
+            return False, "curve not nonincreasing"
+    return True, "curve sums equal the exact expectation"
 
 
-def _check_error_bounds() -> CheckResult:
+def _check_error_bounds() -> tuple[bool, str]:
     tol = analytic.DEFAULT_QUADRATURE_TOL
-    worst = ""
     for p, q, r in ((1, 0, 2), (2, 1, 1), (3, 2, 2), (1, 2, 1)):
         rec = RecParams(p, q, r)
         for nodes, docs in ((12, 1), (48, 5), (96, 96)):
@@ -162,22 +139,20 @@ def _check_error_bounds() -> CheckResult:
             exact = analytic.expect_random_sum(rec, system).value
             integral = expect(RANDOM, rec, system, Method.INTEGRAL).value
             if abs(exact - integral) > 1.0 + nodes * tol:
-                return CheckResult(
-                    "additive-error-bounds", False,
+                return (
+                    False,
                     f"|sum-integral| = {abs(exact - integral):.3f} at "
                     f"p={p} q={q} r={r} N={nodes} D={docs}",
                 )
             if p == 1:
                 closed = expect(RANDOM, rec, system, Method.BETA_EXACT).value
                 if abs(exact - closed) > 1.0:
-                    return CheckResult(
-                        "additive-error-bounds", False,
+                    return (
+                        False,
                         f"|sum-beta| = {abs(exact - closed):.3f} at "
                         f"q={q} r={r} N={nodes} D={docs}",
                     )
-    return CheckResult(
-        "additive-error-bounds", True, "integral and Beta forms stay within 1"
-    )
+    return True, "integral and Beta forms stay within 1"
 
 
 def _symmetric_pairs(limit: int):
@@ -190,7 +165,7 @@ def _symmetric_pairs(limit: int):
                     yield rec, SystemParams(nodes, nodes // g)
 
 
-def _check_exact_vs_integral(limit: int, name: str) -> CheckResult:
+def _check_exact_vs_integral(limit: int) -> tuple[bool, str]:
     worst = 0.0
     count = 0
     for rec, system in _symmetric_pairs(limit):
@@ -201,14 +176,13 @@ def _check_exact_vs_integral(limit: int, name: str) -> CheckResult:
             ).value
             worst = max(worst, abs(integral - exact) / exact)
             count += 1
-    return CheckResult(
-        name,
+    return (
         worst <= 1e-8,
         f"{count} instances under both rules, worst rel diff {worst:.2e}",
     )
 
 
-def _check_brute_vs_polynomial() -> CheckResult:
+def _check_brute_vs_polynomial() -> tuple[bool, str]:
     cases = (
         (RecParams(1, 0, 2), SystemParams(4, 2), LossSemantics.PER_CLUSTER),
         (RecParams(1, 1, 1), SystemParams(8, 4), LossSemantics.PER_CLUSTER),
@@ -220,17 +194,15 @@ def _check_brute_vs_polynomial() -> CheckResult:
         brute = oracle.brute_force_symmetric(rec, system, sem)
         poly = oracle.exact_symmetric_expectation(rec, system, sem)
         if brute != poly:
-            return CheckResult(
-                "brute-vs-polynomial", False,
+            return (
+                False,
                 f"{brute} != {poly} at p={rec.p} q={rec.q} r={rec.r} "
                 f"N={system.nodes} {sem.value}",
             )
-    return CheckResult(
-        "brute-vs-polynomial", True, f"{len(cases)} exact rational matches"
-    )
+    return True, f"{len(cases)} exact rational matches"
 
 
-def _check_brute_random() -> CheckResult:
+def _check_brute_random() -> tuple[bool, str]:
     for rec, nodes, semantics, expected in (
         (RecParams(1, 0, 2), 3, LossSemantics.MULTISET, Fraction(22, 9)),
         (RecParams(1, 1, 1), 3, LossSemantics.MULTISET, Fraction(22, 9)),
@@ -241,23 +213,17 @@ def _check_brute_random() -> CheckResult:
         system = SystemParams(nodes, 1)
         brute = oracle.brute_force_random(rec, system, semantics)
         if brute != expected:
-            return CheckResult(
-                "brute-random-pinned", False,
-                f"{brute} != {expected} ({semantics.value})",
-            )
+            return False, f"{brute} != {expected} ({semantics.value})"
         exact = analytic.expect_random_sum(rec, system, semantics).value
         if abs(float(brute) - exact) > 1e-12 * max(1.0, exact):
-            return CheckResult(
-                "brute-random-pinned", False,
+            return (
+                False,
                 f"enumeration {float(brute)!r} vs sum {exact!r} ({semantics.value})",
             )
-    return CheckResult(
-        "brute-random-pinned", True,
-        "enumeration matches the survival sum under both rules",
-    )
+    return True, "enumeration matches the survival sum under both rules"
 
 
-def _check_pinned_values() -> CheckResult:
+def _check_pinned_values() -> tuple[bool, str]:
     pins = (
         (
             "symmetric (1,0,2) N=4",
@@ -285,13 +251,11 @@ def _check_pinned_values() -> CheckResult:
     )
     for label, got, want in pins:
         if abs(got - want) > 1e-9 * want:
-            return CheckResult(
-                "pinned-values", False, f"{label}: {got!r} != {want!r}"
-            )
-    return CheckResult("pinned-values", True, f"{len(pins)} fixed points hold")
+            return False, f"{label}: {got!r} != {want!r}"
+    return True, f"{len(pins)} fixed points hold"
 
 
-def _check_simulation_agreement() -> CheckResult:
+def _check_simulation_agreement() -> tuple[bool, str]:
     random_cfg = SimConfig(
         strategy=RANDOM,
         classes=(WorkloadClass(RecParams(1, 0, 2), 5),),
@@ -302,10 +266,7 @@ def _check_simulation_agreement() -> CheckResult:
     summary = simulate(random_cfg)
     exact = analytic.expect_random_sum(RecParams(1, 0, 2), SystemParams(48, 5)).value
     if abs(summary.mean - exact) > 3 * summary.std_error:
-        return CheckResult(
-            "simulation-agreement", False,
-            f"random: |{summary.mean:.3f} - {exact:.3f}| > 3 SE",
-        )
+        return False, f"random: |{summary.mean:.3f} - {exact:.3f}| > 3 SE"
     sym_cfg = SimConfig(
         strategy=SYMMETRIC,
         classes=(WorkloadClass(RecParams(1, 1, 1), 48),),
@@ -318,48 +279,45 @@ def _check_simulation_agreement() -> CheckResult:
         SYMMETRIC, RecParams(1, 1, 1), SystemParams(96, 48), Method.INTEGRAL
     ).value
     if abs(summary.mean - exact) > 3 * summary.std_error:
-        return CheckResult(
-            "simulation-agreement", False,
-            f"symmetric: |{summary.mean:.3f} - {exact:.3f}| > 3 SE",
-        )
-    return CheckResult(
-        "simulation-agreement", True, "seeded runs within 3 standard errors"
-    )
+        return False, f"symmetric: |{summary.mean:.3f} - {exact:.3f}| > 3 SE"
+    return True, "seeded runs within 3 standard errors"
 
 
-def _check_d_invariance() -> CheckResult:
+def _check_d_invariance() -> tuple[bool, str]:
     rec = RecParams(1, 1, 1)
     lo = expect(SYMMETRIC, rec, SystemParams(96, 48), Method.INTEGRAL).value
     hi = expect(SYMMETRIC, rec, SystemParams(96, 480), Method.INTEGRAL).value
     if lo != hi:
-        return CheckResult(
-            "symmetric-d-invariance", False, f"{lo!r} != {hi!r} across D"
-        )
-    return CheckResult(
-        "symmetric-d-invariance", True, "integral identical across valid D"
-    )
+        return False, f"{lo!r} != {hi!r} across D"
+    return True, "integral identical across valid D"
+
+
+# (name, check) in run order; the only place a check is named
+_QUICK = (
+    ("beta-identity", _check_beta_identity),
+    ("complement-identity", _check_complement_identity),
+    ("small-x-precision", _check_small_x_precision),
+    ("monotone-shift-identity", _check_monotone_shift),
+    ("incomplete-beta-quadrature", _check_quadrature_consistency),
+    ("survival-curve-sum", _check_survival_curve),
+    ("additive-error-bounds", _check_error_bounds),
+    ("symmetric-exact-vs-integral", lambda: _check_exact_vs_integral(12)),
+    ("brute-vs-polynomial", _check_brute_vs_polynomial),
+    ("brute-random-pinned", _check_brute_random),
+    ("pinned-values", _check_pinned_values),
+    ("symmetric-d-invariance", _check_d_invariance),
+)
+CHECKS = {
+    "quick": _QUICK,
+    "full": _QUICK + (
+        ("symmetric-exact-vs-integral-full", lambda: _check_exact_vs_integral(120)),
+        ("simulation-agreement", _check_simulation_agreement),
+    ),
+}
 
 
 def run_selftest(level: str = "quick") -> list[CheckResult]:
-    if level not in ("quick", "full"):
-        raise ParameterError(f"level must be quick or full, got {level!r}")
-    results = [
-        _check_beta_identity(),
-        _check_complement_identity(),
-        _check_small_x_precision(),
-        _check_monotone_shift(),
-        _check_quadrature_consistency(),
-        _check_survival_curve(),
-        _check_error_bounds(),
-        _check_exact_vs_integral(12, "symmetric-exact-vs-integral"),
-        _check_brute_vs_polynomial(),
-        _check_brute_random(),
-        _check_pinned_values(),
-        _check_d_invariance(),
-    ]
-    if level == "full":
-        results.append(
-            _check_exact_vs_integral(120, "symmetric-exact-vs-integral-full")
-        )
-        results.append(_check_simulation_agreement())
-    return results
+    """Run every check of level in order; a failing check does not stop the rest."""
+    if level not in CHECKS:
+        raise ParameterError(f"level must be {' or '.join(CHECKS)}, got {level!r}")
+    return [CheckResult(name, *check()) for name, check in CHECKS[level]]

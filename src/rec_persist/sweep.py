@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -29,6 +30,7 @@ __all__ = [
     "SweepSpec",
     "SweepRow",
     "CSV_COLUMNS",
+    "OVERLAYS",
     "PRESETS",
     "preset_spec",
     "load_config",
@@ -39,8 +41,16 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_THEORY_KINDS = ("exact", "asymptotic", "beta-exact")
+# theory kind -> (CSV column, chart label, route), in the order the chart
+# draws them; the route None is the strategy's EXACT_METHOD
+OVERLAYS: dict[str, tuple[str, str, Method | None]] = {
+    "exact": ("theory_exact", "exact", None),
+    "beta-exact": ("theory_beta_exact", "closed Beta form", Method.BETA_EXACT),
+    "asymptotic": ("theory_asymptotic", "asymptotic", Method.ASYMPTOTIC),
+}
 _DOC_RULES = ("N", "N/g")
+# the longest file name ext4, XFS, Btrfs, APFS and tmpfs take, in bytes
+_NAME_MAX = 255
 
 
 def _listed(value, name: str) -> tuple:
@@ -56,7 +66,8 @@ class SweepSpec:
     docs is either a fixed document count or one of the rules "N"
     (one document per node) and "N/g" (the minimum covering count
     N/((p+q)*r), rounded down but at least 1).  name names the output
-    files, so it must be a plain file name.  Construction checks every
+    files, so it must be a plain file name that stays within _NAME_MAX
+    bytes with its .csv or .svg suffix.  Construction checks every
     field, turns a strategy name into its enum and the nodes and theory
     lists into tuples, and settles the loss rule as SimConfig does.
     """
@@ -84,6 +95,17 @@ class SweepSpec:
                 f"name must be a file name without NUL bytes, not empty, '.', "
                 f"'..' or a path, got {self.name!r}"
             )
+        try:
+            size = len(os.fsencode(name))
+        except UnicodeEncodeError:
+            raise ParameterError(
+                f"name must be encodable as a file name, got {self.name!r}"
+            ) from None
+        if size + len(".csv") > _NAME_MAX:
+            raise ParameterError(
+                f"name must be at most {_NAME_MAX - len('.csv')} bytes, so that "
+                f"its .csv and .svg file names fit the file system, got {size}"
+            )
         put("strategy", require_member(PlacementStrategy, self.strategy, "strategy"))
         put("semantics", default_semantics(self.strategy, self.semantics))
         for field, minimum in (
@@ -108,9 +130,9 @@ class SweepSpec:
             )
         put("theory", _listed(self.theory, "theory"))
         for kind in self.theory:
-            if kind not in _THEORY_KINDS:
+            if kind not in OVERLAYS:
                 raise ParameterError(
-                    f"unknown theory overlay {kind!r}; expected {_THEORY_KINDS}"
+                    f"unknown theory overlay {kind!r}; expected {tuple(OVERLAYS)}"
                 )
 
     @property
@@ -267,23 +289,26 @@ def _point_seed(base: int, nodes: int, docs: int) -> int:
     return int(ss.generate_state(2, dtype=np.uint64)[0])
 
 
-def _theory_values(spec: SweepSpec, system: SystemParams) -> dict[str, float | None]:
-    """The requested overlays under the loss rule the point simulates.
+def _theory_cells(spec: SweepSpec, system: SystemParams) -> dict[str, float | None]:
+    """The row's theory cells by column: the requested overlays under the
+    loss rule the point simulates.
 
     A cell stays empty where expect has no route (beta-exact at p != 1),
     the point is outside the theory (symmetric preconditions unmet) or
     the quadrature fails; the run continues with the other cells.
     """
-    values: dict[str, float | None] = dict.fromkeys(_THEORY_KINDS)
+    cells = dict.fromkeys(column for column, _, _ in OVERLAYS.values())
     for kind in spec.theory:
-        method = EXACT_METHOD[spec.strategy] if kind == "exact" else Method(kind)
+        column, _, method = OVERLAYS[kind]
+        if method is None:
+            method = EXACT_METHOD[spec.strategy]
         try:
-            values[kind] = expect(
+            cells[column] = expect(
                 spec.strategy, spec.rec, system, method, semantics=spec.semantics
             ).value
         except (ParameterError, QuadratureError):
             pass
-    return values
+    return cells
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -306,7 +331,6 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             semantics=spec.semantics,
         )
         summary = simulate(config)
-        theory = _theory_values(spec, system)
         rows.append(
             SweepRow(
                 strategy=spec.strategy.value,
@@ -319,10 +343,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 seed=config.master_seed,
                 mean_empirical=summary.mean,
                 std_error=summary.std_error,
-                theory_exact=theory["exact"],
-                theory_asymptotic=theory["asymptotic"],
-                theory_beta_exact=theory["beta-exact"],
                 semantics=spec.semantics.value,
+                **_theory_cells(spec, system),
             )
         )
     return rows
@@ -350,17 +372,11 @@ def rows_to_svg(spec: SweepSpec, rows: list[SweepRow], path: str | Path) -> None
             marker=True,
         )
     ]
-    overlays = (
-        ("theory_exact", "exact"),
-        ("theory_beta_exact", "closed Beta form"),
-        ("theory_asymptotic", "asymptotic"),
-    )
-    color = 1
-    for attr, label in overlays:
+    for color, (column, label, _) in enumerate(OVERLAYS.values(), 1):
         pts = [
-            (row.N, getattr(row, attr))
+            (row.N, getattr(row, column))
             for row in rows
-            if getattr(row, attr) is not None
+            if getattr(row, column) is not None
         ]
         if pts:
             series.append(
@@ -371,7 +387,6 @@ def rows_to_svg(spec: SweepSpec, rows: list[SweepRow], path: str | Path) -> None
                     color=PALETTE[color % len(PALETTE)],
                 )
             )
-        color += 1
     rec = spec.rec
     title = (
         f"{spec.name}: {spec.strategy.value} placement, "

@@ -126,6 +126,20 @@ class TestSurvivalRandom:
             assert curve[l] == pytest.approx(want, rel=1e-12, abs=0.0)
         assert math.fsum(curve) == analytic.expect_random_sum(rec, system).value
 
+    def test_none_is_the_multiset_rule(self):
+        # REC(2,0,2) on 3 nodes, where the two rules differ
+        rec, system = RecParams(2, 0, 2), SystemParams(3, 1)
+        for l in range(system.nodes + 1):
+            assert analytic.survival_random(
+                l, rec, system, None
+            ) == analytic.survival_random(l, rec, system, MS)
+        curve = analytic.survival_curve_random(rec, system, None)
+        assert curve == analytic.survival_curve_random(rec, system, MS)
+        assert curve != analytic.survival_curve_random(rec, system, PC)
+        total = analytic.expect_random_sum(rec, system, None)
+        assert total == analytic.expect_random_sum(rec, system, MS)
+        assert total != analytic.expect_random_sum(rec, system, PC)
+
 
 class TestExpectRandomSum:
     def test_two_nodes(self):

@@ -16,7 +16,8 @@ from rec_persist.analytic import Method
 from rec_persist.model import (
     LossSemantics, PlacementStrategy, RecParams, SystemParams,
 )
-from rec_persist.selftest import run_selftest
+from rec_persist import selftest
+from rec_persist.selftest import CheckResult, run_selftest
 from rec_persist.svg import Series, render_chart
 
 
@@ -84,6 +85,18 @@ class TestSweepSpec:
     def test_bad_theory_rejected(self):
         with pytest.raises(ParameterError):
             small_spec(theory=("exact", "magic"))
+
+    def test_name_length_limit(self):
+        # 251 bytes of UTF-8 and the 4-byte suffix fill a 255-byte NAME_MAX
+        assert small_spec(name="\u00e9" * 125 + "a").name.endswith("a")
+        with pytest.raises(ParameterError, match="at most 251 bytes, .* got 252"):
+            small_spec(name="\u00e9" * 126)
+
+    def test_overlay_columns_are_the_theory_fields(self):
+        columns = [column for column, _, _ in sweep.OVERLAYS.values()]
+        theory_fields = [f for f in sweep.SweepRow._fields if f.startswith("theory_")]
+        assert sorted(columns) == sorted(theory_fields)
+        assert len(set(columns)) == len(columns)
 
     def test_docs_rules(self):
         assert small_spec(docs="N").docs_at(48) == 48
@@ -482,6 +495,25 @@ class TestCliAnalytic:
         assert code == 2
         assert "random beta-exact requires p = 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, value",
+        [("--strategy symmetric --p 2 --q 1 --r 700 --nodes 2100 --docs 1",
+          1211.9362932880142),
+         ("--strategy random --p 2 --q 1 --r 700 --nodes 2100 --docs 5 "
+          "--semantics per-cluster", 1210.543853659003),
+         # kappa * power = 3^645 * 10 fits no float, though 3^645 does
+         ("--strategy symmetric --p 2 --q 1 --r 645 --nodes 19350 --docs 10",
+          11146.82122697069)],
+        ids=["symmetric-r700", "random-r700", "symmetric-r645"],
+    )
+    def test_asymptotic_past_float_range(self, argv, value, capsys):
+        # kappa^(1/s) is moderate where kappa itself is past the float
+        # range; the values are the leading term in 50-digit mpmath
+        assert main(["analytic", *argv.split(), "--method", "asymptotic"]) == 0
+        result = capsys.readouterr().out.splitlines()[-1]
+        got = float(result.split(" value=")[1].split()[0])
+        assert got == pytest.approx(value, rel=1e-12, abs=0.0)
+
     def test_method_choices(self):
         # benchmark decks and scripts pass these names as --method
         sub = next(
@@ -765,6 +797,7 @@ class TestCliSweep:
          ("p", True), ("docs", True), ("log_axes", "false"), ("log_axes", 0),
          ("log_axes", "yes"), ("name", ""), ("name", "."), ("name", ".."),
          ("name", "sub/a"), ("name", None), ("name", "a\0b"),
+         ("name", "x" * 300), ("name", "\ud800"),
          ("theory", 5), ("theory", None),
          ("strategy", "clustered"), ("semantics", "strict"),
          ("sweeps", [5]), ("sweeps", [None]), ("sweeps", []),
@@ -776,7 +809,8 @@ class TestCliSweep:
              "nodes-scalar", "nodes-float", "nodes-string", "p-bool",
              "docs-bool", "log_axes-string-false", "log_axes-zero",
              "log_axes-string-yes", "name-empty", "name-dot", "name-dotdot",
-             "name-subdir", "name-null", "name-nul-byte", "theory-scalar",
+             "name-subdir", "name-null", "name-nul-byte", "name-too-long",
+             "name-lone-surrogate", "theory-scalar",
              "theory-null", "strategy-unknown", "semantics-unknown", "sweeps-number",
              "sweeps-null", "sweeps-empty", "sweeps-same-name"],
     )
@@ -791,6 +825,31 @@ class TestCliSweep:
         assert main(argv) == 2
         assert f"error: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "bad.csv").exists()
+
+    def test_long_name_refused_before_any_sweep_runs(self, tmp_path, capsys):
+        raw = {"strategy": "random", "p": 1, "q": 0, "r": 2,
+               "nodes": [48], "docs": 5, "trials": 2, "seed": 1}
+        sweeps = [{**raw, "name": "first"}, {**raw, "name": "x" * 300}]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"schema_version": 1, "sweeps": sweeps}))
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(config), "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: name must be at most 251 bytes" in captured.err
+        assert not out.exists()
+
+    def test_longest_name_is_written(self, tmp_path, capsys):
+        name = "\u00e9" * 125 + "a"
+        raw = {"name": name, "strategy": "random", "p": 1, "q": 0, "r": 2,
+               "nodes": [48], "docs": 5, "trials": 2, "seed": 1}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"schema_version": 1, "sweeps": [raw]}))
+        argv = ["sweep", "--config", str(config), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert (tmp_path / f"{name}.csv").exists()
+        assert (tmp_path / f"{name}.svg").exists()
 
     def test_name_outside_out_dir_exits_2(self, tmp_path, capsys):
         raw = {"name": "../x", "strategy": "random", "p": 1, "q": 0, "r": 2,
@@ -888,6 +947,38 @@ class TestCliOracle:
             f"E[X] = {value} = {float(value)!r}  ["
         )
 
+    @pytest.mark.parametrize("rule", [None, "multiset", "per-cluster"])
+    @pytest.mark.parametrize(
+        "what, code, lines",
+        [("symmetric-exact", "--p 2 --q 1 --r 2 --nodes 6",
+          {"per-cluster": "E[X] = 22/5 = 4.4  [group polynomial count, per-cluster]",
+           "multiset": "E[X] = 24/5 = 4.8  [group polynomial count, multiset]"}),
+         ("brute-symmetric", "--p 2 --q 1 --r 2 --nodes 6",
+          {"per-cluster":
+               "E[X] = 22/5 = 4.4  [exhaustive subset enumeration, per-cluster]",
+           "multiset":
+               "E[X] = 24/5 = 4.8  [exhaustive subset enumeration, multiset]"}),
+         ("brute-random", "--p 2 --q 0 --r 2 --nodes 3",
+          {"multiset": "E[X] = 170/81 = 2.0987654320987654  [exhaustive "
+                       "placement enumeration, random strategy, multiset]",
+           "per-cluster": "E[X] = 154/81 = 1.9012345679012346  [exhaustive "
+                          "placement enumeration, random strategy, per-cluster]"}),
+         ("group-poly", "--p 2 --q 1 --r 2",
+          {"per-cluster": "alive counts a_t for t = 0..6 [per-cluster]:\n"
+                          "1 6 15 20 6 0 0",
+           "multiset": "alive counts a_t for t = 0..6 [multiset]:\n"
+                       "1 6 15 20 12 0 0"})],
+    )
+    def test_output_pinned(self, what, code, lines, rule, capsys):
+        # the whole stdout of each baseline; without --semantics each takes
+        # its strategy's default rule, multiset for brute-random only
+        argv = ["oracle", "--what", what, *code.split()]
+        if rule is not None:
+            argv += ["--semantics", rule]
+        default = "multiset" if what == "brute-random" else "per-cluster"
+        assert main(argv) == 0
+        assert capsys.readouterr().out == lines[rule or default] + "\n"
+
     def test_nodes_required(self, capsys):
         argv = "oracle --what symmetric-exact --p 1 --q 0 --r 2".split()
         assert main(argv) == 2
@@ -913,9 +1004,34 @@ class TestCliSelftest:
         }
         assert [res for res in results if not res.ok] == []
 
-    def test_failure_sets_exit_code(self, capsys, monkeypatch):
-        from rec_persist.selftest import CheckResult
+    def test_check_names_in_run_order(self):
+        names = [
+            "beta-identity", "complement-identity", "small-x-precision",
+            "monotone-shift-identity", "incomplete-beta-quadrature",
+            "survival-curve-sum", "additive-error-bounds",
+            "symmetric-exact-vs-integral", "brute-vs-polynomial",
+            "brute-random-pinned", "pinned-values", "symmetric-d-invariance",
+        ]
+        assert [res.name for res in run_selftest("quick")] == names
+        assert [res.name for res in run_selftest("full")] == names + [
+            "symmetric-exact-vs-integral-full", "simulation-agreement",
+        ]
 
+    def test_failing_entry_is_reported_and_the_rest_run(self, capsys, monkeypatch):
+        checks = list(selftest.CHECKS["quick"])
+        name = checks[1][0]
+        checks[1] = (name, lambda: (False, "boom"))
+        monkeypatch.setitem(selftest.CHECKS, "quick", tuple(checks))
+        results = run_selftest("quick")
+        assert [res.name for res in results] == [n for n, _ in checks]
+        assert results[1] == CheckResult(name, False, "boom")
+        assert all(res.ok for i, res in enumerate(results) if i != 1)
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL {name}: boom\n" in out
+        assert out.endswith(f"{len(checks) - 1}/{len(checks)} checks passed\n")
+
+    def test_failure_sets_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "rec_persist.cli.run_selftest",
             lambda level: [CheckResult("rigged", False, "boom")],
