@@ -360,10 +360,6 @@ def _survival_integral(
 
     Returns (value, achieved relative error estimate, evaluations).
     """
-    if not MIN_QUADRATURE_TOL <= tol < 1.0:  # also rejects nan
-        raise ParameterError(
-            f"tol must lie in [{MIN_QUADRATURE_TOL:g}, 1), got {tol!r}"
-        )
     end = t0 + _TAIL_SPAN / s
     edge = math.exp(-end)
     inner = t0 + _FIRST_EDGES / s
@@ -468,8 +464,10 @@ def expect(
 ) -> AnalyticResult:
     """E[X] for one strategy and loss rule by one method; the one route table.
 
-    semantics None takes the strategy's default_semantics.  beta-exact
-    requires p = 1, and sum exists for random placement only.  Routes are
+    semantics None takes the strategy's default_semantics.  tol must lie
+    in [MIN_QUADRATURE_TOL, 1) whatever the method, though only the
+    integral route reads it.  beta-exact requires p = 1, and sum exists
+    for random placement only.  Routes are
     called by their module names, so wrapping one of them (as a tracer
     does) is seen here.
     """
@@ -481,6 +479,10 @@ def expect(
     if semantics is not None and not isinstance(semantics, LossSemantics):
         raise ParameterError(f"expect needs a LossSemantics, got {semantics!r}")
     semantics = default_semantics(strategy, semantics)
+    if not MIN_QUADRATURE_TOL <= tol < 1.0:  # also rejects nan
+        raise ParameterError(
+            f"tol must lie in [{MIN_QUADRATURE_TOL:g}, 1), got {tol!r}"
+        )
     match method:
         case Method.BETA_EXACT if rec.p != 1:
             raise ParameterError(

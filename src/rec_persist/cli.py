@@ -325,30 +325,92 @@ _COMMANDS = {
 }
 
 
+def _flag_table(parser: argparse.ArgumentParser) -> tuple:
+    """What _read_flags needs of one subcommand's parser, read off its actions.
+
+    (flags, defaults, required, groups): each option string of a one-value
+    store or append action mapped to that action; the Namespace contents
+    argparse starts from; the required actions; and (required, members) of
+    each mutually exclusive group.
+    """
+    flags = {
+        option: action
+        for action in parser._actions
+        if type(action) in (argparse._StoreAction, argparse._AppendAction)
+        and action.nargs is None
+        for option in action.option_strings
+    }
+    defaults = {
+        action.dest: action.default
+        for action in parser._actions
+        if action.dest is not argparse.SUPPRESS
+        and action.default is not argparse.SUPPRESS
+    }
+    required = frozenset(action for action in parser._actions if action.required)
+    groups = tuple(
+        (group.required, frozenset(group._group_actions))
+        for group in parser._mutually_exclusive_groups
+    )
+    return flags, {**parser._defaults, **defaults}, required, groups
+
+
 # built once: setting up the five subcommands costs more than most commands
 _PARSER, _SUBPARSERS = _build_parser()
+_FLAG_TABLES = {name: _flag_table(p) for name, p in _SUBPARSERS.items()}
+
+
+def _read_flags(name: str, argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace of subcommand name given argv as plain --flag value pairs.
+
+    None when argv is anything else, or would make argparse fail: a token
+    that is not an exact option string (--flag=value, an abbreviation,
+    -h), a value starting with '-' (argparse takes it for a flag unless it
+    reads as a negative number), a value its type or choices refuse, a
+    missing required flag, or a mutually exclusive group broken.
+    """
+    table = _FLAG_TABLES.get(name)
+    if table is None or len(argv) % 2:
+        return None
+    flags, defaults, required, groups = table
+    values = dict(defaults)
+    seen = set()
+    for flag, text in zip(argv[::2], argv[1::2]):
+        action = flags.get(flag)
+        if action is None or text[:1] == "-":
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (ValueError, TypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        if type(action) is argparse._AppendAction:
+            value = [*(values.get(action.dest) or ()), value]
+        values[action.dest] = value
+        seen.add(action)
+    if not required <= seen:
+        return None
+    for group_required, members in groups:
+        given = len(members & seen)
+        if given > 1 or (group_required and not given):
+            return None
+    return argparse.Namespace(**values)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    subparser = _SUBPARSERS.get(argv[0]) if argv else None
-    if subparser is None:
-        return _PARSER.parse_args(argv)
-    args, extra = subparser.parse_known_args(argv[1:])
-    if extra:
-        # reported by the top-level parser, as _PARSER.parse_args would
-        _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
+    args = _read_flags(argv[0], argv[1:]) if argv else None
+    return _PARSER.parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one rec-persist command; returns its exit code.
 
-    argv defaults to sys.argv[1:].  When argv[0] names a subcommand, only
-    that subcommand's parser reads the rest: the top-level parser would
-    scan every argument before handing them all to it again, which makes
-    parsing about 1.6 times as slow.  Any other argv (empty, --help, an
-    unknown name) goes through the top-level parser, so usage, help and
-    exit codes are the same either way.
+    argv defaults to sys.argv[1:].  A subcommand written as plain --flag
+    value pairs is read straight from that subcommand's argparse actions
+    (_read_flags): argparse itself would be most of a short command's time.
+    Any other argv (empty, --help, an unknown name, --flag=value, an
+    abbreviation, a bad value) goes through the top-level parser, so usage,
+    help, error messages and exit codes are argparse's own.
     """
     if argv is None:
         argv = sys.argv[1:]

@@ -16,8 +16,9 @@ summarises them.  Symmetric trials share one placement table, gathered
 through once; random trials draw their tables into one (batch, r, p+q, D)
 intp buffer a class, which becomes the gather's index.  A symmetric class
 stores one period of its documents, N/gcd(N, g), since the rest repeat its
-nodes.  Node ids and ranks are int32, which caps nodes below 2^31, and a
-trial's arrays are capped at TRIAL_LIMIT entries before anything is allocated.
+nodes.  Node ids and ranks are int32, which caps nodes below 2^31; a
+trial's arrays are capped at TRIAL_LIMIT entries, and the trial count at
+TRIAL_LIMIT, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -282,8 +283,8 @@ def simulate_trials(config: SimConfig) -> np.ndarray:
     at a time, where entries is one trial's rank row plus placement tables
     (_stored_docs documents a class).  A random class's drawn ids are
     checked against [0, nodes) once a batch (ParameterError).  Raises
-    SizeLimitError, before allocating, when nodes >= 2^31 or entries
-    exceeds TRIAL_LIMIT.
+    SizeLimitError, before allocating, when nodes >= 2^31, or entries or
+    trials exceeds TRIAL_LIMIT.
     """
     nodes = config.nodes
     stored = _stored_docs(config)
@@ -296,6 +297,10 @@ def simulate_trials(config: SimConfig) -> np.ndarray:
         raise SizeLimitError(
             f"one trial needs {entries} int32 entries (nodes plus stored "
             f"docs*(p+q)*r per class), above the limit of {TRIAL_LIMIT}"
+        )
+    if config.trials > TRIAL_LIMIT:
+        raise SizeLimitError(
+            f"simulate runs at most {TRIAL_LIMIT} trials, got {config.trials}"
         )
     symmetric = config.strategy is PlacementStrategy.SYMMETRIC
     placements, start = [], 0

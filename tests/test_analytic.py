@@ -690,6 +690,13 @@ class TestQuadrature:
             with pytest.raises(ParameterError, match="tol must lie"):
                 analytic.expect(strategy, rec, system, Method.INTEGRAL, tol)
 
+    @pytest.mark.parametrize("method", list(Method))
+    def test_tol_validated_on_every_method(self, method):
+        # one p = 1 case that every method has a route for
+        with pytest.raises(ParameterError, match="tol must lie"):
+            analytic.expect(PlacementStrategy.RANDOM, RecParams(1, 1, 2),
+                            SystemParams(1000, 10), method, math.nan)
+
     def test_reports_error_and_evaluations(self):
         for strategy, rec, system in self.CASES:
             for tol in (1e-6, analytic.DEFAULT_QUADRATURE_TOL):

@@ -779,6 +779,13 @@ class TestSizeGuard:
         with pytest.raises(SizeLimitError):
             simulate(config)
 
+    def test_trial_count_limit(self, monkeypatch):
+        # one trial holds 18 + 3 * 2 = 24 entries, within the limit of 40
+        monkeypatch.setattr(simulator, "TRIAL_LIMIT", 40)
+        simulate(_config([((1, 0, 2), 3)], 18, trials=40))
+        with pytest.raises(SizeLimitError, match="at most 40 trials, got 41"):
+            simulate(_config([((1, 0, 2), 3)], 18, trials=41))
+
     def test_symmetric_billion_documents_in_bounded_memory(self, capsys):
         # one period of N/gcd(N, 6) = 200,000 documents stands for all 1e9:
         # 1.2e6 table entries plus the rank row, a tracemalloc peak of

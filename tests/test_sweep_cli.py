@@ -1,13 +1,17 @@
 """Sweep runner, CSV/SVG emission, and the command-line interface."""
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rec_persist import analytic, cli, oracle, sweep
 from rec_persist.cli import main
@@ -467,6 +471,16 @@ class TestCliAnalytic:
         assert code == 2
         assert "tol must lie" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["5", "nan"])
+    @pytest.mark.parametrize("method", ["sum", "integral", "asymptotic", "beta-exact"])
+    def test_bad_tol_exits_2_on_every_method(self, method, tol, capsys):
+        code = main(
+            "analytic --strategy random --p 1 --q 1 --r 2 --nodes 1000 "
+            f"--docs 10 --method {method} --tol {tol}".split()
+        )
+        assert code == 2
+        assert "tol must lie" in capsys.readouterr().err
+
     def test_quadrature_failure_exits_1(self, starved_quadrature, capsys):
         code = main(
             "analytic --strategy random --p 2 --q 1 --r 2 --nodes 1000 "
@@ -586,6 +600,109 @@ class TestCliDispatch:
         assert capsys.readouterr().out == out
 
 
+# the plain --flag value commands of the CI install job; its
+# "selftest --level full" is in TestCliDispatch.ARGVS
+_CI_ARGVS = [
+    *(f"analytic --strategy random --p 1 --q 1 --r 2 --nodes 1000 --docs 1000 "
+      f"--method {method}" for method in ("sum", "integral", "asymptotic", "beta-exact")),
+    "simulate --strategy random --p 1 --q 0 --r 2 --nodes 48 --docs 5 --trials 20",
+    "simulate --strategy random --class 1,0,2,5 --class 2,1,2,48 --nodes 48 "
+    "--trials 20",
+    "simulate --strategy symmetric --p 2 --q 1 --r 2 --nodes 1200 "
+    "--docs 1000000000 --trials 5",
+    "sweep --preset fig7 --points 2 --trials 2 --out sweep-out",
+    "sweep --preset fig7 --points 1 --trials 2 --out not-a-dir",
+    *(f"oracle --what {what} --p 2 --q 1 --r 2 --nodes 6"
+      for what in ("symmetric-exact", "brute-symmetric", "brute-random")),
+    "oracle --what group-poly --p 2 --q 1 --r 2",
+    "analytic --strategy symmetric --p 2 --q 1 --r 700 --nodes 2100 --docs 1 "
+    "--method asymptotic",
+    "sweep --config long-name.json --out long-name-out",
+    "selftest --level quick",
+]
+# the TestCliDispatch.ARGVS written otherwise than as plain pairs
+_NOT_PLAIN = ("--meth ", "--strategy=", "--seed -3")
+
+# values for the generated argv: each parser's good values plus ones that
+# argparse refuses, reads as a flag, or reads as a negative number
+_BAD_VALUES = st.sampled_from(["", "x", "1.5", "-", "-h", "--p", "-1", "1,2"])
+_SPOILS = ["bad-value", "bad-value", "equals", "abbrev", "no-flag", "no-value", "added"]
+
+
+def _good_values(action):
+    if action.choices:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        return st.integers(-3, 3000).map(str)
+    if action.type is float:
+        return st.sampled_from(["1e-8", "0.5", "5", "nan", "1e-12", "-0.5"])
+    return st.sampled_from(["cfg.json", "out", "1,0,2,5", "2,1,2,3"])
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand's argv as --flag value pairs from its parser's flags,
+    each left out, given once or repeated, with up to two pieces spoilt: a
+    bad value, --flag=value, an abbreviation, a flag or value dropped, or
+    an unknown flag or -h added."""
+    name = draw(st.sampled_from(sorted(cli._SUBPARSERS)))
+    pairs = []
+    for action in cli._SUBPARSERS[name]._actions:
+        if action.nargs is not None:
+            continue
+        counts = [1, 1, 1, 1, 1, 1, 0, 2] if action.required else [1, 0, 0, 2]
+        for _ in range(draw(st.sampled_from(counts))):
+            flag = draw(st.sampled_from(action.option_strings))
+            pairs.append([flag, draw(_good_values(action))])
+    pieces = list(pairs)
+    for spoil in draw(st.lists(st.sampled_from(_SPOILS), max_size=2)):
+        if spoil == "added":
+            pieces.append(draw(st.sampled_from([["-h"], ["--bogus", "1"]])))
+        elif pairs:
+            i = draw(st.integers(0, len(pairs) - 1))
+            flag, value = pairs[i]
+            pieces[i] = {
+                "bad-value": lambda: [flag, draw(_BAD_VALUES)],
+                "equals": lambda: [f"{flag}={value}"],
+                "abbrev": lambda: [flag[: draw(st.integers(3, len(flag)))], value],
+                "no-flag": lambda: [value],
+                "no-value": lambda: [flag],
+            }[spoil]()
+    order = draw(st.permutations(range(len(pieces))))
+    return [name, *(token for i in order for token in pieces[i])]
+
+
+def _outcome(parse, argv):
+    """parse(argv)'s Namespace as the repr of each value, so a nan --tol
+    compares equal, or its exit code; with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = {key: repr(value) for key, value in vars(parse(argv)).items()}
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestFastPath:
+    """Plain --flag value argv is read by cli._read_flags, to the Namespace
+    argparse would build; anything else is left to argparse."""
+
+    @pytest.mark.parametrize("argv", TestCliDispatch.ARGVS + _CI_ARGVS)
+    def test_plain_pairs_skip_argparse(self, argv):
+        plain = not any(marker in argv for marker in _NOT_PLAIN)
+        argv = argv.split()
+        args = cli._read_flags(argv[0], argv[1:])
+        assert (args is not None) == plain
+        if plain:
+            assert args == cli._PARSER.parse_args(argv)
+
+    @settings(deadline=None, max_examples=400)
+    @given(_argvs())
+    def test_same_as_argparse(self, argv):
+        assert _outcome(cli._parse, argv) == _outcome(cli._PARSER.parse_args, argv)
+
+
 class TestCliSimulate:
     def test_deterministic_output(self, capsys):
         argv = (
@@ -666,6 +783,12 @@ class TestCliSimulate:
         argv = f"simulate --strategy random --nodes 12 {workload}".split()
         assert main(argv) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    def test_trials_above_limit_exits_2(self, capsys):
+        argv = ("simulate --strategy random --p 1 --q 0 --r 2 --docs 5 "
+                "--nodes 10 --trials 100000000000000").split()
+        assert main(argv) == 2
+        assert "error: simulate runs at most" in capsys.readouterr().err
 
 
 class TestCliSweep:
@@ -867,6 +990,13 @@ class TestCliSweep:
         argv = ["sweep", "--preset", "fig4", "--out", str(tmp_path), flag, "0"]
         assert main(argv) == 2
         assert "must be >= 1, got 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_trials_above_limit_exits_2(self, tmp_path, capsys):
+        argv = ["sweep", "--preset", "fig4", "--points", "1", "--out",
+                str(tmp_path), "--trials", "100000000000000"]
+        assert main(argv) == 2
+        assert "error: simulate runs at most" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_out_is_a_file_exits_2(self, tmp_path, capsys):
