@@ -140,13 +140,17 @@ def _log_survival(x, rec: RecParams, semantics: LossSemantics):
         return np.where(small, np.log1p(-np.exp(y)), np.log(-np.expm1(y)))
 
 
-# l values per kernel call of the random survival sum: large enough that
-# numpy's per-call overhead is small, small enough that a large-D sum,
-# which reaches 0.0 within a few thousand l, stops after one block
+# l values per kernel call of the random survival sum after its first
+# block: large enough that numpy's per-call overhead is small, small enough
+# that a large-D sum, which reaches 0.0 within a few thousand l, stops
+# after one block
 _SURVIVAL_BLOCK = 4096
 # the survival sum tries to stop once the bound on its remaining terms is
 # at most this share of the running sum, far below half an ulp of it
 _TAIL_SHARE = 2.0**-60
+# heads shorter than this are summed by math.fsum alone: _certified_sum's
+# fixed cost of some 20 us is more than two fsum passes over them
+_FSUM_HEAD = 256
 # the smallest positive float
 _SUBNORMAL = math.ldexp(1.0, -1074)
 
@@ -158,20 +162,53 @@ def _survival_random_terms(
     return np.exp(system.docs * _log_survival(l / system.nodes, rec, semantics))
 
 
+def _survival_head_hint(
+    rec: RecParams, system: SystemParams, semantics: LossSemantics
+) -> int:
+    """A guess, from the asymptotic form, at how many leading terms the
+    early-stopping survival sum keeps: ceil(1.1 l*) + 16.
+
+    Pr[X > l] is about exp(-kappa D (l/N)^s) while l/N is small, so the
+    stop rule's bound 2 (N - l) Pr[X > l] is at most about
+    2 N exp(-kappa D (l/N)^s), which falls to 2^-60 E at
+    l* = N ((61 ln 2 + ln(N/E)) / (kappa D))^(1/s), with E the asymptotic
+    mean Gamma(1+1/s) N (kappa D)^(-1/s), at least 1.  Everything is taken
+    in logarithms, so a kappa D past the float range cannot overflow.  Only
+    the block sizes depend on the guess, never the sum.
+    """
+    s, kappa = _tail(rec, semantics)
+    log_power = math.log(kappa) + math.log(system.docs)
+    log_nodes = math.log(system.nodes)
+    log_mean = max(0.0, math.lgamma(1.0 + 1.0 / s) + log_nodes - log_power / s)
+    depth = 61.0 * math.log(2.0) + log_nodes - log_mean
+    head = system.nodes * math.exp((math.log(depth) - log_power) / s)
+    return math.ceil(1.1 * head) + 16
+
+
 def _survival_random_blocks(
     rec: RecParams, system: SystemParams, semantics: LossSemantics
 ):
     """Pr[X > l] = phi(l/N)^D as arrays over blocks of l from 0, through
     the first block that ends in 0.0.
 
-    The curve is nonincreasing, so every later term is an exact 0.0 too.
+    The first block is sized to the head the early stop is predicted to
+    keep (_survival_head_hint), at most _SURVIVAL_BLOCK, and later blocks
+    are _SURVIVAL_BLOCK long, so a short head costs a few terms more than
+    it sums, not a whole block; a wrong guess costs one more block.  The
+    curve is nonincreasing, so every term after the first 0.0 is an exact
+    0.0 too.
     """
-    for start in range(0, system.nodes + 1, _SURVIVAL_BLOCK):
-        l = np.arange(start, min(start + _SURVIVAL_BLOCK, system.nodes + 1))
-        block = _survival_random_terms(l, rec, system, semantics)
+    end = system.nodes + 1
+    start = 0
+    stop = min(_SURVIVAL_BLOCK, _survival_head_hint(rec, system, semantics))
+    while start < end:
+        block = _survival_random_terms(
+            np.arange(start, min(stop, end)), rec, system, semantics
+        )
         yield block
         if block[-1] == 0.0:
             return
+        start, stop = stop, stop + _SURVIVAL_BLOCK
 
 
 def _fsum(blocks, *extra) -> float:
@@ -227,9 +264,13 @@ def _settled_sum(blocks, rest: float) -> float | None:
     """fsum of the blocks' terms if adding rest leaves it unchanged, else None.
 
     Certified in numpy where _certified_sum can decide it, by two fsum
-    passes where it cannot (one when rest is 0).
+    passes (one when rest is 0) where it cannot, and for heads of fewer
+    than _FSUM_HEAD terms, where the passes cost less than the
+    certificate.  Either way the float is the same.
     """
-    total = _certified_sum(blocks, rest)
+    total = None
+    if sum(block.size for block in blocks) >= _FSUM_HEAD:
+        total = _certified_sum(blocks, rest)
     if total is None:
         total = _fsum(blocks)
         if rest and _fsum(blocks, rest) != total:
@@ -281,12 +322,14 @@ def expect_random_sum(
     between the two, and rounding is monotone.  Otherwise the sum goes on
     to the next block, and at worst through the first block that ends in
     0.0, after which every term is an exact zero.  sum_terms is the number
-    of leading terms summed.
+    of leading terms summed.  The first block is sized to the head the
+    asymptotic form predicts, so a short head evaluates few terms past it.
 
     Both roundings are settled by _certified_sum, a few numpy passes of
     error-free splitting that prove them equal without summing exactly;
     only when the sum lies too close to a rounding boundary for its
-    bound (a few stops in a thousand) do two math.fsum passes decide.
+    bound (a few stops in a thousand), or the head has fewer than
+    _FSUM_HEAD terms, do two math.fsum passes decide.
     """
     semantics = default_semantics(PlacementStrategy.RANDOM, semantics)
     kept = []

@@ -262,10 +262,6 @@ def _cmd_sweep(args) -> int:
     if args.points is not None and args.points < 1:
         raise ParameterError(f"--points must be >= 1, got {args.points}")
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ParameterError(f"cannot write sweep output: {exc}") from None
     for spec in specs:
         if args.points is not None:
             overrides["nodes"] = spec.nodes[: args.points]
@@ -274,7 +270,9 @@ def _cmd_sweep(args) -> int:
         rows = sweep.run_sweep(spec)
         csv_path = out_dir / f"{spec.name}.csv"
         svg_path = out_dir / f"{spec.name}.svg"
+        # made only now, so a sweep refused before its rows leaves no directory
         try:
+            out_dir.mkdir(parents=True, exist_ok=True)
             sweep.rows_to_csv(rows, csv_path)
             sweep.rows_to_svg(spec, rows, svg_path)
         except OSError as exc:

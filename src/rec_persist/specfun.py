@@ -102,7 +102,7 @@ def _upper_tail(n: int, a: int, xs: np.ndarray) -> np.ndarray:
     for j in range(a, n):
         term *= (n - j) / (j + 1) * ratio
         grown = total + term
-        if np.array_equal(grown, total):
+        if (grown == total).all():
             break
         total = grown
     return total
@@ -116,7 +116,7 @@ def _log_lower_tail(n: int, a: int, b: int, xs: np.ndarray) -> np.ndarray:
     for j in range(a - 1, 0, -1):
         term *= j / (n - j + 1) * ratio
         grown = total + term
-        if np.array_equal(grown, total):
+        if (grown == total).all():
             break
         total = grown
     return (
@@ -144,20 +144,28 @@ def log_reg_inc_beta_complement(x, a: int, b: int):
     b = require_int(b, "b", 1)
     n = a + b - 1
     arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+    if not arr.size:
+        return np.empty_like(arr)
+    lo, hi = arr.min(), arr.max()
+    if not (lo >= 0.0 and hi <= 1.0):  # also nan, which min and max propagate
         raise ParameterError(f"x must lie in [0, 1], got {x!r}")
-    out = np.empty_like(arr)
-    upper = arr < a / (a + b)
-    n_upper = np.count_nonzero(upper)
-    # each half only when it has points: on an empty half numpy's fixed
-    # per-call cost is most of a float's or a one-sided block's time
+    switch = a / (a + b)
+    # a tail runs on all of x when every point is on its side: the boolean
+    # gather and scatter would cost more than the tail on a short array.
+    # x is taken 1-d, so a float runs the same array arithmetic as an element
+    flat = arr.reshape(-1)
     with np.errstate(divide="ignore"):
-        if n_upper:
-            out[upper] = np.log1p(-_upper_tail(n, a, arr[upper]))
-        if n_upper < arr.size:
+        if hi < switch:
+            out = np.log1p(-_upper_tail(n, a, flat))
+        elif lo >= switch:
+            out = _log_lower_tail(n, a, b, flat)
+        else:
+            out = np.empty_like(flat)
+            upper = flat < switch
             lower = ~upper
-            out[lower] = _log_lower_tail(n, a, b, arr[lower])
-    return out if out.ndim else float(out)
+            out[upper] = np.log1p(-_upper_tail(n, a, flat[upper]))
+            out[lower] = _log_lower_tail(n, a, b, flat[lower])
+    return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 
 def reg_inc_beta_complement(x: float, a: int, b: int) -> float:

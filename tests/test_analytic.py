@@ -198,6 +198,51 @@ class TestSurvivalSumStop:
                 rec, system, semantics
             ).value == full_random_sum(rec, system, semantics)
 
+    @pytest.mark.parametrize("hint", ["one", "all"])
+    def test_head_hint_does_not_change_the_sum(self, hint, monkeypatch):
+        # a first block of one term, or of the whole curve, only moves the
+        # block boundaries
+        monkeypatch.setattr(
+            analytic, "_survival_head_hint",
+            lambda rec, system, semantics: 1 if hint == "one" else system.nodes + 1,
+        )
+        for rec, system, semantics in random_instances(31, 60, 20_000):
+            assert analytic.expect_random_sum(
+                rec, system, semantics
+            ).value == full_random_sum(rec, system, semantics)
+
+    def test_short_heads_evaluate_few_terms(self, monkeypatch):
+        # every multiset sum of the benchmark's deck whose head fits in one
+        # block evaluates at most a quarter more terms than it sums, plus 16
+        evaluated = []
+        terms = analytic._survival_random_terms
+
+        def counted(l, *args):
+            evaluated.append(l.size)
+            return terms(l, *args)
+
+        monkeypatch.setattr(analytic, "_survival_random_terms", counted)
+        short = 0
+        for (code, docs, _, _), nodes in itertools.product(
+            _PINNED_SUMS, (10**3, 10**4, 10**5)
+        ):
+            evaluated.clear()
+            result = analytic.expect_random_sum(
+                RecParams(*code), SystemParams(nodes, int(docs))
+            )
+            if result.sum_terms < analytic._SURVIVAL_BLOCK:
+                short += 1
+                assert sum(evaluated) <= 1.25 * result.sum_terms + 16
+        assert short == 35
+
+    def test_pinned_sums(self):
+        # the value and head of the 15 N = 1e5 sums of the benchmark's deck
+        for code, docs, value, sum_terms in _PINNED_SUMS:
+            result = analytic.expect_random_sum(
+                RecParams(*code), SystemParams(10**5, int(docs))
+            )
+            assert (result.value, result.sum_terms) == (value, sum_terms)
+
     def test_failed_guard_falls_back(self, monkeypatch):
         # at a share of 1 the bound on the rest is as large as the sum, so
         # the guard fails and the sum goes on to the block that ends in 0.0
@@ -220,6 +265,26 @@ class TestSurvivalSumStop:
     def test_stops_early(self):
         result = analytic.expect_random_sum(RecParams(1, 0, 2), SystemParams(10**5, 1000))
         assert result.sum_terms <= 25_000
+
+
+# (code, D, E[X], sum_terms) of the multiset survival sum at N = 1e5
+_PINNED_SUMS = (
+    ((1, 0, 2), 1e03, 2801.94521942109, 21119),
+    ((1, 0, 2), 1e06, 89.12265931178341, 704),
+    ((1, 0, 2), 1e09, 3.3024956071480283, 24),
+    ((1, 1, 2), 1e03, 16116.350952604644, 45424),
+    ((1, 1, 2), 1e06, 2866.7958564551664, 8226),
+    ((1, 1, 2), 1e09, 510.20757002355015, 1478),
+    ((2, 1, 2), 1e03, 12284.316163984136, 35362),
+    ((2, 1, 2), 1e06, 2178.6264877896156, 6265),
+    ((2, 1, 2), 1e09, 387.7951959294454, 1125),
+    ((1, 2, 1), 1e03, 8928.311488202846, 35117),
+    ((1, 2, 1), 1e06, 893.4793131294266, 3609),
+    ((1, 2, 1), 1e09, 89.7979511287476, 368),
+    ((3, 2, 2), 1e03, 20218.5834973344, 42191),
+    ((3, 2, 2), 1e06, 6328.017756105644, 12900),
+    ((3, 2, 2), 1e09, 1999.432378021656, 4084),
+)
 
 
 # term strategies for _certified_sum: signed values in [-1, 1] with their

@@ -190,6 +190,53 @@ class TestKernelArrays:
         with pytest.raises(ParameterError):
             log_reg_inc_beta_complement(np.array([0.5, math.nan]), 2, 3)
 
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, -1e-300, 1.0 + 2.0**-52]
+    )
+    def test_out_of_range_is_refused(self, bad):
+        # as a float, alone in an array and beside points of both tails
+        for x in (bad, np.array([bad]), np.array([0.1, bad, 0.9])):
+            with pytest.raises(ParameterError):
+                log_reg_inc_beta_complement(x, 3, 2)
+
+    def test_ends_are_accepted(self):
+        for x in (-0.0, 0.0):
+            assert log_reg_inc_beta_complement(x, 3, 2) == 0.0
+        assert log_reg_inc_beta_complement(1.0, 3, 2) == -math.inf
+        got = log_reg_inc_beta_complement(np.array([-0.0, 0.0, 1.0]), 3, 2)
+        assert got.tolist() == [0.0, 0.0, -math.inf]
+
+    def test_empty_array(self):
+        for shape in ((0,), (2, 0)):
+            got = log_reg_inc_beta_complement(np.empty(shape), 3, 2)
+            assert isinstance(got, np.ndarray) and got.shape == shape
+
+    def test_pinned_bits(self):
+        # the kernel's floats, both tails and the switch point a/(a+b) = 0.6,
+        # as a float and as one array; any change to its arithmetic shows here
+        x = [x for x, _ in _PINNED_KERNEL]
+        got = log_reg_inc_beta_complement(np.array(x), 3, 2).tolist()
+        for (v, want), from_array in zip(_PINNED_KERNEL, got):
+            assert log_reg_inc_beta_complement(v, 3, 2).hex() == want
+            assert from_array.hex() == want
+
+
+# ln(1 - I_x(3, 2)) as float.hex
+_PINNED_KERNEL = (
+    (0.0, "-0x0.0p+0"),
+    (1e-100, "-0x1.56e1fc2f8f359p-995"),
+    (1e-08, "-0x1.357c297397b4cp-78"),
+    (0.001, "-0x1.12abf7bf1f842p-28"),
+    (0.1, "-0x1.e5dda5881b796p-9"),
+    (0.45, "-0x1.1b0564a426a15p-2"),
+    (math.nextafter(0.6, 0.0), "-0x1.4a1b1ac430a93p-1"),
+    (0.6, "-0x1.4a1b1ac430a96p-1"),
+    (0.75, "-0x1.572a03748a306p+0"),
+    (0.9, "-0x1.79b277c7ee056p+1"),
+    (1 - 1e-12, "-0x1.abc33ace3cce5p+5"),
+    (1.0, "-inf"),
+)
+
 
 @settings(deadline=None, max_examples=120)
 @given(

@@ -999,6 +999,14 @@ class TestCliSweep:
         assert "error: simulate runs at most" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_refused_sweep_leaves_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "new-dir"
+        argv = ["sweep", "--preset", "fig7", "--points", "1", "--out",
+                str(out), "--trials", "100000000000000"]
+        assert main(argv) == 2
+        assert "error: simulate runs at most" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_is_a_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "afile"
         out.write_text("")
