@@ -16,6 +16,7 @@ from .analytic import (
     AnalyticResult,
     Method,
     expect,
+    expect_many,
     expect_random_sum,
     max_over_p_check,
     survival_curve_random,
@@ -95,6 +96,7 @@ __all__ = [
     "survival_random",
     "survival_curve_random",
     "expect",
+    "expect_many",
     "expect_random_sum",
     "max_over_p_check",
     "group_polynomial",

@@ -26,18 +26,23 @@ under both rules, the integral is prefactor/s * Beta(power+1, 1/s).
 Quadrature runs in t = -ln x, where the survival function's drop near
 x = 0 becomes a smooth step of width about 1/s and the integrand
 F(e^-t) e^-t has no endpoint singularity.  An adaptive Gauss-Kronrod 7/15
-rule refines panels of [0, T] in rounds, one vectorised kernel call per
-round, and stops when the summed |K15 - G7| estimates, plus a bound on
-the part beyond T from the monotonicity of F, fall within the requested
-relative tolerance; otherwise it raises QuadratureError.
+rule refines panels of [0, T] in rounds and stops when the summed
+|K15 - G7| estimates, plus a bound on the part beyond T from the
+monotonicity of F, fall within the requested relative tolerance;
+otherwise it raises QuadratureError.  The one rule serves many integrals
+of one code and loss rule (expect_many, which a sweep calls once a theory
+column): they share rounds, one vectorised kernel call a round, while
+each keeps its own panels, test and budget, so each comes out bit for
+bit as it does alone.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -61,6 +66,7 @@ __all__ = [
     "survival_curve_random",
     "expect_random_sum",
     "expect",
+    "expect_many",
     "max_over_p_check",
     "DEFAULT_QUADRATURE_TOL",
     "MIN_QUADRATURE_TOL",
@@ -153,13 +159,15 @@ _TAIL_SHARE = 2.0**-60
 _FSUM_HEAD = 256
 # the smallest positive float
 _SUBNORMAL = math.ldexp(1.0, -1074)
+# fixed-point steps of _survival_head_hint towards the head's end
+_HINT_STEPS = 4
 
 
 def _survival_random_terms(
     l: np.ndarray, rec: RecParams, system: SystemParams, semantics: LossSemantics
 ) -> np.ndarray:
     """Pr[X > l] = phi(l/N)^D under random placement, over an array of l."""
-    return np.exp(system.docs * _log_survival(l / system.nodes, rec, semantics))
+    return np.exp(_float_docs(system) * _log_survival(l / system.nodes, rec, semantics))
 
 
 def _survival_head_hint(
@@ -168,21 +176,43 @@ def _survival_head_hint(
     """A guess, from the asymptotic form, at how many leading terms the
     early-stopping survival sum keeps: ceil(1.1 l*) + 16.
 
-    Pr[X > l] is about exp(-kappa D (l/N)^s) while l/N is small, so the
-    stop rule's bound 2 (N - l) Pr[X > l] is at most about
-    2 N exp(-kappa D (l/N)^s), which falls to 2^-60 E at
-    l* = N ((61 ln 2 + ln(N/E)) / (kappa D))^(1/s), with E the asymptotic
-    mean Gamma(1+1/s) N (kappa D)^(-1/s), at least 1.  Everything is taken
-    in logarithms, so a kappa D past the float range cannot overflow.  Only
-    the block sizes depend on the guess, never the sum.
+    Pr[X > l] = phi(l/N)^D is at most exp(-D (1 - phi(x))), x = l/N, and
+    the first terms of the rule's two binomial tails (loss_thresholds:
+    a unit is hit with probability u, which lies between
+    C(length, hit_at) x^hit_at (1-x)^(length-hit_at) and
+    c x^hit_at, c = C(length, hit_at)) bound it from below:
+
+        1 - phi(x) >= kappa x^s (1-x)^((length-hit_at) lost_at)
+                      (1 - c x^hit_at)^(units-lost_at).
+
+    Without the two deficit factors this is the asymptotic form
+    kappa x^s, which per-cluster heads with p >= 2 outrun.  The stop
+    rule's bound 2 (N - l) Pr[X > l] is then at most
+    2 N exp(-kappa D x^s deficit(x)), which falls to 2^-60 E where
+    kappa D x^s deficit(x) = 61 ln 2 + ln(N/E), with E the asymptotic
+    mean Gamma(1+1/s) N (kappa D)^(-1/s), at least 1.  Its root l*/N is
+    approached from below by a few fixed-point steps from the root
+    without the deficit.  Everything is taken in logarithms, so a kappa D
+    past the float range cannot overflow.  Only the block sizes depend on
+    the guess, never the sum.
     """
+    units, length, hit_at, lost_at = loss_thresholds(rec, semantics)
     s, kappa = _tail(rec, semantics)
     log_power = math.log(kappa) + math.log(system.docs)
     log_nodes = math.log(system.nodes)
     log_mean = max(0.0, math.lgamma(1.0 + 1.0 / s) + log_nodes - log_power / s)
     depth = 61.0 * math.log(2.0) + log_nodes - log_mean
-    head = system.nodes * math.exp((math.log(depth) - log_power) / s)
-    return math.ceil(1.1 * head) + 16
+    log_root = (math.log(depth) - log_power) / s
+    hit = math.comb(length, hit_at)
+    x = math.exp(log_root)
+    for _ in range(_HINT_STEPS):
+        hit_bound = hit * x**hit_at
+        if x >= 1.0 or hit_bound >= 1.0:
+            return system.nodes + 1  # past every head: the whole curve
+        deficit = ((length - hit_at) * lost_at * math.log1p(-x)
+                   + (units - lost_at) * math.log1p(-hit_bound))
+        x = math.exp(log_root - deficit / s)
+    return math.ceil(1.1 * system.nodes * x) + 16
 
 
 def _survival_random_blocks(
@@ -381,59 +411,140 @@ _GK_GAUSS = np.concatenate((_GAUSS_WEIGHTS, _GAUSS_WEIGHTS[-2::-1]))
 # the survival function is within e^-40 of 1 beyond t0 + _TAIL_SPAN / s
 _TAIL_SPAN = 40.0
 # first panel edges, in units of the drop's width 1/s around t0
-_FIRST_EDGES = np.array([-4.5, -3.0, -2.0, -1.0, 0.0, 1.5, 4.0, 8.0, 14.0, 24.0])
+_FIRST_EDGES = (-4.5, -3.0, -2.0, -1.0, 0.0, 1.5, 4.0, 8.0, 14.0, 24.0)
 # more panels than this and the rule gives up
 _MAX_PANELS = 500
+# integrals that share rounds: enough that the kernel's fixed cost a call is
+# spread thin, few enough that a round's arrays stay within the size the
+# heap reuses (62 integrals in one round raised a sweep's peak RSS)
+_SHARED_INTEGRALS = 16
 
 
-def _survival_integral(
-    base_log, power: int, t0: float, s: int, tol: float
-) -> tuple[float, float, int]:
-    """integral_0^1 F(x) dx for F = exp(power * base_log), on t = -ln x.
+class _Panels:
+    """One integral's panels of [0, T] while the shared rounds refine it.
 
-    base_log(t) is evaluated on arrays of t >= 0 at x = e^-t.  F must fall
-    from 1 at x = 0 to 0 at x = 1 without increasing; its drop sits near
-    t = t0 and is about 1/s wide.  On the t-scale the integrand
-    F(e^-t) e^-t is smooth, and adaptive G7/K15 panels cover [0, T] with
-    T = t0 + 40/s; each round evaluates every new panel in one base_log
-    call.  A panel's error estimate is |K15 - G7|.  Over x < e^-T, F lies
-    between F(e^-T) and 1, so that part is taken as the midpoint of
-    [e^-T F(e^-T), e^-T] and half the interval joins the estimate.  The
-    rule stops once the summed estimates are within tol * |value|.
-
-    Returns (value, achieved relative error estimate, evaluations).
+    The settled panels' edges, Kronrod values and error estimates, and the
+    new panels the next round evaluates (the left halves of the split
+    panels, then the right halves), are lists of Python floats whose order
+    depends on this integral alone.  Python's float arithmetic is numpy's
+    IEEE arithmetic, and math.fsum does not depend on order.
     """
-    end = t0 + _TAIL_SPAN / s
-    edge = math.exp(-end)
-    inner = t0 + _FIRST_EDGES / s
-    edges = np.concatenate(([0.0], inner[inner > 0.0], [end]))
-    lo, hi, values, errors = (np.empty(0),) * 4
-    new_lo, new_hi = edges[:-1], edges[1:]
-    evals = 0
-    while True:
-        half = (new_hi - new_lo) / 2
-        t = ((new_lo + half)[:, None] + half[:, None] * _GK_NODES).ravel()
-        # the tail's edge T rides along with the nodes
-        log_f = power * base_log(np.append(t, end))
-        evals += log_f.size
-        drop = -math.expm1(log_f[-1])  # 1 - F(e^-T)
-        f = np.exp(log_f[:-1] - t).reshape(half.size, -1)
-        kronrod = half * (f @ _GK_KRONROD)
-        lo, hi = np.concatenate((lo, new_lo)), np.concatenate((hi, new_hi))
-        values = np.concatenate((values, kronrod))
-        errors = np.concatenate((errors, np.abs(kronrod - half * (f @ _GK_GAUSS))))
-        value = math.fsum(values) + edge * (1.0 - drop / 2)
-        error = math.fsum(errors) + edge * drop / 2
+
+    __slots__ = ("power", "end", "lo", "hi", "values", "errors",
+                 "new_lo", "new_hi", "evals")
+
+    def __init__(self, power: int, t0: float, s: int):
+        self.power = float(power)
+        self.end = t0 + _TAIL_SPAN / s
+        inner = [t0 + edge / s for edge in _FIRST_EDGES]
+        edges = [0.0] + [t for t in inner if t > 0.0] + [self.end]
+        self.lo, self.hi, self.values, self.errors = [], [], [], []
+        self.new_lo, self.new_hi = edges[:-1], edges[1:]
+        self.evals = 0
+
+    def settle(
+        self, log_base_end: float, values: list, errors: list, tol: float
+    ) -> tuple[float, float, int] | QuadratureError | None:
+        """Take the new panels' Kronrod values and error estimates; the
+        result (value, relative error estimate, evaluations) once the
+        estimates are within tol, a QuadratureError past the panel budget,
+        or None, with the panels to split set up for the next round."""
+        self.evals += _GK_NODES.size * len(values) + 1
+        edge = math.exp(-self.end)
+        drop = -math.expm1(self.power * log_base_end)  # 1 - F(e^-T)
+        self.values += values
+        self.errors += errors
+        value = math.fsum(self.values) + edge * (1.0 - drop / 2)
+        error = math.fsum(self.errors) + edge * drop / 2
         if error <= tol * value:
-            return value, error / value, evals
+            return value, error / value, self.evals
+        self.lo += self.new_lo
+        self.hi += self.new_hi
         # bisect every panel over its share of the budget, and the worst one
-        split = errors >= min(errors.max(), tol * value / errors.size)
-        if errors.size + np.count_nonzero(split) > _MAX_PANELS:
-            raise QuadratureError(error / value, tol)
-        mid = (lo[split] + hi[split]) / 2
-        new_lo = np.concatenate((lo[split], mid))
-        new_hi = np.concatenate((mid, hi[split]))
-        lo, hi, values, errors = lo[~split], hi[~split], values[~split], errors[~split]
+        least = min(max(self.errors), tol * value / len(self.errors))
+        split = [e >= least for e in self.errors]
+        if len(split) + sum(split) > _MAX_PANELS:
+            return QuadratureError(error / value, tol)
+        kept = [not cut for cut in split]
+        lo = list(compress(self.lo, split))
+        hi = list(compress(self.hi, split))
+        mid = [(a + b) / 2 for a, b in zip(lo, hi)]
+        self.new_lo, self.new_hi = lo + mid, mid + hi
+        self.lo = list(compress(self.lo, kept))
+        self.hi = list(compress(self.hi, kept))
+        self.values = list(compress(self.values, kept))
+        self.errors = list(compress(self.errors, kept))
+        return None
+
+
+def _survival_integrals(
+    base_log, powers: list[int], t0s: list[float], s: int, tol: float
+) -> list:
+    """integral_0^1 F(x) dx for each F = exp(power * base_log), on t = -ln x.
+
+    base_log(t) is evaluated on arrays of t >= 0 at x = e^-t.  Each F must
+    fall from 1 at x = 0 to 0 at x = 1 without increasing; its drop sits
+    near t = t0 and is about 1/s wide.  On the t-scale the integrand
+    F(e^-t) e^-t is smooth, and adaptive G7/K15 panels cover [0, T] with
+    T = t0 + 40/s.  A panel's error estimate is |K15 - G7|.  Over
+    x < e^-T, F lies between F(e^-T) and 1, so that part is taken as the
+    midpoint of [e^-T F(e^-T), e^-T] and half the interval joins the
+    estimate.  An integral is done once its summed estimates are within
+    tol * |value|.
+
+    Every integral keeps its own panels, convergence test, split rule and
+    _MAX_PANELS budget, and its Kronrod and Gauss sums come from its own
+    rows (a matrix-vector product's rows are not bitwise independent of
+    the rows around them), so its result is bit for bit the one it gets
+    alone.  Groups of _SHARED_INTEGRALS integrals share their rounds: each
+    round evaluates the new panels of every unfinished integral of the
+    group, and each one's tail edge T, in one base_log call.
+
+    Returns one entry an integral, in order: (value, achieved relative
+    error estimate, evaluations), or the QuadratureError it ran into.
+    """
+    results = [None] * len(powers)
+    for first in range(0, len(powers), _SHARED_INTEGRALS):
+        group = slice(first, first + _SHARED_INTEGRALS)
+        live = dict(enumerate(
+            [_Panels(power, t0, s) for power, t0 in zip(powers[group], t0s[group])],
+            first,
+        ))
+        while live:
+            rules = list(live.values())
+            lo = np.array([t for rule in rules for t in rule.new_lo])
+            half = (np.array([t for rule in rules for t in rule.new_hi]) - lo) / 2
+            t = ((lo + half)[:, None] + half[:, None] * _GK_NODES).ravel()
+            # the tail edges T ride along after the nodes
+            log_base = base_log(np.concatenate((t, [rule.end for rule in rules])))
+            log_ends = log_base[t.size :].tolist()
+            start = 0
+            for (i, rule), log_end in zip(list(live.items()), log_ends):
+                size = len(rule.new_lo)
+                rows = slice(start, start + size)
+                start += size
+                nodes = slice(rows.start * _GK_NODES.size, rows.stop * _GK_NODES.size)
+                f = np.exp(rule.power * log_base[nodes] - t[nodes]).reshape(size, -1)
+                halves = half[rows]
+                kronrod = halves * (f @ _GK_KRONROD)
+                errors = np.abs(kronrod - halves * (f @ _GK_GAUSS))
+                done = rule.settle(log_end, kronrod.tolist(), errors.tolist(), tol)
+                if done is not None:
+                    results[i] = done
+                    del live[i]
+    return results
+
+
+def _float_docs(system: SystemParams) -> float:
+    """D as a float, which the random sum, integral and Beta routes raise
+    phi to; ParameterError past the float range."""
+    if system.docs > sys.float_info.max:
+        raise ParameterError(
+            f"docs must be at most {sys.float_info.max:.6g} for the sum, "
+            f"integral and beta-exact routes, got about "
+            f"1e{math.log10(system.docs):.0f}; the asymptotic route takes any docs"
+        )
+    return float(system.docs)
 
 
 def _scale(
@@ -442,25 +553,45 @@ def _scale(
     """(prefactor, power, bound): E[X] = prefactor * integral_0^1 phi^power,
     to within the additive bound."""
     if strategy is PlacementStrategy.RANDOM:
+        _float_docs(system)
         return system.nodes, system.docs, 1.0
     require_symmetric_preconditions(rec, system)
     return system.nodes + 1, system.nodes // rec.fragments, 0.0
 
 
-def _expect_integral(
-    strategy: PlacementStrategy, rec: RecParams, system: SystemParams,
+def _expect_integrals(
+    strategy: PlacementStrategy, rec: RecParams, systems,
     semantics: LossSemantics, tol: float,
-) -> AnalyticResult:
-    prefactor, power, bound = _scale(strategy, rec, system)
+) -> list:
+    """The integral route at each of systems, in shared quadrature rounds:
+    an AnalyticResult a system, or the ParameterError or QuadratureError
+    it raised."""
     s, kappa = _tail(rec, semantics)
-    # 1 - phi^power ~ power kappa x^s for small x
-    t0 = math.log(power * kappa) / s
-    integral, achieved, evals = _survival_integral(
-        lambda t: _log_survival(np.exp(-t), rec, semantics), power, t0, s, tol
+    results, todo = [], []
+    for system in systems:
+        try:
+            todo.append((len(results), *_scale(strategy, rec, system)))
+            results.append(None)
+        except ParameterError as exc:
+            results.append(exc)
+    powers = [power for _, _, power, _ in todo]
+    integrals = _survival_integrals(
+        lambda t: _log_survival(np.exp(-t), rec, semantics),
+        powers,
+        # 1 - phi^power ~ power kappa x^s for small x
+        [math.log(power * kappa) / s for power in powers],
+        s,
+        tol,
     )
-    return AnalyticResult(
-        prefactor * integral, Method.INTEGRAL, bound, tol, achieved, evals
-    )
+    for (i, prefactor, _, bound), got in zip(todo, integrals):
+        if isinstance(got, QuadratureError):
+            results[i] = got
+        else:
+            integral, achieved, evals = got
+            results[i] = AnalyticResult(
+                prefactor * integral, Method.INTEGRAL, bound, tol, achieved, evals
+            )
+    return results
 
 
 def _expect_asymptotic(
@@ -497,6 +628,27 @@ def _expect_beta_exact(
     return AnalyticResult(value, Method.BETA_EXACT, error_bound=bound)
 
 
+def _checked_semantics(
+    strategy: PlacementStrategy, method: Method,
+    semantics: LossSemantics | None, tol: float,
+) -> LossSemantics:
+    """The loss rule expect runs, after checking the arguments every
+    system shares: ParameterError for a wrong type or a tol outside
+    [MIN_QUADRATURE_TOL, 1)."""
+    if not isinstance(strategy, PlacementStrategy) or not isinstance(method, Method):
+        raise ParameterError(
+            f"expect needs a PlacementStrategy and a Method, "
+            f"got {strategy!r} and {method!r}"
+        )
+    if semantics is not None and not isinstance(semantics, LossSemantics):
+        raise ParameterError(f"expect needs a LossSemantics, got {semantics!r}")
+    if not MIN_QUADRATURE_TOL <= tol < 1.0:  # also rejects nan
+        raise ParameterError(
+            f"tol must lie in [{MIN_QUADRATURE_TOL:g}, 1), got {tol!r}"
+        )
+    return default_semantics(strategy, semantics)
+
+
 def expect(
     strategy: PlacementStrategy,
     rec: RecParams,
@@ -514,18 +666,7 @@ def expect(
     called by their module names, so wrapping one of them (as a tracer
     does) is seen here.
     """
-    if not isinstance(strategy, PlacementStrategy) or not isinstance(method, Method):
-        raise ParameterError(
-            f"expect needs a PlacementStrategy and a Method, "
-            f"got {strategy!r} and {method!r}"
-        )
-    if semantics is not None and not isinstance(semantics, LossSemantics):
-        raise ParameterError(f"expect needs a LossSemantics, got {semantics!r}")
-    semantics = default_semantics(strategy, semantics)
-    if not MIN_QUADRATURE_TOL <= tol < 1.0:  # also rejects nan
-        raise ParameterError(
-            f"tol must lie in [{MIN_QUADRATURE_TOL:g}, 1), got {tol!r}"
-        )
+    semantics = _checked_semantics(strategy, method, semantics, tol)
     match method:
         case Method.BETA_EXACT if rec.p != 1:
             raise ParameterError(
@@ -534,12 +675,47 @@ def expect(
         case Method.EXACT_SUM if strategy is PlacementStrategy.RANDOM:
             return expect_random_sum(rec, system, semantics)
         case Method.INTEGRAL:
-            return _expect_integral(strategy, rec, system, semantics, tol)
+            (result,) = _expect_integrals(strategy, rec, [system], semantics, tol)
+            if isinstance(result, Exception):
+                raise result
+            return result
         case Method.ASYMPTOTIC:
             return _expect_asymptotic(strategy, rec, system, semantics)
         case Method.BETA_EXACT:
             return _expect_beta_exact(strategy, rec, system, semantics)
     raise ParameterError(f"{strategy.value} placement has no {method.value} route")
+
+
+def expect_many(
+    strategy: PlacementStrategy,
+    rec: RecParams,
+    systems,
+    method: Method,
+    tol: float = DEFAULT_QUADRATURE_TOL,
+    semantics: LossSemantics | None = None,
+) -> list[AnalyticResult | None]:
+    """expect at each of systems, in order; None where it raises
+    ParameterError or QuadratureError for that system.
+
+    The arguments the systems share are checked first, as expect checks
+    them, and raise.  The integral route refines the integrals of all
+    systems in shared rounds, one kernel call a round, and each comes out
+    bit for bit as expect gives it alone; the other routes call expect at
+    each system.
+    """
+    semantics = _checked_semantics(strategy, method, semantics, tol)
+    if method is Method.INTEGRAL:
+        return [
+            None if isinstance(result, Exception) else result
+            for result in _expect_integrals(strategy, rec, systems, semantics, tol)
+        ]
+    results = []
+    for system in systems:
+        try:
+            results.append(expect(strategy, rec, system, method, tol, semantics))
+        except (ParameterError, QuadratureError):
+            results.append(None)
+    return results
 
 
 def max_over_p_check(q: int, r: int, system: SystemParams, p_max: int) -> bool:

@@ -10,15 +10,18 @@ over documents.  One evaluator, _first_loss, computes it for a batch of
 trials with elementwise min/max over planes of erasure times; persistency
 runs it on a batch of one.
 
-Trials are deterministic functions of (master_seed, trial_index) and run
-serially, in batches.  simulate_trials returns each trial's X; simulate
-summarises them.  Symmetric trials share one placement table, gathered
-through once; random trials draw their tables into one (batch, r, p+q, D)
-intp buffer a class, which becomes the gather's index.  A symmetric class
-stores one period of its documents, N/gcd(N, g), since the rest repeat its
-nodes.  Node ids and ranks are int32, which caps nodes below 2^31; a
-trial's arrays are capped at TRIAL_LIMIT entries, and the trial count at
-TRIAL_LIMIT, before anything is allocated.
+Trials are deterministic functions of (master_seed, trial_index): trial i
+draws from SeedSequence([master_seed, i]), handed over as the uint32
+entropy words numpy makes of that list.  They run serially, in batches.
+simulate_trials returns each trial's X; simulate summarises them.
+Symmetric trials share one placement table, stored once as an intp index
+in the gather's (r, p+q, D) layout; random trials draw their tables into
+one (batch, r, p+q, D) intp buffer a class, which becomes the gather's
+index.  A symmetric class stores one period of its documents,
+N/gcd(N, g), since the rest repeat its nodes.  Node ids and ranks are
+int32, which caps nodes below 2^31; a trial's arrays are capped at
+TRIAL_LIMIT entries, and the trial count at TRIAL_LIMIT, before anything
+is allocated.
 """
 
 from __future__ import annotations
@@ -105,14 +108,20 @@ def place_symmetric(
     )
 
 
-def _erasure_times(ranks: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """t[b, k, j, m] = ranks[b, table[k, j, m]], shape (batch, D, r, p+q).
+def _gather_index(table: np.ndarray) -> np.ndarray:
+    """A (D, r, p+q) placement table as the gather's index: a contiguous
+    intp copy in (r, p+q, D) layout, which take uses without converting."""
+    return np.ascontiguousarray(table.transpose(1, 2, 0), dtype=np.intp)
 
-    The gather runs through the table's (r, p+q, D) view, so each (j, m)
-    plane of t is contiguous over documents and the elementwise passes in
-    _first_loss stream through memory.
+
+def _erasure_times(ranks: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """t[b, k, j, m] = ranks[b, index[j, m, k]], shape (batch, D, r, p+q).
+
+    index is a _gather_index, so each (j, m) plane of t is contiguous over
+    documents and the elementwise passes in _first_loss stream through
+    memory.
     """
-    return ranks.take(table.transpose(1, 2, 0), axis=1).transpose(0, 3, 1, 2)
+    return ranks.take(index, axis=1).transpose(0, 3, 1, 2)
 
 
 def _order_statistic(values: np.ndarray, q: int) -> np.ndarray:
@@ -181,7 +190,7 @@ def persistency(placement: Placement, order, semantics: LossSemantics) -> int:
     rank[0, order] = np.arange(1, placement.nodes + 1)
     if not rank.all():
         raise ParameterError("removal order must be a permutation of the nodes")
-    t = _erasure_times(rank, placement.table)
+    t = _erasure_times(rank, _gather_index(placement.table))
     return int(_first_loss(t, placement.rec.q, semantics)[0])
 
 
@@ -273,6 +282,15 @@ def _stored_docs(config: SimConfig) -> list[int]:
     ]
 
 
+def _entropy_words(seed: int) -> list[int]:
+    """seed as the little-endian 32-bit words SeedSequence makes of an int,
+    [0] for 0."""
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    return words
+
+
 def simulate_trials(config: SimConfig) -> np.ndarray:
     """X of each of config.trials trials, in trial order, as int64.
 
@@ -303,14 +321,17 @@ def simulate_trials(config: SimConfig) -> np.ndarray:
             f"simulate runs at most {TRIAL_LIMIT} trials, got {config.trials}"
         )
     symmetric = config.strategy is PlacementStrategy.SYMMETRIC
-    placements, start = [], 0
+    # a symmetric class's table, placed once and stored as its gather index
+    indexes, start = [], 0
     for wc, docs in zip(config.classes, stored) if symmetric else ():
         system = SystemParams(nodes, docs)
-        placements.append(place_symmetric(wc.rec, system, start=start))
+        table = place_symmetric(wc.rec, system, start=start).table
+        indexes.append(_gather_index(table))
         start = (start + wc.docs * wc.rec.fragments) % nodes
     drawn = () if symmetric else config.classes
     size = max(1, BUDGET // entries)
     removal = np.arange(1, nodes + 1, dtype=np.int32)
+    words = _entropy_words(config.master_seed)
     xs = np.empty(config.trials, dtype=np.int64)
     for first in range(0, config.trials, size):
         batch = range(first, min(first + size, config.trials))
@@ -322,8 +343,10 @@ def simulate_trials(config: SimConfig) -> np.ndarray:
             for wc in drawn
         ]
         for row, trial in enumerate(batch):
+            # the words SeedSequence([master_seed, trial]) takes, without
+            # its coercion of a list: the same stream
             rng = np.random.default_rng(
-                np.random.SeedSequence([config.master_seed, trial])
+                np.random.SeedSequence(np.array([*words, trial], np.uint32))
             )
             # indexed, so no loop variable keeps a buffer alive
             for c, wc in enumerate(drawn):
@@ -338,7 +361,7 @@ def simulate_trials(config: SimConfig) -> np.ndarray:
         deaths = []
         for c, wc in enumerate(config.classes):
             if symmetric:
-                t = _erasure_times(ranks, placements[c].table)
+                t = _erasure_times(ranks, indexes[c])
             else:
                 # row b's ids index the flattened ranks from b*N on, and
                 # t's planes are contiguous over documents, as in _erasure_times

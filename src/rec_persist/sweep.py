@@ -1,5 +1,8 @@
 """Experiment sweeps: simulated points over a node grid with theory overlays,
-emitted as stable CSV and a self-contained SVG chart."""
+emitted as stable CSV and a self-contained SVG chart.
+
+Each theory overlay is one analytic.expect_many call over the whole grid,
+so a symmetric sweep's exact column is one shared quadrature."""
 
 from __future__ import annotations
 
@@ -13,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import EXACT_METHOD, Method, expect
-from .errors import ParameterError, QuadratureError, require_int
+from .analytic import EXACT_METHOD, Method, expect_many
+from .errors import ParameterError, require_int
 from .model import (
     LossSemantics,
     PlacementStrategy,
@@ -289,25 +292,29 @@ def _point_seed(base: int, nodes: int, docs: int) -> int:
     return int(ss.generate_state(2, dtype=np.uint64)[0])
 
 
-def _theory_cells(spec: SweepSpec, system: SystemParams) -> dict[str, float | None]:
-    """The row's theory cells by column: the requested overlays under the
-    loss rule the point simulates.
+def _theory_cells(
+    spec: SweepSpec, systems: list[SystemParams]
+) -> list[dict[str, float | None]]:
+    """Each point's theory cells by column: the requested overlays under
+    the loss rule the points simulate.
 
-    A cell stays empty where expect has no route (beta-exact at p != 1),
-    the point is outside the theory (symmetric preconditions unmet) or
-    the quadrature fails; the run continues with the other cells.
+    An overlay is one expect_many call over the whole grid, so the exact
+    column of a symmetric sweep is one shared quadrature.  A cell stays
+    empty where expect has no route (beta-exact at p != 1), the point is
+    outside the theory (symmetric preconditions unmet) or its quadrature
+    fails; the other cells are unaffected.
     """
-    cells = dict.fromkeys(column for column, _, _ in OVERLAYS.values())
+    cells = [dict.fromkeys(column for column, _, _ in OVERLAYS.values())
+             for _ in systems]
     for kind in spec.theory:
         column, _, method = OVERLAYS[kind]
         if method is None:
             method = EXACT_METHOD[spec.strategy]
-        try:
-            cells[column] = expect(
-                spec.strategy, spec.rec, system, method, semantics=spec.semantics
-            ).value
-        except (ParameterError, QuadratureError):
-            pass
+        results = expect_many(
+            spec.strategy, spec.rec, systems, method, semantics=spec.semantics
+        )
+        for point, result in zip(cells, results):
+            point[column] = None if result is None else result.value
     return cells
 
 
@@ -319,9 +326,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """
     rec = spec.rec
     points = sorted((n, spec.docs_at(n)) for n in spec.nodes)
+    systems = [SystemParams(nodes, docs) for nodes, docs in points]
     rows = []
-    for nodes, docs in points:
-        system = SystemParams(nodes, docs)
+    for (nodes, docs), cells in zip(points, _theory_cells(spec, systems)):
         config = SimConfig(
             strategy=spec.strategy,
             classes=(WorkloadClass(rec, docs),),
@@ -344,7 +351,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 mean_empirical=summary.mean,
                 std_error=summary.std_error,
                 semantics=spec.semantics.value,
-                **_theory_cells(spec, system),
+                **cells,
             )
         )
     return rows

@@ -1,6 +1,5 @@
 """Fixtures shared by the test modules."""
 
-import numpy as np
 import pytest
 
 from rec_persist import analytic
@@ -13,5 +12,5 @@ def starved_quadrature(monkeypatch):
     One 15-point panel cannot resolve the survival function's drop, so
     every integral route raises QuadratureError.
     """
-    monkeypatch.setattr(analytic, "_FIRST_EDGES", np.array([]))
+    monkeypatch.setattr(analytic, "_FIRST_EDGES", ())
     monkeypatch.setattr(analytic, "_MAX_PANELS", 1)

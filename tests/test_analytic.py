@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -234,6 +235,38 @@ class TestSurvivalSumStop:
                 short += 1
                 assert sum(evaluated) <= 1.25 * result.sum_terms + 16
         assert short == 35
+
+    @pytest.mark.parametrize("semantics", [MS, PC])
+    def test_first_block_covers_short_heads(self, semantics):
+        # the hint bounds 1 - phi from below through both of the rule's
+        # binomial tails, so a head it predicts shorter than a block fits in
+        # the first block; per-cluster heads with p >= 2 outran the bare
+        # asymptotic kappa x^s, and evaluated a second block of 4096 terms
+        short = 0
+        for (code, _, _, _), nodes, docs in itertools.product(
+            _PINNED_SUMS[::3], (10**3, 10**4, 10**5), (10**3, 10**6, 10**9)
+        ):
+            rec, system = RecParams(*code), SystemParams(nodes, docs)
+            first = analytic._survival_head_hint(rec, system, semantics)
+            if first < analytic._SURVIVAL_BLOCK:
+                short += 1
+                result = analytic.expect_random_sum(rec, system, semantics)
+                assert result.sum_terms <= first, (code, nodes, docs)
+        assert short == {MS: 34, PC: 35}[semantics]
+
+    def test_per_cluster_heads_that_outran_the_hint(self):
+        # value, terms and the hint at the parent of the three per-cluster
+        # heads the asymptotic hint undershot: the values are unchanged
+        for code, nodes, value, terms, old_hint in (
+            ((2, 1, 2), 10**4, "0x1.e29c44e66898dp+9", 2938, 2936),
+            ((3, 2, 2), 10**3, "0x1.2877fd84c38bap+7", 333, 320),
+            ((3, 2, 2), 10**4, "0x1.7175fce5f46e9p+10", 3315, 3053),
+        ):
+            rec, system = RecParams(*code), SystemParams(nodes, 1000)
+            result = analytic.expect_random_sum(rec, system, PC)
+            assert (result.value.hex(), result.sum_terms) == (value, terms)
+            hint = analytic._survival_head_hint(rec, system, PC)
+            assert old_hint < terms <= min(hint, analytic._SURVIVAL_BLOCK)
 
     def test_pinned_sums(self):
         # the value and head of the 15 N = 1e5 sums of the benchmark's deck
@@ -625,6 +658,35 @@ class TestDispatch:
             assert analytic.expect(strategy, rec, system, method).error_bound == 0.0
 
 
+class TestFloatRange:
+    # D past the float range: phi^D has no float exponent
+    HUGE = SystemParams(1000, 10**400)
+
+    @pytest.mark.parametrize("method", [Method.EXACT_SUM, Method.INTEGRAL,
+                                        Method.BETA_EXACT])
+    def test_float_routes_raise_parameter_error(self, method):
+        with pytest.raises(ParameterError, match=r"docs must be at most .*1e400"):
+            analytic.expect(RANDOM, RecParams(1, 0, 2), self.HUGE, method)
+
+    def test_survival_terms_raise_parameter_error(self):
+        rec = RecParams(1, 0, 2)
+        with pytest.raises(ParameterError, match="docs must be at most"):
+            analytic.survival_random(1, rec, self.HUGE)
+        with pytest.raises(ParameterError, match="docs must be at most"):
+            analytic.survival_curve_random(rec, self.HUGE)
+
+    def test_largest_float_docs_still_run(self):
+        system = SystemParams(1000, int(sys.float_info.max))
+        result = analytic.expect(RANDOM, RecParams(1, 0, 2), system, Method.EXACT_SUM)
+        assert result.value == 1.0
+
+    def test_asymptotic_takes_any_docs(self):
+        result = analytic.expect(
+            RANDOM, RecParams(1, 0, 2), self.HUGE, Method.ASYMPTOTIC
+        )
+        assert 0.0 < result.value < 1e-190
+
+
 class TestSemantics:
     """Every route under both loss rules, not only each strategy's default."""
 
@@ -802,6 +864,51 @@ class TestQuadrature:
                     SYMMETRIC, rec, SystemParams(nodes, nodes), Method.INTEGRAL, tol
                 )
                 assert result.quadrature_error <= tol
+
+    def test_many_equals_one_by_one(self, monkeypatch):
+        # a panel budget of 20 at tol 1e-14 lets some integrals converge in
+        # later rounds and stops others, beside points that fail the
+        # symmetric preconditions; each is the integral expect gives alone
+        monkeypatch.setattr(analytic, "_MAX_PANELS", 20)
+        rec, tol = RecParams(3, 2, 2), 1e-14
+        cases = (
+            (SYMMETRIC, [SystemParams(n, max(1, n // 10))
+                         for n in (6, 7, 12, 60, 600, 1200, 6000, 12000)]),
+            (RANDOM, [SystemParams(n, d)
+                      for n in (10, 1000) for d in (1, 10**3, 10**9)]),
+        )
+        kinds = set()
+        for strategy, systems in cases:
+            many = analytic.expect_many(
+                strategy, rec, systems, Method.INTEGRAL, tol, PC
+            )
+            for system, got in zip(systems, many, strict=True):
+                try:
+                    one = analytic.expect(
+                        strategy, rec, system, Method.INTEGRAL, tol, PC
+                    )
+                except (ParameterError, QuadratureError) as exc:
+                    kinds.add(type(exc))
+                    assert got is None
+                    continue
+                kinds.add(one.quadrature_evals > 15 * 11 + 1)
+                assert got == one
+                assert got.value.hex() == one.value.hex()
+        assert kinds == {ParameterError, QuadratureError, True}
+
+    def test_many_checks_shared_arguments(self):
+        systems = [SystemParams(1200, 200)]
+        with pytest.raises(ParameterError, match="tol must lie"):
+            analytic.expect_many(SYMMETRIC, RecParams(2, 1, 2), systems,
+                                 Method.INTEGRAL, math.nan)
+        with pytest.raises(ParameterError, match="expect needs"):
+            analytic.expect_many("symmetric", RecParams(2, 1, 2), systems,
+                                 Method.INTEGRAL)
+        # a route the strategy lacks leaves every point empty
+        assert analytic.expect_many(SYMMETRIC, RecParams(2, 1, 2), systems,
+                                    Method.EXACT_SUM) == [None]
+        assert analytic.expect_many(SYMMETRIC, RecParams(2, 1, 2), [],
+                                    Method.INTEGRAL) == []
 
     def test_panel_limit_raises(self, starved_quadrature):
         for strategy, rec, system in self.CASES:

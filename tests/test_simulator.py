@@ -626,6 +626,15 @@ class TestBatches:
         assert trials.tolist() == xs
         assert simulate(config) == _summary(xs)
 
+    # master seeds of one, two and three 32-bit entropy words, at the edges
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5])
+    @pytest.mark.parametrize("name", ["single", "random-late", "random-mixed"])
+    def test_seed_words_replay_the_seed_sequence(self, seed, name):
+        # simulate seeds trial t from the little-endian words of the master
+        # seed and t; _persistency_loop seeds from [master_seed, t] itself
+        config = replace(self.CONFIGS[name], master_seed=seed, trials=6)
+        assert simulate_trials(config).tolist() == _persistency_loop(config)
+
     @pytest.mark.parametrize("bad_id", [-1, 48])
     def test_random_batch_checks_node_ids(self, bad_id, monkeypatch):
         # the drawn buffer is checked once a batch, with Placement's rule

@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from rec_persist import analytic, cli, oracle, sweep
 from rec_persist.cli import main
-from rec_persist.errors import ParameterError
+from rec_persist.errors import ParameterError, QuadratureError
 from rec_persist.analytic import Method
 from rec_persist.model import (
     LossSemantics, PlacementStrategy, RecParams, SystemParams,
@@ -259,6 +260,67 @@ class TestRunSweep:
             assert row.theory_asymptotic is not None
             assert row.trials == spec.trials
 
+    @pytest.mark.parametrize("preset", ["fig7", "fig9", "per-cluster-2-1-2"])
+    def test_exact_column_equals_one_integral_a_point(self, preset):
+        # the exact column is one shared quadrature over the 62-point grid,
+        # and each cell is the integral expect computes alone, bit for bit
+        if preset in sweep.PRESETS:
+            spec = replace(sweep.preset_spec(preset), trials=2)
+        else:
+            spec = small_spec(name=preset, strategy=PlacementStrategy.SYMMETRIC,
+                              p=2, q=1, r=2, nodes=sweep._FIG_GRID, docs="N/g",
+                              trials=2, semantics="per-cluster", theory=("exact",))
+        rows = sweep.run_sweep(spec)
+        assert len(rows) == 62
+        for row in rows:
+            one = analytic.expect(
+                spec.strategy, spec.rec, SystemParams(row.N, row.D),
+                Method.INTEGRAL, semantics=spec.semantics,
+            )
+            assert row.theory_exact.hex() == one.value.hex()
+
+    @pytest.mark.parametrize("budget", ["default", "tight", "starved"])
+    def test_only_failing_cells_are_empty(self, budget, request, monkeypatch):
+        # 8, 10 and 50 nodes fail divisibility by g = 3, 24 with 3 documents
+        # the document count.  Two first panels and a budget of 8 let the
+        # integrals at 9 and 12 nodes converge in later rounds and stop the
+        # others; a starved rule stops all of them.  Every other cell is
+        # filled, and each cell is what expect gives for its point alone
+        if budget == "tight":
+            monkeypatch.setattr(analytic, "_FIRST_EDGES", (0.0, 4.0))
+            monkeypatch.setattr(analytic, "_MAX_PANELS", 8)
+        elif budget == "starved":
+            request.getfixturevalue("starved_quadrature")
+        spec = small_spec(
+            name="mixed", strategy=PlacementStrategy.SYMMETRIC, p=1, q=2, r=1,
+            nodes=(8, 9, 10, 12, 48, 50, 96, 480, 4800), docs="N/g",
+        )
+        rows = sweep.run_sweep(spec)
+        rows += sweep.run_sweep(replace(spec, nodes=(24,), docs=3))
+        failed = set()
+        for row in rows:
+            system = SystemParams(row.N, row.D)
+            for column, _, method in sweep.OVERLAYS.values():
+                try:
+                    want = analytic.expect(
+                        spec.strategy, spec.rec, system, method or Method.INTEGRAL
+                    ).value
+                except (ParameterError, QuadratureError) as exc:
+                    failed.add((row.N, column, type(exc)))
+                    want = None
+                assert getattr(row, column) == want, (row.N, column)
+            assert row.theory_asymptotic is not None
+        exact_fails = {
+            (n, kind) for n, column, kind in failed if column == "theory_exact"
+        }
+        unmet = {(n, ParameterError) for n in (8, 10, 24, 50)}
+        assert {n for n, column, _ in failed if column != "theory_exact"} <= {
+            n for n, _ in unmet
+        }
+        stopped = {"default": (), "tight": (48, 96, 480, 4800),
+                   "starved": (9, 12, 48, 96, 480, 4800)}[budget]
+        assert exact_fails == unmet | {(n, QuadratureError) for n in stopped}
+
     def test_csv_byte_identical(self, tmp_path):
         spec = small_spec()
         rows = sweep.run_sweep(spec)
@@ -489,6 +551,19 @@ class TestCliAnalytic:
         assert code == 1
         assert "quadrature reached relative tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["sum", "integral", "beta-exact"])
+    def test_docs_past_float_range_exits_2(self, method):
+        # phi^D has no float exponent past 1.8e308: a typed parameter error
+        proc = subprocess.run(
+            [sys.executable, "-m", "rec_persist", "analytic", "--strategy",
+             "random", "--p", "1", "--q", "0", "--r", "2", "--nodes", "1000",
+             "--method", method, "--docs", "1" + "0" * 400],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "docs must be at most 1.79769e+308" in proc.stderr
+
     def test_usage_error_exits_2(self):
         assert main(["analytic", "--strategy", "random"]) == 2
         assert main(["not-a-command"]) == 2
@@ -610,8 +685,16 @@ _CI_ARGVS = [
     "--trials 20",
     "simulate --strategy symmetric --p 2 --q 1 --r 2 --nodes 1200 "
     "--docs 1000000000 --trials 5",
+    "analytic --strategy random --p 1 --q 0 --r 2 --nodes 1000000 "
+    "--docs 1000000000 --method sum",
     "sweep --preset fig7 --points 2 --trials 2 --out sweep-out",
+    "sweep --preset fig9 --trials 2 --out sweep-out",
+    "simulate --strategy random --p 2 --q 1 --r 2 --nodes 48 --docs 5 "
+    "--trials 20 --seed 18446744073709551616",
+    "analytic --strategy random --p 1 --q 0 --r 2 --nodes 1000 --method sum "
+    "--docs 1" + "0" * 400,
     "sweep --preset fig7 --points 1 --trials 2 --out not-a-dir",
+    "sweep --preset fig7 --points 1 --trials 100000000000000 --out refused-out",
     *(f"oracle --what {what} --p 2 --q 1 --r 2 --nodes 6"
       for what in ("symmetric-exact", "brute-symmetric", "brute-random")),
     "oracle --what group-poly --p 2 --q 1 --r 2",
