@@ -29,11 +29,12 @@ F(e^-t) e^-t has no endpoint singularity.  An adaptive Gauss-Kronrod 7/15
 rule refines panels of [0, T] in rounds and stops when the summed
 |K15 - G7| estimates, plus a bound on the part beyond T from the
 monotonicity of F, fall within the requested relative tolerance;
-otherwise it raises QuadratureError.  The one rule serves many integrals
-of one code and loss rule (expect_many, which a sweep calls once a theory
-column): they share rounds, one vectorised kernel call a round, while
-each keeps its own panels, test and budget, so each comes out bit for
-bit as it does alone.
+otherwise it raises QuadratureError.  One integral's rule is a generator
+that yields the points each round needs and is sent ln phi there.  Many
+integrals of one code and loss rule (expect_many, which a sweep calls once
+a theory column) run in groups that share rounds, one vectorised kernel
+call a round; a lone integral is a group of one, and each comes out bit
+for bit as it does alone.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress
+from itertools import chain
 
 import numpy as np
 
@@ -228,7 +229,7 @@ def _survival_random_blocks(
     curve is nonincreasing, so every term after the first 0.0 is an exact
     0.0 too.
     """
-    end = system.nodes + 1
+    end = _curve_length(system)
     start = 0
     stop = min(_SURVIVAL_BLOCK, _survival_head_hint(rec, system, semantics))
     while start < end:
@@ -321,6 +322,7 @@ def survival_random(
     l = require_int(l, "l", 0)
     if l > system.nodes:
         raise ParameterError(f"l must lie in [0, nodes], got {l}")
+    _curve_length(system)
     return float(_survival_random_terms(np.array([l]), rec, system, semantics)[0])
 
 
@@ -420,131 +422,118 @@ _MAX_PANELS = 500
 _SHARED_INTEGRALS = 16
 
 
-class _Panels:
-    """One integral's panels of [0, T] while the shared rounds refine it.
+def _survival_integral(power: int, t0: float, s: int, tol: float):
+    """integral_0^1 F(x) dx for F = exp(power * base_log), on t = -ln x, as
+    a generator: each round it yields the points t it needs and is sent
+    base_log(t) there.
 
-    The settled panels' edges, Kronrod values and error estimates, and the
-    new panels the next round evaluates (the left halves of the split
-    panels, then the right halves), are lists of Python floats whose order
-    depends on this integral alone.  Python's float arithmetic is numpy's
-    IEEE arithmetic, and math.fsum does not depend on order.
+    base_log(t) is ln of a function at x = e^-t.  F must fall from 1 at
+    x = 0 to 0 at x = 1 without increasing; its drop sits near t = t0 and
+    is about 1/s wide.  On the t-scale the integrand F(e^-t) e^-t is
+    smooth, and adaptive G7/K15 panels cover [0, T] with T = t0 + 40/s;
+    each round asks for the nodes of every new panel and for T.  A panel's
+    error estimate is |K15 - G7|.  Over x < e^-T, F lies between F(e^-T)
+    and 1, so that part is taken as the midpoint of [e^-T F(e^-T), e^-T]
+    and half the interval joins the estimate.  The rule stops once the
+    summed estimates are within tol * |value|.
+
+    Returns (value, achieved relative error estimate, evaluations), or the
+    QuadratureError it runs into past _MAX_PANELS panels.
     """
-
-    __slots__ = ("power", "end", "lo", "hi", "values", "errors",
-                 "new_lo", "new_hi", "evals")
-
-    def __init__(self, power: int, t0: float, s: int):
-        self.power = float(power)
-        self.end = t0 + _TAIL_SPAN / s
-        inner = [t0 + edge / s for edge in _FIRST_EDGES]
-        edges = [0.0] + [t for t in inner if t > 0.0] + [self.end]
-        self.lo, self.hi, self.values, self.errors = [], [], [], []
-        self.new_lo, self.new_hi = edges[:-1], edges[1:]
-        self.evals = 0
-
-    def settle(
-        self, log_base_end: float, values: list, errors: list, tol: float
-    ) -> tuple[float, float, int] | QuadratureError | None:
-        """Take the new panels' Kronrod values and error estimates; the
-        result (value, relative error estimate, evaluations) once the
-        estimates are within tol, a QuadratureError past the panel budget,
-        or None, with the panels to split set up for the next round."""
-        self.evals += _GK_NODES.size * len(values) + 1
-        edge = math.exp(-self.end)
-        drop = -math.expm1(self.power * log_base_end)  # 1 - F(e^-T)
-        self.values += values
-        self.errors += errors
-        value = math.fsum(self.values) + edge * (1.0 - drop / 2)
-        error = math.fsum(self.errors) + edge * drop / 2
+    power = float(power)
+    end = t0 + _TAIL_SPAN / s
+    edge = math.exp(-end)
+    inner = [t0 + at / s for at in _FIRST_EDGES]
+    edges = np.array([0.0] + [t for t in inner if t > 0.0] + [end])
+    lo, hi, values, errors = (np.empty(0),) * 4
+    new_lo, new_hi = edges[:-1], edges[1:]
+    evals = 0
+    while True:
+        half = (new_hi - new_lo) / 2
+        t = ((new_lo + half)[:, None] + half[:, None] * _GK_NODES).ravel()
+        # the tail's edge T rides along after the nodes
+        log_f = power * (yield np.concatenate((t, [end])))
+        evals += log_f.size
+        drop = -math.expm1(log_f[-1])  # 1 - F(e^-T)
+        f = np.exp(log_f[:-1] - t).reshape(half.size, -1)
+        kronrod = half * (f @ _GK_KRONROD)
+        lo, hi = np.concatenate((lo, new_lo)), np.concatenate((hi, new_hi))
+        values = np.concatenate((values, kronrod))
+        errors = np.concatenate((errors, np.abs(kronrod - half * (f @ _GK_GAUSS))))
+        value = math.fsum(memoryview(values)) + edge * (1.0 - drop / 2)
+        error = math.fsum(memoryview(errors)) + edge * drop / 2
         if error <= tol * value:
-            return value, error / value, self.evals
-        self.lo += self.new_lo
-        self.hi += self.new_hi
+            return value, error / value, evals
         # bisect every panel over its share of the budget, and the worst one
-        least = min(max(self.errors), tol * value / len(self.errors))
-        split = [e >= least for e in self.errors]
-        if len(split) + sum(split) > _MAX_PANELS:
+        split = errors >= min(errors.max(), tol * value / errors.size)
+        if errors.size + np.count_nonzero(split) > _MAX_PANELS:
             return QuadratureError(error / value, tol)
-        kept = [not cut for cut in split]
-        lo = list(compress(self.lo, split))
-        hi = list(compress(self.hi, split))
-        mid = [(a + b) / 2 for a, b in zip(lo, hi)]
-        self.new_lo, self.new_hi = lo + mid, mid + hi
-        self.lo = list(compress(self.lo, kept))
-        self.hi = list(compress(self.hi, kept))
-        self.values = list(compress(self.values, kept))
-        self.errors = list(compress(self.errors, kept))
-        return None
+        mid = (lo[split] + hi[split]) / 2
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        lo, hi, values, errors = lo[~split], hi[~split], values[~split], errors[~split]
 
 
-def _survival_integrals(
-    base_log, powers: list[int], t0s: list[float], s: int, tol: float
-) -> list:
-    """integral_0^1 F(x) dx for each F = exp(power * base_log), on t = -ln x.
+def _survival_integrals(base_log, rules) -> list:
+    """Run _survival_integral generators to their ends, each rule's result
+    in order.
 
-    base_log(t) is evaluated on arrays of t >= 0 at x = e^-t.  Each F must
-    fall from 1 at x = 0 to 0 at x = 1 without increasing; its drop sits
-    near t = t0 and is about 1/s wide.  On the t-scale the integrand
-    F(e^-t) e^-t is smooth, and adaptive G7/K15 panels cover [0, T] with
-    T = t0 + 40/s.  A panel's error estimate is |K15 - G7|.  Over
-    x < e^-T, F lies between F(e^-T) and 1, so that part is taken as the
-    midpoint of [e^-T F(e^-T), e^-T] and half the interval joins the
-    estimate.  An integral is done once its summed estimates are within
-    tol * |value|.
-
-    Every integral keeps its own panels, convergence test, split rule and
-    _MAX_PANELS budget, and its Kronrod and Gauss sums come from its own
-    rows (a matrix-vector product's rows are not bitwise independent of
-    the rows around them), so its result is bit for bit the one it gets
-    alone.  Groups of _SHARED_INTEGRALS integrals share their rounds: each
-    round evaluates the new panels of every unfinished integral of the
-    group, and each one's tail edge T, in one base_log call.
-
-    Returns one entry an integral, in order: (value, achieved relative
-    error estimate, evaluations), or the QuadratureError it ran into.
+    Groups of _SHARED_INTEGRALS rules share their rounds: a round makes one
+    base_log call over the points every unfinished rule of the group asks
+    for, and sends each its own slice.  base_log is elementwise, and each
+    rule does all its own arithmetic, so a rule's result is bit for bit
+    the one it gets alone, a group of one.
     """
-    results = [None] * len(powers)
-    for first in range(0, len(powers), _SHARED_INTEGRALS):
-        group = slice(first, first + _SHARED_INTEGRALS)
-        live = dict(enumerate(
-            [_Panels(power, t0, s) for power, t0 in zip(powers[group], t0s[group])],
-            first,
-        ))
+    results = [None] * len(rules)
+    for first in range(0, len(rules), _SHARED_INTEGRALS):
+        live = {i: (rule, next(rule)) for i, rule in
+                enumerate(rules[first : first + _SHARED_INTEGRALS], first)}
         while live:
-            rules = list(live.values())
-            lo = np.array([t for rule in rules for t in rule.new_lo])
-            half = (np.array([t for rule in rules for t in rule.new_hi]) - lo) / 2
-            t = ((lo + half)[:, None] + half[:, None] * _GK_NODES).ravel()
-            # the tail edges T ride along after the nodes
-            log_base = base_log(np.concatenate((t, [rule.end for rule in rules])))
-            log_ends = log_base[t.size :].tolist()
+            log_base = base_log(np.concatenate([points for _, points in live.values()]))
             start = 0
-            for (i, rule), log_end in zip(list(live.items()), log_ends):
-                size = len(rule.new_lo)
-                rows = slice(start, start + size)
-                start += size
-                nodes = slice(rows.start * _GK_NODES.size, rows.stop * _GK_NODES.size)
-                f = np.exp(rule.power * log_base[nodes] - t[nodes]).reshape(size, -1)
-                halves = half[rows]
-                kronrod = halves * (f @ _GK_KRONROD)
-                errors = np.abs(kronrod - halves * (f @ _GK_GAUSS))
-                done = rule.settle(log_end, kronrod.tolist(), errors.tolist(), tol)
-                if done is not None:
-                    results[i] = done
+            for i, (rule, points) in list(live.items()):
+                stop = start + points.size
+                try:
+                    live[i] = rule, rule.send(log_base[start:stop])
+                except StopIteration as done:
+                    results[i] = done.value
                     del live[i]
+                start = stop
     return results
 
 
 def _float_docs(system: SystemParams) -> float:
     """D as a float, which the random sum, integral and Beta routes raise
     phi to; ParameterError past the float range."""
-    if system.docs > sys.float_info.max:
-        raise ParameterError(
-            f"docs must be at most {sys.float_info.max:.6g} for the sum, "
-            f"integral and beta-exact routes, got about "
-            f"1e{math.log10(system.docs):.0f}; the asymptotic route takes any docs"
-        )
+    _at_most("docs", system.docs, sys.float_info.max,
+             "sum, integral and beta-exact routes",
+             "; the asymptotic route takes any docs")
     return float(system.docs)
+
+
+def _float_nodes(system: SystemParams) -> None:
+    """ParameterError unless N, which the integral, Beta and asymptotic
+    routes scale by, lies in the float range."""
+    _at_most("nodes", system.nodes, sys.float_info.max,
+             "integral, asymptotic and beta-exact routes")
+
+
+def _curve_length(system: SystemParams) -> int:
+    """N + 1, the number of survival terms; ParameterError unless it fits
+    np.intp, which indexes them."""
+    _at_most("nodes", system.nodes, np.iinfo(np.intp).max - 1,
+             "sum route and the survival curves")
+    return system.nodes + 1
+
+
+def _at_most(name: str, value: int, limit, routes: str, note: str = "") -> None:
+    """ParameterError naming the parameter and its limit if value is past it."""
+    if value > limit:
+        shown = f"{limit:.6g}" if isinstance(limit, float) else limit
+        raise ParameterError(
+            f"{name} must be at most {shown} for the {routes}, got about "
+            f"1e{math.log10(value):.0f}{note}"
+        )
 
 
 def _scale(
@@ -552,6 +541,7 @@ def _scale(
 ) -> tuple[int, int, float]:
     """(prefactor, power, bound): E[X] = prefactor * integral_0^1 phi^power,
     to within the additive bound."""
+    _float_nodes(system)
     if strategy is PlacementStrategy.RANDOM:
         _float_docs(system)
         return system.nodes, system.docs, 1.0
@@ -574,14 +564,11 @@ def _expect_integrals(
             results.append(None)
         except ParameterError as exc:
             results.append(exc)
-    powers = [power for _, _, power, _ in todo]
     integrals = _survival_integrals(
         lambda t: _log_survival(np.exp(-t), rec, semantics),
-        powers,
         # 1 - phi^power ~ power kappa x^s for small x
-        [math.log(power * kappa) / s for power in powers],
-        s,
-        tol,
+        [_survival_integral(power, math.log(power * kappa) / s, s, tol)
+         for _, _, power, _ in todo],
     )
     for (i, prefactor, _, bound), got in zip(todo, integrals):
         if isinstance(got, QuadratureError):
@@ -600,6 +587,7 @@ def _expect_asymptotic(
 ) -> AnalyticResult:
     # power is taken as a real N/g without the symmetric preconditions, so
     # the leading term is defined at every N
+    _float_nodes(system)
     s, kappa = _tail(rec, semantics)
     if strategy is PlacementStrategy.RANDOM:
         power = system.docs
@@ -629,17 +617,22 @@ def _expect_beta_exact(
 
 
 def _checked_semantics(
-    strategy: PlacementStrategy, method: Method,
+    strategy: PlacementStrategy, rec: RecParams, systems, method: Method,
     semantics: LossSemantics | None, tol: float,
 ) -> LossSemantics:
     """The loss rule expect runs, after checking the arguments every
-    system shares: ParameterError for a wrong type or a tol outside
-    [MIN_QUADRATURE_TOL, 1)."""
+    system shares and the type of each system: ParameterError for a wrong
+    type or a tol outside [MIN_QUADRATURE_TOL, 1)."""
     if not isinstance(strategy, PlacementStrategy) or not isinstance(method, Method):
         raise ParameterError(
             f"expect needs a PlacementStrategy and a Method, "
             f"got {strategy!r} and {method!r}"
         )
+    if not isinstance(rec, RecParams):
+        raise ParameterError(f"expect needs a RecParams, got {rec!r}")
+    for system in systems:
+        if not isinstance(system, SystemParams):
+            raise ParameterError(f"expect needs a SystemParams, got {system!r}")
     if semantics is not None and not isinstance(semantics, LossSemantics):
         raise ParameterError(f"expect needs a LossSemantics, got {semantics!r}")
     if not MIN_QUADRATURE_TOL <= tol < 1.0:  # also rejects nan
@@ -666,7 +659,7 @@ def expect(
     called by their module names, so wrapping one of them (as a tracer
     does) is seen here.
     """
-    semantics = _checked_semantics(strategy, method, semantics, tol)
+    semantics = _checked_semantics(strategy, rec, [system], method, semantics, tol)
     match method:
         case Method.BETA_EXACT if rec.p != 1:
             raise ParameterError(
@@ -697,13 +690,14 @@ def expect_many(
     """expect at each of systems, in order; None where it raises
     ParameterError or QuadratureError for that system.
 
-    The arguments the systems share are checked first, as expect checks
-    them, and raise.  The integral route refines the integrals of all
-    systems in shared rounds, one kernel call a round, and each comes out
-    bit for bit as expect gives it alone; the other routes call expect at
-    each system.
+    The arguments the systems share, and the type of each system, are
+    checked first, as expect checks them, and raise.  The integral route
+    refines the integrals of all systems in shared rounds, one kernel call
+    a round, and each comes out bit for bit as expect gives it alone; the
+    other routes call expect at each system.
     """
-    semantics = _checked_semantics(strategy, method, semantics, tol)
+    systems = list(systems)
+    semantics = _checked_semantics(strategy, rec, systems, method, semantics, tol)
     if method is Method.INTEGRAL:
         return [
             None if isinstance(result, Exception) else result

@@ -54,7 +54,13 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
 
 
 def _stirling_series(z: float) -> float:
-    w = 1.0 / (z * z)
+    try:
+        w = 1.0 / (z * z)
+    except OverflowError:
+        # an int z past about 1.34e154, whose square has no float: 1/z^2
+        # is far below an ulp of every coefficient, and a float z, whose
+        # square is inf there, gets the same 0.0
+        w = 0.0
     total = 0.0
     for c in reversed(_STIRLING):
         total = total * w + c

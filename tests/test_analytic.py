@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rec_persist import analytic, oracle
+from rec_persist import analytic, oracle, sweep
 from rec_persist.analytic import Method
 from rec_persist.errors import ParameterError, QuadratureError
 from rec_persist.model import (
@@ -650,6 +651,23 @@ class TestDispatch:
         with pytest.raises(ParameterError):
             analytic.expect(PlacementStrategy.RANDOM, rec, system, "sum")
 
+    def test_rec_and_systems_are_typed(self):
+        # checked with the shared arguments, for every method
+        rec, system = RecParams(2, 1, 2), SystemParams(48, 8)
+        for method in Method:
+            with pytest.raises(ParameterError, match="expect needs a RecParams"):
+                analytic.expect(RANDOM, (2, 1, 2), system, method)
+            with pytest.raises(ParameterError, match="expect needs a SystemParams"):
+                analytic.expect(SYMMETRIC, rec, (48, 8), method)
+            with pytest.raises(ParameterError, match="expect needs a SystemParams"):
+                analytic.expect_many(SYMMETRIC, rec, [system, (48, 8)], method)
+            with pytest.raises(ParameterError, match="expect needs a RecParams"):
+                analytic.expect_many(SYMMETRIC, "2,1,2", [system], method)
+        # a point's own ParameterError is still an empty entry
+        assert analytic.expect_many(
+            SYMMETRIC, rec, iter([system, SystemParams(49, 8)]), Method.INTEGRAL
+        )[1:] == [None]
+
     def test_exact_method_is_exact(self):
         rec = RecParams(1, 0, 2)
         system = SystemParams(4, 2)
@@ -685,6 +703,75 @@ class TestFloatRange:
             RANDOM, RecParams(1, 0, 2), self.HUGE, Method.ASYMPTOTIC
         )
         assert 0.0 < result.value < 1e-190
+
+    # every route of each strategy, with the N limit it names
+    ROUTES = [(strategy, method) for strategy in PlacementStrategy
+              for method in Method
+              if strategy is RANDOM or method is not Method.EXACT_SUM]
+    LARGEST_FLOAT_NODES = int(sys.float_info.max)  # 2^971 (2^53 - 1)
+    LARGEST_SUM_NODES = int(np.iinfo(np.intp).max) - 1  # N + 1 terms
+
+    @pytest.mark.parametrize("strategy, method", ROUTES)
+    def test_nodes_past_range_raise_parameter_error(self, strategy, method):
+        # N past the float range, with D = N, which the symmetric
+        # preconditions take; the limit named is the route's own
+        nodes = 10**400
+        limit = (self.LARGEST_SUM_NODES if method is Method.EXACT_SUM
+                 else 1.79769e+308)
+        with pytest.raises(ParameterError, match=re.escape(
+            f"nodes must be at most {limit} for the "
+        ) + ".*1e400"):
+            analytic.expect(strategy, RecParams(1, 0, 2),
+                            SystemParams(nodes, nodes), method)
+
+    @pytest.mark.parametrize("strategy, method", ROUTES)
+    def test_largest_nodes_still_run(self, strategy, method):
+        nodes = (self.LARGEST_SUM_NODES if method is Method.EXACT_SUM
+                 else self.LARGEST_FLOAT_NODES)
+        # D = 1e300 keeps the sum's head at a few terms
+        docs = 10**300 if method is Method.EXACT_SUM else nodes
+        result = analytic.expect(strategy, RecParams(1, 0, 2),
+                                 SystemParams(nodes, docs), method)
+        assert 0.0 < result.value < math.inf
+
+    @pytest.mark.parametrize("nodes", [LARGEST_SUM_NODES + 1, 10**20],
+                             ids=["intp-max", "1e20"])
+    def test_nodes_past_intp_raise_parameter_error(self, nodes):
+        # N + 1 survival terms must have an np.intp index; D = 1e300
+        # keeps the head short should that check be missing
+        rec, system = RecParams(1, 0, 2), SystemParams(nodes, 10**300)
+        match = f"nodes must be at most {self.LARGEST_SUM_NODES} for the sum"
+        for call in (
+            lambda: analytic.expect(RANDOM, rec, system, Method.EXACT_SUM),
+            lambda: analytic.survival_random(1, rec, system),
+            lambda: analytic.survival_curve_random(rec, system),
+        ):
+            with pytest.raises(ParameterError, match=match):
+                call()
+        # the float routes still take this N
+        assert analytic.expect(RANDOM, rec, system, Method.INTEGRAL).value > 0.0
+
+    def test_survival_random_at_largest_sum_nodes(self):
+        system = SystemParams(self.LARGEST_SUM_NODES, 5)
+        rec = RecParams(1, 0, 2)
+        assert analytic.survival_random(1, rec, system) == 1.0
+        assert analytic.survival_random(system.nodes, rec, system) == 0.0
+
+    @pytest.mark.parametrize("docs", [10**200, 10**300], ids=["1e200", "1e300"])
+    def test_beta_exact_past_stirling_square(self, docs):
+        # Beta(D + 1, 1/s) takes Stirling's series at an int D + 1 whose
+        # square has no float; the closed form still meets the asymptotic
+        # one, which its relative correction O(1/D) leaves exact here
+        rec, system = RecParams(1, 0, 2), SystemParams(1000, docs)
+        exact = analytic.expect(RANDOM, rec, system, Method.BETA_EXACT).value
+        leading = analytic.expect(RANDOM, rec, system, Method.ASYMPTOTIC).value
+        assert exact == pytest.approx(leading, rel=1e-12, abs=0.0)
+        # the symmetric power N/g
+        nodes = 2 * docs
+        system = SystemParams(nodes, nodes)
+        exact = analytic.expect(SYMMETRIC, rec, system, Method.BETA_EXACT).value
+        leading = analytic.expect(SYMMETRIC, rec, system, Method.ASYMPTOTIC).value
+        assert exact == pytest.approx(leading, rel=1e-12, abs=0.0)
 
 
 class TestSemantics:
@@ -895,6 +982,46 @@ class TestQuadrature:
                 assert got == one
                 assert got.value.hex() == one.value.hex()
         assert kinds == {ParameterError, QuadratureError, True}
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """The sizes of the arrays the integral routes pass to the kernel,
+        one entry a call."""
+        sizes = []
+        log_survival = analytic._log_survival
+
+        def counted(x, rec, semantics):
+            sizes.append(np.size(x))
+            return log_survival(x, rec, semantics)
+
+        monkeypatch.setattr(analytic, "_log_survival", counted)
+        return sizes
+
+    @pytest.mark.parametrize("preset", ["fig7", "fig9"])
+    def test_sweep_column_shares_kernel_calls(self, preset, kernel_calls):
+        # every integral of the 62-point grid converges in its first round,
+        # so its 4 groups of _SHARED_INTEGRALS take one kernel call each
+        spec = sweep.preset_spec(preset)
+        systems = [SystemParams(n, spec.docs_at(n)) for n in spec.nodes]
+        results = analytic.expect_many(
+            spec.strategy, spec.rec, systems, Method.INTEGRAL,
+            semantics=spec.semantics,
+        )
+        assert len(systems) == 62 and None not in results
+        assert len(kernel_calls) == 4
+        assert sum(kernel_calls) == sum(r.quadrature_evals for r in results)
+
+    @pytest.mark.parametrize("tol", [analytic.DEFAULT_QUADRATURE_TOL, 1e-14])
+    def test_lone_integral_calls_kernel_once_a_round(self, tol, kernel_calls):
+        # a round asks for 15 nodes a new panel and the tail edge T
+        result = analytic.expect(RANDOM, RecParams(3, 2, 2), SystemParams(1000, 10**9),
+                                 Method.INTEGRAL, tol, PC)
+        assert sum(kernel_calls) == result.quadrature_evals
+        assert all(size % 15 == 1 for size in kernel_calls)
+        if tol == analytic.DEFAULT_QUADRATURE_TOL:
+            assert kernel_calls == [result.quadrature_evals]
+        else:
+            assert len(kernel_calls) > 1  # the rule splits panels
 
     def test_many_checks_shared_arguments(self):
         systems = [SystemParams(1200, 200)]

@@ -564,6 +564,36 @@ class TestCliAnalytic:
         assert "Traceback" not in proc.stderr
         assert "docs must be at most 1.79769e+308" in proc.stderr
 
+    @pytest.mark.parametrize("strategy, method, nodes", [
+        *((strategy, method, "1" + "0" * 400)
+          for strategy in ("random", "symmetric")
+          for method in ("integral", "asymptotic", "beta-exact")),
+        ("random", "sum", "1" + "0" * 400),
+        ("random", "sum", "100000000000000000000"),
+        ("random", "sum", "9223372036854775808"),
+    ], ids=lambda value: "1e400" if len(value) > 30 else value)
+    def test_nodes_past_range_exits_2(self, strategy, method, nodes):
+        # N past the float range, or N + 1 past np.intp for the sum
+        proc = subprocess.run(
+            [sys.executable, "-m", "rec_persist", "analytic", "--strategy",
+             strategy, "--p", "1", "--q", "0", "--r", "2", "--docs", "1",
+             "--method", method, "--nodes", nodes],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "nodes must be at most" in proc.stderr
+
+    def test_beta_exact_at_docs_past_stirling_square_exits_0(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rec_persist", "analytic", "--strategy",
+             "random", "--p", "1", "--q", "0", "--r", "2", "--nodes", "1000",
+             "--method", "beta-exact", "--docs", "1" + "0" * 200],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RESULT strategy=random method=beta-exact" in proc.stdout
+
     def test_usage_error_exits_2(self):
         assert main(["analytic", "--strategy", "random"]) == 2
         assert main(["not-a-command"]) == 2
@@ -693,6 +723,12 @@ _CI_ARGVS = [
     "--trials 20 --seed 18446744073709551616",
     "analytic --strategy random --p 1 --q 0 --r 2 --nodes 1000 --method sum "
     "--docs 1" + "0" * 400,
+    "analytic --strategy symmetric --p 1 --q 0 --r 2 --docs 1 --method integral "
+    "--nodes 1" + "0" * 400,
+    "analytic --strategy random --p 1 --q 0 --r 2 --docs 1 --method sum "
+    "--nodes 9223372036854775808",
+    "analytic --strategy random --p 1 --q 0 --r 2 --nodes 1000 --method beta-exact "
+    "--docs 1" + "0" * 200,
     "sweep --preset fig7 --points 1 --trials 2 --out not-a-dir",
     "sweep --preset fig7 --points 1 --trials 100000000000000 --out refused-out",
     *(f"oracle --what {what} --p 2 --q 1 --r 2 --nodes 6"
