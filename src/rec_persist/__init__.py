@@ -25,7 +25,6 @@ from .analytic import (
 from .errors import ParameterError, QuadratureError, SizeLimitError
 from .model import (
     LossSemantics,
-    Placement,
     PlacementStrategy,
     RecParams,
     SystemParams,
@@ -80,7 +79,6 @@ __all__ = [
     "SystemParams",
     "PlacementStrategy",
     "LossSemantics",
-    "Placement",
     "default_semantics",
     "is_document_lost",
     "validate_symmetric_preconditions",

@@ -47,7 +47,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ParameterError, QuadratureError, require_int
+from .errors import ParameterError, QuadratureError, SizeLimitError, require_int
 from .model import (
     LossSemantics,
     PlacementStrategy,
@@ -162,6 +162,9 @@ _FSUM_HEAD = 256
 _SUBNORMAL = math.ldexp(1.0, -1074)
 # fixed-point steps of _survival_head_hint towards the head's end
 _HINT_STEPS = 4
+# survival terms one sum or curve may hold (512 MiB of float64), as
+# simulate's TRIAL_LIMIT caps its tables; longer heads are refused
+_HEAD_LIMIT = 1 << 26
 
 
 def _survival_random_terms(
@@ -227,12 +230,16 @@ def _survival_random_blocks(
     are _SURVIVAL_BLOCK long, so a short head costs a few terms more than
     it sums, not a whole block; a wrong guess costs one more block.  The
     curve is nonincreasing, so every term after the first 0.0 is an exact
-    0.0 too.
+    0.0 too.  Raises SizeLimitError before the first block when the
+    predicted head passes _HEAD_LIMIT terms, and before any block that
+    would take the terms yielded past it.
     """
     end = _curve_length(system)
-    start = 0
-    stop = min(_SURVIVAL_BLOCK, _survival_head_hint(rec, system, semantics))
+    hint = _survival_head_hint(rec, system, semantics)
+    _require_head(min(hint, end), "sum's predicted head")
+    start, stop = 0, min(_SURVIVAL_BLOCK, hint)
     while start < end:
+        _require_head(min(stop, end), "sum's head")
         block = _survival_random_terms(
             np.arange(start, min(stop, end)), rec, system, semantics
         )
@@ -240,6 +247,15 @@ def _survival_random_blocks(
         if block[-1] == 0.0:
             return
         start, stop = stop, stop + _SURVIVAL_BLOCK
+
+
+def _require_head(terms: int, what: str) -> None:
+    """SizeLimitError if the survival terms held would pass _HEAD_LIMIT."""
+    if terms > _HEAD_LIMIT:
+        raise SizeLimitError(
+            f"the random survival {what} of {terms} terms is above the limit "
+            f"of {_HEAD_LIMIT}; the other methods hold no terms and have none"
+        )
 
 
 def _fsum(blocks, *extra) -> float:
@@ -331,9 +347,11 @@ def survival_curve_random(
 ) -> tuple[float, ...]:
     """Pr[X > l] for l = 0 .. N under random placement, nonincreasing from 1.
 
-    Its math.fsum is the exact E[X].
+    Its math.fsum is the exact E[X].  Raises SizeLimitError when the N + 1
+    terms pass _HEAD_LIMIT.
     """
     semantics = default_semantics(PlacementStrategy.RANDOM, semantics)
+    _require_head(_curve_length(system), "curve")
     blocks = _survival_random_blocks(rec, system, semantics)
     head = tuple(chain.from_iterable(b.tolist() for b in blocks))
     return head + (0.0,) * (system.nodes + 1 - len(head))

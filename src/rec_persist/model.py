@@ -1,10 +1,12 @@
-"""Code parameters, placements, and the two document-loss semantics.
+"""Code parameters, placement strategies, and the two document-loss semantics.
 
 A document under REC(p, p+q, r) is split into p chunks, erasure-coded to
 p+q chunks, and each chunk is stored r times, giving (p+q)*r fragments.
 Fragment (j, m) is replica j of chunk m.  Replication multiset m collects
 the r replicas of chunk m; replica cluster j collects the p+q chunks that
-share replica index j.
+share replica index j.  A placement is a plain integer array of node ids,
+table[k, j, m] for fragment (j, m) of document k, shape (D, r, p+q);
+require_node_ids checks its range.
 
 Two loss rules are supported, and both are one two-level threshold over
 the document's (r, p+q) fragment grid (loss_thresholds): the grid splits
@@ -22,7 +24,7 @@ under PER_CLUSTER is always alive under MULTISET.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,7 +37,6 @@ __all__ = [
     "LossSemantics",
     "PlacementStrategy",
     "require_member",
-    "Placement",
     "require_node_ids",
     "default_semantics",
     "loss_thresholds",
@@ -170,40 +171,6 @@ def require_symmetric_preconditions(rec: RecParams, system: SystemParams) -> Non
     violation = validate_symmetric_preconditions(rec, system)
     if violation is not None:
         raise ParameterError(f"symmetric preconditions failed, {violation}")
-
-
-@dataclass
-class Placement:
-    """Node assignment for every fragment of every document.
-
-    table[k, j, m] is the node holding replica j of chunk m of document k,
-    shape (docs, r, p+q), entries in [0, nodes).
-    """
-
-    rec: RecParams
-    nodes: int
-    table: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.nodes = require_int(self.nodes, "nodes", 1)
-        table = np.asarray(self.table)
-        if (
-            table.ndim != 3
-            or table.shape[1:] != (self.rec.r, self.rec.chunks)
-            or table.shape[0] < 1
-        ):
-            raise ParameterError(
-                f"placement table must have shape (docs >= 1, {self.rec.r}, "
-                f"{self.rec.chunks}), got {table.shape}"
-            )
-        if not np.issubdtype(table.dtype, np.integer):
-            raise ParameterError("placement table must hold integer node ids")
-        require_node_ids(table, self.nodes)
-        self.table = table
-
-    @property
-    def docs(self) -> int:
-        return self.table.shape[0]
 
 
 def require_node_ids(table: np.ndarray, nodes: int) -> None:

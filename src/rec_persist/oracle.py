@@ -152,7 +152,7 @@ def brute_force_symmetric(
     _, _, hit_at, lost_at = loss_thresholds(rec, semantics)
     # doc_units[k][u] lists the nodes of unit u of document k; a wrapped
     # placement can repeat a node there, and each fragment on it counts
-    doc_units = by_unit(place_symmetric(rec, system).table, semantics).tolist()
+    doc_units = by_unit(place_symmetric(rec, system), semantics).tolist()
 
     def lost(erased_mask: int) -> bool:
         for units in doc_units:

@@ -8,20 +8,21 @@ units of each unit's order statistic of its fragments' ranks (the two
 levels of model.loss_thresholds), so X is the minimum of those loss times
 over documents.  One evaluator, _first_loss, computes it for a batch of
 trials with elementwise min/max over planes of erasure times; persistency
-runs it on a batch of one.
+runs it on a batch of one, for a placement given as a (D, r, p+q) array of
+node ids, the form place_random and place_symmetric return.
 
 Trials are deterministic functions of (master_seed, trial_index): trial i
 draws from SeedSequence([master_seed, i]), handed over as the uint32
 entropy words numpy makes of that list.  They run serially, in batches.
 simulate_trials returns each trial's X; simulate summarises them.
-Symmetric trials share one placement table, stored once as an intp index
-in the gather's (r, p+q, D) layout; random trials draw their tables into
-one (batch, r, p+q, D) intp buffer a class, which becomes the gather's
-index.  A symmetric class stores one period of its documents,
-N/gcd(N, g), since the rest repeat its nodes.  Node ids and ranks are
-int32, which caps nodes below 2^31; a trial's arrays are capped at
-TRIAL_LIMIT entries, and the trial count at TRIAL_LIMIT, before anything
-is allocated.
+The gather reads node ids in (r, p+q, D) layout.  Symmetric trials share
+one index, built directly in that layout by round-robin arithmetic
+(_symmetric_index); random trials draw their ids into one
+(batch, r, p+q, D) intp buffer a class, which becomes the gather's index.
+A symmetric class stores one period of its documents, N/gcd(N, g), since
+the rest repeat its nodes.  Ranks are int32, which caps nodes below
+2^31; a trial's arrays are capped at TRIAL_LIMIT entries, and the trial
+count at TRIAL_LIMIT, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 from .errors import ParameterError, SizeLimitError, require_int
 from .model import (
     LossSemantics,
-    Placement,
     PlacementStrategy,
     RecParams,
     SystemParams,
@@ -62,64 +62,61 @@ __all__ = [
 # a random batch also holds its drawn ids, as many again but intp, and with
 # the gather's temporaries a full batch takes about 2 MiB
 BUDGET = 1 << 17
-# entries of one trial, its rank row plus every class's placement table
+# entries of one trial, its rank row plus every class's placement ids
 # (256 MiB as int32; a random trial's intp ids and the times gathered
 # through them make its peak about three times that); simulate refuses
 # larger runs before allocating, and a trial this large runs alone
 TRIAL_LIMIT = 1 << 26
 
 
-def _id_dtype(nodes: int):
-    # an int32 draw equals the int64 draw from the same state below 2^31
-    return np.int32 if nodes < 2**31 else np.int64
-
-
 def _draw_table(
     rec: RecParams, nodes: int, docs: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """A (docs, r, p+q) table of i.i.d. uniform node ids, drawn from rng."""
+    """A (docs, r, p+q) intp table of i.i.d. uniform node ids, drawn from rng;
+    below 2^32 nodes numpy draws the same values for every integer dtype."""
     size = (docs, rec.r, rec.chunks)
-    return rng.integers(0, nodes, size=size, dtype=_id_dtype(nodes))
+    return rng.integers(0, nodes, size=size, dtype=np.intp)
 
 
 def place_random(
     rec: RecParams, system: SystemParams, rng: np.random.Generator
-) -> Placement:
-    """Drop every fragment on an i.i.d. uniform node; collisions allowed."""
-    table = _draw_table(rec, system.nodes, system.docs, rng)
-    return Placement(rec, system.nodes, table)
+) -> np.ndarray:
+    """(D, r, p+q) intp node ids, each fragment on an i.i.d. uniform node."""
+    return _draw_table(rec, system.nodes, system.docs, rng)
+
+
+def _symmetric_index(rec: RecParams, nodes: int, docs: int, start: int) -> np.ndarray:
+    """Round-robin node ids in the gather's (r, p+q, D) layout: replica j of
+    chunk m of document k on node (start + k*g + j*(p+q) + m) mod N."""
+    g = rec.fragments
+    first = start % nodes
+    fragment = np.arange(g, dtype=np.intp).reshape(rec.r, rec.chunks, 1)
+    index = fragment + np.arange(first, first + docs * g, g, dtype=np.intp)
+    index %= nodes
+    return index
 
 
 def place_symmetric(
     rec: RecParams, system: SystemParams, start: int = 0
-) -> Placement:
+) -> np.ndarray:
     """Round-robin placement: document k starts at node k*(p+q)*r mod N.
 
     Fragments of one document go to consecutive nodes in replica-major
     order (cluster 1's chunks, then cluster 2's, ...), wrapping modulo N.
     start offsets the whole stream; it is used when several workload
-    classes share one placement counter.
+    classes share one placement counter.  Returns the (D, r, p+q) intp
+    array of node ids, a view of _symmetric_index.
     """
-    # entry i is (start + i) mod N: the rotated node list, repeated
-    nodes = np.arange(system.nodes, dtype=_id_dtype(system.nodes))
-    flat = np.resize(np.roll(nodes, -start), system.docs * rec.fragments)
-    return Placement(
-        rec, system.nodes, flat.reshape(system.docs, rec.r, rec.chunks)
-    )
-
-
-def _gather_index(table: np.ndarray) -> np.ndarray:
-    """A (D, r, p+q) placement table as the gather's index: a contiguous
-    intp copy in (r, p+q, D) layout, which take uses without converting."""
-    return np.ascontiguousarray(table.transpose(1, 2, 0), dtype=np.intp)
+    index = _symmetric_index(rec, system.nodes, system.docs, start)
+    return index.transpose(2, 0, 1)
 
 
 def _erasure_times(ranks: np.ndarray, index: np.ndarray) -> np.ndarray:
     """t[b, k, j, m] = ranks[b, index[j, m, k]], shape (batch, D, r, p+q).
 
-    index is a _gather_index, so each (j, m) plane of t is contiguous over
-    documents and the elementwise passes in _first_loss stream through
-    memory.
+    index holds node ids in the gather's (r, p+q, D) layout; when it is
+    contiguous there, each (j, m) plane of t is contiguous over documents
+    and the elementwise passes in _first_loss stream through memory.
     """
     return ranks.take(index, axis=1).transpose(0, 3, 1, 2)
 
@@ -165,33 +162,44 @@ def _first_loss(t: np.ndarray, q: int, semantics: LossSemantics) -> np.ndarray:
     return _order_statistic(hits, lost_at - 1).min(axis=1)
 
 
-def persistency(placement: Placement, order, semantics: LossSemantics) -> int:
-    """Removals until the first document loss, for one removal order.
+def persistency(rec: RecParams, table, order, semantics: LossSemantics) -> int:
+    """Removals until the first document loss, for one placement and order.
 
-    A fragment is erased at its node's removal time, the node's 1-based
-    position in order, and a document dies once its fragments' erasures
-    meet the rule's loss_thresholds.  The result is the earliest death over
-    documents.
+    table[k, j, m] is the node holding replica j of chunk m of document k,
+    an integer array of shape (D >= 1, r, p+q) with ids in [0, N), and
+    order lists the N nodes in removal order, N = len(order).  A fragment
+    is erased at its node's removal time, the node's 1-based position in
+    order, and a document dies once its fragments' erasures meet the
+    rule's loss_thresholds.  The result is the earliest death over
+    documents.  A malformed table or order raises ParameterError.
     """
-    order = np.asarray(order)
-    if order.shape != (placement.nodes,):
+    table, order = np.asarray(table), np.asarray(order)
+    if table.ndim != 3 or table.shape[1:] != (rec.r, rec.chunks) or table.shape[0] < 1:
         raise ParameterError(
-            f"removal order must list all {placement.nodes} nodes, "
-            f"got shape {order.shape}"
+            f"placement table must have shape (docs >= 1, {rec.r}, "
+            f"{rec.chunks}), got {table.shape}"
         )
+    if not np.issubdtype(table.dtype, np.integer):
+        raise ParameterError("placement table must hold integer node ids")
+    if order.ndim != 1:
+        raise ParameterError(
+            f"removal order must list the nodes once each, got shape {order.shape}"
+        )
+    nodes = len(order)
+    require_node_ids(table, nodes)
     if (
         not np.issubdtype(order.dtype, np.integer)
         or order.min() < 0
-        or order.max() >= placement.nodes
+        or order.max() >= nodes
     ):
         raise ParameterError("removal order must hold node ids in [0, nodes)")
     # a rank left at 0 marks a node that order misses, so order repeats one
-    rank = np.zeros((1, placement.nodes), dtype=np.int64)
-    rank[0, order] = np.arange(1, placement.nodes + 1)
+    rank = np.zeros((1, nodes), dtype=np.int64)
+    rank[0, order] = np.arange(1, nodes + 1)
     if not rank.all():
         raise ParameterError("removal order must be a permutation of the nodes")
-    t = _erasure_times(rank, _gather_index(placement.table))
-    return int(_first_loss(t, placement.rec.q, semantics)[0])
+    t = _erasure_times(rank, table.transpose(1, 2, 0))
+    return int(_first_loss(t, rec.q, semantics)[0])
 
 
 @dataclass(frozen=True)
@@ -310,10 +318,12 @@ def simulate_trials(config: SimConfig) -> np.ndarray:
         docs * wc.rec.fragments for wc, docs in zip(config.classes, stored)
     )
     if nodes >= 2**31:
-        raise SizeLimitError(f"simulate needs nodes < 2^31 for int32 ids, got {nodes}")
+        raise SizeLimitError(
+            f"simulate needs nodes < 2^31 for int32 ranks, got {nodes}"
+        )
     if entries > TRIAL_LIMIT:
         raise SizeLimitError(
-            f"one trial needs {entries} int32 entries (nodes plus stored "
+            f"one trial needs {entries} entries (nodes plus stored "
             f"docs*(p+q)*r per class), above the limit of {TRIAL_LIMIT}"
         )
     if config.trials > TRIAL_LIMIT:
@@ -321,12 +331,10 @@ def simulate_trials(config: SimConfig) -> np.ndarray:
             f"simulate runs at most {TRIAL_LIMIT} trials, got {config.trials}"
         )
     symmetric = config.strategy is PlacementStrategy.SYMMETRIC
-    # a symmetric class's table, placed once and stored as its gather index
+    # a symmetric class's gather index, placed once
     indexes, start = [], 0
     for wc, docs in zip(config.classes, stored) if symmetric else ():
-        system = SystemParams(nodes, docs)
-        table = place_symmetric(wc.rec, system, start=start).table
-        indexes.append(_gather_index(table))
+        indexes.append(_symmetric_index(wc.rec, nodes, docs, start))
         start = (start + wc.docs * wc.rec.fragments) % nodes
     drawn = () if symmetric else config.classes
     size = max(1, BUDGET // entries)

@@ -383,10 +383,10 @@ def test_criterion_10_semantics_dominance():
     rng = np.random.default_rng(1010)
     strict = 0
     for _ in range(1000):
-        placement = place_random(rec, SystemParams(12, 2), rng)
+        table = place_random(rec, SystemParams(12, 2), rng)
         order = rng.permutation(12)
-        x_pc = persistency(placement, order, PC)
-        x_ms = persistency(placement, order, MS)
+        x_pc = persistency(rec, table, order, PC)
+        x_ms = persistency(rec, table, order, MS)
         assert x_pc <= x_ms, "per-cluster outlived multiset"
         strict += x_pc < x_ms
     assert strict >= 1

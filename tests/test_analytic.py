@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rec_persist import analytic, oracle, sweep
 from rec_persist.analytic import Method
-from rec_persist.errors import ParameterError, QuadratureError
+from rec_persist.errors import ParameterError, QuadratureError, SizeLimitError
 from rec_persist.model import (
     LossSemantics,
     PlacementStrategy,
@@ -319,6 +319,78 @@ _PINNED_SUMS = (
     ((3, 2, 2), 1e06, 6328.017756105644, 12900),
     ((3, 2, 2), 1e09, 1999.432378021656, 4084),
 )
+
+
+class TestHeadLimit:
+    """The survival sum and curve refuse, before evaluating a term, to hold
+    more than _HEAD_LIMIT terms."""
+
+    @staticmethod
+    def _count_terms(monkeypatch):
+        evaluated = []
+        terms = analytic._survival_random_terms
+
+        def counted(l, *args):
+            evaluated.append(l.size)
+            return terms(l, *args)
+
+        monkeypatch.setattr(analytic, "_survival_random_terms", counted)
+        return evaluated
+
+    def test_limit_sits_between_1e8_and_1e9_nodes(self):
+        # REC(1,1,2), D = 1e3: heads of about 5.0e7 and 5.0e8 terms
+        rec = RecParams(1, 1, 2)
+        hints = [analytic._survival_head_hint(rec, SystemParams(n, 1000), MS)
+                 for n in (10**8, 10**9)]
+        assert hints[0] <= analytic._HEAD_LIMIT < hints[1]
+
+    def test_refused_before_any_term(self, monkeypatch):
+        evaluated = self._count_terms(monkeypatch)
+        for n in (10**9, 2**63 - 2):
+            with pytest.raises(SizeLimitError, match="predicted head"):
+                analytic.expect_random_sum(RecParams(1, 1, 2), SystemParams(n, 1000))
+        monkeypatch.setattr(analytic, "_HEAD_LIMIT", 1000)
+        with pytest.raises(SizeLimitError, match="limit of 1000"):
+            analytic.expect_random_sum(RecParams(1, 0, 2), SystemParams(10**5, 1000))
+        assert evaluated == []
+
+    def test_head_that_fits_keeps_its_value(self, monkeypatch):
+        # the limit at the first block, the head hint, still runs the sum;
+        # one term less refuses it
+        evaluated = self._count_terms(monkeypatch)
+        for code, docs, value, sum_terms in _PINNED_SUMS[2::3]:
+            rec, system = RecParams(*code), SystemParams(10**5, int(docs))
+            hint = analytic._survival_head_hint(rec, system, MS)
+            monkeypatch.setattr(analytic, "_HEAD_LIMIT", hint)
+            result = analytic.expect_random_sum(rec, system)
+            assert (result.value, result.sum_terms) == (value, sum_terms)
+            evaluated.clear()
+            monkeypatch.setattr(analytic, "_HEAD_LIMIT", hint - 1)
+            with pytest.raises(SizeLimitError):
+                analytic.expect_random_sum(rec, system)
+            assert evaluated == []
+
+    def test_refused_once_the_blocks_would_pass_it(self, monkeypatch):
+        # a first block of one term fits a limit of 100, and the next block
+        # of _SURVIVAL_BLOCK terms would pass it
+        evaluated = self._count_terms(monkeypatch)
+        monkeypatch.setattr(analytic, "_HEAD_LIMIT", 100)
+        monkeypatch.setattr(
+            analytic, "_survival_head_hint", lambda rec, system, semantics: 1
+        )
+        with pytest.raises(SizeLimitError, match="head of 4097 terms"):
+            analytic.expect_random_sum(RecParams(1, 0, 2), SystemParams(10**4, 1000))
+        assert evaluated == [1]
+
+    def test_curve_holds_at_most_the_limit(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_HEAD_LIMIT", 1000)
+        rec = RecParams(1, 0, 2)
+        full = analytic.survival_curve_random(rec, SystemParams(999, 1))
+        assert len(full) == 1000
+        evaluated = self._count_terms(monkeypatch)
+        with pytest.raises(SizeLimitError, match="curve of 1001 terms"):
+            analytic.survival_curve_random(rec, SystemParams(1000, 1))
+        assert evaluated == []
 
 
 # term strategies for _certified_sum: signed values in [-1, 1] with their

@@ -8,7 +8,6 @@ import pytest
 from rec_persist.errors import ParameterError
 from rec_persist.model import (
     LossSemantics,
-    Placement,
     PlacementStrategy,
     RecParams,
     SystemParams,
@@ -133,24 +132,6 @@ class TestSymmetricPreconditions:
             )
             is None
         )
-
-
-class TestPlacement:
-    def test_shape_validation(self):
-        rec = RecParams(1, 1, 1)
-        with pytest.raises(ParameterError):
-            Placement(rec, 4, np.zeros((3, 2), dtype=np.int64))
-        with pytest.raises(ParameterError):
-            Placement(rec, 4, np.zeros((3, 2, 2), dtype=float))
-        with pytest.raises(ParameterError):
-            Placement(rec, 4, np.full((3, 1, 2), 4, dtype=np.int64))
-        with pytest.raises(ParameterError):
-            Placement(rec, 4, np.zeros((0, 1, 2), dtype=np.int64))
-
-    def test_docs_property(self):
-        rec = RecParams(1, 0, 1)
-        placement = Placement(rec, 2, np.zeros((5, 1, 1), dtype=np.int64))
-        assert placement.docs == 5
 
 
 def _lost(rec, flags, semantics):

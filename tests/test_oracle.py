@@ -236,7 +236,7 @@ class TestBruteForceSymmetric:
             (RecParams(2, 0, 3), 4, 3), (RecParams(3, 1, 2), 7, 1),
         ):
             system = SystemParams(nodes, docs)
-            table = place_symmetric(rec, system).table
+            table = place_symmetric(rec, system)
             for sem in (MS, PC):
                 alive = [0] * (nodes + 1)
                 for erased in itertools.chain.from_iterable(

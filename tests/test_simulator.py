@@ -16,7 +16,6 @@ from rec_persist.cli import main
 from rec_persist.errors import ParameterError, SizeLimitError
 from rec_persist.model import (
     LossSemantics,
-    Placement,
     PlacementStrategy,
     RecParams,
     SystemParams,
@@ -40,10 +39,11 @@ MS = LossSemantics.MULTISET
 class TestPlaceRandom:
     def test_shape_and_range(self):
         rng = np.random.default_rng(0)
-        placement = place_random(RecParams(2, 1, 2), SystemParams(7, 5), rng)
-        assert placement.table.shape == (5, 2, 3)
-        assert placement.table.min() >= 0
-        assert placement.table.max() < 7
+        table = place_random(RecParams(2, 1, 2), SystemParams(7, 5), rng)
+        assert table.shape == (5, 2, 3)
+        assert table.dtype == np.intp
+        assert table.min() >= 0
+        assert table.max() < 7
 
     def test_uniformity_chi_square(self):
         # fixed seed; statistic compared against the 99th percentile of
@@ -51,50 +51,63 @@ class TestPlaceRandom:
         chi2_19_q99 = 36.19086912927004
         nodes = 20
         rng = np.random.default_rng(1234)
-        placement = place_random(
-            RecParams(1, 1, 2), SystemParams(nodes, 5000), rng
-        )
-        counts = np.bincount(placement.table.reshape(-1), minlength=nodes)
-        expected = placement.table.size / nodes
+        table = place_random(RecParams(1, 1, 2), SystemParams(nodes, 5000), rng)
+        counts = np.bincount(table.reshape(-1), minlength=nodes)
+        expected = table.size / nodes
         statistic = float(((counts - expected) ** 2 / expected).sum())
         assert statistic < chi2_19_q99
 
 
 class TestPlaceSymmetric:
     def test_round_robin_blocks(self):
-        placement = place_symmetric(RecParams(1, 0, 2), SystemParams(4, 2))
-        assert placement.table.tolist() == [[[0], [1]], [[2], [3]]]
+        table = place_symmetric(RecParams(1, 0, 2), SystemParams(4, 2))
+        assert table.tolist() == [[[0], [1]], [[2], [3]]]
 
     def test_wraps_around(self):
         # g=4, N=16: documents 0 and 4 land on the same nodes
-        placement = place_symmetric(RecParams(1, 1, 2), SystemParams(16, 7))
-        assert placement.table[0].tolist() == [[0, 1], [2, 3]]
-        assert placement.table[4].tolist() == [[0, 1], [2, 3]]
-        assert placement.table[5].tolist() == [[4, 5], [6, 7]]
+        table = place_symmetric(RecParams(1, 1, 2), SystemParams(16, 7))
+        assert table[0].tolist() == [[0, 1], [2, 3]]
+        assert table[4].tolist() == [[0, 1], [2, 3]]
+        assert table[5].tolist() == [[4, 5], [6, 7]]
 
     def test_start_offset(self):
-        placement = place_symmetric(
-            RecParams(1, 0, 2), SystemParams(4, 1), start=3
-        )
-        assert placement.table.tolist() == [[[3], [0]]]
+        table = place_symmetric(RecParams(1, 0, 2), SystemParams(4, 1), start=3)
+        assert table.tolist() == [[[3], [0]]]
 
     def test_wraps_from_start_offset(self):
-        placement = place_symmetric(
-            RecParams(2, 0, 1), SystemParams(5, 4), start=7
-        )
-        assert placement.table.reshape(-1).tolist() == [2, 3, 4, 0, 1, 2, 3, 4]
+        table = place_symmetric(RecParams(2, 0, 1), SystemParams(5, 4), start=7)
+        assert table.reshape(-1).tolist() == [2, 3, 4, 0, 1, 2, 3, 4]
 
     def test_replica_major_layout(self):
         # row j of a document is cluster j: chunks of one coded copy
-        placement = place_symmetric(RecParams(2, 1, 2), SystemParams(6, 1))
-        assert placement.table[0].tolist() == [[0, 1, 2], [3, 4, 5]]
+        table = place_symmetric(RecParams(2, 1, 2), SystemParams(6, 1))
+        assert table[0].tolist() == [[0, 1, 2], [3, 4, 5]]
+
+    def test_equals_the_rotated_node_list_repeated(self):
+        # entry i of the flattened placement is (start + i) mod N: the node
+        # list rotated by start and repeated to D*g entries; D*g runs below,
+        # at and above N, and the starts include 0, N - 1 and past N
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            rec = RecParams(*(int(rng.integers(lo, 4)) for lo in (1, 0, 1)))
+            nodes, g = int(rng.integers(1, 40)), rec.fragments
+            counts = {max(1, nodes // g - 1), -(-nodes // g), nodes // g + 3}
+            for docs in sorted(counts):
+                system = SystemParams(nodes, docs)
+                for start in (0, nodes - 1, int(rng.integers(0, nodes)), nodes + 5):
+                    expected = np.resize(
+                        np.roll(np.arange(nodes), -start), docs * g
+                    ).reshape(docs, rec.r, rec.chunks)
+                    table = place_symmetric(rec, system, start=start)
+                    assert table.dtype == np.intp
+                    assert np.array_equal(table, expected)
 
 
 class TestInt32Draws:
     @pytest.mark.parametrize("nodes", [48, 2976, 10**6, 2**31 - 1])
     def test_int32_draw_equals_int64_draw(self, nodes):
-        # int32 placement tables keep seeded output only while numpy draws
-        # the same values for both dtypes below 2^31
+        # intp placement tables keep the seeded output of int32 ones only
+        # while numpy draws the same values for both dtypes
         for seed in range(3):
             size = (333, 2, 3)
             wide = np.random.default_rng(seed).integers(0, nodes, size, dtype=np.int64)
@@ -102,12 +115,17 @@ class TestInt32Draws:
             assert narrow.dtype == np.int32
             assert np.array_equal(narrow, wide)
 
-    def test_place_random_keeps_the_int64_stream(self):
+    def test_place_random_keeps_the_int32_stream(self):
         rec, system = RecParams(2, 1, 2), SystemParams(2976, 40)
-        placement = place_random(rec, system, np.random.default_rng(8))
-        wide = np.random.default_rng(8).integers(0, 2976, (40, 2, 3), dtype=np.int64)
-        assert placement.table.dtype == np.int32
-        assert np.array_equal(placement.table, wide)
+        rng = np.random.default_rng(8)
+        table = place_random(rec, system, rng)
+        narrow = np.random.default_rng(8).integers(0, 2976, (40, 2, 3), dtype=np.int32)
+        assert table.dtype == np.intp
+        assert np.array_equal(table, narrow)
+        # and the generator is left where the int32 draw leaves it
+        after = np.random.default_rng(8)
+        after.integers(0, 2976, (40, 2, 3), dtype=np.int32)
+        assert rng.integers(2**62) == after.integers(2**62)
 
 
 def _reference_first_loss(t, q, semantics):
@@ -149,28 +167,30 @@ class TestFirstLoss:
             simulator._first_loss(t, 0, "multiset")
 
 
-def _reference_persistency(placement, order, semantics):
+def _reference_persistency(rec, table, order, semantics):
     # reference implementation: scan removal prefixes and apply the loss
     # predicate from scratch
     erased_nodes = set()
-    table = placement.table
     for removed, node in enumerate(order, start=1):
         erased_nodes.add(node)
-        for k in range(placement.docs):
-            flags = np.isin(table[k], list(erased_nodes))
-            if is_document_lost(placement.rec, flags, semantics):
+        for doc in table:
+            flags = np.isin(doc, list(erased_nodes))
+            if is_document_lost(rec, flags, semantics):
                 return removed
     raise AssertionError("document survived all removals")
 
 
+HAND_REC = RecParams(1, 0, 2)
+
+
 class TestPersistency:
     def test_hand_example_adjacent_order(self):
-        placement = place_symmetric(RecParams(1, 0, 2), SystemParams(4, 2))
-        assert persistency(placement, np.array([0, 1, 2, 3]), MS) == 2
+        table = place_symmetric(HAND_REC, SystemParams(4, 2))
+        assert persistency(HAND_REC, table, np.array([0, 1, 2, 3]), MS) == 2
 
     def test_hand_example_interleaved_order(self):
-        placement = place_symmetric(RecParams(1, 0, 2), SystemParams(4, 2))
-        assert persistency(placement, np.array([0, 2, 1, 3]), MS) == 3
+        table = place_symmetric(HAND_REC, SystemParams(4, 2))
+        assert persistency(HAND_REC, table, np.array([0, 2, 1, 3]), MS) == 3
 
     def test_both_semantics_match_reference(self):
         # random tables down to N = 1 and up to r = 3 put several fragments
@@ -187,13 +207,13 @@ class TestPersistency:
             system = SystemParams(nodes, docs)
             if case % 2:
                 start = int(rng.integers(0, nodes))
-                placement = place_symmetric(rec, system, start=start)
+                table = place_symmetric(rec, system, start=start)
             else:
-                placement = place_random(rec, system, rng)
+                table = place_random(rec, system, rng)
             order = rng.permutation(nodes)
             for sem in (MS, PC):
-                assert persistency(placement, order, sem) == (
-                    _reference_persistency(placement, order, sem)
+                assert persistency(rec, table, order, sem) == (
+                    _reference_persistency(rec, table, order, sem)
                 )
 
     def test_per_cluster_never_outlasts_multiset(self):
@@ -201,28 +221,52 @@ class TestPersistency:
         rng = np.random.default_rng(7)
         strict = 0
         for _ in range(300):
-            placement = place_random(rec, SystemParams(8, 2), rng)
+            table = place_random(rec, SystemParams(8, 2), rng)
             order = rng.permutation(8)
-            x_pc = persistency(placement, order, PC)
-            x_ms = persistency(placement, order, MS)
+            x_pc = persistency(rec, table, order, PC)
+            x_ms = persistency(rec, table, order, MS)
             assert x_pc <= x_ms
             strict += x_pc < x_ms
         assert strict > 0
 
     def test_order_validation(self):
-        placement = place_symmetric(RecParams(1, 0, 2), SystemParams(4, 2))
+        table = place_symmetric(HAND_REC, SystemParams(4, 2))
         with pytest.raises(ParameterError):
-            persistency(placement, np.array([0, 1, 2]), MS)
-        for bad in ([0, 1, 2, 2], [0, 1, 2, 4], [-1, 1, 2, 3], [0.0, 1.0, 2.0, 3.0]):
+            persistency(HAND_REC, table, np.array([0, 1, 2]), MS)
+        for bad in (
+            [0, 1, 2, 2], [0, 1, 2, 4], [-1, 1, 2, 3], [0.0, 1.0, 2.0, 3.0],
+            [[0, 1, 2, 3]], 0, [],
+        ):
             with pytest.raises(ParameterError):
-                persistency(placement, np.array(bad), MS)
+                persistency(HAND_REC, table, np.array(bad), MS)
+
+    @pytest.mark.parametrize("table, message", [
+        (np.zeros((3, 2), dtype=np.int64), "shape"),
+        (np.zeros((3, 1, 2), dtype=float), "integer node ids"),
+        (np.full((3, 1, 2), 4, dtype=np.int64), r"\[0, nodes\)"),
+        (np.zeros((0, 1, 2), dtype=np.int64), "shape"),
+        (np.full((3, 1, 2), -1, dtype=np.int64), r"\[0, nodes\)"),
+        (np.zeros((3, 2, 1), dtype=np.int64), "shape"),
+    ], ids=["2-d", "float", "id-is-N", "no-docs", "negative", "transposed"])
+    def test_table_validation(self, table, message):
+        # REC(1,1,1) on the 4 nodes that order lists; 4 is one past them
+        with pytest.raises(ParameterError, match=message):
+            persistency(RecParams(1, 1, 1), table, np.arange(4), MS)
+
+    def test_ids_range_over_the_order(self):
+        # N is len(order): an id equal to it is refused, one below it kept
+        rec, table = RecParams(1, 1, 1), np.array([[[0, 2]]])
+        assert persistency(rec, table, [2, 1, 0], PC) == 3
+        with pytest.raises(ParameterError, match=r"\[0, nodes\)"):
+            persistency(rec, table, [1, 0], PC)
 
     def test_always_terminates_at_most_n(self):
         rng = np.random.default_rng(3)
-        placement = place_random(RecParams(3, 2, 2), SystemParams(9, 2), rng)
+        rec = RecParams(3, 2, 2)
+        table = place_random(rec, SystemParams(9, 2), rng)
         order = rng.permutation(9)
         for sem in (MS, PC):
-            assert 1 <= persistency(placement, order, sem) <= 9
+            assert 1 <= persistency(rec, table, order, sem) <= 9
 
 
 class TestSimulate:
@@ -534,11 +578,11 @@ def _persistency_loop(config: SimConfig) -> list[int]:
     declared order, before the permutation.
     """
     symmetric = config.strategy is PlacementStrategy.SYMMETRIC
-    placements = []
+    tables = []
     start = 0
     for wc in config.classes if symmetric else ():
         system = SystemParams(config.nodes, wc.docs)
-        placements.append(place_symmetric(wc.rec, system, start=start))
+        tables.append(place_symmetric(wc.rec, system, start=start))
         start = (start + wc.docs * wc.rec.fragments) % config.nodes
     xs = []
     for trial in range(config.trials):
@@ -546,14 +590,15 @@ def _persistency_loop(config: SimConfig) -> list[int]:
             np.random.SeedSequence([config.master_seed, trial])
         )
         if not symmetric:
-            placements = [
+            tables = [
                 place_random(wc.rec, SystemParams(config.nodes, wc.docs), rng)
                 for wc in config.classes
             ]
         order = rng.permutation(config.nodes)
-        xs.append(
-            min(persistency(pl, order, config.semantics) for pl in placements)
-        )
+        xs.append(min(
+            persistency(wc.rec, table, order, config.semantics)
+            for wc, table in zip(config.classes, tables)
+        ))
     return xs
 
 
@@ -637,7 +682,7 @@ class TestBatches:
 
     @pytest.mark.parametrize("bad_id", [-1, 48])
     def test_random_batch_checks_node_ids(self, bad_id, monkeypatch):
-        # the drawn buffer is checked once a batch, with Placement's rule
+        # the drawn buffer is checked once a batch, with require_node_ids
         def draw(rec, nodes, docs, rng):
             table = np.zeros((docs, rec.r, rec.chunks), dtype=np.int32)
             table[-1, -1, -1] = bad_id
@@ -798,7 +843,7 @@ class TestSizeGuard:
     def test_symmetric_billion_documents_in_bounded_memory(self, capsys):
         # one period of N/gcd(N, 6) = 200,000 documents stands for all 1e9:
         # 1.2e6 table entries plus the rank row, a tracemalloc peak of
-        # about 28 MiB (Python 3.11, numpy 2.4) where 6e9 entries would be
+        # about 30 MiB (Python 3.11, numpy 2.4) where 6e9 entries would be
         # refused
         argv = (
             "simulate --strategy symmetric --p 2 --q 1 --r 2 --nodes 1200000 "

@@ -584,6 +584,17 @@ class TestCliAnalytic:
         assert "Traceback" not in proc.stderr
         assert "nodes must be at most" in proc.stderr
 
+    def test_sum_head_past_limit_exits_2(self):
+        # an N the intp check accepts, whose predicted head of 4.6e18 terms
+        # is refused before a term is held
+        proc = subprocess.run(
+            [sys.executable, "-m", "rec_persist", *_RUNAWAY_SUM.split()],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "above the limit of 67108864" in proc.stderr
+
     def test_beta_exact_at_docs_past_stirling_square_exits_0(self):
         proc = subprocess.run(
             [sys.executable, "-m", "rec_persist", "analytic", "--strategy",
@@ -705,6 +716,10 @@ class TestCliDispatch:
         assert capsys.readouterr().out == out
 
 
+_RUNAWAY_SUM = (
+    "analytic --strategy random --p 1 --q 1 --r 2 --nodes 9223372036854775806 "
+    "--docs 1000 --method sum"
+)
 # the plain --flag value commands of the CI install job; its
 # "selftest --level full" is in TestCliDispatch.ARGVS
 _CI_ARGVS = [
@@ -727,6 +742,7 @@ _CI_ARGVS = [
     "--nodes 1" + "0" * 400,
     "analytic --strategy random --p 1 --q 0 --r 2 --docs 1 --method sum "
     "--nodes 9223372036854775808",
+    _RUNAWAY_SUM,
     "analytic --strategy random --p 1 --q 0 --r 2 --nodes 1000 --method beta-exact "
     "--docs 1" + "0" * 200,
     "sweep --preset fig7 --points 1 --trials 2 --out not-a-dir",
