@@ -24,6 +24,7 @@ under PER_CLUSTER is always alive under MULTISET.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,6 +45,7 @@ __all__ = [
     "is_document_lost",
     "validate_symmetric_preconditions",
     "require_symmetric_preconditions",
+    "symmetric_period_docs",
 ]
 
 
@@ -171,6 +173,16 @@ def require_symmetric_preconditions(rec: RecParams, system: SystemParams) -> Non
     violation = validate_symmetric_preconditions(rec, system)
     if violation is not None:
         raise ParameterError(f"symmetric preconditions failed, {violation}")
+
+
+def symmetric_period_docs(rec: RecParams, nodes: int, docs: int) -> int:
+    """How many of docs round-robin documents one period holds.
+
+    Document k starts at node (start + k*g) mod N, so documents k and
+    k + N/gcd(N, g) sit on the same nodes, and a repeat cannot change
+    when the first document is lost: min(docs, N/gcd(N, g)).
+    """
+    return min(docs, nodes // math.gcd(nodes, rec.fragments))
 
 
 def require_node_ids(table: np.ndarray, nodes: int) -> None:

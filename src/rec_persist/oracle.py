@@ -21,6 +21,7 @@ from .model import (
     by_unit,
     loss_thresholds,
     require_symmetric_preconditions,
+    symmetric_period_docs,
 )
 from .simulator import place_symmetric
 
@@ -141,7 +142,9 @@ def brute_force_symmetric(
 
     Works on the actual deterministic placement, with no divisibility
     requirements; where the group-polynomial preconditions hold the result
-    must match exact_symmetric_expectation exactly.
+    must match exact_symmetric_expectation exactly.  Only one period of
+    the documents is placed (symmetric_period_docs): the rest repeat its
+    nodes.
     """
     nodes = system.nodes
     if nodes > _BRUTE_SUBSET_LIMIT:
@@ -150,9 +153,10 @@ def brute_force_symmetric(
             f"got {nodes}"
         )
     _, _, hit_at, lost_at = loss_thresholds(rec, semantics)
+    period = SystemParams(nodes, symmetric_period_docs(rec, nodes, system.docs))
     # doc_units[k][u] lists the nodes of unit u of document k; a wrapped
     # placement can repeat a node there, and each fragment on it counts
-    doc_units = by_unit(place_symmetric(rec, system), semantics).tolist()
+    doc_units = by_unit(place_symmetric(rec, period), semantics).tolist()
 
     def lost(erased_mask: int) -> bool:
         for units in doc_units:

@@ -44,6 +44,7 @@ from .model import (
     loss_thresholds,
     require_member,
     require_node_ids,
+    symmetric_period_docs,
     validate_symmetric_preconditions,
 )
 
@@ -96,18 +97,15 @@ def _symmetric_index(rec: RecParams, nodes: int, docs: int, start: int) -> np.nd
     return index
 
 
-def place_symmetric(
-    rec: RecParams, system: SystemParams, start: int = 0
-) -> np.ndarray:
+def place_symmetric(rec: RecParams, system: SystemParams) -> np.ndarray:
     """Round-robin placement: document k starts at node k*(p+q)*r mod N.
 
     Fragments of one document go to consecutive nodes in replica-major
     order (cluster 1's chunks, then cluster 2's, ...), wrapping modulo N.
-    start offsets the whole stream; it is used when several workload
-    classes share one placement counter.  Returns the (D, r, p+q) intp
-    array of node ids, a view of _symmetric_index.
+    Returns the (D, r, p+q) intp array of node ids, a view of
+    _symmetric_index.
     """
-    index = _symmetric_index(rec, system.nodes, system.docs, start)
+    index = _symmetric_index(rec, system.nodes, system.docs, 0)
     return index.transpose(2, 0, 1)
 
 
@@ -278,14 +276,12 @@ def _stored_docs(config: SimConfig) -> list[int]:
     """Documents each class's placement table holds, in declared order.
 
     A random class stores all of its documents, a symmetric class one
-    period: its document k starts at node (start + k*g) mod N, so
-    documents k and k + N/gcd(N, g) sit on the same nodes, and a repeat
-    cannot change the first loss.
+    period of them (symmetric_period_docs).
     """
     if config.strategy is PlacementStrategy.RANDOM:
         return [wc.docs for wc in config.classes]
     return [
-        min(wc.docs, config.nodes // math.gcd(config.nodes, wc.rec.fragments))
+        symmetric_period_docs(wc.rec, config.nodes, wc.docs)
         for wc in config.classes
     ]
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -252,6 +253,18 @@ class TestBruteForceSymmetric:
                     Fraction(a, math.comb(nodes, l)) for l, a in enumerate(alive)
                 )
                 assert oracle.brute_force_symmetric(rec, system, sem) == expected
+
+    def test_enumerates_one_period(self):
+        # documents k and k + N/gcd(N, g) share their nodes, so D past one
+        # period (8 documents here) changes nothing; placing and checking
+        # all 80,000 documents took over a minute
+        began = time.perf_counter()
+        values = {
+            oracle.brute_force_symmetric(RecParams(1, 0, 2), SystemParams(16, docs), PC)
+            for docs in (8, 80000)
+        }
+        assert values == {Fraction(32768, 6435)}
+        assert time.perf_counter() - began < 5
 
     def test_node_guard(self):
         with pytest.raises(SizeLimitError):

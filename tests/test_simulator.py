@@ -58,6 +58,13 @@ class TestPlaceRandom:
         assert statistic < chi2_19_q99
 
 
+def _placed_from(rec, system, start):
+    """place_symmetric's array with the round-robin stream offset by start,
+    as simulate_trials places a symmetric class after others."""
+    index = simulator._symmetric_index(rec, system.nodes, system.docs, start)
+    return index.transpose(2, 0, 1)
+
+
 class TestPlaceSymmetric:
     def test_round_robin_blocks(self):
         table = place_symmetric(RecParams(1, 0, 2), SystemParams(4, 2))
@@ -71,11 +78,11 @@ class TestPlaceSymmetric:
         assert table[5].tolist() == [[4, 5], [6, 7]]
 
     def test_start_offset(self):
-        table = place_symmetric(RecParams(1, 0, 2), SystemParams(4, 1), start=3)
+        table = _placed_from(RecParams(1, 0, 2), SystemParams(4, 1), start=3)
         assert table.tolist() == [[[3], [0]]]
 
     def test_wraps_from_start_offset(self):
-        table = place_symmetric(RecParams(2, 0, 1), SystemParams(5, 4), start=7)
+        table = _placed_from(RecParams(2, 0, 1), SystemParams(5, 4), start=7)
         assert table.reshape(-1).tolist() == [2, 3, 4, 0, 1, 2, 3, 4]
 
     def test_replica_major_layout(self):
@@ -98,9 +105,12 @@ class TestPlaceSymmetric:
                     expected = np.resize(
                         np.roll(np.arange(nodes), -start), docs * g
                     ).reshape(docs, rec.r, rec.chunks)
-                    table = place_symmetric(rec, system, start=start)
+                    table = _placed_from(rec, system, start=start)
                     assert table.dtype == np.intp
                     assert np.array_equal(table, expected)
+                assert np.array_equal(
+                    place_symmetric(rec, system), _placed_from(rec, system, 0)
+                )
 
 
 class TestInt32Draws:
@@ -207,7 +217,7 @@ class TestPersistency:
             system = SystemParams(nodes, docs)
             if case % 2:
                 start = int(rng.integers(0, nodes))
-                table = place_symmetric(rec, system, start=start)
+                table = _placed_from(rec, system, start=start)
             else:
                 table = place_random(rec, system, rng)
             order = rng.permutation(nodes)
@@ -582,7 +592,7 @@ def _persistency_loop(config: SimConfig) -> list[int]:
     start = 0
     for wc in config.classes if symmetric else ():
         system = SystemParams(config.nodes, wc.docs)
-        tables.append(place_symmetric(wc.rec, system, start=start))
+        tables.append(_placed_from(wc.rec, system, start=start))
         start = (start + wc.docs * wc.rec.fragments) % config.nodes
     xs = []
     for trial in range(config.trials):

@@ -25,6 +25,8 @@ from rec_persist import selftest
 from rec_persist.selftest import CheckResult, run_selftest
 from rec_persist.svg import Series, render_chart
 
+from cli_smoke import API_CHECKS, CASES, label, run_case
+
 
 def small_spec(**overrides):
     base = dict(
@@ -679,6 +681,7 @@ class TestCliDispatch:
         "oracle --what brute-random --p 1 --q 0 --r 1 --nodes 3 --docs 1 "
         "--semantics per-cluster",
         "selftest",
+        "selftest --level quick",
         "selftest --level full",
     ]
 
@@ -716,45 +719,21 @@ class TestCliDispatch:
         assert capsys.readouterr().out == out
 
 
-_RUNAWAY_SUM = (
-    "analytic --strategy random --p 1 --q 1 --r 2 --nodes 9223372036854775806 "
-    "--docs 1000 --method sum"
-)
-# the plain --flag value commands of the CI install job; its
-# "selftest --level full" is in TestCliDispatch.ARGVS
-_CI_ARGVS = [
-    *(f"analytic --strategy random --p 1 --q 1 --r 2 --nodes 1000 --docs 1000 "
-      f"--method {method}" for method in ("sum", "integral", "asymptotic", "beta-exact")),
-    "simulate --strategy random --p 1 --q 0 --r 2 --nodes 48 --docs 5 --trials 20",
-    "simulate --strategy random --class 1,0,2,5 --class 2,1,2,48 --nodes 48 "
-    "--trials 20",
-    "simulate --strategy symmetric --p 2 --q 1 --r 2 --nodes 1200 "
-    "--docs 1000000000 --trials 5",
-    "analytic --strategy random --p 1 --q 0 --r 2 --nodes 1000000 "
-    "--docs 1000000000 --method sum",
-    "sweep --preset fig7 --points 2 --trials 2 --out sweep-out",
-    "sweep --preset fig9 --trials 2 --out sweep-out",
-    "simulate --strategy random --p 2 --q 1 --r 2 --nodes 48 --docs 5 "
-    "--trials 20 --seed 18446744073709551616",
-    "analytic --strategy random --p 1 --q 0 --r 2 --nodes 1000 --method sum "
-    "--docs 1" + "0" * 400,
-    "analytic --strategy symmetric --p 1 --q 0 --r 2 --docs 1 --method integral "
-    "--nodes 1" + "0" * 400,
-    "analytic --strategy random --p 1 --q 0 --r 2 --docs 1 --method sum "
-    "--nodes 9223372036854775808",
-    _RUNAWAY_SUM,
-    "analytic --strategy random --p 1 --q 0 --r 2 --nodes 1000 --method beta-exact "
-    "--docs 1" + "0" * 200,
-    "sweep --preset fig7 --points 1 --trials 2 --out not-a-dir",
-    "sweep --preset fig7 --points 1 --trials 100000000000000 --out refused-out",
-    *(f"oracle --what {what} --p 2 --q 1 --r 2 --nodes 6"
-      for what in ("symmetric-exact", "brute-symmetric", "brute-random")),
-    "oracle --what group-poly --p 2 --q 1 --r 2",
-    "analytic --strategy symmetric --p 2 --q 1 --r 700 --nodes 2100 --docs 1 "
-    "--method asymptotic",
-    "sweep --config long-name.json --out long-name-out",
-    "selftest --level quick",
-]
+class TestCliSmoke:
+    """The CI install job's commands and API checks (cli_smoke), run
+    in-process against the source tree."""
+
+    @pytest.mark.parametrize("case", CASES, ids=label)
+    def test_case(self, case):
+        assert run_case(case) == []
+
+    @pytest.mark.parametrize("check", API_CHECKS, ids=lambda check: check.__name__)
+    def test_api_check(self, check):
+        assert check() == []
+
+
+_CI_ARGVS = [case.argv for case in CASES]
+_RUNAWAY_SUM = next(argv for argv in _CI_ARGVS if "9223372036854775806" in argv)
 # the TestCliDispatch.ARGVS written otherwise than as plain pairs
 _NOT_PLAIN = ("--meth ", "--strategy=", "--seed -3")
 
