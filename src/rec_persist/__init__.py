@@ -49,6 +49,7 @@ from .simulator import (
     place_random,
     place_symmetric,
     simulate,
+    simulate_many,
     simulate_trials,
 )
 from .specfun import (
@@ -110,6 +111,7 @@ __all__ = [
     "place_symmetric",
     "persistency",
     "simulate",
+    "simulate_many",
     "simulate_trials",
     "SweepSpec",
     "SweepRow",

@@ -11,7 +11,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import analytic, oracle
+import numpy as np
+
+from . import analytic, oracle, simulator
 from .analytic import Method, expect
 from .errors import ParameterError
 from .model import LossSemantics, PlacementStrategy, RecParams, SystemParams
@@ -283,6 +285,29 @@ def _check_simulation_agreement() -> tuple[bool, str]:
     return True, "seeded runs within 3 standard errors"
 
 
+def _check_trial_seeds() -> tuple[bool, str]:
+    # the simulator computes SeedSequence's words and PCG64's seeding
+    # itself, so a numpy that seeds otherwise would change every stream
+    seeds = (0, 2**64 + 5, 2**200 + 3)
+    configs = [
+        SimConfig(
+            strategy=RANDOM,
+            classes=(WorkloadClass(RecParams(1, 0, 1), 1),),
+            nodes=2,
+            trials=3,
+            master_seed=seed,
+        )
+        for seed in seeds
+    ]
+    states = simulator._trial_states(configs)
+    for seed in seeds:
+        for trial in range(3):
+            want = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+            if next(states) != want.bit_generator.state:
+                return False, f"trial {trial} of seed {seed}: numpy's state differs"
+    return True, "9 trial states equal default_rng(SeedSequence([m, t]))'s"
+
+
 def _check_d_invariance() -> tuple[bool, str]:
     rec = RecParams(1, 1, 1)
     lo = expect(SYMMETRIC, rec, SystemParams(96, 48), Method.INTEGRAL).value
@@ -306,6 +331,7 @@ _QUICK = (
     ("brute-random-pinned", _check_brute_random),
     ("pinned-values", _check_pinned_values),
     ("symmetric-d-invariance", _check_d_invariance),
+    ("trial-seeds", _check_trial_seeds),
 )
 CHECKS = {
     "quick": _QUICK,

@@ -12,9 +12,13 @@ runs it on a batch of one, for a placement given as a (D, r, p+q) array of
 node ids, the form place_random and place_symmetric return.
 
 Trials are deterministic functions of (master_seed, trial_index): trial i
-draws from SeedSequence([master_seed, i]), handed over as the uint32
-entropy words numpy makes of that list.  They run serially, in batches.
-simulate_trials returns each trial's X; simulate summarises them.
+draws the stream of default_rng(SeedSequence([master_seed, i])).  One
+reused generator is set to that start through PCG64.state, from the
+SeedSequence words that _seed_words computes in numpy uint32 arithmetic
+for SEED_BLOCK trials at a time (_trial_states), so the stream is numpy's
+own without a SeedSequence object a trial.  They run serially, in batches.
+simulate_trials returns each trial's X; simulate summarises them, and
+simulate_many summarises many configs from one seeding stream.
 The gather reads node ids in (r, p+q, D) layout.  Symmetric trials share
 one index, built directly in that layout by round-robin arithmetic
 (_symmetric_index); random trials draw their ids into one
@@ -57,6 +61,7 @@ __all__ = [
     "persistency",
     "simulate_trials",
     "simulate",
+    "simulate_many",
 ]
 
 # entries (rank rows plus erasure times, int32) one batch of trials holds;
@@ -68,6 +73,9 @@ BUDGET = 1 << 17
 # through them make its peak about three times that); simulate refuses
 # larger runs before allocating, and a trial this large runs alone
 TRIAL_LIMIT = 1 << 26
+# trials whose seed words one numpy pass computes, across configs; the
+# words take 32 bytes a trial
+SEED_BLOCK = 1 << 12
 
 
 def _draw_table(
@@ -295,19 +303,106 @@ def _entropy_words(seed: int) -> list[int]:
     return words
 
 
-def simulate_trials(config: SimConfig) -> np.ndarray:
-    """X of each of config.trials trials, in trial order, as int64.
+# SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
+# 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
-    Trial i draws from the generator seeded by (master_seed, i): first the
-    random placements of the classes in declared order, then the removal
-    permutation.  Symmetric classes share one placement counter, which each
-    advances by all of its documents.  Trials run max(1, BUDGET // entries)
-    at a time, where entries is one trial's rank row plus placement tables
-    (_stored_docs documents a class).  A random class's drawn ids are
-    checked against [0, nodes) once a batch (ParameterError).  Raises
-    SizeLimitError, before allocating, when nodes >= 2^31, or entries or
-    trials exceeds TRIAL_LIMIT.
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^k mod 2^32 for k = 0 .. count, as a uint32 column."""
+    factors = np.array([init] + [mult] * count, np.uint32)
+    return np.multiply.accumulate(factors, dtype=np.uint32)[:, None]
+
+
+def _hashed(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of row i of values with consts i and i+1."""
+    values = values ^ consts[:-1]
+    values *= consts[1:]
+    values ^= values >> 16
+    return values
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words x with hashed words y."""
+    result = _MIX_L * x
+    result -= _MIX_R * y
+    result ^= result >> 16
+    return result
+
+
+def _seed_words(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """SeedSequence(column).generate_state(4, np.uint64) of each column.
+
+    entropy is a (width >= 4, n) uint32 array whose column j holds an
+    entropy of lengths[j] words, zero-padded.  SeedSequence hashes the
+    first 4 words into its pool as if zero-padded to 4, and mixes each
+    later word into all of the pool, with hash constants that depend only
+    on the word's position; so one pass serves every length, a later word
+    applied only where lengths reach it.  Every step is numpy's uint32
+    arithmetic over all n columns at once; returns (4, n) uint64.
     """
+    consts = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
+    pool = _hashed(entropy[:4], consts[:5])
+    at = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mixed(pool[dst], _hashed(pool[src], consts[at : at + 4]))
+        at += 3
+    for src in range(4, len(entropy)):
+        mixed = _mixed(pool, _hashed(entropy[src], consts[at : at + 5]))
+        pool = np.where(src < lengths, mixed, pool)
+        at += 4
+    state = _hashed(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_consts(_INIT_B, _MULT_B, 8))
+    state = state.astype(np.uint64)
+    return state[0::2] | state[1::2] << np.uint64(32)
+
+
+def _trial_states(configs: list[SimConfig]):
+    """The PCG64 state of every trial of configs, config by config in trial
+    order, as the dict its state setter takes.
+
+    Trial t of master seed m gets the state default_rng(SeedSequence([m,
+    t])) starts from: its generate_state(4, np.uint64) words u, with
+    inc = 2*(u2, u3) + 1 and state = ((u0, u1) + inc) * mult + inc mod
+    2^128, PCG64's seeding.  The words of SEED_BLOCK trials at a time,
+    across configs, come from one _seed_words pass.
+    """
+    seeds = [_entropy_words(config.master_seed) for config in configs]
+    lengths = np.array([len(words) for words in seeds])
+    table = np.zeros((max(4, lengths.max() + 1), len(seeds)), np.uint32)
+    for c, words in enumerate(seeds):
+        table[: len(words), c] = words
+    counts = [config.trials for config in configs]
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    for first in range(0, int(ends[-1]), SEED_BLOCK):
+        rows = np.arange(first, min(first + SEED_BLOCK, ends[-1]))
+        owner = np.searchsorted(ends, rows, side="right")
+        # a trial's entropy: its config's words, then the trial index
+        entropy = table[:, owner]
+        entropy[lengths[owner], np.arange(len(rows))] = rows - starts[owner]
+        words = _seed_words(entropy, lengths[owner] + 1)
+        # a column at a time: a block's words as Python ints would take
+        # about 230 bytes a trial
+        for column in words.T:
+            u0, u1, u2, u3 = column.tolist()
+            inc = ((u2 << 64 | u3) << 1 | 1) & _MASK128
+            state = (((u0 << 64 | u1) + inc) * _PCG_MULT + inc) & _MASK128
+            yield {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+
+
+def _guarded_sizes(config: SimConfig) -> tuple[list[int], int]:
+    """_stored_docs(config) and one trial's entries, its rank row plus
+    placement tables, once config passes simulate's size guards."""
     nodes = config.nodes
     stored = _stored_docs(config)
     entries = nodes + sum(
@@ -326,6 +421,13 @@ def simulate_trials(config: SimConfig) -> np.ndarray:
         raise SizeLimitError(
             f"simulate runs at most {TRIAL_LIMIT} trials, got {config.trials}"
         )
+    return stored, entries
+
+
+def _run_trials(config: SimConfig, rng, states) -> np.ndarray:
+    """X of each trial of config, each drawn by rng from the next of states."""
+    nodes = config.nodes
+    stored, entries = _guarded_sizes(config)
     symmetric = config.strategy is PlacementStrategy.SYMMETRIC
     # a symmetric class's gather index, placed once
     indexes, start = [], 0
@@ -335,7 +437,7 @@ def simulate_trials(config: SimConfig) -> np.ndarray:
     drawn = () if symmetric else config.classes
     size = max(1, BUDGET // entries)
     removal = np.arange(1, nodes + 1, dtype=np.int32)
-    words = _entropy_words(config.master_seed)
+    bitgen = rng.bit_generator
     xs = np.empty(config.trials, dtype=np.int64)
     for first in range(0, config.trials, size):
         batch = range(first, min(first + size, config.trials))
@@ -346,18 +448,14 @@ def simulate_trials(config: SimConfig) -> np.ndarray:
             np.empty((len(batch), wc.rec.r, wc.rec.chunks, wc.docs), np.intp)
             for wc in drawn
         ]
-        for row, trial in enumerate(batch):
-            # the words SeedSequence([master_seed, trial]) takes, without
-            # its coercion of a list: the same stream
-            rng = np.random.default_rng(
-                np.random.SeedSequence(np.array([*words, trial], np.uint32))
-            )
+        for row in range(len(batch)):
+            bitgen.state = next(states)
             # indexed, so no loop variable keeps a buffer alive
             for c, wc in enumerate(drawn):
                 buffers[c][row] = _draw_table(
                     wc.rec, nodes, wc.docs, rng
                 ).transpose(1, 2, 0)
-            ranks[row, rng.permutation(nodes)] = removal
+            ranks[row][rng.permutation(nodes)] = removal
         # a rank left at 0 marks a node the permutation missed
         if not ranks.all():
             raise ParameterError("removal order must be a permutation of the nodes")
@@ -379,14 +477,37 @@ def simulate_trials(config: SimConfig) -> np.ndarray:
     return xs
 
 
-def simulate(config: SimConfig) -> SimSummary:
-    """Estimate E[X] over config.trials independent trials.
+def _simulated(configs: list[SimConfig]):
+    """Each config's trial X in turn, once every config passed the guards;
+    one generator, reseeded from one _trial_states stream, draws them all."""
+    for config in configs:
+        _guarded_sizes(config)
+    rng = np.random.Generator(np.random.PCG64(0))
+    states = _trial_states(configs)
+    for config in configs:
+        yield _run_trials(config, rng, states)
 
-    The summary is a pure function of the config: its moments are exact
-    integer sums over simulate_trials(config), which raises ParameterError
-    and SizeLimitError as documented there.
+
+def simulate_trials(config: SimConfig) -> np.ndarray:
+    """X of each of config.trials trials, in trial order, as int64.
+
+    Trial i draws from the generator seeded by SeedSequence([master_seed,
+    i]): first the random placements of the classes in declared order, then
+    the removal permutation.  Symmetric classes share one placement
+    counter, which each advances by all of its documents.  Trials run
+    max(1, BUDGET // entries) at a time, where entries is one trial's rank
+    row plus placement tables (_stored_docs documents a class).  A random
+    class's drawn ids are checked against [0, nodes) once a batch
+    (ParameterError).  Raises SizeLimitError, before allocating, when
+    nodes >= 2^31, or entries or trials exceeds TRIAL_LIMIT.
     """
-    xs = simulate_trials(config).tolist()
+    (xs,) = _simulated([config])
+    return xs
+
+
+def _summary(xs: np.ndarray) -> SimSummary:
+    """The moments of xs, from exact integer sums, and its range."""
+    xs = xs.tolist()
     count = len(xs)
     total = sum(xs)
     total_sq = sum(x * x for x in xs)
@@ -399,3 +520,23 @@ def simulate(config: SimConfig) -> SimSummary:
     return SimSummary(
         mean=mean, std_error=std_error, minimum=min(xs), maximum=max(xs)
     )
+
+
+def simulate_many(configs) -> list[SimSummary]:
+    """simulate of each config, in order, from one seeding stream.
+
+    Every config passes the size guards before any trial runs, and the
+    seed words of all their trials come SEED_BLOCK at a time, so a sweep
+    seeds its points in one pass.  Each summary equals simulate(config).
+    """
+    return [_summary(xs) for xs in _simulated(list(configs))]
+
+
+def simulate(config: SimConfig) -> SimSummary:
+    """Estimate E[X] over config.trials independent trials.
+
+    The summary is a pure function of the config: its moments are exact
+    integer sums over simulate_trials(config), which raises ParameterError
+    and SizeLimitError as documented there.
+    """
+    return simulate_many([config])[0]

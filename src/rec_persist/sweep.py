@@ -26,7 +26,7 @@ from .model import (
     default_semantics,
     require_member,
 )
-from .simulator import SimConfig, WorkloadClass, simulate
+from .simulator import SimConfig, WorkloadClass, simulate_many
 from .svg import PALETTE, Series, render_chart
 
 __all__ = [
@@ -319,7 +319,8 @@ def _theory_cells(
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Simulate every grid point and attach requested theory overlays.
+    """Simulate every grid point, in one simulate_many call, and attach
+    requested theory overlays.
 
     Rows come back sorted by (N, D); rerunning a spec reproduces them
     exactly.
@@ -327,9 +328,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     rec = spec.rec
     points = sorted((n, spec.docs_at(n)) for n in spec.nodes)
     systems = [SystemParams(nodes, docs) for nodes, docs in points]
-    rows = []
-    for (nodes, docs), cells in zip(points, _theory_cells(spec, systems)):
-        config = SimConfig(
+    configs = [
+        SimConfig(
             strategy=spec.strategy,
             classes=(WorkloadClass(rec, docs),),
             nodes=nodes,
@@ -337,24 +337,27 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             master_seed=_point_seed(spec.seed, nodes, docs),
             semantics=spec.semantics,
         )
-        summary = simulate(config)
-        rows.append(
-            SweepRow(
-                strategy=spec.strategy.value,
-                p=rec.p,
-                q=rec.q,
-                r=rec.r,
-                N=nodes,
-                D=docs,
-                trials=config.trials,
-                seed=config.master_seed,
-                mean_empirical=summary.mean,
-                std_error=summary.std_error,
-                semantics=spec.semantics.value,
-                **cells,
-            )
+        for nodes, docs in points
+    ]
+    summaries = simulate_many(configs)
+    cells = _theory_cells(spec, systems)
+    return [
+        SweepRow(
+            strategy=spec.strategy.value,
+            p=rec.p,
+            q=rec.q,
+            r=rec.r,
+            N=system.nodes,
+            D=system.docs,
+            trials=config.trials,
+            seed=config.master_seed,
+            mean_empirical=summary.mean,
+            std_error=summary.std_error,
+            semantics=spec.semantics.value,
+            **point,
         )
-    return rows
+        for system, config, summary, point in zip(systems, configs, summaries, cells)
+    ]
 
 
 def rows_to_csv(rows: list[SweepRow], path: str | Path) -> None:

@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stdout
 from dataclasses import replace
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rec_persist import analytic, oracle, simulator
 from rec_persist.cli import main
@@ -29,6 +33,7 @@ from rec_persist.simulator import (
     place_random,
     place_symmetric,
     simulate,
+    simulate_many,
     simulate_trials,
 )
 
@@ -681,14 +686,50 @@ class TestBatches:
         assert trials.tolist() == xs
         assert simulate(config) == _summary(xs)
 
-    # master seeds of one, two and three 32-bit entropy words, at the edges
-    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5])
+    # master seeds of one, two and three 32-bit entropy words, at the edges,
+    # and of four and seven, whose entropy (with the trial's word) passes
+    # SeedSequence's 4-word pool and is mixed into all of it
+    @pytest.mark.parametrize(
+        "seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 2**96, 2**200 + 3]
+    )
     @pytest.mark.parametrize("name", ["single", "random-late", "random-mixed"])
     def test_seed_words_replay_the_seed_sequence(self, seed, name):
         # simulate seeds trial t from the little-endian words of the master
         # seed and t; _persistency_loop seeds from [master_seed, t] itself
         config = replace(self.CONFIGS[name], master_seed=seed, trials=6)
         assert simulate_trials(config).tolist() == _persistency_loop(config)
+
+    def test_simulate_many_equals_simulate_each(self, monkeypatch):
+        # both strategies, master seeds of one to seven entropy words, and a
+        # seed block of 4 trials, so blocks cross configs and configs cross
+        # blocks, and one block holds entropies of two widths
+        configs = [
+            replace(self.CONFIGS[name], master_seed=seed, trials=trials)
+            for name, seed, trials in (
+                ("single", 5, 3),
+                ("random-late", 2**64 + 5, 6),
+                ("wrapping", 2**200 + 3, 2),
+                ("random-mixed", 2**96, 5),
+                ("over-period", 0, 1),
+                ("random-early-per-cluster", 2**32, 7),
+            )
+        ]
+        monkeypatch.setattr(simulator, "SEED_BLOCK", 4)
+        assert simulate_many(configs) == [simulate(c) for c in configs]
+        assert [simulate_trials(c).tolist() for c in configs] == [
+            _persistency_loop(c) for c in configs
+        ]
+        assert simulate_many([]) == []
+
+    def test_simulate_many_guards_every_config_first(self, monkeypatch):
+        # the last config is too large, so no trial of the first one runs
+        def run(*args):
+            raise AssertionError("a trial ran before every guard")
+
+        monkeypatch.setattr(simulator, "_run_trials", run)
+        big = replace(self.CONFIGS["single"], trials=simulator.TRIAL_LIMIT + 1)
+        with pytest.raises(SizeLimitError, match="at most"):
+            simulate_many([self.CONFIGS["single"], big])
 
     @pytest.mark.parametrize("bad_id", [-1, 48])
     def test_random_batch_checks_node_ids(self, bad_id, monkeypatch):
@@ -701,6 +742,74 @@ class TestBatches:
         monkeypatch.setattr(simulator, "_draw_table", draw)
         with pytest.raises(ParameterError, match=r"entries must lie in \[0, nodes\)"):
             simulate(self.CONFIGS["random-mixed"])
+
+
+# master seeds of one to seven 32-bit words: with the trial's word, entropies
+# of two to eight words, within SeedSequence's 4-word pool and past it
+SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 2**96, 2**200 + 3]
+
+
+def _words_of(seed: int, trials: list[int]) -> np.ndarray:
+    """_seed_words of the entropies [seed's words, trial], zero-padded to at
+    least 4 rows."""
+    words = simulator._entropy_words(seed)
+    entropy = np.zeros((max(4, len(words) + 1), len(trials)), np.uint32)
+    entropy[: len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(words)] = trials
+    return simulator._seed_words(entropy, np.full(len(trials), len(words) + 1))
+
+
+def _seed_sequence_words(seed: int, trial: int) -> list[int]:
+    return np.random.SeedSequence([seed, trial]).generate_state(4, np.uint64).tolist()
+
+
+class TestTrialSeeds:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_are_the_seed_sequence_state(self, seed):
+        block = simulator.SEED_BLOCK
+        trials = [0, 1, block - 1, block, 2 * block - 1, simulator.TRIAL_LIMIT - 1]
+        words = _words_of(seed, trials)
+        assert words.dtype == np.uint64 and words.shape == (4, len(trials))
+        assert words.T.tolist() == [_seed_sequence_words(seed, t) for t in trials]
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(0, 2**256 - 1), st.integers(0, simulator.TRIAL_LIMIT - 1))
+    def test_words_match_for_any_seed(self, seed, trial):
+        words = _words_of(seed, [trial])
+        assert words[:, 0].tolist() == _seed_sequence_words(seed, trial)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_reused_generator_draws_as_default_rng(self, seed, monkeypatch):
+        # blocks of 3 trials across two configs whose seeds may differ in
+        # width; 21 bounded 32-bit draws leave a buffered half in PCG64,
+        # which the next trial's state must clear
+        monkeypatch.setattr(simulator, "SEED_BLOCK", 3)
+        configs = [
+            _config([((2, 1, 2), 8)], 48, trials=4, seed=master)
+            for master in (seed, 2**64 - 1 - seed % 7)
+        ]
+        keys = [(c.master_seed, t) for c in configs for t in range(c.trials)]
+        states = list(simulator._trial_states(configs))
+        assert len(states) == len(keys)
+        rng = np.random.Generator(np.random.PCG64(0))
+        halves = []
+        for (master, trial), state in zip(keys, states):
+            rng.bit_generator.state = state
+            want = np.random.default_rng(np.random.SeedSequence([master, trial]))
+            assert rng.bit_generator.state == want.bit_generator.state
+            draw = dict(size=(7, 1, 3), dtype=np.intp)
+            got = rng.integers(0, 48, **draw)
+            assert got.tolist() == want.integers(0, 48, **draw).tolist()
+            assert rng.permutation(48).tolist() == want.permutation(48).tolist()
+            halves.append(rng.bit_generator.state["has_uint32"])
+        assert 1 in halves
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        code = "import sys, rec_persist.cli; print('numpy.random' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.stdout == "False\n", proc.stderr
 
 
 KS_BOUND = 1.949  # 0.999 quantile of the Kolmogorov law; conservative when discrete

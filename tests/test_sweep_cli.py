@@ -1263,6 +1263,7 @@ class TestCliSelftest:
             "survival-curve-sum", "additive-error-bounds",
             "symmetric-exact-vs-integral", "brute-vs-polynomial",
             "brute-random-pinned", "pinned-values", "symmetric-d-invariance",
+            "trial-seeds",
         ]
         assert [res.name for res in run_selftest("quick")] == names
         assert [res.name for res in run_selftest("full")] == names + [
