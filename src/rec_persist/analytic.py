@@ -94,6 +94,16 @@ EXACT_METHOD = {
     PlacementStrategy.SYMMETRIC: Method.INTEGRAL,
 }
 
+# the largest (N, D) each route takes: the sum indexes N + 1 terms by
+# np.intp, the others scale by a float N, and all but the asymptotic raise
+# phi to a float D; symmetric placement raises phi to N/g and reads no D
+_ROUTE_LIMITS = {
+    Method.EXACT_SUM: (np.iinfo(np.intp).max - 1, sys.float_info.max),
+    Method.INTEGRAL: (sys.float_info.max, sys.float_info.max),
+    Method.BETA_EXACT: (sys.float_info.max, sys.float_info.max),
+    Method.ASYMPTOTIC: (sys.float_info.max, math.inf),
+}
+
 
 @dataclass(frozen=True)
 class AnalyticResult:
@@ -171,7 +181,7 @@ def _survival_random_terms(
     l: np.ndarray, rec: RecParams, system: SystemParams, semantics: LossSemantics
 ) -> np.ndarray:
     """Pr[X > l] = phi(l/N)^D under random placement, over an array of l."""
-    return np.exp(_float_docs(system) * _log_survival(l / system.nodes, rec, semantics))
+    return np.exp(float(system.docs) * _log_survival(l / system.nodes, rec, semantics))
 
 
 def _survival_head_hint(
@@ -234,7 +244,7 @@ def _survival_random_blocks(
     predicted head passes _HEAD_LIMIT terms, and before any block that
     would take the terms yielded past it.
     """
-    end = _curve_length(system)
+    end = system.nodes + 1
     hint = _survival_head_hint(rec, system, semantics)
     _require_head(min(hint, end), "sum's predicted head")
     start, stop = 0, min(_SURVIVAL_BLOCK, hint)
@@ -325,6 +335,36 @@ def _settled_sum(blocks, rest: float) -> float | None:
     return total
 
 
+def _require_records(caller: str, rec: RecParams, systems) -> None:
+    """ParameterError unless rec is a RecParams and systems SystemParams."""
+    if not isinstance(rec, RecParams):
+        raise ParameterError(f"{caller} needs a RecParams, got {rec!r}")
+    for system in systems:
+        if not isinstance(system, SystemParams):
+            raise ParameterError(f"{caller} needs a SystemParams, got {system!r}")
+
+
+def _require_range(strategy: PlacementStrategy, method: Method, system) -> None:
+    """ParameterError naming the route if system is past its _ROUTE_LIMITS."""
+    largest_nodes, largest_docs = _ROUTE_LIMITS[method]
+    if system.nodes > largest_nodes:
+        name, value, limit = "nodes", system.nodes, largest_nodes
+    elif system.docs > largest_docs and strategy is PlacementStrategy.RANDOM:
+        name, value, limit = "docs", system.docs, largest_docs
+    else:
+        return
+    shown = f"{limit:.6g}" if isinstance(limit, float) else limit
+    raise ParameterError(f"{name} must be at most {shown} for the {method.value} "
+                         f"route, got about 1e{math.log10(value):.0f}")
+
+
+def _random_semantics(caller: str, rec, system, semantics) -> LossSemantics:
+    """Random placement's loss rule, once rec and system pass the sum's checks."""
+    _require_records(caller, rec, [system])
+    _require_range(PlacementStrategy.RANDOM, Method.EXACT_SUM, system)
+    return default_semantics(PlacementStrategy.RANDOM, semantics)
+
+
 def survival_random(
     l: int, rec: RecParams, system: SystemParams,
     semantics: LossSemantics | None = None,
@@ -334,11 +374,10 @@ def survival_random(
     semantics None, here and in the other random functions, is random
     placement's default_semantics (multiset).
     """
-    semantics = default_semantics(PlacementStrategy.RANDOM, semantics)
+    semantics = _random_semantics("survival_random", rec, system, semantics)
     l = require_int(l, "l", 0)
     if l > system.nodes:
         raise ParameterError(f"l must lie in [0, nodes], got {l}")
-    _curve_length(system)
     return float(_survival_random_terms(np.array([l]), rec, system, semantics)[0])
 
 
@@ -350,8 +389,8 @@ def survival_curve_random(
     Its math.fsum is the exact E[X].  Raises SizeLimitError when the N + 1
     terms pass _HEAD_LIMIT.
     """
-    semantics = default_semantics(PlacementStrategy.RANDOM, semantics)
-    _require_head(_curve_length(system), "curve")
+    semantics = _random_semantics("survival_curve_random", rec, system, semantics)
+    _require_head(system.nodes + 1, "curve")
     blocks = _survival_random_blocks(rec, system, semantics)
     head = tuple(chain.from_iterable(b.tolist() for b in blocks))
     return head + (0.0,) * (system.nodes + 1 - len(head))
@@ -381,7 +420,7 @@ def expect_random_sum(
     bound (a few stops in a thousand), or the head has fewer than
     _FSUM_HEAD terms, do two math.fsum passes decide.
     """
-    semantics = default_semantics(PlacementStrategy.RANDOM, semantics)
+    semantics = _random_semantics("expect_random_sum", rec, system, semantics)
     kept = []
     count = 0
     running = 0.0
@@ -520,48 +559,12 @@ def _survival_integrals(base_log, rules) -> list:
     return results
 
 
-def _float_docs(system: SystemParams) -> float:
-    """D as a float, which the random sum, integral and Beta routes raise
-    phi to; ParameterError past the float range."""
-    _at_most("docs", system.docs, sys.float_info.max,
-             "sum, integral and beta-exact routes",
-             "; the asymptotic route takes any docs")
-    return float(system.docs)
-
-
-def _float_nodes(system: SystemParams) -> None:
-    """ParameterError unless N, which the integral, Beta and asymptotic
-    routes scale by, lies in the float range."""
-    _at_most("nodes", system.nodes, sys.float_info.max,
-             "integral, asymptotic and beta-exact routes")
-
-
-def _curve_length(system: SystemParams) -> int:
-    """N + 1, the number of survival terms; ParameterError unless it fits
-    np.intp, which indexes them."""
-    _at_most("nodes", system.nodes, np.iinfo(np.intp).max - 1,
-             "sum route and the survival curves")
-    return system.nodes + 1
-
-
-def _at_most(name: str, value: int, limit, routes: str, note: str = "") -> None:
-    """ParameterError naming the parameter and its limit if value is past it."""
-    if value > limit:
-        shown = f"{limit:.6g}" if isinstance(limit, float) else limit
-        raise ParameterError(
-            f"{name} must be at most {shown} for the {routes}, got about "
-            f"1e{math.log10(value):.0f}{note}"
-        )
-
-
 def _scale(
     strategy: PlacementStrategy, rec: RecParams, system: SystemParams
 ) -> tuple[int, int, float]:
     """(prefactor, power, bound): E[X] = prefactor * integral_0^1 phi^power,
     to within the additive bound."""
-    _float_nodes(system)
     if strategy is PlacementStrategy.RANDOM:
-        _float_docs(system)
         return system.nodes, system.docs, 1.0
     require_symmetric_preconditions(rec, system)
     return system.nodes + 1, system.nodes // rec.fragments, 0.0
@@ -578,6 +581,7 @@ def _expect_integrals(
     results, todo = [], []
     for system in systems:
         try:
+            _require_range(strategy, Method.INTEGRAL, system)
             todo.append((len(results), *_scale(strategy, rec, system)))
             results.append(None)
         except ParameterError as exc:
@@ -605,7 +609,6 @@ def _expect_asymptotic(
 ) -> AnalyticResult:
     # power is taken as a real N/g without the symmetric preconditions, so
     # the leading term is defined at every N
-    _float_nodes(system)
     s, kappa = _tail(rec, semantics)
     if strategy is PlacementStrategy.RANDOM:
         power = system.docs
@@ -646,11 +649,7 @@ def _checked_semantics(
             f"expect needs a PlacementStrategy and a Method, "
             f"got {strategy!r} and {method!r}"
         )
-    if not isinstance(rec, RecParams):
-        raise ParameterError(f"expect needs a RecParams, got {rec!r}")
-    for system in systems:
-        if not isinstance(system, SystemParams):
-            raise ParameterError(f"expect needs a SystemParams, got {system!r}")
+    _require_records("expect", rec, systems)
     if semantics is not None and not isinstance(semantics, LossSemantics):
         raise ParameterError(f"expect needs a LossSemantics, got {semantics!r}")
     if not MIN_QUADRATURE_TOL <= tol < 1.0:  # also rejects nan
@@ -672,18 +671,20 @@ def expect(
 
     semantics None takes the strategy's default_semantics.  tol must lie
     in [MIN_QUADRATURE_TOL, 1) whatever the method, though only the
-    integral route reads it.  beta-exact requires p = 1, and sum exists
-    for random placement only.  Routes are
-    called by their module names, so wrapping one of them (as a tracer
-    does) is seen here.
+    integral route reads it.  beta-exact requires p = 1, sum exists for
+    random placement only, and N and D must lie within _ROUTE_LIMITS.
+    Routes are called by their module names, so wrapping one of them (as
+    a tracer does) is seen here.
     """
     semantics = _checked_semantics(strategy, rec, [system], method, semantics, tol)
+    if method is Method.EXACT_SUM and strategy is not PlacementStrategy.RANDOM:
+        raise ParameterError(f"{strategy.value} placement has no {method.value} route")
+    if method is Method.BETA_EXACT and rec.p != 1:
+        raise ParameterError(f"{strategy.value} beta-exact requires p = 1, "
+                             f"got p = {rec.p}")
+    _require_range(strategy, method, system)
     match method:
-        case Method.BETA_EXACT if rec.p != 1:
-            raise ParameterError(
-                f"{strategy.value} beta-exact requires p = 1, got p = {rec.p}"
-            )
-        case Method.EXACT_SUM if strategy is PlacementStrategy.RANDOM:
+        case Method.EXACT_SUM:
             return expect_random_sum(rec, system, semantics)
         case Method.INTEGRAL:
             (result,) = _expect_integrals(strategy, rec, [system], semantics, tol)
@@ -694,7 +695,6 @@ def expect(
             return _expect_asymptotic(strategy, rec, system, semantics)
         case Method.BETA_EXACT:
             return _expect_beta_exact(strategy, rec, system, semantics)
-    raise ParameterError(f"{strategy.value} placement has no {method.value} route")
 
 
 def expect_many(
@@ -734,10 +734,9 @@ def max_over_p_check(q: int, r: int, system: SystemParams, p_max: int) -> bool:
     """True iff E[X] is nonincreasing in p over 1..p_max at fixed q, r.
 
     Scans the exact route of each strategy (EXACT_METHOD); every p must
-    satisfy the symmetric preconditions.
+    satisfy the symmetric preconditions.  RecParams reads q and r.
     """
-    if p_max < 1:
-        raise ParameterError(f"p_max must be >= 1, got {p_max}")
+    p_max = require_int(p_max, "p_max", 1)
     for strategy, method in EXACT_METHOD.items():
         values = [
             expect(strategy, RecParams(p, q, r), system, method).value

@@ -478,9 +478,12 @@ def _run_trials(config: SimConfig, rng, states) -> np.ndarray:
 
 
 def _simulated(configs: list[SimConfig]):
-    """Each config's trial X in turn, once every config passed the guards;
-    one generator, reseeded from one _trial_states stream, draws them all."""
+    """Each config's trial X in turn, once every config is a SimConfig
+    (else ParameterError) that passed the guards; one generator, reseeded
+    from one _trial_states stream, draws them all."""
     for config in configs:
+        if not isinstance(config, SimConfig):
+            raise ParameterError(f"simulate needs a SimConfig, got {config!r}")
         _guarded_sizes(config)
     rng = np.random.Generator(np.random.PCG64(0))
     states = _trial_states(configs)

@@ -323,8 +323,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     requested theory overlays.
 
     Rows come back sorted by (N, D); rerunning a spec reproduces them
-    exactly.
+    exactly.  A spec that is no SweepSpec raises ParameterError.
     """
+    if not isinstance(spec, SweepSpec):
+        raise ParameterError(f"run_sweep needs a SweepSpec, got {spec!r}")
     rec = spec.rec
     points = sorted((n, spec.docs_at(n)) for n in spec.nodes)
     systems = [SystemParams(nodes, docs) for nodes, docs in points]

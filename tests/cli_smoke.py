@@ -102,9 +102,13 @@ CASES = (
     # a master seed of three 32-bit entropy words
     Case("simulate --strategy random --p 2 --q 1 --r 2 --nodes 48 --docs 5 "
          "--trials 20 --seed 18446744073709551616"),
-    # D past the float range exits 2, a parameter error
+    # D past the float range exits 2, a parameter error, on the sum and
+    # integral routes; the asymptotic takes any D
+    *(Case("analytic --strategy random --p 1 --q 0 --r 2 --nodes 1000 "
+           f"--method {method} --docs 1" + "0" * 400, code=2)
+      for method in ("sum", "integral")),
     Case("analytic --strategy random --p 1 --q 0 --r 2 --nodes 1000 "
-         "--method sum --docs 1" + "0" * 400, code=2),
+         "--method asymptotic --docs 1" + "0" * 400, after=(_prints("RESULT "),)),
     # N past the float range, and N + 1 past np.intp for the sum, exit 2
     Case("analytic --strategy symmetric --p 1 --q 0 --r 2 --docs 1 "
          "--method integral --nodes 1" + "0" * 400, code=2),

@@ -740,6 +740,34 @@ class TestDispatch:
             SYMMETRIC, rec, iter([system, SystemParams(49, 8)]), Method.INTEGRAL
         )[1:] == [None]
 
+    # each public analytic function, called with a rec and a system; q
+    # stands in for max_over_p_check's rec
+    PUBLIC = {
+        "expect": lambda rec, system: analytic.expect(
+            RANDOM, rec, system, Method.INTEGRAL),
+        "expect_many": lambda rec, system: analytic.expect_many(
+            RANDOM, rec, [system], Method.INTEGRAL),
+        "expect_random_sum": analytic.expect_random_sum,
+        "survival_random": lambda rec, system: analytic.survival_random(
+            1, rec, system),
+        "survival_curve_random": analytic.survival_curve_random,
+        "max_over_p_check": lambda rec, system: analytic.max_over_p_check(
+            rec.q if isinstance(rec, RecParams) else rec, 1, system, 2),
+    }
+
+    @pytest.mark.parametrize("name", PUBLIC)
+    @pytest.mark.parametrize("wrong", ["rec", "system"])
+    def test_wrong_record_type_raises_parameter_error(self, name, wrong):
+        call = self.PUBLIC[name]
+        rec, system = RecParams(1, 0, 1), SystemParams(12, 12)
+        assert call(rec, system) is not None
+        if wrong == "rec":
+            rec = (1, 0, 1)
+        else:
+            system = (12, 12)
+        with pytest.raises(ParameterError):
+            call(rec, system)
+
     def test_exact_method_is_exact(self):
         rec = RecParams(1, 0, 2)
         system = SystemParams(4, 2)
@@ -795,6 +823,20 @@ class TestFloatRange:
         ) + ".*1e400"):
             analytic.expect(strategy, RecParams(1, 0, 2),
                             SystemParams(nodes, nodes), method)
+
+    @pytest.mark.parametrize("strategy, method", ROUTES)
+    def test_docs_past_range_name_the_route(self, strategy, method):
+        # random placement raises phi to D, which the asymptotic takes in
+        # logarithms; symmetric placement raises it to N/g and reads no D
+        call = lambda: analytic.expect(strategy, RecParams(1, 0, 2), self.HUGE, method)
+        if strategy is RANDOM and method is not Method.ASYMPTOTIC:
+            with pytest.raises(ParameterError, match=re.escape(
+                f"docs must be at most 1.79769e+308 for the {method.value} route, "
+                "got about 1e400"
+            )):
+                call()
+        else:
+            assert 0.0 < call().value < math.inf
 
     @pytest.mark.parametrize("strategy, method", ROUTES)
     def test_largest_nodes_still_run(self, strategy, method):
@@ -1151,3 +1193,5 @@ class TestMaxOverP:
     def test_p_max_validation(self):
         with pytest.raises(ParameterError):
             analytic.max_over_p_check(0, 1, SystemParams(12, 12), p_max=0)
+        with pytest.raises(ParameterError, match="p_max must be an integer"):
+            analytic.max_over_p_check(1, 1, SystemParams(12, 12), p_max=2.5)

@@ -639,6 +639,16 @@ def _config(classes, nodes, trials=10, seed=3, semantics=None, strategy="symmetr
     )
 
 
+class TestEntryTypes:
+    @pytest.mark.parametrize("call", [
+        simulate, simulate_trials,
+        lambda config: simulate_many([_config([((1, 0, 1), 1)], 4), config]),
+    ], ids=["simulate", "simulate_trials", "simulate_many"])
+    def test_non_config_raises_parameter_error(self, call):
+        with pytest.raises(ParameterError, match="simulate needs a SimConfig"):
+            call(("random", 48, 20))
+
+
 class TestBatches:
     CONFIGS = {
         "single": _config([((2, 1, 2), 8)], 48),

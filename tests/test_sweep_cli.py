@@ -202,6 +202,10 @@ class TestLoadConfig:
 
 
 class TestRunSweep:
+    def test_non_spec_raises_parameter_error(self):
+        with pytest.raises(ParameterError, match="run_sweep needs a SweepSpec"):
+            sweep.run_sweep({"name": "fig7"})
+
     def test_rows_sorted_and_reproducible(self):
         spec = small_spec()
         rows = sweep.run_sweep(spec)
