@@ -10,12 +10,13 @@ import math
 
 from rec_persist import (
     Method,
+    ParameterError,
     PlacementStrategy,
     RecParams,
     SystemParams,
     expect,
     expect_random_sum,
-    validate_symmetric_preconditions,
+    symmetric_power,
 )
 
 SYMMETRIC = PlacementStrategy.SYMMETRIC
@@ -29,7 +30,7 @@ print(f"{'N':>6} {'D':>6} {'random':>12} {'symmetric':>12} {'ratio':>8}")
 for nodes in (16, 64, 256, 1024):
     docs = nodes // rec.fragments
     system = SystemParams(nodes, docs)
-    assert validate_symmetric_preconditions(rec, system) is None
+    assert symmetric_power(rec, system) == docs
     random_value = expect_random_sum(rec, system).value
     symmetric_value = expect(SYMMETRIC, rec, system, Method.INTEGRAL).value
     print(f"{nodes:>6} {docs:>6} {random_value:>12.3f} "
@@ -58,5 +59,9 @@ for nodes in (1024, 4096):
           f"{math.gamma(1.5) * math.sqrt(2 * nodes):.2f}")
 
 print()
-violation = validate_symmetric_preconditions(rec, SystemParams(17, 17))
-print(f"N = 17 breaks the symmetric layout: {violation}")
+light = expect(SYMMETRIC, rec, SystemParams(17, 8), Method.INTEGRAL).value
+print(f"N = 17, D = 8: no document wraps, so the theory holds: {light:.3f}")
+try:
+    symmetric_power(rec, SystemParams(17, 17))
+except ParameterError as exc:
+    print(f"N = 17, D = 17 has no symmetric theory: {exc}")

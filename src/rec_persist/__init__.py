@@ -30,7 +30,7 @@ from .model import (
     SystemParams,
     default_semantics,
     is_document_lost,
-    validate_symmetric_preconditions,
+    symmetric_power,
 )
 from .oracle import (
     brute_force_random,
@@ -82,7 +82,7 @@ __all__ = [
     "LossSemantics",
     "default_semantics",
     "is_document_lost",
-    "validate_symmetric_preconditions",
+    "symmetric_power",
     "beta",
     "beta_real",
     "reg_inc_beta",

@@ -17,10 +17,11 @@ model.loss_thresholds.  The strategy sets the scale
 (prefactor, power, bound) in E[X] = prefactor * integral_0^1 phi^power dx:
 random placement (fragments on i.i.d. uniform nodes) has Pr[X > l] =
 phi(l/N)^D, so (N, D, 1) with an additive bound of 1 against the exact
-survival sum; symmetric (round-robin) placement, when g = (p+q)*r divides
-N and every group of g consecutive nodes carries documents, is exactly
-(N+1, N/g, 0), whatever D.  The asymptotic form is
-Gamma(1+1/s) N (kappa power)^(-1/s), and at p = 1, where phi = 1 - x^s
+survival sum; symmetric (round-robin) placement is exactly
+(N+1, min(D, N/g), 0), g = (p+q)*r, wherever model.symmetric_power finds
+an exact power: no document wraps (D*g <= N) or g divides N.  The
+asymptotic form is Gamma(1+1/s) N (kappa power)^(-1/s), with the real
+min(D, N/g) at every symmetric cell, and at p = 1, where phi = 1 - x^s
 under both rules, the integral is prefactor/s * Beta(power+1, 1/s).
 
 Quadrature runs in t = -ln x, where the survival function's drop near
@@ -47,7 +48,9 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ParameterError, QuadratureError, SizeLimitError, require_int
+from .errors import (
+    ParameterError, QuadratureError, SizeLimitError, require_int, require_list,
+)
 from .model import (
     LossSemantics,
     PlacementStrategy,
@@ -55,7 +58,7 @@ from .model import (
     SystemParams,
     default_semantics,
     loss_thresholds,
-    require_symmetric_preconditions,
+    symmetric_power,
 )
 from .specfun import beta_real, log_reg_inc_beta_complement
 
@@ -96,7 +99,7 @@ EXACT_METHOD = {
 
 # the largest (N, D) each route takes: the sum indexes N + 1 terms by
 # np.intp, the others scale by a float N, and all but the asymptotic raise
-# phi to a float D; symmetric placement raises phi to N/g and reads no D
+# phi to a float D; symmetric placement raises phi to min(D, N/g) <= N
 _ROUTE_LIMITS = {
     Method.EXACT_SUM: (np.iinfo(np.intp).max - 1, sys.float_info.max),
     Method.INTEGRAL: (sys.float_info.max, sys.float_info.max),
@@ -367,12 +370,12 @@ def _random_semantics(caller: str, rec, system, semantics) -> LossSemantics:
 
 def survival_random(
     l: int, rec: RecParams, system: SystemParams,
-    semantics: LossSemantics | None = None,
+    semantics: LossSemantics | str | None = None,
 ) -> float:
     """Pr[X > l] under random placement.
 
-    semantics None, here and in the other random functions, is random
-    placement's default_semantics (multiset).
+    semantics, here and in the other random functions, is settled by
+    default_semantics: a LossSemantics, its name, or None for multiset.
     """
     semantics = _random_semantics("survival_random", rec, system, semantics)
     l = require_int(l, "l", 0)
@@ -382,7 +385,7 @@ def survival_random(
 
 
 def survival_curve_random(
-    rec: RecParams, system: SystemParams, semantics: LossSemantics | None = None
+    rec: RecParams, system: SystemParams, semantics: LossSemantics | str | None = None
 ) -> tuple[float, ...]:
     """Pr[X > l] for l = 0 .. N under random placement, nonincreasing from 1.
 
@@ -397,7 +400,7 @@ def survival_curve_random(
 
 
 def expect_random_sum(
-    rec: RecParams, system: SystemParams, semantics: LossSemantics | None = None
+    rec: RecParams, system: SystemParams, semantics: LossSemantics | str | None = None
 ) -> AnalyticResult:
     """E[X] under random placement as the N+1 term survival sum.
 
@@ -560,14 +563,13 @@ def _survival_integrals(base_log, rules) -> list:
 
 
 def _scale(
-    strategy: PlacementStrategy, rec: RecParams, system: SystemParams
-) -> tuple[int, int, float]:
+    strategy: PlacementStrategy, rec: RecParams, system: SystemParams, exact=True
+) -> tuple[int, int | float, float]:
     """(prefactor, power, bound): E[X] = prefactor * integral_0^1 phi^power,
-    to within the additive bound."""
+    to within the additive bound; exact False passes on to symmetric_power."""
     if strategy is PlacementStrategy.RANDOM:
         return system.nodes, system.docs, 1.0
-    require_symmetric_preconditions(rec, system)
-    return system.nodes + 1, system.nodes // rec.fragments, 0.0
+    return system.nodes + 1, symmetric_power(rec, system, exact=exact), 0.0
 
 
 def _expect_integrals(
@@ -607,13 +609,8 @@ def _expect_asymptotic(
     strategy: PlacementStrategy, rec: RecParams, system: SystemParams,
     semantics: LossSemantics,
 ) -> AnalyticResult:
-    # power is taken as a real N/g without the symmetric preconditions, so
-    # the leading term is defined at every N
     s, kappa = _tail(rec, semantics)
-    if strategy is PlacementStrategy.RANDOM:
-        power = system.docs
-    else:
-        power = system.nodes / rec.fragments
+    _, power, _ = _scale(strategy, rec, system, exact=False)
     try:
         scale = (kappa * power) ** (-1.0 / s)
     except OverflowError:
@@ -639,19 +636,17 @@ def _expect_beta_exact(
 
 def _checked_semantics(
     strategy: PlacementStrategy, rec: RecParams, systems, method: Method,
-    semantics: LossSemantics | None, tol: float,
+    semantics: LossSemantics | str | None, tol: float,
 ) -> LossSemantics:
-    """The loss rule expect runs, after checking the arguments every
-    system shares and the type of each system: ParameterError for a wrong
-    type or a tol outside [MIN_QUADRATURE_TOL, 1)."""
+    """The loss rule expect runs (default_semantics), after checking the
+    arguments every system shares and the type of each system:
+    ParameterError for a wrong type or a tol outside [MIN_QUADRATURE_TOL, 1)."""
     if not isinstance(strategy, PlacementStrategy) or not isinstance(method, Method):
         raise ParameterError(
             f"expect needs a PlacementStrategy and a Method, "
             f"got {strategy!r} and {method!r}"
         )
     _require_records("expect", rec, systems)
-    if semantics is not None and not isinstance(semantics, LossSemantics):
-        raise ParameterError(f"expect needs a LossSemantics, got {semantics!r}")
     if not MIN_QUADRATURE_TOL <= tol < 1.0:  # also rejects nan
         raise ParameterError(
             f"tol must lie in [{MIN_QUADRATURE_TOL:g}, 1), got {tol!r}"
@@ -665,16 +660,16 @@ def expect(
     system: SystemParams,
     method: Method,
     tol: float = DEFAULT_QUADRATURE_TOL,
-    semantics: LossSemantics | None = None,
+    semantics: LossSemantics | str | None = None,
 ) -> AnalyticResult:
     """E[X] for one strategy and loss rule by one method; the one route table.
 
-    semantics None takes the strategy's default_semantics.  tol must lie
-    in [MIN_QUADRATURE_TOL, 1) whatever the method, though only the
-    integral route reads it.  beta-exact requires p = 1, sum exists for
-    random placement only, and N and D must lie within _ROUTE_LIMITS.
-    Routes are called by their module names, so wrapping one of them (as
-    a tracer does) is seen here.
+    semantics, a LossSemantics, its name or None, is settled by
+    default_semantics.  tol must lie in [MIN_QUADRATURE_TOL, 1) whatever
+    the method, though only the integral route reads it.  beta-exact
+    requires p = 1, sum exists for random placement only, and N and D
+    must lie within _ROUTE_LIMITS.  Routes are called by their module
+    names, so wrapping one of them (as a tracer does) is seen here.
     """
     semantics = _checked_semantics(strategy, rec, [system], method, semantics, tol)
     if method is Method.EXACT_SUM and strategy is not PlacementStrategy.RANDOM:
@@ -703,7 +698,7 @@ def expect_many(
     systems,
     method: Method,
     tol: float = DEFAULT_QUADRATURE_TOL,
-    semantics: LossSemantics | None = None,
+    semantics: LossSemantics | str | None = None,
 ) -> list[AnalyticResult | None]:
     """expect at each of systems, in order; None where it raises
     ParameterError or QuadratureError for that system.
@@ -714,7 +709,7 @@ def expect_many(
     a round, and each comes out bit for bit as expect gives it alone; the
     other routes call expect at each system.
     """
-    systems = list(systems)
+    systems = require_list(systems, "systems")
     semantics = _checked_semantics(strategy, rec, systems, method, semantics, tol)
     if method is Method.INTEGRAL:
         return [
@@ -733,8 +728,8 @@ def expect_many(
 def max_over_p_check(q: int, r: int, system: SystemParams, p_max: int) -> bool:
     """True iff E[X] is nonincreasing in p over 1..p_max at fixed q, r.
 
-    Scans the exact route of each strategy (EXACT_METHOD); every p must
-    satisfy the symmetric preconditions.  RecParams reads q and r.
+    Scans the exact route of each strategy (EXACT_METHOD); every p's
+    symmetric cell needs symmetric_power's exact power.  RecParams reads q and r.
     """
     p_max = require_int(p_max, "p_max", 1)
     for strategy, method in EXACT_METHOD.items():

@@ -1,4 +1,4 @@
-"""Exceptions shared across the library, and the integer argument check."""
+"""Exceptions shared across the library, and the integer and list argument checks."""
 
 import operator
 
@@ -34,3 +34,11 @@ def require_int(value, name: str, minimum: int) -> int:
     if value < minimum:
         raise ParameterError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def require_list(values, name: str) -> list:
+    """values as a list, or ParameterError if it is not iterable (a lone record)."""
+    try:
+        return list(values)
+    except TypeError:
+        raise ParameterError(f"{name} must be an iterable, got {values!r}") from None

@@ -43,8 +43,7 @@ __all__ = [
     "loss_thresholds",
     "by_unit",
     "is_document_lost",
-    "validate_symmetric_preconditions",
-    "require_symmetric_preconditions",
+    "symmetric_power",
     "symmetric_period_docs",
 ]
 
@@ -147,32 +146,25 @@ class SystemParams:
         object.__setattr__(self, "docs", require_int(self.docs, "docs", 1))
 
 
-def validate_symmetric_preconditions(
-    rec: RecParams, system: SystemParams
-) -> str | None:
-    """The first failed symmetric-theory precondition, or None when they hold.
+def symmetric_power(rec: RecParams, system: SystemParams, *, exact: bool = True):
+    """min(D, N/g), g = (p+q)*r: the power in symmetric placement's exact
+    E[X] = (N+1) integral_0^1 phi^power dx, decided here for every caller.
 
-    The closed-form symmetric results need (p+q)*r to divide N and enough
-    documents to occupy every group of (p+q)*r consecutive nodes, i.e.
-    D >= N / ((p+q)*r).  The message starts with the condition's name,
-    "divisibility" or "document-count".
+    Document k sits on nodes k*g .. k*g+g-1 (mod N).  While D*g <= N none
+    wraps, so the D documents sit on disjoint nodes and survive i.i.d.
+    erasures independently; when g divides N they repeat the N/g disjoint
+    groups.  Elsewhere there is no exact theory: ParameterError, or with
+    exact False the real min(D, N/g) that the asymptotic form takes.
     """
     g = rec.fragments
-    if system.nodes % g != 0:
-        return f"divisibility: (p+q)*r = {g} does not divide nodes = {system.nodes}"
     if system.docs * g < system.nodes:
-        return (
-            f"document-count: docs = {system.docs} is below "
-            f"nodes/((p+q)*r) = {system.nodes // g}"
-        )
-    return None
-
-
-def require_symmetric_preconditions(rec: RecParams, system: SystemParams) -> None:
-    """ParameterError naming the failed symmetric precondition, if one fails."""
-    violation = validate_symmetric_preconditions(rec, system)
-    if violation is not None:
-        raise ParameterError(f"symmetric preconditions failed, {violation}")
+        return system.docs
+    if not exact:
+        return system.nodes / g
+    if system.nodes % g:
+        raise ParameterError(f"symmetric placement wraps: docs*(p+q)*r > nodes = "
+                             f"{system.nodes}, and (p+q)*r = {g} does not divide it")
+    return system.nodes // g
 
 
 def symmetric_period_docs(rec: RecParams, nodes: int, docs: int) -> int:

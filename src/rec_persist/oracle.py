@@ -20,8 +20,8 @@ from .model import (
     SystemParams,
     by_unit,
     loss_thresholds,
-    require_symmetric_preconditions,
     symmetric_period_docs,
+    symmetric_power,
 )
 from .simulator import place_symmetric
 
@@ -90,17 +90,14 @@ def group_polynomial(rec: RecParams, semantics: LossSemantics) -> tuple[int, ...
     return tuple(math.comb(rec.fragments, t) - d for t, d in enumerate(dead))
 
 
-def symmetric_survival_l_max(rec: RecParams, nodes: int) -> int:
-    """The last l at which the symmetric Pr[X > l] can be nonzero.
+def symmetric_survival_l_max(rec: RecParams, system: SystemParams) -> int:
+    """N - k*p + 1, k = symmetric_power(rec, system): Pr[X > l] = 0 from here on.
 
-    Pr[X > l] = 0 once l >= N*((r-1)(p+q)+q)/((p+q)r) + 1: a surviving group
-    keeps at least p fragments, one per multiset it can still decode from,
-    and (r-1)(p+q)+q = (p+q)r - p erasures per group is attainable.
+    A surviving group keeps at least p fragments, one per multiset it can
+    still decode from, so at most k(g-p) nodes of the k groups and the
+    N - k*g others can be erased with every document alive.
     """
-    g = rec.fragments
-    if nodes % g != 0:
-        raise ParameterError(f"(p+q)*r = {g} does not divide nodes = {nodes}")
-    return nodes * (g - rec.p) // g + 1
+    return system.nodes - symmetric_power(rec, system) * rec.p + 1
 
 
 def exact_symmetric_survival(
@@ -108,19 +105,21 @@ def exact_symmetric_survival(
 ) -> tuple[Fraction, ...]:
     """Exact Pr[X > l], l = 0 .. l_max, under symmetric placement.
 
-    Pr[X > l] = [z^l] G(z)^(N/(p+q)r) / C(N, l) with G the group survival
-    polynomial.  The curve ends at the support bound
-    l_max = symmetric_survival_l_max(rec, N); every later coefficient is
-    zero.
+    Pr[X > l] = [z^l] G(z)^k (1+z)^(N-k*g) / C(N, l): the documents occupy
+    k = symmetric_power(rec, system) disjoint groups of g = (p+q)*r nodes,
+    each counted by the group survival polynomial G, and the N - k*g other
+    nodes are free.  The curve ends at l_max = symmetric_survival_l_max(rec,
+    system); every later coefficient is zero.
     """
-    require_symmetric_preconditions(rec, system)
+    power = symmetric_power(rec, system)
     if system.nodes > _SYMMETRIC_NODE_LIMIT:
         raise SizeLimitError(
             f"exact symmetric expectation is guarded at nodes <= "
             f"{_SYMMETRIC_NODE_LIMIT}, got {system.nodes}"
         )
-    counts = _poly_pow(group_polynomial(rec, semantics), system.nodes // rec.fragments)
-    l_max = symmetric_survival_l_max(rec, system.nodes)
+    counts = _poly_mul(_poly_pow(group_polynomial(rec, semantics), power),
+                       _poly_pow((1, 1), system.nodes - power * rec.fragments))
+    l_max = symmetric_survival_l_max(rec, system)
     if any(counts[l_max + 1 :]):
         raise RuntimeError("survival count found beyond the support bound")
     return tuple(
@@ -140,9 +139,9 @@ def brute_force_symmetric(
 ) -> Fraction:
     """E[X] by enumerating all 2^N erased-node subsets.
 
-    Works on the actual deterministic placement, with no divisibility
-    requirements; where the group-polynomial preconditions hold the result
-    must match exact_symmetric_expectation exactly.  Only one period of
+    Works on the actual deterministic placement at any N and D; wherever
+    symmetric_power has an exact power the result must match
+    exact_symmetric_expectation exactly.  Only one period of
     the documents is placed (symmetric_period_docs): the rest repeat its
     nodes.
     """

@@ -191,6 +191,8 @@ def _check_brute_vs_polynomial() -> tuple[bool, str]:
         (RecParams(2, 1, 2), SystemParams(6, 1), LossSemantics.PER_CLUSTER),
         (RecParams(2, 1, 2), SystemParams(6, 1), LossSemantics.MULTISET),
         (RecParams(2, 0, 1), SystemParams(8, 4), LossSemantics.MULTISET),
+        # g = 3 does not divide N, but the two documents do not wrap
+        (RecParams(2, 1, 1), SystemParams(11, 2), LossSemantics.MULTISET),
     )
     for rec, system, sem in cases:
         brute = oracle.brute_force_symmetric(rec, system, sem)

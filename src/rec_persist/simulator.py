@@ -37,7 +37,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ParameterError, SizeLimitError, require_int
+from .errors import ParameterError, SizeLimitError, require_int, require_list
 from .model import (
     LossSemantics,
     PlacementStrategy,
@@ -49,7 +49,7 @@ from .model import (
     require_member,
     require_node_ids,
     symmetric_period_docs,
-    validate_symmetric_preconditions,
+    symmetric_power,
 )
 
 __all__ = [
@@ -258,15 +258,17 @@ class SimConfig:
         """True when no closed-form analysis covers this configuration.
 
         The analysis covers either loss rule.  Mixed workloads have no
-        single-formula counterpart, and symmetric runs leave the theory
-        when the divisibility or document-count preconditions fail.
+        single-formula counterpart, and symmetric runs leave it where
+        symmetric_power raises: documents that wrap, (p+q)*r not dividing N.
         """
         if len(self.classes) > 1:
             return True
         if self.strategy is PlacementStrategy.SYMMETRIC:
             wc = self.classes[0]
-            system = SystemParams(self.nodes, wc.docs)
-            return validate_symmetric_preconditions(wc.rec, system) is not None
+            try:
+                symmetric_power(wc.rec, SystemParams(self.nodes, wc.docs))
+            except ParameterError:
+                return True
         return False
 
 
@@ -532,7 +534,7 @@ def simulate_many(configs) -> list[SimSummary]:
     seed words of all their trials come SEED_BLOCK at a time, so a sweep
     seeds its points in one pass.  Each summary equals simulate(config).
     """
-    return [_summary(xs) for xs in _simulated(list(configs))]
+    return [_summary(xs) for xs in _simulated(require_list(configs, "configs"))]
 
 
 def simulate(config: SimConfig) -> SimSummary:

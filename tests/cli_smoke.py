@@ -135,6 +135,12 @@ CASES = (
     # brute force places one period of 1e11 documents, not all of them
     Case("oracle --what brute-symmetric --p 1 --q 0 --r 2 --nodes 4 "
          "--docs 100000000000", after=(_prints("E[X] = 8/3 "),)),
+    # 3 documents on 9 nodes do not wrap, though g = 2 does not divide 9:
+    # the symmetric theory holds with power D
+    Case("analytic --strategy symmetric --p 1 --q 1 --r 1 --nodes 9 --docs 3 "
+         "--method integral", after=(_prints("RESULT "),)),
+    Case("oracle --what symmetric-exact --p 1 --q 1 --r 1 --nodes 9 --docs 3",
+         after=(_prints("E[X] = 32/7 "),)),
     # kappa * power past the float range: the leading term is still finite
     Case("analytic --strategy symmetric --p 2 --q 1 --r 700 --nodes 2100 "
          "--docs 1 --method asymptotic"),

@@ -678,18 +678,17 @@ class TestExpectSymmetric:
         )
 
     def test_precondition_violations_raise(self):
-        with pytest.raises(ParameterError):
-            analytic.expect(
-                SYMMETRIC, RecParams(1, 1, 1), SystemParams(7, 7), Method.INTEGRAL
-            )
-        with pytest.raises(ParameterError):
-            analytic.expect(
-                SYMMETRIC, RecParams(1, 1, 1), SystemParams(8, 2), Method.INTEGRAL
-            )
-        with pytest.raises(ParameterError):
-            analytic.expect(
-                SYMMETRIC, RecParams(1, 1, 1), SystemParams(7, 7), Method.BETA_EXACT
-            )
+        # only documents that wrap around N nodes with g = 2 not dividing N
+        # leave the theory: 7 on 7 nodes, 5 on 9
+        rec = RecParams(1, 1, 1)
+        for system in (SystemParams(7, 7), SystemParams(9, 5)):
+            for method in (Method.INTEGRAL, Method.BETA_EXACT):
+                with pytest.raises(ParameterError, match="symmetric placement wraps"):
+                    analytic.expect(SYMMETRIC, rec, system, method)
+        # 2 documents on 8 nodes do not wrap: 9 * integral of (1 - x^2)^2
+        for method in (Method.INTEGRAL, Method.BETA_EXACT):
+            result = analytic.expect(SYMMETRIC, rec, SystemParams(8, 2), method)
+            assert result.value == pytest.approx(24 / 5, rel=1e-14)
 
 
 class TestDispatch:
@@ -735,10 +734,16 @@ class TestDispatch:
                 analytic.expect_many(SYMMETRIC, rec, [system, (48, 8)], method)
             with pytest.raises(ParameterError, match="expect needs a RecParams"):
                 analytic.expect_many(SYMMETRIC, "2,1,2", [system], method)
-        # a point's own ParameterError is still an empty entry
+        # a point's own ParameterError (its 9 documents wrap around 49
+        # nodes) is still an empty entry
         assert analytic.expect_many(
-            SYMMETRIC, rec, iter([system, SystemParams(49, 8)]), Method.INTEGRAL
+            SYMMETRIC, rec, iter([system, SystemParams(49, 9)]), Method.INTEGRAL
         )[1:] == [None]
+
+    def test_a_lone_system_raises_parameter_error(self):
+        with pytest.raises(ParameterError, match="systems must be an iterable"):
+            analytic.expect_many(RANDOM, RecParams(2, 1, 2), SystemParams(48, 5),
+                                 Method.INTEGRAL)
 
     # each public analytic function, called with a rec and a system; q
     # stands in for max_over_p_check's rec
@@ -827,7 +832,7 @@ class TestFloatRange:
     @pytest.mark.parametrize("strategy, method", ROUTES)
     def test_docs_past_range_name_the_route(self, strategy, method):
         # random placement raises phi to D, which the asymptotic takes in
-        # logarithms; symmetric placement raises it to N/g and reads no D
+        # logarithms; symmetric placement raises it to min(D, N/g) = N/g
         call = lambda: analytic.expect(strategy, RecParams(1, 0, 2), self.HUGE, method)
         if strategy is RANDOM and method is not Method.ASYMPTOTIC:
             with pytest.raises(ParameterError, match=re.escape(
@@ -887,6 +892,17 @@ class TestFloatRange:
         leading = analytic.expect(SYMMETRIC, rec, system, Method.ASYMPTOTIC).value
         assert exact == pytest.approx(leading, rel=1e-12, abs=0.0)
 
+    def test_symmetric_power_below_n_over_g_at_1e300_nodes(self):
+        # 10 documents on 1e300 nodes do not wrap, so the exact routes raise
+        # phi = 1 - x^2 to D = 10: (N+1) sum_k C(10, k) (-1)^k / (2k + 1)
+        rec, system = RecParams(1, 0, 2), SystemParams(10**300, 10)
+        integral = sum(Fraction((-1) ** k * math.comb(10, k), 2 * k + 1)
+                       for k in range(11))
+        expected = float((system.nodes + 1) * integral)
+        for method in (Method.INTEGRAL, Method.BETA_EXACT):
+            value = analytic.expect(SYMMETRIC, rec, system, method).value
+            assert value == pytest.approx(expected, rel=1e-10)
+
 
 class TestSemantics:
     """Every route under both loss rules, not only each strategy's default."""
@@ -901,12 +917,39 @@ class TestSemantics:
                     analytic.expect(strategy, rec, system, method, semantics=default)
                 )
 
-    def test_rejects_non_semantics(self):
-        with pytest.raises(ParameterError, match="LossSemantics"):
-            analytic.expect(
-                RANDOM, RecParams(2, 1, 2), SystemParams(48, 5), Method.EXACT_SUM,
-                semantics="per-cluster",
-            )
+    def test_a_name_is_its_rule(self):
+        rec = RecParams(2, 1, 2)
+        for strategy, system in ((RANDOM, SystemParams(48, 5)),
+                                 (SYMMETRIC, SystemParams(48, 8))):
+            for rule in (MS, PC):
+                member = analytic.expect(strategy, rec, system, Method.INTEGRAL,
+                                         semantics=rule)
+                assert analytic.expect(strategy, rec, system, Method.INTEGRAL,
+                                       semantics=rule.value) == member
+                assert analytic.expect_many(strategy, rec, [system], Method.INTEGRAL,
+                                            semantics=rule.value) == [member]
+
+    # the five analytic entry points that take a loss rule
+    BY_RULE = {
+        "expect": lambda rule: analytic.expect(
+            RANDOM, RecParams(2, 1, 2), SystemParams(48, 5), Method.EXACT_SUM,
+            semantics=rule),
+        "expect_many": lambda rule: analytic.expect_many(
+            SYMMETRIC, RecParams(2, 1, 2), [SystemParams(48, 8)], Method.INTEGRAL,
+            semantics=rule),
+        "expect_random_sum": lambda rule: analytic.expect_random_sum(
+            RecParams(2, 1, 2), SystemParams(48, 5), rule),
+        "survival_random": lambda rule: analytic.survival_random(
+            1, RecParams(2, 1, 2), SystemParams(48, 5), rule),
+        "survival_curve_random": lambda rule: analytic.survival_curve_random(
+            RecParams(2, 1, 2), SystemParams(48, 5), rule),
+    }
+
+    @pytest.mark.parametrize("name", BY_RULE)
+    @pytest.mark.parametrize("rule", ["bogus", 3])
+    def test_rejects_what_names_no_rule(self, name, rule):
+        with pytest.raises(ParameterError, match="semantics must be one of"):
+            self.BY_RULE[name](rule)
 
     def test_symmetric_integral_matches_oracle(self):
         worst = 0.0
@@ -990,6 +1033,12 @@ class TestSemantics:
             analytic.expect(SYMMETRIC, rec, system, Method.INTEGRAL)
         result = analytic.expect(SYMMETRIC, rec, system, Method.ASYMPTOTIC)
         assert result.value == pytest.approx(GAMMA_3_2 * math.sqrt(2 * 7), rel=1e-14)
+
+    def test_asymptotic_takes_d_below_n_over_g(self):
+        # 5 documents on 96 nodes: the power is D = 5, not N/g = 48
+        result = analytic.expect(SYMMETRIC, RecParams(1, 1, 1), SystemParams(96, 5),
+                                 Method.ASYMPTOTIC)
+        assert result.value == pytest.approx(GAMMA_3_2 * 96 / math.sqrt(5), rel=1e-14)
 
     def test_survival_curve_under_per_cluster(self):
         # one document, REC(2,2,2): a cluster dies once either chunk is
@@ -1163,23 +1212,29 @@ class TestSupportBound:
     def test_replication_heavy_bound(self):
         # p=1, q=0, r=2, N=4: groups survive up to 2 erasures, curve
         # support ends at l = 3
-        assert oracle.symmetric_survival_l_max(RecParams(1, 0, 2), 4) == 3
+        rec = RecParams(1, 0, 2)
+        assert oracle.symmetric_survival_l_max(rec, SystemParams(4, 2)) == 3
 
     def test_requires_divisibility(self):
-        with pytest.raises(ParameterError):
-            oracle.symmetric_survival_l_max(RecParams(1, 0, 2), 5)
+        # 5 documents wrap around 5 nodes, and g = 2 does not divide 5
+        rec = RecParams(1, 0, 2)
+        with pytest.raises(ParameterError, match="symmetric placement wraps"):
+            oracle.symmetric_survival_l_max(rec, SystemParams(5, 5))
+        # 2 do not wrap: each keeps one of its 2 nodes, and the fifth is free
+        assert oracle.symmetric_survival_l_max(rec, SystemParams(5, 2)) == 4
 
     def test_matches_oracle_support(self):
         for p, q, r in ((1, 0, 2), (2, 1, 2), (1, 2, 1), (3, 1, 1)):
             rec = RecParams(p, q, r)
-            nodes = rec.fragments * 3
-            system = SystemParams(nodes, 3)
-            curve = oracle.exact_symmetric_survival(
-                rec, system, LossSemantics.PER_CLUSTER
-            )
-            l_max = oracle.symmetric_survival_l_max(rec, nodes)
-            assert len(curve) == l_max + 1
-            assert curve[l_max - 1] > 0
+            # 3 documents fill N = 3g, and leave one node free at 3g + 1
+            for nodes in (rec.fragments * 3, rec.fragments * 3 + 1):
+                system = SystemParams(nodes, 3)
+                curve = oracle.exact_symmetric_survival(
+                    rec, system, LossSemantics.PER_CLUSTER
+                )
+                l_max = oracle.symmetric_survival_l_max(rec, system)
+                assert len(curve) == l_max + 1
+                assert curve[l_max - 1] > 0
 
 
 class TestMaxOverP:

@@ -15,7 +15,7 @@ from rec_persist.model import (
     default_semantics,
     is_document_lost,
     loss_thresholds,
-    validate_symmetric_preconditions,
+    symmetric_power,
 )
 from rec_persist.simulator import SimConfig, WorkloadClass
 from rec_persist.sweep import PRESETS, SweepSpec, preset_spec
@@ -105,33 +105,28 @@ class TestDefaultSemantics:
 
 class TestSymmetricPreconditions:
     def test_divisibility_violation(self):
-        violation = validate_symmetric_preconditions(
-            RecParams(1, 1, 1), SystemParams(7, 7)
-        )
-        assert violation is not None
-        assert violation.startswith("divisibility: ")
+        # 7 documents wrap around 7 nodes, and g = 2 does not divide 7
+        rec, system = RecParams(1, 1, 1), SystemParams(7, 7)
+        with pytest.raises(ParameterError, match="symmetric placement wraps"):
+            symmetric_power(rec, system)
+        # the real min(D, N/g) the asymptotic form takes there
+        assert symmetric_power(rec, system, exact=False) == 3.5
 
     def test_document_count_violation(self):
-        violation = validate_symmetric_preconditions(
-            RecParams(1, 1, 1), SystemParams(8, 2)
-        )
-        assert violation is not None
-        assert violation.startswith("document-count: ")
-        assert "document" in violation
+        # 2 documents on 8 nodes sit on disjoint nodes: power D, below N/g
+        rec = RecParams(1, 1, 1)
+        assert symmetric_power(rec, SystemParams(8, 2)) == 2
+        assert symmetric_power(rec, SystemParams(8, 2), exact=False) == 2
+        # and so do 4 on 9 nodes, though g does not divide 9; 5 wrap
+        assert symmetric_power(rec, SystemParams(9, 4)) == 4
+        with pytest.raises(ParameterError, match="symmetric placement wraps"):
+            symmetric_power(rec, SystemParams(9, 5))
 
     def test_satisfied(self):
-        assert (
-            validate_symmetric_preconditions(
-                RecParams(1, 1, 1), SystemParams(8, 4)
-            )
-            is None
-        )
-        assert (
-            validate_symmetric_preconditions(
-                RecParams(1, 0, 2), SystemParams(4, 2)
-            )
-            is None
-        )
+        assert symmetric_power(RecParams(1, 1, 1), SystemParams(8, 4)) == 4
+        assert symmetric_power(RecParams(1, 0, 2), SystemParams(4, 2)) == 2
+        # past one per group the documents repeat the N/g groups
+        assert symmetric_power(RecParams(1, 1, 1), SystemParams(8, 10**9)) == 4
 
 
 def _lost(rec, flags, semantics):

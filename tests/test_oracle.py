@@ -12,6 +12,7 @@ from rec_persist import analytic, oracle
 from rec_persist.errors import ParameterError, SizeLimitError
 from rec_persist.model import (
     LossSemantics,
+    PlacementStrategy,
     RecParams,
     SystemParams,
     is_document_lost,
@@ -147,20 +148,57 @@ class TestExactSymmetricSurvival:
                 )
 
     def test_preconditions_enforced(self):
-        with pytest.raises(ParameterError):
-            oracle.exact_symmetric_survival(
-                RecParams(1, 0, 2), SystemParams(5, 5), PC
-            )
-        with pytest.raises(ParameterError):
-            oracle.exact_symmetric_survival(
-                RecParams(1, 0, 2), SystemParams(4, 1), PC
-            )
+        # 5 documents wrap around 5 nodes, and 3 too, and g = 2 does not divide 5
+        for system in (SystemParams(5, 5), SystemParams(5, 3)):
+            with pytest.raises(ParameterError, match="symmetric placement wraps"):
+                oracle.exact_symmetric_survival(RecParams(1, 0, 2), system, PC)
+        # one document on 4 nodes: 5 integral of (1 - x^2)
+        curve = oracle.exact_symmetric_survival(
+            RecParams(1, 0, 2), SystemParams(4, 1), PC
+        )
+        assert curve == (1, 1, Fraction(5, 6), Fraction(1, 2), 0)
+        assert sum(curve) == Fraction(10, 3)
 
     def test_node_guard(self):
         with pytest.raises(SizeLimitError):
             oracle.exact_symmetric_survival(
                 RecParams(1, 0, 2), SystemParams(122, 61), PC
             )
+
+
+# (code, N, D, wraps): cells on both sides of the wrap boundary; a cell
+# has an exact theory unless its documents wrap and g does not divide N
+WRAP_BOUNDARY = [
+    ((1, 1, 1), 9, 3, False),
+    ((1, 1, 1), 8, 2, False),
+    ((1, 1, 1), 9, 5, True),
+    ((2, 1, 1), 11, 2, False),
+    ((1, 0, 2), 12, 3, False),
+    ((2, 1, 2), 13, 2, False),
+    ((2, 1, 2), 13, 3, True),
+    ((1, 2, 1), 10, 3, False),
+    ((1, 2, 1), 9, 5, False),
+    ((2, 3, 1), 11, 4, True),
+]
+
+
+@pytest.mark.parametrize("code, nodes, docs, wraps", WRAP_BOUNDARY)
+def test_wrap_boundary_against_brute_force(code, nodes, docs, wraps):
+    rec, system = RecParams(*code), SystemParams(nodes, docs)
+    for sem in (MS, PC):
+        exact = lambda: oracle.exact_symmetric_expectation(rec, system, sem)
+        integral = lambda: analytic.expect(
+            PlacementStrategy.SYMMETRIC, rec, system, analytic.Method.INTEGRAL,
+            semantics=sem,
+        ).value
+        if wraps:
+            for call in (exact, integral):
+                with pytest.raises(ParameterError, match="symmetric placement wraps"):
+                    call()
+            continue
+        brute = oracle.brute_force_symmetric(rec, system, sem)
+        assert exact() == brute
+        assert integral() == pytest.approx(float(brute), rel=1e-12)
 
 
 class TestExactSymmetricExpectation:

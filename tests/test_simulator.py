@@ -416,6 +416,10 @@ class TestSimulate:
         # the simulation still runs where no formula applies
         summary = simulate(bad_div)
         assert 1 <= summary.minimum == summary.maximum <= 5
+        # 2 documents on the same 5 nodes do not wrap, so the theory holds
+        assert not replace(
+            bad_div, classes=(WorkloadClass(RecParams(1, 0, 2), 2),)
+        ).out_of_theory
 
     def test_semantics_override(self):
         config = SimConfig(
@@ -562,7 +566,8 @@ class TestSimulate:
             assert by_name == by_enum
             assert by_name.strategy is strategy
             assert simulate(by_name) == simulate(by_enum)
-        # 10 does not divide 48, so symmetric placement is out of theory
+        # 8 documents of g = 10 wrap around 48 nodes, which 10 does not
+        # divide, so symmetric placement is out of theory
         assert SimConfig(**base, strategy="symmetric").out_of_theory
         by_name = SimConfig(**base, strategy="symmetric", semantics="multiset")
         by_enum = SimConfig(**base, strategy="symmetric", semantics=MS)
@@ -647,6 +652,10 @@ class TestEntryTypes:
     def test_non_config_raises_parameter_error(self, call):
         with pytest.raises(ParameterError, match="simulate needs a SimConfig"):
             call(("random", 48, 20))
+
+    def test_a_lone_config_raises_parameter_error(self):
+        with pytest.raises(ParameterError, match="configs must be an iterable"):
+            simulate_many(_config([((1, 0, 1), 1)], 4))
 
 
 class TestBatches:
@@ -845,6 +854,9 @@ class TestDistribution:
         ("random", (2, 1, 2), 48, 48),
         ("random", (2, 3, 2), 60, 60),
         ("symmetric", (2, 1, 2), 60, 10),
+        # D < N/g, and then no document wrapping though g = 6 does not divide 62
+        ("symmetric", (2, 1, 2), 60, 5),
+        ("symmetric", (2, 1, 2), 62, 10),
         # p = 1: both rules give one law
         ("symmetric", (1, 2, 2), 96, 16),
         ("symmetric", (1, 1, 1), 96, 48),

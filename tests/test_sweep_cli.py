@@ -238,18 +238,21 @@ class TestRunSweep:
         rows = sweep.run_sweep(spec)
         by_nodes = {row.N: row for row in rows}
         assert by_nodes[8].theory_exact is not None
-        # 10 is not a multiple of (p+q)*r = 2... it is; use docs too small
         assert by_nodes[10].theory_exact is not None
+        # 5 documents of g = 2 wrap around 9 nodes, which 2 does not divide
         spec = small_spec(
             name="offgrid2",
             strategy=PlacementStrategy.SYMMETRIC,
             nodes=(9,),
-            docs="N/g",
+            docs=5,
             theory=("exact", "asymptotic"),
         )
         row = sweep.run_sweep(spec)[0]
         assert row.theory_exact is None
         assert row.theory_asymptotic is not None
+        # the "N/g" rule's 4 do not wrap: 10 integral of (1 - x^2)^4
+        row = sweep.run_sweep(replace(spec, docs="N/g"))[0]
+        assert row.theory_exact == pytest.approx(256 / 63, rel=1e-12)
 
     def test_quadrature_failure_leaves_exact_empty(self, starved_quadrature):
         spec = small_spec(
@@ -287,11 +290,13 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("budget", ["default", "tight", "starved"])
     def test_only_failing_cells_are_empty(self, budget, request, monkeypatch):
-        # 8, 10 and 50 nodes fail divisibility by g = 3, 24 with 3 documents
-        # the document count.  Two first panels and a budget of 8 let the
-        # integrals at 9 and 12 nodes converge in later rounds and stop the
-        # others; a starved rule stops all of them.  Every other cell is
-        # filled, and each cell is what expect gives for its point alone
+        # 4 documents wrap around 11 nodes, which g = 3 does not divide, so
+        # that cell has no theory.  The "N/g" documents never wrap, not even
+        # at 8, 10 and 50 nodes, and 4 on 24 nodes fill half its groups.  Two
+        # first panels and a budget of 8 let the integrals below 48 nodes
+        # converge and stop the others; a starved rule stops all of them.
+        # Every other cell is filled, and each cell is what expect gives
+        # for its point alone
         if budget == "tight":
             monkeypatch.setattr(analytic, "_FIRST_EDGES", (0.0, 4.0))
             monkeypatch.setattr(analytic, "_MAX_PANELS", 8)
@@ -302,7 +307,7 @@ class TestRunSweep:
             nodes=(8, 9, 10, 12, 48, 50, 96, 480, 4800), docs="N/g",
         )
         rows = sweep.run_sweep(spec)
-        rows += sweep.run_sweep(replace(spec, nodes=(24,), docs=3))
+        rows += sweep.run_sweep(replace(spec, nodes=(11, 24), docs=4))
         failed = set()
         for row in rows:
             system = SystemParams(row.N, row.D)
@@ -319,12 +324,12 @@ class TestRunSweep:
         exact_fails = {
             (n, kind) for n, column, kind in failed if column == "theory_exact"
         }
-        unmet = {(n, ParameterError) for n in (8, 10, 24, 50)}
+        unmet = {(11, ParameterError)}
         assert {n for n, column, _ in failed if column != "theory_exact"} <= {
             n for n, _ in unmet
         }
-        stopped = {"default": (), "tight": (48, 96, 480, 4800),
-                   "starved": (9, 12, 48, 96, 480, 4800)}[budget]
+        stopped = {"default": (), "tight": (48, 50, 96, 480, 4800),
+                   "starved": (8, 9, 10, 12, 24, 48, 50, 96, 480, 4800)}[budget]
         assert exact_fails == unmet | {(n, QuadratureError) for n in stopped}
 
     def test_csv_byte_identical(self, tmp_path):
@@ -473,7 +478,7 @@ class TestCliAnalytic:
             "--nodes 7 --docs 7 --method integral".split()
         )
         assert code == 2
-        assert "divisibility" in capsys.readouterr().err
+        assert "symmetric placement wraps" in capsys.readouterr().err
 
     def test_integral_reports_quadrature(self, capsys):
         argv = ("analytic --strategy symmetric --p 2 --q 1 --r 2 "
