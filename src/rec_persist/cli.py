@@ -143,12 +143,11 @@ def _cmd_analytic(args) -> int:
     system = SystemParams(args.nodes, args.docs)
     strategy = PlacementStrategy(args.strategy)
     method = analytic.Method(args.method)
-    semantics = LossSemantics(args.semantics) if args.semantics else None
     result = analytic.expect(
-        strategy, rec, system, method, tol=args.tol, semantics=semantics
+        strategy, rec, system, method, tol=args.tol, semantics=args.semantics
     )
     # the rule is named only when it was given, so default output is unchanged
-    rule = f", {semantics.value} rule" if semantics else ""
+    rule = f", {args.semantics} rule" if args.semantics else ""
     print(
         f"E[X] = {result.value!r}  "
         f"[{strategy.value} placement{rule}, method {result.method.value}]"
@@ -171,7 +170,7 @@ def _cmd_analytic(args) -> int:
         f"strategy={strategy.value} method={args.method} "
         f"p={rec.p} q={rec.q} r={rec.r} nodes={system.nodes} "
         f"docs={system.docs} value={result.value!r} error_bound={bound}"
-        + (f" semantics={semantics.value}" if semantics else "")
+        + (f" semantics={args.semantics}" if args.semantics else "")
     )
     return 0
 

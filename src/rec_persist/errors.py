@@ -2,6 +2,8 @@
 
 import operator
 
+__all__ = ["ParameterError", "QuadratureError", "SizeLimitError"]
+
 
 class ParameterError(ValueError):
     """A parameter is outside its documented domain or violates a precondition."""

@@ -37,11 +37,8 @@ __all__ = [
     "SystemParams",
     "LossSemantics",
     "PlacementStrategy",
-    "require_member",
-    "require_node_ids",
     "default_semantics",
     "loss_thresholds",
-    "by_unit",
     "is_document_lost",
     "symmetric_power",
     "symmetric_period_docs",
@@ -109,7 +106,7 @@ class RecParams:
         return (self.p + self.q) * self.r
 
 
-def loss_thresholds(rec: RecParams, semantics: LossSemantics) -> tuple[int, ...]:
+def loss_thresholds(rec: RecParams, semantics: LossSemantics | str) -> tuple[int, ...]:
     """(units, length, hit_at, lost_at): the loss rule as a two-level threshold.
 
     A document's (r, p+q) fragment grid splits into units of length
@@ -117,21 +114,23 @@ def loss_thresholds(rec: RecParams, semantics: LossSemantics) -> tuple[int, ...]
     the replica clusters (by_unit).  A unit is hit once hit_at of its
     fragments are erased, and the document is lost once lost_at of its
     units are hit.  Every loss evaluator, predicate and count derives from it.
+    semantics is a LossSemantics or its name: a member takes its branch at
+    once, and anything else re-enters through require_member.
     """
     if semantics is LossSemantics.MULTISET:
         return rec.chunks, rec.r, rec.r, rec.q + 1
     if semantics is LossSemantics.PER_CLUSTER:
         return rec.r, rec.chunks, rec.q + 1, rec.r
-    raise ParameterError(f"unknown semantics {semantics!r}")
+    return loss_thresholds(rec, require_member(LossSemantics, semantics, "semantics"))
 
 
-def by_unit(grid: np.ndarray, semantics: LossSemantics) -> np.ndarray:
+def by_unit(grid: np.ndarray, semantics: LossSemantics | str) -> np.ndarray:
     """grid, last two axes (r, p+q), as (unit, fragment) of loss_thresholds."""
     if semantics is LossSemantics.MULTISET:
         return grid.swapaxes(-1, -2)
     if semantics is LossSemantics.PER_CLUSTER:
         return grid
-    raise ParameterError(f"unknown semantics {semantics!r}")
+    return by_unit(grid, require_member(LossSemantics, semantics, "semantics"))
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,7 @@ def require_node_ids(table: np.ndarray, nodes: int) -> None:
         raise ParameterError("placement table entries must lie in [0, nodes)")
 
 
-def is_document_lost(rec: RecParams, erased, semantics: LossSemantics) -> bool:
+def is_document_lost(rec: RecParams, erased, semantics: LossSemantics | str) -> bool:
     """Apply one loss rule to a single document's erasure flags.
 
     erased is a boolean array of shape (r, p+q): erased[j, m] says replica j

@@ -72,7 +72,7 @@ def _lost_weight(units: int, lost_at: int, hit, miss) -> list[int]:
     return out
 
 
-def group_polynomial(rec: RecParams, semantics: LossSemantics) -> tuple[int, ...]:
+def group_polynomial(rec: RecParams, semantics: LossSemantics | str) -> tuple[int, ...]:
     """Alive counts a_t of one group of g = (p+q)*r nodes, t = 0 .. g.
 
     a_t is the number of t-subsets of the group's nodes whose erasure
@@ -101,7 +101,7 @@ def symmetric_survival_l_max(rec: RecParams, system: SystemParams) -> int:
 
 
 def exact_symmetric_survival(
-    rec: RecParams, system: SystemParams, semantics: LossSemantics
+    rec: RecParams, system: SystemParams, semantics: LossSemantics | str
 ) -> tuple[Fraction, ...]:
     """Exact Pr[X > l], l = 0 .. l_max, under symmetric placement.
 
@@ -128,14 +128,14 @@ def exact_symmetric_survival(
 
 
 def exact_symmetric_expectation(
-    rec: RecParams, system: SystemParams, semantics: LossSemantics
+    rec: RecParams, system: SystemParams, semantics: LossSemantics | str
 ) -> Fraction:
     """Exact E[X] under symmetric placement as a reduced fraction."""
     return sum(exact_symmetric_survival(rec, system, semantics))
 
 
 def brute_force_symmetric(
-    rec: RecParams, system: SystemParams, semantics: LossSemantics
+    rec: RecParams, system: SystemParams, semantics: LossSemantics | str
 ) -> Fraction:
     """E[X] by enumerating all 2^N erased-node subsets.
 
@@ -180,7 +180,7 @@ def brute_force_symmetric(
 
 
 def brute_force_random(
-    rec: RecParams, system: SystemParams, semantics: LossSemantics
+    rec: RecParams, system: SystemParams, semantics: LossSemantics | str
 ) -> Fraction:
     """E[X] for a single document by enumerating every placement.
 

@@ -168,7 +168,7 @@ def _first_loss(t: np.ndarray, q: int, semantics: LossSemantics) -> np.ndarray:
     return _order_statistic(hits, lost_at - 1).min(axis=1)
 
 
-def persistency(rec: RecParams, table, order, semantics: LossSemantics) -> int:
+def persistency(rec: RecParams, table, order, semantics: LossSemantics | str) -> int:
     """Removals until the first document loss, for one placement and order.
 
     table[k, j, m] is the node holding replica j of chunk m of document k,

@@ -29,7 +29,6 @@ __all__ = [
     "beta",
     "beta_real",
     "reg_inc_beta",
-    "reg_inc_beta_complement",
     "log_reg_inc_beta_complement",
 ]
 
@@ -172,11 +171,6 @@ def log_reg_inc_beta_complement(x, a: int, b: int):
             out[upper] = np.log1p(-_upper_tail(n, a, flat[upper]))
             out[lower] = _log_lower_tail(n, a, b, flat[lower])
     return out.reshape(arr.shape) if arr.ndim else float(out[0])
-
-
-def reg_inc_beta_complement(x: float, a: int, b: int) -> float:
-    """1 - I_x(a, b), accurate in relative terms even when it is tiny."""
-    return math.exp(log_reg_inc_beta_complement(x, a, b))
 
 
 def reg_inc_beta(x: float, a: int, b: int) -> float:

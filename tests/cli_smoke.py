@@ -1,5 +1,5 @@
 """CLI smoke cases: rec-persist commands at the north-star sizes and at
-every documented exit code, plus two checks of the library API.
+every documented exit code, plus three checks of the library API.
 
 Each case is one command, the exit code it must return, the files written
 to its directory before it runs and the checks made after it.  run_case
@@ -27,6 +27,7 @@ import sys
 import tempfile
 import traceback
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 from rec_persist import (
@@ -35,6 +36,7 @@ from rec_persist import (
     SimConfig,
     SystemParams,
     WorkloadClass,
+    exact_symmetric_expectation,
     persistency,
     place_symmetric,
     simulate_trials,
@@ -197,7 +199,20 @@ def check_persistency() -> list[str]:
     return [] if x == 2 else [f"persistency gave {x}, expected 2"]
 
 
-API_CHECKS = (check_simulate_trials, check_persistency)
+def check_rule_names() -> list[str]:
+    """A loss rule's name is the rule, in an oracle and in persistency."""
+    rec, system = RecParams(1, 0, 2), SystemParams(4, 2)
+    failures = []
+    e = exact_symmetric_expectation(rec, system, "per-cluster")
+    if e != Fraction(8, 3):
+        failures.append(f"exact_symmetric_expectation gave {e}, expected 8/3")
+    x = persistency(rec, place_symmetric(rec, system), [0, 1, 2, 3], "multiset")
+    if x != 2:
+        failures.append(f"persistency gave {x}, expected 2")
+    return failures
+
+
+API_CHECKS = (check_simulate_trials, check_persistency, check_rule_names)
 
 
 def _main() -> int:

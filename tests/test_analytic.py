@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rec_persist import analytic, oracle, sweep
+from rec_persist import analytic, oracle, simulator, sweep
 from rec_persist.analytic import Method
 from rec_persist.errors import ParameterError, QuadratureError, SizeLimitError
 from rec_persist.model import (
@@ -20,6 +20,7 @@ from rec_persist.model import (
     RecParams,
     SystemParams,
     default_semantics,
+    is_document_lost,
 )
 from rec_persist.specfun import log_reg_inc_beta_complement
 
@@ -928,8 +929,34 @@ class TestSemantics:
                                        semantics=rule.value) == member
                 assert analytic.expect_many(strategy, rec, [system], Method.INTEGRAL,
                                             semantics=rule.value) == [member]
+        for name, run in self.RULE_READERS.items():
+            assert run(MS) != run(PC), name
+            for rule in (MS, PC):
+                assert run(rule.value) == run(rule), (name, rule)
 
-    # the five analytic entry points that take a loss rule
+    # the functions that read a loss rule with no strategy to default it
+    # from; each gives different results under the two rules here
+    RULE_READERS = {
+        "persistency": lambda rule: simulator.persistency(
+            RecParams(2, 1, 2), simulator.place_symmetric(RecParams(2, 1, 2),
+                                                          SystemParams(12, 2)),
+            [9, 2, 7, 4, 5, 11, 0, 3, 6, 10, 8, 1], rule),
+        "is_document_lost": lambda rule: is_document_lost(
+            RecParams(2, 1, 2), [[True, True, False], [False, True, True]], rule),
+        "group_polynomial": lambda rule: oracle.group_polynomial(
+            RecParams(2, 1, 2), rule),
+        "exact_symmetric_survival": lambda rule: oracle.exact_symmetric_survival(
+            RecParams(2, 1, 2), SystemParams(12, 2), rule),
+        "exact_symmetric_expectation": lambda rule: oracle.exact_symmetric_expectation(
+            RecParams(2, 1, 2), SystemParams(12, 2), rule),
+        "brute_force_symmetric": lambda rule: oracle.brute_force_symmetric(
+            RecParams(2, 1, 2), SystemParams(6, 1), rule),
+        "brute_force_random": lambda rule: oracle.brute_force_random(
+            RecParams(2, 0, 2), SystemParams(3, 1), rule),
+    }
+
+    # every entry point that takes a loss rule: the five analytic ones,
+    # whose None is the strategy's default, and the rule readers
     BY_RULE = {
         "expect": lambda rule: analytic.expect(
             RANDOM, RecParams(2, 1, 2), SystemParams(48, 5), Method.EXACT_SUM,
@@ -943,6 +970,7 @@ class TestSemantics:
             1, RecParams(2, 1, 2), SystemParams(48, 5), rule),
         "survival_curve_random": lambda rule: analytic.survival_curve_random(
             RecParams(2, 1, 2), SystemParams(48, 5), rule),
+        **RULE_READERS,
     }
 
     @pytest.mark.parametrize("name", BY_RULE)
@@ -950,6 +978,11 @@ class TestSemantics:
     def test_rejects_what_names_no_rule(self, name, rule):
         with pytest.raises(ParameterError, match="semantics must be one of"):
             self.BY_RULE[name](rule)
+
+    @pytest.mark.parametrize("name", RULE_READERS)
+    def test_a_rule_reader_has_no_default(self, name):
+        with pytest.raises(ParameterError, match="semantics must be one of"):
+            self.RULE_READERS[name](None)
 
     def test_symmetric_integral_matches_oracle(self):
         worst = 0.0

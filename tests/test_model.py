@@ -203,10 +203,12 @@ class TestIsDocumentLost:
         rec = RecParams(4, 1, 3)
         assert loss_thresholds(rec, LossSemantics.MULTISET) == (5, 3, 3, 2)
         assert loss_thresholds(rec, LossSemantics.PER_CLUSTER) == (3, 5, 2, 3)
-        for bad in ("multiset", None):
-            with pytest.raises(ParameterError, match="unknown semantics"):
+        # a rule's name is the rule; what names none is refused
+        assert loss_thresholds(rec, "multiset") == (5, 3, 3, 2)
+        for bad in ("bogus", None):
+            with pytest.raises(ParameterError, match="semantics must be one of"):
                 loss_thresholds(rec, bad)
-            with pytest.raises(ParameterError, match="unknown semantics"):
+            with pytest.raises(ParameterError, match="semantics must be one of"):
                 _lost(rec, np.zeros((3, 5), dtype=bool), bad)
 
     def test_by_unit(self):
@@ -224,8 +226,9 @@ class TestIsDocumentLost:
             assert np.shares_memory(view, grid)
             for u in range(units):
                 assert np.array_equal(view[..., u, :], unit_of(u))
-        for bad in ("per-cluster", None):
-            with pytest.raises(ParameterError, match="unknown semantics"):
+        assert np.array_equal(by_unit(grid, "multiset"), grid.swapaxes(-1, -2))
+        for bad in ("bogus", None):
+            with pytest.raises(ParameterError, match="semantics must be one of"):
                 by_unit(grid, bad)
 
     def test_monotone_in_erasures(self):

@@ -177,9 +177,12 @@ class TestFirstLoss:
         assert np.array_equal(simulator._order_statistic(t, 3), t.max(axis=3))
 
     def test_unknown_semantics(self):
+        # a rule's name is the rule; what names none raises
         t = np.ones((1, 1, 1, 1), dtype=np.int32)
-        with pytest.raises(ParameterError):
-            simulator._first_loss(t, 0, "multiset")
+        assert simulator._first_loss(t, 0, "multiset") == simulator._first_loss(
+            t, 0, LossSemantics.MULTISET)
+        with pytest.raises(ParameterError, match="semantics must be one of"):
+            simulator._first_loss(t, 0, "bogus")
 
 
 def _reference_persistency(rec, table, order, semantics):

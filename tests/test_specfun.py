@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 
 from rec_persist.errors import ParameterError
 from rec_persist.selftest import _inc_beta_integral
-from rec_persist.specfun import (
-    beta,
-    beta_real,
-    log_reg_inc_beta_complement,
-    reg_inc_beta,
-    reg_inc_beta_complement,
-)
+from rec_persist.specfun import beta, beta_real, log_reg_inc_beta_complement, reg_inc_beta
 
 
 class TestBeta:
@@ -56,8 +50,8 @@ class TestRegIncBeta:
             for b in (1, 3, 4):
                 assert reg_inc_beta(0.0, a, b) == 0.0
                 assert reg_inc_beta(1.0, a, b) == 1.0
-                assert reg_inc_beta_complement(0.0, a, b) == 1.0
-                assert reg_inc_beta_complement(1.0, a, b) == 0.0
+                assert math.exp(log_reg_inc_beta_complement(0.0, a, b)) == 1.0
+                assert math.exp(log_reg_inc_beta_complement(1.0, a, b)) == 0.0
         assert log_reg_inc_beta_complement(1.0, 2, 3) == -math.inf
         assert log_reg_inc_beta_complement(0.0, 2, 3) == 0.0
 
@@ -69,16 +63,6 @@ class TestRegIncBeta:
                     assert reg_inc_beta(x, a, b) == pytest.approx(
                         1.0 - reg_inc_beta(1.0 - x, b, a), abs=1e-14
                     )
-
-    def test_complement_identity(self):
-        for a in range(1, 7):
-            for b in range(1, 7):
-                for i in range(1, 20):
-                    x = i / 20
-                    total = reg_inc_beta(x, a, b) + reg_inc_beta_complement(
-                        x, a, b
-                    )
-                    assert total == pytest.approx(1.0, abs=1e-14)
 
     def test_shift_in_b_closed_form(self):
         # I_x(q+1, p+1) - I_x(q+1, p) = C(p+q, p) x^(q+1) (1-x)^p
@@ -247,7 +231,7 @@ _PINNED_KERNEL = (
 def test_reg_inc_beta_in_unit_interval(x, a, b):
     value = reg_inc_beta(x, a, b)
     assert 0.0 <= value <= 1.0
-    assert reg_inc_beta_complement(x, a, b) == pytest.approx(
+    assert math.exp(log_reg_inc_beta_complement(x, a, b)) == pytest.approx(
         1.0 - value, abs=1e-12
     )
 
@@ -273,14 +257,3 @@ def test_reg_inc_beta_monotone_in_b(x, a, b):
     # more mass left of x as b grows
     assert reg_inc_beta(x, a, b + 1) >= reg_inc_beta(x, a, b) - 1e-14
 
-
-@settings(deadline=None, max_examples=80)
-@given(
-    x=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
-    a=st.integers(min_value=1, max_value=20),
-    b=st.integers(min_value=1, max_value=20),
-)
-def test_log_complement_consistent(x, a, b):
-    assert math.exp(log_reg_inc_beta_complement(x, a, b)) == pytest.approx(
-        reg_inc_beta_complement(x, a, b), rel=1e-12, abs=1e-300
-    )

@@ -5,16 +5,18 @@ import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rec_persist import analytic, cli, oracle, sweep
+from rec_persist import analytic, cli, oracle, specfun, sweep
 from rec_persist.cli import main
 from rec_persist.errors import ParameterError, QuadratureError
 from rec_persist.analytic import Method
@@ -1267,7 +1269,7 @@ class TestCliSelftest:
 
     def test_check_names_in_run_order(self):
         names = [
-            "beta-identity", "complement-identity", "small-x-precision",
+            "beta-identity", "small-x-precision",
             "monotone-shift-identity", "incomplete-beta-quadrature",
             "survival-curve-sum", "additive-error-bounds",
             "symmetric-exact-vs-integral", "brute-vs-polynomial",
@@ -1280,18 +1282,25 @@ class TestCliSelftest:
         ]
 
     def test_failing_entry_is_reported_and_the_rest_run(self, capsys, monkeypatch):
+        # entry 1 fails and entry 2 raises; both are FAILs and the rest run
+        def raises():
+            raise ValueError("cannot reshape")
         checks = list(selftest.CHECKS["quick"])
-        name = checks[1][0]
+        name, raiser = checks[1][0], checks[2][0]
         checks[1] = (name, lambda: (False, "boom"))
+        checks[2] = (raiser, raises)
         monkeypatch.setitem(selftest.CHECKS, "quick", tuple(checks))
         results = run_selftest("quick")
         assert [res.name for res in results] == [n for n, _ in checks]
         assert results[1] == CheckResult(name, False, "boom")
-        assert all(res.ok for i, res in enumerate(results) if i != 1)
+        assert results[2] == CheckResult(raiser, False,
+                                         "raised ValueError: cannot reshape")
+        assert all(res.ok for i, res in enumerate(results) if i not in (1, 2))
         assert main(["selftest"]) == 1
         out = capsys.readouterr().out
         assert f"FAIL {name}: boom\n" in out
-        assert out.endswith(f"{len(checks) - 1}/{len(checks)} checks passed\n")
+        assert f"FAIL {raiser}: raised ValueError: cannot reshape\n" in out
+        assert out.endswith(f"{len(checks) - 2}/{len(checks)} checks passed\n")
 
     def test_failure_sets_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -1300,6 +1309,12 @@ class TestCliSelftest:
         )
         assert main(["selftest"]) == 1
         assert "FAIL rigged" in capsys.readouterr().out
+
+
+def _nan_kernel(x, a, b):
+    """log_reg_inc_beta_complement's shape and type, every value nan."""
+    out = np.full(np.shape(x), math.nan)
+    return out if out.ndim else float(out)
 
 
 class TestSelftestNegativeControl:
@@ -1314,6 +1329,37 @@ class TestSelftestNegativeControl:
         failing = [res for res in results if not res.ok]
         assert failing
         assert any(res.name == "beta-identity" for res in failing)
+
+    # (modules whose name is patched, name, nan stand-in, checks that must fail)
+    NAN_CONTROLS = {
+        "kernel": (
+            (specfun, analytic, selftest), "log_reg_inc_beta_complement", _nan_kernel,
+            {"monotone-shift-identity", "incomplete-beta-quadrature",
+             "brute-random-pinned", "additive-error-bounds",
+             "symmetric-exact-vs-integral", "pinned-values",
+             "symmetric-d-invariance"},
+        ),
+        "beta_real": (
+            (selftest, analytic), "beta_real", lambda a, b: math.nan,
+            {"beta-identity", "additive-error-bounds", "pinned-values"},
+        ),
+    }
+
+    @pytest.mark.parametrize("control", NAN_CONTROLS)
+    def test_nan_fails_closed(self, control, monkeypatch, capsys):
+        # a nan error must FAIL its check, not slip through max() or a
+        # `>` bound, and a check that raises on it must not stop the run
+        modules, name, stand_in, must_fail = self.NAN_CONTROLS[control]
+        for module in modules:
+            monkeypatch.setattr(module, name, stand_in)
+        results = run_selftest("quick")
+        assert [res.name for res in results] == [n for n, _ in selftest.CHECKS["quick"]]
+        failing = {res.name for res in results if not res.ok}
+        assert must_fail <= failing
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith(f"{len(results) - len(failing)}/{len(results)} "
+                            "checks passed\n")
 
     def test_level_validated(self):
         with pytest.raises(ParameterError, match="level must be quick or full"):
