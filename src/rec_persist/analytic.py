@@ -498,7 +498,7 @@ def _survival_integral(power: int, t0: float, s: int, tol: float):
     summed estimates are within tol * |value|.
 
     Returns (value, achieved relative error estimate, evaluations), or the
-    QuadratureError it runs into past _MAX_PANELS panels.
+    QuadratureError it runs into past _MAX_PANELS panels or on a nan.
     """
     power = float(power)
     end = t0 + _TAIL_SPAN / s
@@ -524,9 +524,11 @@ def _survival_integral(power: int, t0: float, s: int, tol: float):
         error = math.fsum(memoryview(errors)) + edge * drop / 2
         if error <= tol * value:
             return value, error / value, evals
-        # bisect every panel over its share of the budget, and the worst one
+        # bisect every panel over its share of the budget, and the worst one;
+        # a nan value or error splits none, and the rule stops there too
         split = errors >= min(errors.max(), tol * value / errors.size)
-        if errors.size + np.count_nonzero(split) > _MAX_PANELS:
+        count = np.count_nonzero(split)
+        if not count or errors.size + count > _MAX_PANELS:
             return QuadratureError(error / value, tol)
         mid = (lo[split] + hi[split]) / 2
         new_lo = np.concatenate((lo[split], mid))

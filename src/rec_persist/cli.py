@@ -11,11 +11,8 @@ parameter error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
-from pathlib import Path
 
-from . import analytic, oracle, sweep
 from .errors import ParameterError, QuadratureError, SizeLimitError
 from .model import (
     LossSemantics,
@@ -24,20 +21,23 @@ from .model import (
     SystemParams,
     default_semantics,
 )
-from .selftest import CHECKS, run_selftest
-from .simulator import SimConfig, WorkloadClass, simulate
 
 __all__ = ["main"]
 
+# Each subcommand imports the modules it runs in its own functions, so a
+# command loads only those: importing the rest would be most of a short
+# command's time in a fresh process.
+
 _STRATEGIES = [s.value for s in PlacementStrategy]
 _SEMANTICS = [s.value for s in LossSemantics]
-# --what -> (strategy whose default loss rule it takes, oracle, label)
+# --what -> (strategy whose default loss rule it takes, oracle function's
+# name in the oracle module, label)
 _ORACLES = {
     "symmetric-exact": (PlacementStrategy.SYMMETRIC,
-                        oracle.exact_symmetric_expectation, "group polynomial count"),
+                        "exact_symmetric_expectation", "group polynomial count"),
     "brute-symmetric": (PlacementStrategy.SYMMETRIC,
-                        oracle.brute_force_symmetric, "exhaustive subset enumeration"),
-    "brute-random": (PlacementStrategy.RANDOM, oracle.brute_force_random,
+                        "brute_force_symmetric", "exhaustive subset enumeration"),
+    "brute-random": (PlacementStrategy.RANDOM, "brute_force_random",
                      "exhaustive placement enumeration, random strategy"),
 }
 _SIM_CSV_COLUMNS = (
@@ -53,92 +53,78 @@ def _add_rec_flags(parser, required: bool = True) -> None:
                         help="replicas per chunk")
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and each subcommand's own parser by name."""
-    parser = argparse.ArgumentParser(
-        prog="rec-persist",
-        description=(
-            "Expected data persistency of replicated erasure codes under "
-            "random and symmetric placement."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _analytic_flags(parser: argparse.ArgumentParser) -> None:
+    from .analytic import DEFAULT_QUADRATURE_TOL, MIN_QUADRATURE_TOL, Method
 
-    p_an = sub.add_parser(
-        "analytic", help="evaluate a persistency formula",
-    )
-    p_an.add_argument("--strategy", choices=_STRATEGIES, required=True)
-    _add_rec_flags(p_an)
-    p_an.add_argument("--nodes", type=int, required=True)
-    p_an.add_argument("--docs", type=int, required=True)
-    p_an.add_argument(
-        "--method", choices=sorted(m.value for m in analytic.Method),
-        required=True,
+    parser.add_argument("--strategy", choices=_STRATEGIES, required=True)
+    _add_rec_flags(parser)
+    parser.add_argument("--nodes", type=int, required=True)
+    parser.add_argument("--docs", type=int, required=True)
+    parser.add_argument(
+        "--method", choices=sorted(m.value for m in Method), required=True,
         help="sum: finite survival sum (random only); integral: quadrature "
              "form; asymptotic: leading term; beta-exact: closed p=1 form",
     )
-    p_an.add_argument("--tol", type=float,
-                      default=analytic.DEFAULT_QUADRATURE_TOL,
-                      help="relative quadrature tolerance, at least "
-                           f"{analytic.MIN_QUADRATURE_TOL:g} and below 1")
-    p_an.add_argument("--semantics", choices=_SEMANTICS,
-                      help="loss rule override (default depends on strategy)")
+    parser.add_argument("--tol", type=float, default=DEFAULT_QUADRATURE_TOL,
+                        help="relative quadrature tolerance, at least "
+                             f"{MIN_QUADRATURE_TOL:g} and below 1")
+    parser.add_argument("--semantics", choices=_SEMANTICS,
+                        help="loss rule override (default depends on strategy)")
 
-    p_sim = sub.add_parser("simulate", help="run seeded Monte Carlo trials")
-    p_sim.add_argument("--strategy", choices=_STRATEGIES, required=True)
-    _add_rec_flags(p_sim, required=False)
-    p_sim.add_argument("--nodes", type=int, required=True)
-    p_sim.add_argument("--docs", type=int)
-    p_sim.add_argument(
+
+def _simulate_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--strategy", choices=_STRATEGIES, required=True)
+    _add_rec_flags(parser, required=False)
+    parser.add_argument("--nodes", type=int, required=True)
+    parser.add_argument("--docs", type=int)
+    parser.add_argument(
         "--class", dest="classes", action="append", metavar="P,Q,R,DOCS",
         help="workload class as four comma-separated integers; repeat for "
              "mixed workloads (cannot be combined with --p/--q/--r/--docs)",
     )
-    p_sim.add_argument("--trials", type=int, default=500)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--semantics", choices=_SEMANTICS,
-                       help="loss rule override (default depends on strategy)")
+    parser.add_argument("--trials", type=int, default=500)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--semantics", choices=_SEMANTICS,
+                        help="loss rule override (default depends on strategy)")
 
-    p_sw = sub.add_parser(
-        "sweep", help="simulate a node grid and emit CSV + SVG",
-    )
-    source = p_sw.add_mutually_exclusive_group(required=True)
+
+def _sweep_flags(parser: argparse.ArgumentParser) -> None:
+    from .sweep import PRESETS
+
+    source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", metavar="PATH",
                         help="JSON sweep config (schema_version 1)")
-    source.add_argument("--preset", choices=sorted(sweep.PRESETS),
+    source.add_argument("--preset", choices=sorted(PRESETS),
                         help="built-in figure parameterization")
-    p_sw.add_argument("--out", metavar="DIR", default=".",
-                      help="output directory (default: current)")
-    p_sw.add_argument("--trials", type=int,
-                      help="override trials per grid point")
-    p_sw.add_argument("--points", type=int,
-                      help="truncate each node grid to its first K points")
+    parser.add_argument("--out", metavar="DIR", default=".",
+                        help="output directory (default: current)")
+    parser.add_argument("--trials", type=int,
+                        help="override trials per grid point")
+    parser.add_argument("--points", type=int,
+                        help="truncate each node grid to its first K points")
 
-    p_or = sub.add_parser(
-        "oracle", help="exact small-instance baselines (rational arithmetic)",
-    )
-    p_or.add_argument(
-        "--what",
-        choices=[*_ORACLES, "group-poly"],
-        required=True,
-    )
-    _add_rec_flags(p_or)
-    p_or.add_argument("--nodes", type=int)
-    p_or.add_argument("--docs", type=int)
-    p_or.add_argument("--semantics", choices=_SEMANTICS,
-                      help="loss rule (default: multiset for brute-random, "
-                           "per-cluster otherwise)")
 
-    p_st = sub.add_parser("selftest", help="run built-in consistency checks")
-    p_st.add_argument("--level", choices=list(CHECKS), default="quick")
+def _oracle_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--what", choices=[*_ORACLES, "group-poly"], required=True)
+    _add_rec_flags(parser)
+    parser.add_argument("--nodes", type=int)
+    parser.add_argument("--docs", type=int)
+    parser.add_argument("--semantics", choices=_SEMANTICS,
+                        help="loss rule (default: multiset for brute-random, "
+                             "per-cluster otherwise)")
 
-    # a subcommand's parser sets the name the top-level parser would
-    for name, subparser in sub.choices.items():
-        subparser.set_defaults(command=name)
-    return parser, sub.choices
+
+def _selftest_flags(parser: argparse.ArgumentParser) -> None:
+    from .selftest import CHECKS
+
+    parser.add_argument("--level", choices=list(CHECKS), default="quick")
 
 
 def _cmd_analytic(args) -> int:
+    # the one import form that runs no Python code once the module is
+    # loaded: about 1 us a command, where `from . import` takes about 4
+    import rec_persist.analytic as analytic
+
     rec = RecParams(args.p, args.q, args.r)
     system = SystemParams(args.nodes, args.docs)
     strategy = PlacementStrategy(args.strategy)
@@ -176,6 +162,8 @@ def _cmd_analytic(args) -> int:
 
 
 def _parse_class(text: str) -> WorkloadClass:
+    from .simulator import WorkloadClass
+
     parts = text.split(",")
     if len(parts) != 4:
         raise ParameterError(
@@ -191,6 +179,8 @@ def _parse_class(text: str) -> WorkloadClass:
 
 
 def _sim_classes(args) -> tuple[WorkloadClass, ...]:
+    from .simulator import WorkloadClass
+
     single = [v for v in (args.p, args.q, args.r, args.docs) if v is not None]
     if args.classes:
         if single:
@@ -210,6 +200,8 @@ def _join(values) -> str:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulator import SimConfig, simulate
+
     classes = _sim_classes(args)
     config = SimConfig(
         strategy=args.strategy,
@@ -251,6 +243,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    import dataclasses
+    from pathlib import Path
+
+    from . import sweep
+
     if args.config is not None:
         specs = sweep.load_config(args.config)
     else:
@@ -281,6 +278,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     rec = RecParams(args.p, args.q, args.r)
     if args.what == "group-poly":
         semantics = default_semantics(PlacementStrategy.SYMMETRIC, args.semantics)
@@ -288,7 +287,8 @@ def _cmd_oracle(args) -> int:
         print(f"alive counts a_t for t = 0..{len(alive) - 1} [{semantics.value}]:")
         print(" ".join(str(c) for c in alive))
         return 0
-    strategy, baseline, label = _ORACLES[args.what]
+    strategy, function, label = _ORACLES[args.what]
+    baseline = getattr(oracle, function)
     semantics = default_semantics(strategy, args.semantics)
     if args.nodes is None:
         raise ParameterError(f"--nodes is required for --what {args.what}")
@@ -305,6 +305,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     results = run_selftest(level=args.level)
     for res in results:
         print(f"{'PASS' if res.ok else 'FAIL'} {res.name}: {res.detail}")
@@ -313,13 +315,37 @@ def _cmd_selftest(args) -> int:
     return 1 if failed else 0
 
 
-_COMMANDS = {
-    "analytic": _cmd_analytic,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "oracle": _cmd_oracle,
-    "selftest": _cmd_selftest,
+# name -> (help, function adding its flags to its parser, function running it)
+_SUBCOMMANDS = {
+    "analytic": ("evaluate a persistency formula", _analytic_flags, _cmd_analytic),
+    "simulate": ("run seeded Monte Carlo trials", _simulate_flags, _cmd_simulate),
+    "sweep": ("simulate a node grid and emit CSV + SVG", _sweep_flags, _cmd_sweep),
+    "oracle": ("exact small-instance baselines (rational arithmetic)",
+               _oracle_flags, _cmd_oracle),
+    "selftest": ("run built-in consistency checks", _selftest_flags, _cmd_selftest),
 }
+
+
+def _build_parser(name: str | None = None) -> argparse.ArgumentParser:
+    """Subcommand name's parser alone; with name None, the top-level parser
+    holding every subcommand's parser."""
+    if name is not None:
+        parser = argparse.ArgumentParser(prog=f"rec-persist {name}")
+        _SUBCOMMANDS[name][1](parser)
+        # a subcommand's parser sets the name the top-level parser would
+        parser.set_defaults(command=name)
+        return parser
+    parser = argparse.ArgumentParser(
+        prog="rec-persist",
+        description=(
+            "Expected data persistency of replicated erasure codes under "
+            "random and symmetric placement."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, _) in _SUBCOMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_text))
+    return parser
 
 
 def _flag_table(parser: argparse.ArgumentParser) -> tuple:
@@ -351,9 +377,17 @@ def _flag_table(parser: argparse.ArgumentParser) -> tuple:
     return flags, {**parser._defaults, **defaults}, required, groups
 
 
-# built once: setting up the five subcommands costs more than most commands
-_PARSER, _SUBPARSERS = _build_parser()
-_FLAG_TABLES = {name: _flag_table(p) for name, p in _SUBPARSERS.items()}
+# Built on first use, since setting up a subcommand imports the modules
+# its flags name: the top-level parser (key None), for argv that
+# _read_flags leaves to argparse, and each subcommand's flag table (key
+# its name).
+_BUILT: dict = {}
+
+
+def _parser() -> argparse.ArgumentParser:
+    if None not in _BUILT:
+        _BUILT[None] = _build_parser()
+    return _BUILT[None]
 
 
 def _read_flags(name: str, argv: list[str]) -> argparse.Namespace | None:
@@ -365,10 +399,11 @@ def _read_flags(name: str, argv: list[str]) -> argparse.Namespace | None:
     reads as a negative number), a value its type or choices refuse, a
     missing required flag, or a mutually exclusive group broken.
     """
-    table = _FLAG_TABLES.get(name)
-    if table is None or len(argv) % 2:
+    if name not in _SUBCOMMANDS or len(argv) % 2:
         return None
-    flags, defaults, required, groups = table
+    if name not in _BUILT:
+        _BUILT[name] = _flag_table(_build_parser(name))
+    flags, defaults, required, groups = _BUILT[name]
     values = dict(defaults)
     seen = set()
     for flag, text in zip(argv[::2], argv[1::2]):
@@ -396,7 +431,7 @@ def _read_flags(name: str, argv: list[str]) -> argparse.Namespace | None:
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     args = _read_flags(argv[0], argv[1:]) if argv else None
-    return _PARSER.parse_args(argv) if args is None else args
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -416,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][2](args)
     except (ParameterError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

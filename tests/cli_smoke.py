@@ -1,5 +1,5 @@
 """CLI smoke cases: rec-persist commands at the north-star sizes and at
-every documented exit code, plus three checks of the library API.
+every documented exit code, plus four checks of the library API.
 
 Each case is one command, the exit code it must return, the files written
 to its directory before it runs and the checks made after it.  run_case
@@ -23,6 +23,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import traceback
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+import rec_persist
 from rec_persist import (
     LossSemantics,
     RecParams,
@@ -212,7 +214,23 @@ def check_rule_names() -> list[str]:
     return failures
 
 
-API_CHECKS = (check_simulate_trials, check_persistency, check_rule_names)
+def check_probe_loads() -> list[str]:
+    """A fresh interpreter importing the CLI entry point loads only the
+    package, cli, errors and model of rec_persist."""
+    script = ("import sys\nfrom rec_persist.cli import main\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'rec_persist'))")
+    # the package this process runs, installed or a source tree
+    env = {**os.environ, "PYTHONPATH": str(Path(rec_persist.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    want = str(["rec_persist", "rec_persist.cli", "rec_persist.errors",
+                "rec_persist.model"])
+    got = proc.stdout.strip() if proc.returncode == 0 else proc.stderr.strip()
+    return [] if got == want else [f"the CLI import loaded {got}, expected {want}"]
+
+
+API_CHECKS = (check_simulate_trials, check_persistency, check_rule_names,
+              check_probe_loads)
 
 
 def _main() -> int:

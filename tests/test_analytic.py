@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from rec_persist import analytic, oracle, simulator, sweep
 from rec_persist.analytic import Method
+from rec_persist.cli import main
 from rec_persist.errors import ParameterError, QuadratureError, SizeLimitError
 from rec_persist.model import (
     LossSemantics,
@@ -1239,6 +1240,26 @@ class TestQuadrature:
                 analytic.expect(strategy, rec, system, Method.INTEGRAL)
             assert info.value.requested == analytic.DEFAULT_QUADRATURE_TOL
             assert info.value.achieved > info.value.requested
+
+    def test_nan_integrand_raises(self, monkeypatch, capsys):
+        # a nan value or error splits no panel; the rule stops with a typed
+        # error instead of starting an empty round
+        def nan_kernel(x, a, b):
+            return np.full(np.shape(x), math.nan)
+
+        monkeypatch.setattr(analytic, "log_reg_inc_beta_complement", nan_kernel)
+        for strategy, rec, system in self.CASES:
+            with pytest.raises(QuadratureError):
+                analytic.expect(strategy, rec, system, Method.INTEGRAL)
+            assert analytic.expect_many(strategy, rec, [system, system],
+                                        Method.INTEGRAL) == [None, None]
+            argv = (f"analytic --strategy {strategy.value} --p {rec.p} --q {rec.q} "
+                    f"--r {rec.r} --nodes {system.nodes} --docs {system.docs} "
+                    "--method integral")
+            assert main(argv.split()) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: quadrature reached") and "Traceback" not in err
 
 
 class TestSupportBound:

@@ -660,7 +660,7 @@ class TestCliAnalytic:
     def test_method_choices(self):
         # benchmark decks and scripts pass these names as --method
         sub = next(
-            action for action in cli._PARSER._actions
+            action for action in cli._parser()._actions
             if isinstance(action, argparse._SubParsersAction)
         )
         method = next(
@@ -699,8 +699,8 @@ class TestCliDispatch:
     @pytest.mark.parametrize("argv", ARGVS, ids=lambda a: " ".join(a.split()[:2]))
     def test_same_namespace(self, argv):
         argv = argv.split()
-        expected = cli._PARSER.parse_args(argv)
-        assert cli._SUBPARSERS[argv[0]].parse_args(argv[1:]) == expected
+        expected = cli._parser().parse_args(argv)
+        assert cli._build_parser(argv[0]).parse_args(argv[1:]) == expected
         assert cli._parse(argv) == expected
 
     @pytest.mark.parametrize(
@@ -716,7 +716,7 @@ class TestCliDispatch:
     def test_usage_and_errors_unchanged(self, argv, capsys):
         argv = argv.split()
         with pytest.raises(SystemExit) as exc:
-            cli._PARSER.parse_args(argv)
+            cli._parser().parse_args(argv)
         expected = (int(exc.value.code or 0), *capsys.readouterr())
         assert (main(argv), *capsys.readouterr()) == expected
 
@@ -770,9 +770,9 @@ def _argvs(draw):
     each left out, given once or repeated, with up to two pieces spoilt: a
     bad value, --flag=value, an abbreviation, a flag or value dropped, or
     an unknown flag or -h added."""
-    name = draw(st.sampled_from(sorted(cli._SUBPARSERS)))
+    name = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
     pairs = []
-    for action in cli._SUBPARSERS[name]._actions:
+    for action in cli._build_parser(name)._actions:
         if action.nargs is not None:
             continue
         counts = [1, 1, 1, 1, 1, 1, 0, 2] if action.required else [1, 0, 0, 2]
@@ -820,12 +820,12 @@ class TestFastPath:
         args = cli._read_flags(argv[0], argv[1:])
         assert (args is not None) == plain
         if plain:
-            assert args == cli._PARSER.parse_args(argv)
+            assert args == cli._parser().parse_args(argv)
 
     @settings(deadline=None, max_examples=400)
     @given(_argvs())
     def test_same_as_argparse(self, argv):
-        assert _outcome(cli._parse, argv) == _outcome(cli._PARSER.parse_args, argv)
+        assert _outcome(cli._parse, argv) == _outcome(cli._parser().parse_args, argv)
 
 
 class TestCliSimulate:
@@ -1304,7 +1304,7 @@ class TestCliSelftest:
 
     def test_failure_sets_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "rec_persist.cli.run_selftest",
+            "rec_persist.selftest.run_selftest",
             lambda level: [CheckResult("rigged", False, "boom")],
         )
         assert main(["selftest"]) == 1
