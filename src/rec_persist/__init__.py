@@ -18,10 +18,13 @@ import importlib
 
 __version__ = "0.1.0"
 
-# the modules whose __all__ the package exports, in order: a name comes
-# from the first that lists it
+# the modules whose __all__ the package exports, in __all__'s order
 _EXPORTING = ("analytic", "errors", "model", "oracle", "selftest", "simulator",
               "specfun", "sweep")
+# the same modules in dependency order, the order a name's owner is sought
+# in, so that a lookup loads few modules its owner does not import itself
+_LOOKUP = ("errors", "model", "specfun", "analytic", "simulator", "oracle",
+           "sweep", "selftest")
 _SUBMODULES = (*_EXPORTING, "cli", "svg")
 
 
@@ -38,7 +41,7 @@ def __getattr__(name: str):
     else:
         # no public name starts with "_", so a probe of one loads nothing
         owner = None if name[:1] == "_" else next(
-            (module for module in map(_module, _EXPORTING) if name in module.__all__),
+            (module for module in map(_module, _LOOKUP) if name in module.__all__),
             None)
         if owner is None:
             raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,8 +5,7 @@ p+q chunks, and each chunk is stored r times, giving (p+q)*r fragments.
 Fragment (j, m) is replica j of chunk m.  Replication multiset m collects
 the r replicas of chunk m; replica cluster j collects the p+q chunks that
 share replica index j.  A placement is a plain integer array of node ids,
-table[k, j, m] for fragment (j, m) of document k, shape (D, r, p+q);
-require_node_ids checks its range.
+table[k, j, m] for fragment (j, m) of document k, shape (D, r, p+q).
 
 Two loss rules are supported, and both are one two-level threshold over
 the document's (r, p+q) fragment grid (loss_thresholds): the grid splits
@@ -174,12 +173,6 @@ def symmetric_period_docs(rec: RecParams, nodes: int, docs: int) -> int:
     when the first document is lost: min(docs, N/gcd(N, g)).
     """
     return min(docs, nodes // math.gcd(nodes, rec.fragments))
-
-
-def require_node_ids(table: np.ndarray, nodes: int) -> None:
-    """ParameterError unless every entry of the integer array table is in [0, nodes)."""
-    if table.min() < 0 or table.max() >= nodes:
-        raise ParameterError("placement table entries must lie in [0, nodes)")
 
 
 def is_document_lost(rec: RecParams, erased, semantics: LossSemantics | str) -> bool:

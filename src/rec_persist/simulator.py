@@ -19,10 +19,11 @@ for SEED_BLOCK trials at a time (_trial_states), so the stream is numpy's
 own without a SeedSequence object a trial.  They run serially, in batches.
 simulate_trials returns each trial's X; simulate summarises them, and
 simulate_many summarises many configs from one seeding stream.
-The gather reads node ids in (r, p+q, D) layout.  Symmetric trials share
-one index, built directly in that layout by round-robin arithmetic
-(_symmetric_index); random trials draw their ids into one
-(batch, r, p+q, D) intp buffer a class, which becomes the gather's index.
+Each trial gathers its erasure times from one reused rank row into its
+row of each class's int32 (batch, r, p+q, D) buffer, through node ids in
+(r, p+q, D) layout: symmetric trials share one index, built directly in
+that layout by round-robin arithmetic (_symmetric_index), and a random
+trial gathers through its drawn table's transpose.
 A symmetric class stores one period of its documents, N/gcd(N, g), since
 the rest repeat its nodes.  Ranks are int32, which caps nodes below
 2^31; a trial's arrays are capped at TRIAL_LIMIT entries, and the trial
@@ -47,7 +48,6 @@ from .model import (
     default_semantics,
     loss_thresholds,
     require_member,
-    require_node_ids,
     symmetric_period_docs,
     symmetric_power,
 )
@@ -64,14 +64,14 @@ __all__ = [
     "simulate_many",
 ]
 
-# entries (rank rows plus erasure times, int32) one batch of trials holds;
-# a random batch also holds its drawn ids, as many again but intp, and with
-# the gather's temporaries a full batch takes about 2 MiB
+# entries (rank row plus erasure times, int32) one batch of trials counts;
+# with one random trial's drawn ids and the gather's contiguous copy of
+# them a full batch takes about 1 MiB
 BUDGET = 1 << 17
 # entries of one trial, its rank row plus every class's placement ids
-# (256 MiB as int32; a random trial's intp ids and the times gathered
-# through them make its peak about three times that); simulate refuses
-# larger runs before allocating, and a trial this large runs alone
+# (256 MiB as int32; a random trial's intp ids, the gather's copy of them
+# and the int32 times make its peak about five times that); simulate
+# refuses larger runs before allocating, and a trial this large runs alone
 TRIAL_LIMIT = 1 << 26
 # trials whose seed words one numpy pass computes, across configs; the
 # words take 32 bytes a trial
@@ -115,16 +115,6 @@ def place_symmetric(rec: RecParams, system: SystemParams) -> np.ndarray:
     """
     index = _symmetric_index(rec, system.nodes, system.docs, 0)
     return index.transpose(2, 0, 1)
-
-
-def _erasure_times(ranks: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """t[b, k, j, m] = ranks[b, index[j, m, k]], shape (batch, D, r, p+q).
-
-    index holds node ids in the gather's (r, p+q, D) layout; when it is
-    contiguous there, each (j, m) plane of t is contiguous over documents
-    and the elementwise passes in _first_loss stream through memory.
-    """
-    return ranks.take(index, axis=1).transpose(0, 3, 1, 2)
 
 
 def _order_statistic(values: np.ndarray, q: int) -> np.ndarray:
@@ -192,7 +182,8 @@ def persistency(rec: RecParams, table, order, semantics: LossSemantics | str) ->
             f"removal order must list the nodes once each, got shape {order.shape}"
         )
     nodes = len(order)
-    require_node_ids(table, nodes)
+    if table.min() < 0 or table.max() >= nodes:
+        raise ParameterError("placement table entries must lie in [0, nodes)")
     if (
         not np.issubdtype(order.dtype, np.integer)
         or order.min() < 0
@@ -204,7 +195,10 @@ def persistency(rec: RecParams, table, order, semantics: LossSemantics | str) ->
     rank[0, order] = np.arange(1, nodes + 1)
     if not rank.all():
         raise ParameterError("removal order must be a permutation of the nodes")
-    t = _erasure_times(rank, table.transpose(1, 2, 0))
+    # t[0, k, j, m] = rank[0, table[k, j, m]], gathered in the (r, p+q, D)
+    # layout so that each (j, m) plane of t is contiguous over documents and
+    # the elementwise passes in _first_loss stream through memory
+    t = rank.take(table.transpose(1, 2, 0), axis=1).transpose(0, 3, 1, 2)
     return int(_first_loss(t, rec.q, semantics)[0])
 
 
@@ -426,55 +420,47 @@ def _guarded_sizes(config: SimConfig) -> tuple[list[int], int]:
     return stored, entries
 
 
-def _run_trials(config: SimConfig, rng, states) -> np.ndarray:
-    """X of each trial of config, each drawn by rng from the next of states."""
-    nodes = config.nodes
-    stored, entries = _guarded_sizes(config)
+def _run_trials(
+    config: SimConfig, stored: list[int], entries: int, rng, states
+) -> np.ndarray:
+    """X of each trial of config, each drawn by rng from the next of states;
+    stored and entries are config's _guarded_sizes."""
+    nodes, semantics = config.nodes, config.semantics
     symmetric = config.strategy is PlacementStrategy.SYMMETRIC
     # a symmetric class's gather index, placed once
     indexes, start = [], 0
     for wc, docs in zip(config.classes, stored) if symmetric else ():
         indexes.append(_symmetric_index(wc.rec, nodes, docs, start))
         start = (start + wc.docs * wc.rec.fragments) % nodes
-    drawn = () if symmetric else config.classes
     size = max(1, BUDGET // entries)
     removal = np.arange(1, nodes + 1, dtype=np.int32)
+    rank = np.empty(nodes, dtype=np.int32)
+    # each class's erasure times in the gather's (batch, r, p+q, D) layout,
+    # reused by every batch
+    times = [
+        np.empty((min(size, config.trials), wc.rec.r, wc.rec.chunks, docs), np.int32)
+        for wc, docs in zip(config.classes, stored)
+    ]
     bitgen = rng.bit_generator
     xs = np.empty(config.trials, dtype=np.int64)
     for first in range(0, config.trials, size):
         batch = range(first, min(first + size, config.trials))
-        ranks = np.zeros((len(batch), nodes), dtype=np.int32)
-        # one buffer of drawn ids per random class, in the gather's
-        # (batch, r, p+q, D) layout; none when symmetric
-        buffers = [
-            np.empty((len(batch), wc.rec.r, wc.rec.chunks, wc.docs), np.intp)
-            for wc in drawn
-        ]
         for row in range(len(batch)):
             bitgen.state = next(states)
-            # indexed, so no loop variable keeps a buffer alive
-            for c, wc in enumerate(drawn):
-                buffers[c][row] = _draw_table(
-                    wc.rec, nodes, wc.docs, rng
-                ).transpose(1, 2, 0)
-            ranks[row][rng.permutation(nodes)] = removal
-        # a rank left at 0 marks a node the permutation missed
-        if not ranks.all():
-            raise ParameterError("removal order must be a permutation of the nodes")
-        offsets = np.arange(0, len(batch) * nodes, nodes, dtype=np.intp)
-        deaths = []
-        for c, wc in enumerate(config.classes):
-            if symmetric:
-                t = _erasure_times(ranks, indexes[c])
-            else:
-                # row b's ids index the flattened ranks from b*N on, and
-                # t's planes are contiguous over documents, as in _erasure_times
-                require_node_ids(buffers[c], nodes)
-                buffers[c] += offsets[:, None, None, None]
-                t = ranks.reshape(-1).take(buffers[c]).transpose(0, 3, 1, 2)
-                buffers[c] = None
-            deaths.append(_first_loss(t, wc.rec.q, config.semantics))
-            del t  # before the next gather, or the next batch, allocates
+            tables = indexes if symmetric else [
+                _draw_table(wc.rec, nodes, wc.docs, rng).transpose(1, 2, 0)
+                for wc in config.classes
+            ]
+            rank[rng.permutation(nodes)] = removal
+            # clip never clips, as every id comes from integers(0, N) or a
+            # residue mod N; unlike raise, it writes straight into out
+            for t, index in zip(times, tables):
+                rank.take(index, out=t[row], mode="clip")
+            del tables, index  # before the next trial draws its own
+        deaths = [
+            _first_loss(t[: len(batch)].transpose(0, 3, 1, 2), wc.rec.q, semantics)
+            for wc, t in zip(config.classes, times)
+        ]
         xs[batch.start : batch.stop] = reduce(np.minimum, deaths)
     return xs
 
@@ -483,14 +469,15 @@ def _simulated(configs: list[SimConfig]):
     """Each config's trial X in turn, once every config is a SimConfig
     (else ParameterError) that passed the guards; one generator, reseeded
     from one _trial_states stream, draws them all."""
+    sizes = []
     for config in configs:
         if not isinstance(config, SimConfig):
             raise ParameterError(f"simulate needs a SimConfig, got {config!r}")
-        _guarded_sizes(config)
+        sizes.append(_guarded_sizes(config))
     rng = np.random.Generator(np.random.PCG64(0))
     states = _trial_states(configs)
-    for config in configs:
-        yield _run_trials(config, rng, states)
+    for config, (stored, entries) in zip(configs, sizes):
+        yield _run_trials(config, stored, entries, rng, states)
 
 
 def simulate_trials(config: SimConfig) -> np.ndarray:
@@ -501,10 +488,9 @@ def simulate_trials(config: SimConfig) -> np.ndarray:
     the removal permutation.  Symmetric classes share one placement
     counter, which each advances by all of its documents.  Trials run
     max(1, BUDGET // entries) at a time, where entries is one trial's rank
-    row plus placement tables (_stored_docs documents a class).  A random
-    class's drawn ids are checked against [0, nodes) once a batch
-    (ParameterError).  Raises SizeLimitError, before allocating, when
-    nodes >= 2^31, or entries or trials exceeds TRIAL_LIMIT.
+    row plus placement tables (_stored_docs documents a class).  Raises
+    SizeLimitError, before allocating, when nodes >= 2^31, or entries or
+    trials exceeds TRIAL_LIMIT.
     """
     (xs,) = _simulated([config])
     return xs

@@ -93,6 +93,25 @@ def test_submodule_loads_on_first_use(tmp_path):
         "rec_persist.model", "rec_persist.specfun"}
 
 
+# owners are sought in dependency order: errors first, analytic after the
+# modules it imports
+@pytest.mark.parametrize("script, loads", [
+    ("from rec_persist import ParameterError", {"errors"}),
+    ("import rec_persist\nrec_persist.expect",
+     {"analytic", "errors", "model", "specfun"}),
+], ids=["ParameterError", "expect"])
+def test_public_name_loads_its_owner_first(script, loads, tmp_path):
+    expected = {"rec_persist", *(f"rec_persist.{m}" for m in loads)}
+    assert _loaded(script, tmp_path) == expected
+
+
+def test_simulator_names_load_no_module_above_it(tmp_path):
+    loaded = _loaded("from rec_persist import SimConfig, simulate", tmp_path)
+    assert "rec_persist.simulator" in loaded
+    assert not loaded & {"rec_persist.oracle", "rec_persist.selftest",
+                         "rec_persist.sweep"}
+
+
 def test_cli_import_loads_the_probe_set(tmp_path):
     assert _loaded("from rec_persist.cli import main", tmp_path) == PROBE
 
