@@ -277,8 +277,9 @@ def _check_simulation_agreement() -> tuple[bool, str]:
 
 
 def _check_trial_seeds() -> tuple[bool, str]:
-    # the simulator computes SeedSequence's words and PCG64's seeding
-    # itself, so a numpy that seeds otherwise would change every stream
+    # the simulator computes SeedSequence's words itself and numpy seeds
+    # PCG64 from them, so a numpy that seeds otherwise would change every
+    # stream
     seeds = (0, 2**64 + 5, 2**200 + 3)
     configs = [
         SimConfig(
@@ -290,11 +291,12 @@ def _check_trial_seeds() -> tuple[bool, str]:
         )
         for seed in seeds
     ]
-    states = simulator._trial_states(configs)
+    got = simulator._trial_seeds(configs)
     for seed in seeds:
         for trial in range(3):
+            state = np.random.default_rng(next(got)).bit_generator.state
             want = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-            if next(states) != want.bit_generator.state:
+            if state != want.bit_generator.state:
                 return False, f"trial {trial} of seed {seed}: numpy's state differs"
     return True, "9 trial states equal default_rng(SeedSequence([m, t]))'s"
 

@@ -12,11 +12,11 @@ runs it on a batch of one, for a placement given as a (D, r, p+q) array of
 node ids, the form place_random and place_symmetric return.
 
 Trials are deterministic functions of (master_seed, trial_index): trial i
-draws the stream of default_rng(SeedSequence([master_seed, i])).  One
-reused generator is set to that start through PCG64.state, from the
-SeedSequence words that _seed_words computes in numpy uint32 arithmetic
-for SEED_BLOCK trials at a time (_trial_states), so the stream is numpy's
-own without a SeedSequence object a trial.  They run serially, in batches.
+draws from default_rng(seed), where seed stands in for
+SeedSequence([master_seed, i]) with the words that _seed_words computes in
+numpy uint32 arithmetic for SEED_BLOCK trials at a time (_trial_seeds), so
+numpy seeds PCG64 itself without a SeedSequence object a trial.  They run
+serially, in batches.
 simulate_trials returns each trial's X; simulate summarises them, and
 simulate_many summarises many configs from one seeding stream.
 Each trial gathers its erasure times from one reused rank row into its
@@ -299,13 +299,10 @@ def _entropy_words(seed: int) -> list[int]:
     return words
 
 
-# SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
-# 128-bit LCG multiplier
+# SeedSequence's hash constants (numpy.random.bit_generator)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
@@ -357,16 +354,26 @@ def _seed_words(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return state[0::2] | state[1::2] << np.uint64(32)
 
 
-def _trial_states(configs: list[SimConfig]):
-    """The PCG64 state of every trial of configs, config by config in trial
-    order, as the dict its state setter takes.
+class _TrialSeed:
+    """SeedSequence([m, t]) of one trial as default_rng uses it: PCG64
+    calls only generate_state(4, np.uint64), which returns words, the
+    trial's.  _trial_seeds registers the class as an ISeedSequence on
+    first use, so importing this module loads no numpy.random."""
 
-    Trial t of master seed m gets the state default_rng(SeedSequence([m,
-    t])) starts from: its generate_state(4, np.uint64) words u, with
-    inc = 2*(u2, u3) + 1 and state = ((u0, u1) + inc) * mult + inc mod
-    2^128, PCG64's seeding.  The words of SEED_BLOCK trials at a time,
-    across configs, come from one _seed_words pass.
-    """
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _trial_seeds(configs: list[SimConfig]):
+    """A _TrialSeed for every trial of configs, config by config in trial
+    order, with SeedSequence([m, t])'s words for trial t of master seed m;
+    one _seed_words pass serves SEED_BLOCK trials at a time, across configs."""
+    np.random.bit_generator.ISeedSequence.register(_TrialSeed)
     seeds = [_entropy_words(config.master_seed) for config in configs]
     lengths = np.array([len(words) for words in seeds])
     table = np.zeros((max(4, lengths.max() + 1), len(seeds)), np.uint32)
@@ -382,18 +389,10 @@ def _trial_states(configs: list[SimConfig]):
         entropy = table[:, owner]
         entropy[lengths[owner], np.arange(len(rows))] = rows - starts[owner]
         words = _seed_words(entropy, lengths[owner] + 1)
-        # a column at a time: a block's words as Python ints would take
-        # about 230 bytes a trial
-        for column in words.T:
-            u0, u1, u2, u3 = column.tolist()
-            inc = ((u2 << 64 | u3) << 1 | 1) & _MASK128
-            state = (((u0 << 64 | u1) + inc) * _PCG_MULT + inc) & _MASK128
-            yield {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+        # PCG64 reads the words through the array's data pointer, so each
+        # trial gets a contiguous row, never a strided column of words
+        for row in np.ascontiguousarray(words.T):
+            yield _TrialSeed(row)
 
 
 def _guarded_sizes(config: SimConfig) -> tuple[list[int], int]:
@@ -421,10 +420,10 @@ def _guarded_sizes(config: SimConfig) -> tuple[list[int], int]:
 
 
 def _run_trials(
-    config: SimConfig, stored: list[int], entries: int, rng, states
+    config: SimConfig, stored: list[int], entries: int, seeds
 ) -> np.ndarray:
-    """X of each trial of config, each drawn by rng from the next of states;
-    stored and entries are config's _guarded_sizes."""
+    """X of each trial of config, each drawn from default_rng of the next
+    of seeds; stored and entries are config's _guarded_sizes."""
     nodes, semantics = config.nodes, config.semantics
     symmetric = config.strategy is PlacementStrategy.SYMMETRIC
     # a symmetric class's gather index, placed once
@@ -441,12 +440,11 @@ def _run_trials(
         np.empty((min(size, config.trials), wc.rec.r, wc.rec.chunks, docs), np.int32)
         for wc, docs in zip(config.classes, stored)
     ]
-    bitgen = rng.bit_generator
     xs = np.empty(config.trials, dtype=np.int64)
     for first in range(0, config.trials, size):
         batch = range(first, min(first + size, config.trials))
         for row in range(len(batch)):
-            bitgen.state = next(states)
+            rng = np.random.default_rng(next(seeds))
             tables = indexes if symmetric else [
                 _draw_table(wc.rec, nodes, wc.docs, rng).transpose(1, 2, 0)
                 for wc in config.classes
@@ -467,25 +465,24 @@ def _run_trials(
 
 def _simulated(configs: list[SimConfig]):
     """Each config's trial X in turn, once every config is a SimConfig
-    (else ParameterError) that passed the guards; one generator, reseeded
-    from one _trial_states stream, draws them all."""
+    (else ParameterError) that passed the guards; one _trial_seeds stream
+    seeds every trial's generator."""
     sizes = []
     for config in configs:
         if not isinstance(config, SimConfig):
             raise ParameterError(f"simulate needs a SimConfig, got {config!r}")
         sizes.append(_guarded_sizes(config))
-    rng = np.random.Generator(np.random.PCG64(0))
-    states = _trial_states(configs)
+    seeds = _trial_seeds(configs)
     for config, (stored, entries) in zip(configs, sizes):
-        yield _run_trials(config, stored, entries, rng, states)
+        yield _run_trials(config, stored, entries, seeds)
 
 
 def simulate_trials(config: SimConfig) -> np.ndarray:
     """X of each of config.trials trials, in trial order, as int64.
 
-    Trial i draws from the generator seeded by SeedSequence([master_seed,
-    i]): first the random placements of the classes in declared order, then
-    the removal permutation.  Symmetric classes share one placement
+    Trial i draws from its own default_rng(SeedSequence([master_seed,
+    i])): first the random placements of the classes in declared order,
+    then the removal permutation.  Symmetric classes share one placement
     counter, which each advances by all of its documents.  Trials run
     max(1, BUDGET // entries) at a time, where entries is one trial's rank
     row plus placement tables (_stored_docs documents a class).  Raises

@@ -48,7 +48,8 @@ def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + 1e-9 * span:
+    # a step below t's ulp leaves t unmoved, so stop once it stops growing
+    while t <= hi + 1e-9 * span and (not ticks or t > ticks[-1]):
         ticks.append(t)
         t += step
     return ticks

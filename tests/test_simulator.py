@@ -789,22 +789,26 @@ class TestTrialSeeds:
         assert words[:, 0].tolist() == _seed_sequence_words(seed, trial)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_reused_generator_draws_as_default_rng(self, seed, monkeypatch):
+    def test_trial_generators_draw_as_default_rng(self, seed, monkeypatch):
         # blocks of 3 trials across two configs whose seeds may differ in
-        # width; 21 bounded 32-bit draws leave a buffered half in PCG64,
-        # which the next trial's state must clear
+        # width; each trial's generator is built from its seed, and 21
+        # bounded 32-bit draws leave a buffered half in PCG64 that no later
+        # trial may see
         monkeypatch.setattr(simulator, "SEED_BLOCK", 3)
         configs = [
             _config([((2, 1, 2), 8)], 48, trials=4, seed=master)
             for master in (seed, 2**64 - 1 - seed % 7)
         ]
         keys = [(c.master_seed, t) for c in configs for t in range(c.trials)]
-        states = list(simulator._trial_states(configs))
-        assert len(states) == len(keys)
-        rng = np.random.Generator(np.random.PCG64(0))
+        seeds = list(simulator._trial_seeds(configs))
+        assert len(seeds) == len(keys)
         halves = []
-        for (master, trial), state in zip(keys, states):
-            rng.bit_generator.state = state
+        for (master, trial), trial_seed in zip(keys, seeds):
+            # PCG64 reads these words through the array's data pointer
+            words = trial_seed.generate_state(4, np.uint64)
+            assert words.dtype == np.uint64 and words.flags.c_contiguous
+            assert words.tolist() == _seed_sequence_words(master, trial)
+            rng = np.random.default_rng(trial_seed)
             want = np.random.default_rng(np.random.SeedSequence([master, trial]))
             assert rng.bit_generator.state == want.bit_generator.state
             draw = dict(size=(7, 1, 3), dtype=np.intp)
@@ -814,8 +818,12 @@ class TestTrialSeeds:
             halves.append(rng.bit_generator.state["has_uint32"])
         assert 1 in halves
 
-    def test_import_leaves_numpy_random_unloaded(self):
-        code = "import sys, rec_persist.cli; print('numpy.random' in sys.modules)"
+    @pytest.mark.parametrize("module", ["cli", "simulator", "oracle"])
+    def test_import_leaves_numpy_random_unloaded(self, module):
+        code = (
+            f"import sys, rec_persist.{module}; "
+            "print('numpy.random' in sys.modules)"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True
         )

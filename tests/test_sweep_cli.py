@@ -430,6 +430,20 @@ class TestRenderChart:
         with pytest.raises(ParameterError):
             render_chart([], title="t", x_label="x", y_label="y")
 
+    def test_ulp_close_linear_values_end(self):
+        # values a few ulps apart make a tick step below the ticks' ulp,
+        # which must not stall the tick loop; the subprocess bounds the wait
+        code = (
+            "from rec_persist.svg import Series, render_chart; "
+            "print(render_chart([Series('s', [1, 2], [1.0, 1.0000000000000004])], "
+            "title='t', x_label='x', y_label='y', log=False))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        ET.fromstring(proc.stdout)
+
 
 class TestCliAnalytic:
     def test_symmetric_integral(self, capsys):
