@@ -87,10 +87,24 @@ def _draw_table(
     return rng.integers(0, nodes, size=size, dtype=np.intp)
 
 
+def _require_placement_size(rec: RecParams, docs: int) -> None:
+    """The public placements hold all docs*(p+q)*r ids at once; refuse more
+    than TRIAL_LIMIT, simulate's cap on one trial."""
+    if docs * rec.fragments > TRIAL_LIMIT:
+        raise SizeLimitError(
+            f"a placement of {docs * rec.fragments} node ids (docs*(p+q)*r) "
+            f"is above the limit of {TRIAL_LIMIT}"
+        )
+
+
 def place_random(
     rec: RecParams, system: SystemParams, rng: np.random.Generator
 ) -> np.ndarray:
-    """(D, r, p+q) intp node ids, each fragment on an i.i.d. uniform node."""
+    """(D, r, p+q) intp node ids, each fragment on an i.i.d. uniform node.
+
+    Raises SizeLimitError, before allocating, above TRIAL_LIMIT ids.
+    """
+    _require_placement_size(rec, system.docs)
     return _draw_table(rec, system.nodes, system.docs, rng)
 
 
@@ -111,8 +125,10 @@ def place_symmetric(rec: RecParams, system: SystemParams) -> np.ndarray:
     Fragments of one document go to consecutive nodes in replica-major
     order (cluster 1's chunks, then cluster 2's, ...), wrapping modulo N.
     Returns the (D, r, p+q) intp array of node ids, a view of
-    _symmetric_index.
+    _symmetric_index; raises SizeLimitError, before allocating, above
+    TRIAL_LIMIT ids.
     """
+    _require_placement_size(rec, system.docs)
     index = _symmetric_index(rec, system.nodes, system.docs, 0)
     return index.transpose(2, 0, 1)
 

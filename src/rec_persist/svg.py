@@ -1,5 +1,13 @@
 """Tiny self-contained SVG chart writer: scatter points and lines, linear or
-log axes.  Deliberately minimal; no plotting dependency."""
+log axes.  Deliberately minimal; no plotting dependency.
+
+A point whose y is None (a missing value), or whose x or y is not finite,
+is left out of its line and of the axis ranges; so is a point at or below
+zero on log axes, and a series with no point left is not drawn.  One
+routine, _axis, pads, scales and ticks both axes.  Linear ticks are whole
+multiples of one step, so every tick lies within the data's range (to
+1e-9 of a step) and no two share a %g label.
+"""
 
 from __future__ import annotations
 
@@ -19,7 +27,7 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 class Series:
     label: str
     xs: Sequence[float]
-    ys: Sequence[float]
+    ys: Sequence[float | None]  # None marks a missing value
     color: str = PALETTE[0]
     marker: bool = False  # draw circles at points; otherwise a polyline
 
@@ -27,7 +35,8 @@ class Series:
 def _finite_points(s: Series, log: bool):
     pts = []
     for x, y in zip(s.xs, s.ys):
-        if not (math.isfinite(x) and math.isfinite(y)):
+        # None is a missing value; math.isfinite(None) would raise
+        if y is None or not (math.isfinite(x) and math.isfinite(y)):
             continue
         if log and (x <= 0 or y <= 0):
             continue
@@ -36,23 +45,19 @@ def _finite_points(s: Series, log: bool):
 
 
 def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+    """Whole multiples k*step in [lo, hi]: step is 1, 2 or 5 times a power of
+    ten near (hi-lo)/target, never finer than %g's six significant digits.
+    A range that holds no multiple, or a single value, gets the tick [lo]."""
     span = hi - lo
     if span <= 0:
         return [lo]
     raw = span / target
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    # a step below t's ulp leaves t unmoved, so stop once it stops growing
-    while t <= hi + 1e-9 * span and (not ticks or t > ticks[-1]):
-        ticks.append(t)
-        t += step
-    return ticks
+    step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * mag)
+    step = max(step, 10.0 ** (math.floor(math.log10(max(abs(lo), abs(hi)))) - 5))
+    # the tolerance is in steps, so a tiny step admits no extra ticks
+    last = math.floor(hi / step + 1e-9)
+    return [k * step for k in range(math.ceil(lo / step), last + 1)] or [lo]
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
@@ -65,6 +70,23 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
                 ticks.append(t)
         k += 1
     return ticks or [lo, hi]
+
+
+def _axis(values: list[float], log: bool, start: float, length: float):
+    """(to_px, ticks) of one axis: to_px maps a value to the pixel at start
+    plus its padded fraction of length (negative for y, which grows upward),
+    and ticks are where the axis labels sit."""
+    scale = math.log10 if log else float
+    lo, hi = min(values), max(values)
+    a, b = scale(lo), scale(hi)
+    # 5% padding each side; a single value v gets 5% of max(|v|, 1)
+    pad = ((b - a) if b > a else max(abs(a), 1.0)) * 0.05
+    a, b = a - pad, b + pad
+
+    def to_px(v: float) -> float:
+        return start + (scale(v) - a) / (b - a) * length
+
+    return to_px, (_log_ticks if log else _linear_ticks)(lo, hi)
 
 
 def _fmt(v: float) -> str:
@@ -80,8 +102,8 @@ def render_chart(
 ) -> str:
     """Render the series to an SVG document string (pure function).
 
-    log puts both axes on a log scale and drops points with x <= 0 or
-    y <= 0.
+    Points with a None or non-finite coordinate are dropped; log puts both
+    axes on a log scale and also drops points with x <= 0 or y <= 0.
     """
     if not series:
         raise ParameterError("at least one series is required")
@@ -92,35 +114,11 @@ def render_chart(
 
     drawable = [(s, _finite_points(s, log)) for s in series]
     drawable = [(s, pts) for s, pts in drawable if pts]
-    xs = [x for _, pts in drawable for x, _ in pts]
-    ys = [y for _, pts in drawable for _, y in pts]
-    if not xs:
-        xs = ys = [1.0]
+    xs = [x for _, pts in drawable for x, _ in pts] or [1.0]
+    ys = [y for _, pts in drawable for _, y in pts] or [1.0]
 
-    scale = math.log10 if log else float
-    ticks = _log_ticks if log else _linear_ticks
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-
-    def _span(lo, hi, f):
-        a, b = f(lo), f(hi)
-        if b - a <= 0:
-            pad = max(abs(a), 1.0) * 0.05
-            return a - pad, b + pad
-        pad = (b - a) * 0.05
-        return a - pad, b + pad
-
-    fx_lo, fx_hi = _span(x_lo, x_hi, scale)
-    fy_lo, fy_hi = _span(y_lo, y_hi, scale)
-
-    def px(x: float) -> float:
-        return left + (scale(x) - fx_lo) / (fx_hi - fx_lo) * plot_w
-
-    def py(y: float) -> float:
-        return top + plot_h - (scale(y) - fy_lo) / (fy_hi - fy_lo) * plot_h
-
-    x_ticks = ticks(x_lo, x_hi)
-    y_ticks = ticks(y_lo, y_hi)
+    px, x_ticks = _axis(xs, log, left, plot_w)
+    py, y_ticks = _axis(ys, log, top + plot_h, -plot_h)
 
     out = []
     out.append(

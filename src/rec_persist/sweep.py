@@ -374,31 +374,15 @@ def rows_to_csv(rows: list[SweepRow], path: str | Path) -> None:
 
 
 def rows_to_svg(spec: SweepSpec, rows: list[SweepRow], path: str | Path) -> None:
+    """Chart the simulation mean and each theory overlay against N; the chart
+    leaves out an empty (None) cell, and an overlay with no cell at all."""
     xs = [row.N for row in rows]
-    series = [
-        Series(
-            label="simulation mean",
-            xs=xs,
-            ys=[row.mean_empirical for row in rows],
-            color=PALETTE[0],
-            marker=True,
-        )
+    means = [row.mean_empirical for row in rows]
+    series = [Series("simulation mean", xs, means, PALETTE[0], marker=True)]
+    series += [
+        Series(label, xs, [getattr(row, column) for row in rows], PALETTE[i])
+        for i, (column, label, _) in enumerate(OVERLAYS.values(), 1)
     ]
-    for color, (column, label, _) in enumerate(OVERLAYS.values(), 1):
-        pts = [
-            (row.N, getattr(row, column))
-            for row in rows
-            if getattr(row, column) is not None
-        ]
-        if pts:
-            series.append(
-                Series(
-                    label=label,
-                    xs=[x for x, _ in pts],
-                    ys=[y for _, y in pts],
-                    color=PALETTE[color % len(PALETTE)],
-                )
-            )
     rec = spec.rec
     title = (
         f"{spec.name}: {spec.strategy.value} placement, "

@@ -985,6 +985,26 @@ class TestSizeGuard:
         with pytest.raises(SizeLimitError):
             simulate(config)
 
+    @pytest.mark.parametrize("strategy", ["random", "symmetric"])
+    def test_public_placements_refuse_what_simulate_refuses(
+        self, strategy, monkeypatch
+    ):
+        # REC(2,3,2) at N = 60, D = 20 places 120 ids, above a limit of 100
+        rec, system = RecParams(2, 1, 2), SystemParams(60, 20)
+
+        def place():
+            if strategy == "random":
+                return place_random(rec, system, np.random.default_rng(0))
+            return place_symmetric(rec, system)
+
+        monkeypatch.setattr(simulator, "TRIAL_LIMIT", 100)
+        with pytest.raises(SizeLimitError):
+            simulate(_config([((2, 1, 2), 20)], 60, trials=1, strategy=strategy))
+        with pytest.raises(SizeLimitError, match="120 node ids"):
+            place()
+        monkeypatch.setattr(simulator, "TRIAL_LIMIT", 120)
+        assert place().shape == (20, 2, 3)
+
     def test_trial_count_limit(self, monkeypatch):
         # one trial holds 18 + 3 * 2 = 24 entries, within the limit of 40
         monkeypatch.setattr(simulator, "TRIAL_LIMIT", 40)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rec_persist import specfun
 from rec_persist.errors import ParameterError
 from rec_persist.selftest import _inc_beta_integral
 from rec_persist.specfun import beta, beta_real, log_reg_inc_beta_complement, reg_inc_beta
@@ -110,11 +111,11 @@ class TestRegIncBeta:
             reg_inc_beta(0.5, 0, 1)
 
 
-def _log_complement_reference(x: float, a: int, b: int) -> float:
-    """ln(1 - I_x(a, b)) from the smaller binomial tail at 30 digits."""
+def _log_complement_reference(x: float, a: int, b: int, dps: int = 30) -> float:
+    """ln(1 - I_x(a, b)) from the smaller binomial tail at dps digits."""
     mpmath = pytest.importorskip("mpmath")
     n = a + b - 1
-    with mpmath.workdps(30):
+    with mpmath.workdps(dps):
         xm = mpmath.mpf(x)
 
         def tail(js):
@@ -139,6 +140,21 @@ class TestKernelArrays:
                 got = log_reg_inc_beta_complement(x, a, b)
                 want = [_log_complement_reference(v, a, b) for v in x.tolist()]
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("a, b, x", [
+        (600, 600, 0.3), (700, 500, 0.5), (520, 600, 0.45), (1000, 1000, 0.49),
+    ])
+    def test_upper_head_past_float_range(self, a, b, x):
+        # C(a+b-1, a) overflows a float, so the upper tail's largest term is
+        # formed in log space; the reference is the exact binomial tail, as
+        # mpmath.betainc is 2.6e-5 off at (600, 600, 0.3)
+        assert math.comb(a + b - 1, a) > specfun._FLOAT_MAX and x < a / (a + b)
+        want = _log_complement_reference(x, a, b, dps=50)
+        for got in (
+            log_reg_inc_beta_complement(x, a, b),
+            log_reg_inc_beta_complement(np.array([x]), a, b)[0],
+        ):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_boundaries_and_shape(self):
         x = np.array([[0.0, 1.0], [0.25, 0.75]])

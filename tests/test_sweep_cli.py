@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rec_persist import analytic, cli, oracle, specfun, sweep
+from rec_persist import analytic, cli, oracle, specfun, svg, sweep
 from rec_persist.cli import main
 from rec_persist.errors import ParameterError, QuadratureError
 from rec_persist.analytic import Method
@@ -400,6 +400,43 @@ class TestRunSweep:
             else:
                 assert labels == (20.0, 50.0)
 
+    def test_svg_skips_empty_cells_mid_series(self, tmp_path, monkeypatch):
+        # REC(2,4,1) would wrap 100 documents on 50 and 146 nodes, so the
+        # exact overlay is empty there, between filled cells
+        nodes = (48, 50, 96, 100, 144, 146)
+        drawn = []
+
+        def spy(series, **kwargs):
+            drawn.append((series, kwargs))
+            return render_chart(series, **kwargs)
+
+        monkeypatch.setattr(sweep, "render_chart", spy)
+        for log_axes in (True, False):
+            spec = small_spec(
+                strategy=PlacementStrategy.SYMMETRIC, p=2, q=2, r=1, nodes=nodes,
+                docs=100, trials=3, theory=("exact", "asymptotic"),
+                log_axes=log_axes,
+            )
+            rows = sweep.run_sweep(spec)
+            empty = [row.theory_exact is None for row in rows]
+            assert empty == [False, True, False, False, False, True]
+            path = tmp_path / f"gap-{log_axes}.svg"
+            sweep.rows_to_svg(spec, rows, path)
+            text = path.read_text()
+            lines = ET.fromstring(text).findall("{http://www.w3.org/2000/svg}polyline")
+            assert [len(el.get("points").split()) for el in lines] == [4, 6]
+            # the same chart as one drawn from the filled cells alone, so the
+            # empty cells move neither a line nor an axis
+            series, kwargs = drawn.pop()
+            filled = []
+            for one in series:
+                pts = [(x, y) for x, y in zip(one.xs, one.ys) if y is not None]
+                if pts:
+                    xs, ys = zip(*pts)
+                    filled.append(replace(one, xs=xs, ys=ys))
+            assert len(filled) == 3
+            assert render_chart(filled, **kwargs) == text
+
 
 class TestRenderChart:
     def test_log_axes_skip_nonpositive(self):
@@ -429,6 +466,81 @@ class TestRenderChart:
     def test_empty_series_rejected(self):
         with pytest.raises(ParameterError):
             render_chart([], title="t", x_label="x", y_label="y")
+
+    def test_missing_and_non_finite_points_are_skipped(self):
+        text = render_chart(
+            [Series("s", [0, 1, 2, 3, 4, 5], [0.0, None, math.nan, 3.0, math.inf, 5.0])],
+            title="t", x_label="x", y_label="y",
+        )
+        line = ET.fromstring(text).find("{http://www.w3.org/2000/svg}polyline")
+        assert len(line.get("points").split()) == 3
+        # the skipped points leave the axes spanning 0..5, as the kept ones do
+        kept = render_chart(
+            [Series("s", [0, 3, 5], [0.0, 3.0, 5.0])],
+            title="t", x_label="x", y_label="y",
+        )
+        assert text == kept
+
+    def test_single_valued_linear_axis(self):
+        text = render_chart(
+            [Series("s", [1, 2, 3], [7.0, 7.0, 7.0])],
+            title="t", x_label="x", y_label="y",
+        )
+        root = ET.fromstring(text)
+        y_labels = [
+            el.text for el in root.iter("{http://www.w3.org/2000/svg}text")
+            if el.get("text-anchor") == "end"
+        ]
+        assert y_labels == ["7"]
+        # the lone value sits mid-plot: padded by 5% of itself each side
+        line = root.find("{http://www.w3.org/2000/svg}polyline")
+        assert {pt.split(",")[1] for pt in line.get("points").split()} == {"276.00"}
+
+    @pytest.mark.parametrize("log", [False, True])
+    def test_no_drawable_point(self, log):
+        # every point is missing, non-finite or (on log axes) not positive:
+        # the frame is drawn on a unit range, with no line and no legend
+        text = render_chart(
+            [Series("s", [0, 1, 2], [None, math.nan, -1.0 if log else math.inf])],
+            title="t", x_label="x", y_label="y", log=log,
+        )
+        root = ET.fromstring(text)
+        assert root.find("{http://www.w3.org/2000/svg}polyline") is None
+        labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "s" not in labels
+        assert [label for label, _ in x_ticks(text)] == [1.0]
+
+    @pytest.mark.parametrize("lo, hi, want", [
+        (1.0, 1.0000000000000004, [1.0]),
+        (1.0, 1.00001, [1.0, 1.00001]),
+        (2976.0, 2976.0000000000005, [2976.0]),
+        (0, 40, [0.0, 10.0, 20.0, 30.0, 40.0]),
+    ])
+    def test_linear_ticks_are_whole_steps_within_range(self, lo, hi, want):
+        ticks = svg._linear_ticks(lo, hi)
+        assert ticks == want
+        assert all(lo <= t <= hi for t in ticks)
+        assert len({svg._fmt(t) for t in ticks}) == len(ticks)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=1e-200, max_value=1e12),
+            st.floats(min_value=-1e12, max_value=-1e-200),
+        ),
+        # a subnormal width has no float step; data never spans so little
+        st.one_of(st.just(0.0), st.floats(min_value=1e-200, max_value=1e12)),
+    )
+    def test_linear_ticks_stay_in_range_with_distinct_labels(self, lo, width):
+        hi = lo + width
+        ticks = svg._linear_ticks(lo, hi)
+        assert 1 <= len(ticks) <= 6
+        # the last tick may pass hi by the 1e-9 of a step the count allows
+        slack = 1e-9 * (ticks[1] - ticks[0]) if len(ticks) > 1 else 0.0
+        for t in ticks:
+            assert lo - math.ulp(lo) <= t <= hi + slack + math.ulp(hi)
+        assert len({svg._fmt(t) for t in ticks}) == len(ticks)
 
     def test_ulp_close_linear_values_end(self):
         # values a few ulps apart make a tick step below the ticks' ulp,
