@@ -277,10 +277,17 @@ def _check_simulation_agreement() -> tuple[bool, str]:
 
 
 def _check_trial_seeds() -> tuple[bool, str]:
-    # the simulator computes SeedSequence's words itself and numpy seeds
-    # PCG64 from them, so a numpy that seeds otherwise would change every
-    # stream
+    # the simulator computes SeedSequence's words itself, for sweep grid
+    # points as for trials, and numpy seeds PCG64 from them, so a numpy
+    # that seeds otherwise would change every stream
     seeds = (0, 2**64 + 5, 2**200 + 3)
+    points = [(seed, 48, 2**32) for seed in seeds] + [(seeds[1], 2**33 + 1, 5)]
+    # run_sweep's pass: point (N, D) of sweep seed s takes row 0
+    got = simulator._seed_words(*simulator._entropy_table(points))[0].tolist()
+    for point, word in zip(points, got):
+        want = np.random.SeedSequence(point).generate_state(2, np.uint64)[0]
+        if word != want:
+            return False, f"point seed of {point}: {word} != {want}"
     configs = [
         SimConfig(
             strategy=RANDOM,
@@ -298,7 +305,10 @@ def _check_trial_seeds() -> tuple[bool, str]:
             want = np.random.default_rng(np.random.SeedSequence([seed, trial]))
             if state != want.bit_generator.state:
                 return False, f"trial {trial} of seed {seed}: numpy's state differs"
-    return True, "9 trial states equal default_rng(SeedSequence([m, t]))'s"
+    return True, (
+        "9 trial states equal default_rng(SeedSequence([m, t]))'s, "
+        "4 point seeds SeedSequence([s, N, D])'s"
+    )
 
 
 def _check_d_invariance() -> tuple[bool, str]:

@@ -15,8 +15,9 @@ Trials are deterministic functions of (master_seed, trial_index): trial i
 draws from default_rng(seed), where seed stands in for
 SeedSequence([master_seed, i]) with the words that _seed_words computes in
 numpy uint32 arithmetic for SEED_BLOCK trials at a time (_trial_seeds), so
-numpy seeds PCG64 itself without a SeedSequence object a trial.  They run
-serially, in batches.
+numpy seeds PCG64 itself without a SeedSequence object a trial.  The same
+pass, over _entropy_table's words, gives sweep grid points their master
+seeds.  Trials run serially, in batches.
 simulate_trials returns each trial's X; simulate summarises them, and
 simulate_many summarises many configs from one seeding stream.
 Each trial gathers its erasure times from one reused rank row into its
@@ -306,13 +307,20 @@ def _stored_docs(config: SimConfig) -> list[int]:
     ]
 
 
-def _entropy_words(seed: int) -> list[int]:
-    """seed as the little-endian 32-bit words SeedSequence makes of an int,
-    [0] for 0."""
-    words = [seed & 0xFFFFFFFF]
-    while seed := seed >> 32:
-        words.append(seed & 0xFFFFFFFF)
-    return words
+def _entropy_table(entropies) -> tuple[np.ndarray, np.ndarray]:
+    """_seed_words' (entropy, lengths) of entropies, each a sequence of ints
+    that SeedSequence takes as the little-endian 32-bit words of each int
+    ([0] for 0), one entropy a column."""
+    columns = [
+        [(value >> at) & 0xFFFFFFFF
+         for value in entropy for at in range(0, max(value.bit_length(), 1), 32)]
+        for entropy in entropies
+    ]
+    lengths = np.array([len(words) for words in columns])
+    table = np.zeros((max(4, lengths.max()), len(columns)), np.uint32)
+    for c, words in enumerate(columns):
+        table[: len(words), c] = words
+    return table, lengths
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator)
@@ -390,21 +398,18 @@ def _trial_seeds(configs: list[SimConfig]):
     order, with SeedSequence([m, t])'s words for trial t of master seed m;
     one _seed_words pass serves SEED_BLOCK trials at a time, across configs."""
     np.random.bit_generator.ISeedSequence.register(_TrialSeed)
-    seeds = [_entropy_words(config.master_seed) for config in configs]
-    lengths = np.array([len(words) for words in seeds])
-    table = np.zeros((max(4, lengths.max() + 1), len(seeds)), np.uint32)
-    for c, words in enumerate(seeds):
-        table[: len(words), c] = words
+    # each config's entropy [m, 0], whose last word each trial overwrites
+    # with its index, one word below TRIAL_LIMIT
+    table, lengths = _entropy_table([(config.master_seed, 0) for config in configs])
     counts = [config.trials for config in configs]
     ends = np.cumsum(counts)
     starts = ends - counts
     for first in range(0, int(ends[-1]), SEED_BLOCK):
         rows = np.arange(first, min(first + SEED_BLOCK, ends[-1]))
         owner = np.searchsorted(ends, rows, side="right")
-        # a trial's entropy: its config's words, then the trial index
         entropy = table[:, owner]
-        entropy[lengths[owner], np.arange(len(rows))] = rows - starts[owner]
-        words = _seed_words(entropy, lengths[owner] + 1)
+        entropy[lengths[owner] - 1, np.arange(len(rows))] = rows - starts[owner]
+        words = _seed_words(entropy, lengths[owner])
         # PCG64 reads the words through the array's data pointer, so each
         # trial gets a contiguous row, never a strided column of words
         for row in np.ascontiguousarray(words.T):

@@ -12,6 +12,7 @@ multiples of one step, so every tick lies within the data's range (to
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from html import escape
 from typing import Sequence
@@ -47,12 +48,13 @@ def _finite_points(s: Series, log: bool):
 def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     """Whole multiples k*step in [lo, hi]: step is 1, 2 or 5 times a power of
     ten near (hi-lo)/target, never finer than %g's six significant digits.
-    A range that holds no multiple, or a single value, gets the tick [lo]."""
-    span = hi - lo
-    if span <= 0:
+    A range that holds no multiple, a single value, or a range so narrow
+    that its power of ten is subnormal or 0, gets the tick [lo]."""
+    raw = (hi - lo) / target
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
+    # a subnormal power of ten is inexact, and may lie below raw / 10
+    if mag < sys.float_info.min:
         return [lo]
-    raw = span / target
-    mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * mag)
     step = max(step, 10.0 ** (math.floor(math.log10(max(abs(lo), abs(hi)))) - 5))
     # the tolerance is in steps, so a tiny step admits no extra ticks

@@ -2,7 +2,10 @@
 emitted as stable CSV and a self-contained SVG chart.
 
 Each theory overlay is one analytic.expect_many call over the whole grid,
-so a symmetric sweep's exact column is one shared quadrature."""
+so a symmetric sweep's exact column is one shared quadrature.  Grid point
+(N, D) of sweep seed s simulates from master seed
+SeedSequence([s, N, D]).generate_state(2, np.uint64)[0], every point's
+from one pass of the simulator's SeedSequence arithmetic."""
 
 from __future__ import annotations
 
@@ -13,8 +16,6 @@ from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 from .analytic import EXACT_METHOD, Method, expect_many
 from .errors import ParameterError, require_int
@@ -27,6 +28,7 @@ from .model import (
     require_member,
 )
 from .simulator import SimConfig, WorkloadClass, simulate_many
+from .simulator import _entropy_table, _seed_words
 from .svg import PALETTE, Series, render_chart
 
 __all__ = [
@@ -287,11 +289,6 @@ def load_config(path: str | Path) -> list[SweepSpec]:
     return specs
 
 
-def _point_seed(base: int, nodes: int, docs: int) -> int:
-    ss = np.random.SeedSequence([base, nodes, docs])
-    return int(ss.generate_state(2, dtype=np.uint64)[0])
-
-
 def _theory_cells(
     spec: SweepSpec, systems: list[SystemParams]
 ) -> list[dict[str, float | None]]:
@@ -330,16 +327,19 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     rec = spec.rec
     points = sorted((n, spec.docs_at(n)) for n in spec.nodes)
     systems = [SystemParams(nodes, docs) for nodes, docs in points]
+    # point (N, D)'s master seed: SeedSequence([seed, N, D])'s first
+    # uint64 word, every point's from one pass
+    seeds = _seed_words(*_entropy_table([(spec.seed, *point) for point in points]))
     configs = [
         SimConfig(
             strategy=spec.strategy,
             classes=(WorkloadClass(rec, docs),),
             nodes=nodes,
             trials=spec.trials,
-            master_seed=_point_seed(spec.seed, nodes, docs),
+            master_seed=seed,
             semantics=spec.semantics,
         )
-        for nodes, docs in points
+        for (nodes, docs), seed in zip(points, seeds[0].tolist())
     ]
     summaries = simulate_many(configs)
     cells = _theory_cells(spec, systems)

@@ -759,18 +759,23 @@ class TestBatches:
 SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 2**96, 2**200 + 3]
 
 
-def _words_of(seed: int, trials: list[int]) -> np.ndarray:
-    """_seed_words of the entropies [seed's words, trial], zero-padded to at
-    least 4 rows."""
-    words = simulator._entropy_words(seed)
-    entropy = np.zeros((max(4, len(words) + 1), len(trials)), np.uint32)
-    entropy[: len(words)] = np.array(words, np.uint32)[:, None]
-    entropy[len(words)] = trials
-    return simulator._seed_words(entropy, np.full(len(trials), len(words) + 1))
+def _words_of(entropies) -> np.ndarray:
+    """_seed_words of the entropies, one a column."""
+    return simulator._seed_words(*simulator._entropy_table(entropies))
 
 
 def _seed_sequence_words(seed: int, trial: int) -> list[int]:
     return np.random.SeedSequence([seed, trial]).generate_state(4, np.uint64).tolist()
+
+
+def _point_seed(seed: int, nodes: int, docs: int) -> int:
+    """The master seed of sweep grid point (nodes, docs), as numpy makes it."""
+    state = np.random.SeedSequence([seed, nodes, docs]).generate_state(2, np.uint64)
+    return int(state[0])
+
+
+# grid points of one to three words an int, N or D past 32 bits
+POINTS = [(1, 1), (48, 2**32), (2**32 + 7, 5), (2**40 + 1, 2**64 + 2), (2976, 992)]
 
 
 class TestTrialSeeds:
@@ -778,15 +783,42 @@ class TestTrialSeeds:
     def test_words_are_the_seed_sequence_state(self, seed):
         block = simulator.SEED_BLOCK
         trials = [0, 1, block - 1, block, 2 * block - 1, simulator.TRIAL_LIMIT - 1]
-        words = _words_of(seed, trials)
+        words = _words_of([(seed, t) for t in trials])
         assert words.dtype == np.uint64 and words.shape == (4, len(trials))
         assert words.T.tolist() == [_seed_sequence_words(seed, t) for t in trials]
 
     @settings(deadline=None, max_examples=200)
-    @given(st.integers(0, 2**256 - 1), st.integers(0, simulator.TRIAL_LIMIT - 1))
-    def test_words_match_for_any_seed(self, seed, trial):
-        words = _words_of(seed, [trial])
-        assert words[:, 0].tolist() == _seed_sequence_words(seed, trial)
+    @given(st.lists(
+        st.lists(st.integers(0, 2**256 - 1), min_size=2, max_size=3),
+        min_size=1, max_size=4,
+    ))
+    def test_words_match_for_any_entropy(self, entropies):
+        # trials' entropies [m, t] and grid points' [s, N, D], of any widths,
+        # in one pass
+        assert _words_of(entropies).T.tolist() == [
+            np.random.SeedSequence(e).generate_state(4, np.uint64).tolist()
+            for e in entropies
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**200 + 3])
+    def test_point_seeds_are_the_seed_sequence_word(self, seed):
+        # run_sweep seeds every grid point (N, D) from row 0 of one pass
+        words = _words_of([(seed, *point) for point in POINTS])
+        assert words[0].tolist() == [_point_seed(seed, *point) for point in POINTS]
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**200 + 3])
+    def test_sweep_rows_carry_the_point_seeds(self, seed):
+        # symmetric points store one period of their 2^32 + 3 documents
+        from rec_persist.sweep import SweepSpec, run_sweep
+
+        spec = SweepSpec(
+            name="seeds", strategy="symmetric", p=1, q=2, r=1, nodes=[96, 48],
+            docs=2**32 + 3, trials=2, seed=seed, theory=[],
+        )
+        rows = run_sweep(spec)
+        assert [row.seed for row in rows] == [
+            _point_seed(seed, n, 2**32 + 3) for n in (48, 96)
+        ]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_trial_generators_draw_as_default_rng(self, seed, monkeypatch):

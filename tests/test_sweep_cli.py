@@ -515,6 +515,14 @@ class TestRenderChart:
         (1.0, 1.00001, [1.0, 1.00001]),
         (2976.0, 2976.0000000000005, [2976.0]),
         (0, 40, [0.0, 10.0, 20.0, 30.0, 40.0]),
+        # subnormal spans: (hi - lo) / 5 or its power of ten underflows
+        (0.0, 5e-324, [0.0]),
+        (0.0, 1e-323, [0.0]),
+        (0.0, 2.5e-323, [0.0]),
+        (0.0, 5e-323, [0.0]),
+        # 10**-322 rounds down to 20 subnormal units, so ten times it,
+        # 9.9e-322, falls short of the 9.93e-322 a fifth of this span is
+        (0.0, 4.955e-321, [0.0]),
     ])
     def test_linear_ticks_are_whole_steps_within_range(self, lo, hi, want):
         ticks = svg._linear_ticks(lo, hi)
@@ -529,8 +537,11 @@ class TestRenderChart:
             st.floats(min_value=1e-200, max_value=1e12),
             st.floats(min_value=-1e12, max_value=-1e-200),
         ),
-        # a subnormal width has no float step; data never spans so little
-        st.one_of(st.just(0.0), st.floats(min_value=1e-200, max_value=1e12)),
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=5e-324, max_value=1e-300),
+            st.floats(min_value=1e-200, max_value=1e12),
+        ),
     )
     def test_linear_ticks_stay_in_range_with_distinct_labels(self, lo, width):
         hi = lo + width
@@ -541,6 +552,15 @@ class TestRenderChart:
         for t in ticks:
             assert lo - math.ulp(lo) <= t <= hi + slack + math.ulp(hi)
         assert len({svg._fmt(t) for t in ticks}) == len(ticks)
+
+    def test_subnormal_linear_range_is_one_tick(self):
+        text = render_chart([Series("s", [1, 2], [0.0, 5e-324])],
+                            title="t", x_label="x", y_label="y", log=False)
+        y_labels = [
+            el.text for el in ET.fromstring(text).iter("{http://www.w3.org/2000/svg}text")
+            if el.get("text-anchor") == "end"
+        ]
+        assert y_labels == ["0"]
 
     def test_ulp_close_linear_values_end(self):
         # values a few ulps apart make a tick step below the ticks' ulp,
@@ -1455,6 +1475,17 @@ class TestSelftestNegativeControl:
         failing = [res for res in results if not res.ok]
         assert failing
         assert any(res.name == "beta-identity" for res in failing)
+
+    def test_wrong_point_seeds_are_caught(self, monkeypatch):
+        # a grid point's entropy has three ints, a trial's two
+        entropy_table = selftest.simulator._entropy_table
+        monkeypatch.setattr(
+            selftest.simulator, "_entropy_table",
+            lambda entropies: entropy_table(
+                [e[::-1] if len(e) == 3 else e for e in entropies]),
+        )
+        ok, detail = selftest._check_trial_seeds()
+        assert not ok and detail.startswith("point seed of (0, 48, 4294967296)")
 
     # (modules whose name is patched, name, nan stand-in, checks that must fail)
     NAN_CONTROLS = {
