@@ -4,9 +4,11 @@ log axes.  Deliberately minimal; no plotting dependency.
 A point whose y is None (a missing value), or whose x or y is not finite,
 is left out of its line and of the axis ranges; so is a point at or below
 zero on log axes, and a series with no point left is not drawn.  One
-routine, _axis, pads, scales and ticks both axes.  Linear ticks are whole
-multiples of one step, so every tick lies within the data's range (to
-1e-9 of a step) and no two share a %g label.
+routine, _axis, pads, scales and ticks both axes, which take any finite
+value: a span past the float range is scaled by a quarter.  Linear ticks
+are whole multiples of one step, so every tick lies within the data's
+range (to 1e-9 of a step) and no two share a %g label.  Each element kind
+has one writer, _text, _line or _dot, and callers format the coordinates.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     A range that holds no multiple, a single value, or a range so narrow
     that its power of ten is subnormal or 0, gets the tick [lo]."""
     raw = (hi - lo) / target
+    if math.isinf(raw):  # hi - lo passed the float range; its fifth does not
+        raw = hi / target - lo / target
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
     # a subnormal power of ten is inexact, and may lie below raw / 10
     if mag < sys.float_info.min:
@@ -63,14 +67,16 @@ def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
-    ticks = []
-    k = math.floor(math.log10(lo))
-    while 10.0**k <= hi * 1.0000001:
-        for mult in (1.0, 2.0, 5.0):
-            t = mult * 10.0**k
-            if lo * 0.9999999 <= t <= hi * 1.0000001:
-                ticks.append(t)
-        k += 1
+    """1, 2 and 5 times each power of ten in [lo, hi], with a slack of 1e-7
+    of either end; the top end stays finite, so no decade past the float
+    range is visited."""
+    bottom, top = lo * 0.9999999, min(hi * 1.0000001, sys.float_info.max)
+    ticks = [
+        t
+        for k in range(math.floor(math.log10(lo)), math.floor(math.log10(top)) + 1)
+        for t in (10.0**k, 2.0 * 10.0**k, 5.0 * 10.0**k)
+        if bottom <= t <= top
+    ]
     return ticks or [lo, hi]
 
 
@@ -80,19 +86,41 @@ def _axis(values: list[float], log: bool, start: float, length: float):
     and ticks are where the axis labels sit."""
     scale = math.log10 if log else float
     lo, hi = min(values), max(values)
-    a, b = scale(lo), scale(hi)
-    # 5% padding each side; a single value v gets 5% of max(|v|, 1)
-    pad = ((b - a) if b > a else max(abs(a), 1.0)) * 0.05
-    a, b = a - pad, b + pad
+    # a padded span past the float range is taken again on a quarter of
+    # every value, which is exact for all but subnormal values
+    for h in (1.0, 0.25):
+        a, b = scale(lo) * h, scale(hi) * h
+        # 5% padding each side; a single value v gets 5% of max(|v|, 1)
+        pad = ((b - a) if b > a else max(abs(a), 1.0)) * 0.05
+        a, b = a - pad, b + pad
+        if b - a < math.inf:
+            break
 
     def to_px(v: float) -> float:
-        return start + (scale(v) - a) / (b - a) * length
+        return start + (scale(v) * h - a) / (b - a) * length
 
     return to_px, (_log_ticks if log else _linear_ticks)(lo, hi)
 
 
 def _fmt(v: float) -> str:
     return "%g" % v
+
+
+def _text(x, y, body: str, size: int, anchor: str = "", extra: str = "") -> str:
+    """Sans-serif text at (x, y), as the caller formats them; extra holds any
+    further attributes, and the body is escaped."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{escape(body, quote=False)}</text>')
+
+
+def _line(x1, y1, x2, y2, stroke: str = "#dddddd", width: float = 1) -> str:
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _dot(cx, cy, color: str) -> str:
+    return f'<circle cx="{cx}" cy="{cy}" r="2.6" fill="{color}"/>'
 
 
 def render_chart(
@@ -122,85 +150,43 @@ def render_chart(
     px, x_ticks = _axis(xs, log, left, plot_w)
     py, y_ticks = _axis(ys, log, top + plot_h, -plot_h)
 
-    out = []
-    out.append(
+    mid_y = f"{top + plot_h / 2:.1f}"
+    out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-    )
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
-    out.append(
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15" font-weight="bold">'
-        f"{escape(title, quote=False)}</text>"
-    )
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        _text(f"{width / 2:.1f}", 24, title, 15, "middle", ' font-weight="bold"'),
+    ]
     for t in x_ticks:
-        x = px(t)
-        out.append(
-            f'<line x1="{x:.2f}" y1="{top}" x2="{x:.2f}" y2="{top + plot_h}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{x:.2f}" y="{top + plot_h + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
-        )
+        x = f"{px(t):.2f}"
+        out += [_line(x, top, x, top + plot_h),
+                _text(x, top + plot_h + 18, _fmt(t), 11, "middle")]
     for t in y_ticks:
         y = py(t)
-        out.append(
-            f'<line x1="{left}" y1="{y:.2f}" x2="{left + plot_w}" y2="{y:.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{left - 6}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
-        )
-    out.append(
+        out += [_line(left, f"{y:.2f}", left + plot_w, f"{y:.2f}"),
+                _text(left - 6, f"{y + 4:.2f}", _fmt(t), 11, "end")]
+    out += [
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#333333" stroke-width="1"/>'
-    )
-    out.append(
-        f'<text x="{left + plot_w / 2:.1f}" y="{height - 14}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f"{escape(x_label, quote=False)}</text>"
-    )
-    out.append(
-        f'<text x="18" y="{top + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 18 {top + plot_h / 2:.1f})">'
-        f"{escape(y_label, quote=False)}</text>"
-    )
+        f'fill="none" stroke="#333333" stroke-width="1"/>',
+        _text(f"{left + plot_w / 2:.1f}", height - 14, x_label, 12, "middle"),
+        _text(18, mid_y, y_label, 12, "middle",
+              f' transform="rotate(-90 18 {mid_y})"'),
+    ]
 
     for s, pts in drawable:
         if s.marker:
-            for x, y in pts:
-                out.append(
-                    f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.6" '
-                    f'fill="{s.color}"/>'
-                )
+            out += [_dot(f"{px(x):.2f}", f"{py(y):.2f}", s.color) for x, y in pts]
         else:
             coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
-            out.append(
-                f'<polyline points="{coords}" fill="none" stroke="{s.color}" '
-                f'stroke-width="1.6"/>'
-            )
+            out.append(f'<polyline points="{coords}" fill="none" '
+                       f'stroke="{s.color}" stroke-width="1.6"/>')
 
-    legend_y = top + 14
-    for s, _ in drawable:
-        lx = left + plot_w - 190
-        if s.marker:
-            out.append(
-                f'<circle cx="{lx + 10}" cy="{legend_y - 4}" r="2.6" '
-                f'fill="{s.color}"/>'
-            )
-        else:
-            out.append(
-                f'<line x1="{lx}" y1="{legend_y - 4}" x2="{lx + 20}" '
-                f'y2="{legend_y - 4}" stroke="{s.color}" stroke-width="1.6"/>'
-            )
-        out.append(
-            f'<text x="{lx + 26}" y="{legend_y}" font-family="sans-serif" '
-            f'font-size="11">{escape(s.label, quote=False)}</text>'
-        )
-        legend_y += 16
+    lx = left + plot_w - 190
+    for i, (s, _) in enumerate(drawable):
+        ly = top + 14 + 16 * i
+        out.append(_dot(lx + 10, ly - 4, s.color) if s.marker
+                   else _line(lx, ly - 4, lx + 20, ly - 4, s.color, 1.6))
+        out.append(_text(lx + 26, ly, s.label, 11))
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -31,12 +31,13 @@ TRANSCRIPTS = [
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.stem for path in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # run a copy, so a demo that writes next to itself writes into tmp_path
+    # run a copy, so a demo that writes next to itself writes into tmp_path;
+    # -W error, as the tests' own filter does not reach a subprocess
     script = tmp_path / demo.name
     shutil.copy(demo, script)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error", str(script)],
         cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr

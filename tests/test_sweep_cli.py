@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -523,6 +524,9 @@ class TestRenderChart:
         # 10**-322 rounds down to 20 subnormal units, so ten times it,
         # 9.9e-322, falls short of the 9.93e-322 a fifth of this span is
         (0.0, 4.955e-321, [0.0]),
+        # a fifth of this span is 0.5, but the fifths of its ends differ by
+        # 0.5000000000000001, which would take the step to 1
+        (0.06968428292533371, 2.569684282925334, [0.5, 1.0, 1.5, 2.0, 2.5]),
     ])
     def test_linear_ticks_are_whole_steps_within_range(self, lo, hi, want):
         ticks = svg._linear_ticks(lo, hi)
@@ -561,6 +565,11 @@ class TestRenderChart:
             if el.get("text-anchor") == "end"
         ]
         assert y_labels == ["0"]
+        # 5% of one subnormal unit pads by 0, so the points sit on the frame;
+        # a quarter of each value, kept for spans past the float range,
+        # would make both values 0 and put them mid-plot
+        line = ET.fromstring(text).find("{http://www.w3.org/2000/svg}polyline")
+        assert line.get("points") == "104.00,504.00 744.00,48.00"
 
     def test_ulp_close_linear_values_end(self):
         # values a few ulps apart make a tick step below the ticks' ulp,
@@ -575,6 +584,75 @@ class TestRenderChart:
         )
         assert proc.returncode == 0, proc.stderr
         ET.fromstring(proc.stdout)
+
+    @pytest.mark.parametrize("log, ys", [
+        (False, [-1e308, 1e308]),  # hi - lo is inf
+        (False, [-sys.float_info.max, sys.float_info.max]),
+        (False, [0.0, sys.float_info.max]),  # only the padded span is inf
+        (False, [sys.float_info.max] * 2),  # a single value, padded past it
+        (True, [1.0, 1.5e308]),  # the decade past 1e308 is inf
+        (True, [1.0, sys.float_info.max]),  # hi * 1.0000001 is inf
+    ], ids=["span", "max-span", "padded-span", "single", "log", "log-max"])
+    def test_axes_take_any_finite_value(self, log, ys):
+        text = render_chart(
+            [Series("s", [1, 2], ys, marker=True), Series("t", [1, 2], ys)],
+            title="t", x_label="x", y_label="y", log=log,
+        )
+        root = ET.fromstring(text)
+        coords = [
+            float(el.get(name)) for el in root.iter()
+            for name in ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy")
+            if el.get(name) is not None
+        ] + [
+            float(c) for el in root.iter("{http://www.w3.org/2000/svg}polyline")
+            for pt in el.get("points").split() for c in pt.split(",")
+        ]
+        assert all(math.isfinite(c) for c in coords)
+        # the two points sit 5% of the plot inside its frame, bottom left and
+        # top right, or mid-height for a single value
+        line = root.find("{http://www.w3.org/2000/svg}polyline")
+        y0, y1 = ("483.27", "68.73") if ys[0] != ys[1] else ("276.00", "276.00")
+        assert line.get("points") == f"104.00,{y0} 744.00,{y1}"
+        ticks = (svg._log_ticks if log else svg._linear_ticks)(min(ys), max(ys))
+        assert all(min(ys) <= t <= max(ys) for t in ticks)
+        assert all(math.isfinite(t) for t in ticks)
+
+    @pytest.mark.parametrize("lo, hi, want", [
+        (1.0, 9.99999995, [1.0, 2.0, 5.0, 10.0]),  # 10 is within the slack
+        (1e307, 1.5e308, [1e307, 2e307, 5e307, 1e308]),
+    ])
+    def test_log_ticks(self, lo, hi, want):
+        assert svg._log_ticks(lo, hi) == want
+
+    # sha256 of each chart: one per kind of series, axis and empty chart,
+    # so any change to the SVG's bytes shows here
+    @pytest.mark.parametrize("series, title, log, digest", [
+        (
+            [Series("sim <mean> & co", [48, 96, 144], [3.0, 5.5, None],
+                    "#1f77b4", marker=True),
+             Series("exact", [48, 96, 144], [3.1, 5.4, 7.9], "#d62728")],
+            "a & <b>", True,
+            "8ab878c0326c0e09b50bca430af44b5dbb476c37a384429cc8a4a70d0f3c6dc4",
+        ),
+        (
+            [Series("s", [0, 1, 2, 3], [-2.0, 0.0, math.nan, 40.0], marker=True),
+             Series("t", [0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0])],
+            "lin", False,
+            "7f843adaa74d0bf6cfd771696740d2dddd360f9501bc188dcbf7627589bc6326",
+        ),
+        (
+            [Series("s", [1, 2, 3], [7.0, 7.0, 7.0])], "flat", False,
+            "6043369b20935b69248c50dfe210df47d0fc9f48489d6181097191f7f3c95bd3",
+        ),
+        (
+            [Series("s", [0, 1], [None, None])], "empty", True,
+            "bf86cfa85fe0973b214c3c85592a702c64ec5a31f71c678f306e985bfdd372a3",
+        ),
+    ], ids=["log", "linear", "flat", "empty"])
+    def test_chart_bytes_are_pinned(self, series, title, log, digest):
+        text = render_chart(series, title=title, x_label="x <N>",
+                            y_label="y & E", log=log)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestCliAnalytic:
