@@ -17,12 +17,13 @@ model.loss_thresholds.  The strategy sets the scale
 (prefactor, power, bound) in E[X] = prefactor * integral_0^1 phi^power dx:
 random placement (fragments on i.i.d. uniform nodes) has Pr[X > l] =
 phi(l/N)^D, so (N, D, 1) with an additive bound of 1 against the exact
-survival sum; symmetric (round-robin) placement is exactly
-(N+1, min(D, N/g), 0), g = (p+q)*r, wherever model.symmetric_power finds
-an exact power: no document wraps (D*g <= N) or g divides N.  The
-asymptotic form is Gamma(1+1/s) N (kappa power)^(-1/s), with the real
-min(D, N/g) at every symmetric cell, and at p = 1, where phi = 1 - x^s
-under both rules, the integral is prefactor/s * Beta(power+1, 1/s).
+survival sum; symmetric (round-robin) placement is exactly (N+1, power,
+0), power = model.symmetric_period_docs, the distinct windows of g =
+(p+q)*r nodes, wherever model.symmetric_power finds them disjoint: no
+document wraps (D*g <= N) or g divides N.  The asymptotic form
+Gamma(1+1/s) N (kappa power)^(-1/s) takes that power at every cell, and
+at p = 1, where phi = 1 - x^s under both rules, the integral is
+prefactor/s * Beta(power+1, 1/s).
 
 Quadrature runs in t = -ln x, where the survival function's drop near
 x = 0 becomes a smooth step of width about 1/s and the integrand
@@ -58,6 +59,7 @@ from .model import (
     SystemParams,
     default_semantics,
     loss_thresholds,
+    symmetric_period_docs,
     symmetric_power,
 )
 from .specfun import beta_real, log_reg_inc_beta_complement
@@ -99,7 +101,7 @@ EXACT_METHOD = {
 
 # the largest (N, D) each route takes: the sum indexes N + 1 terms by
 # np.intp, the others scale by a float N, and all but the asymptotic raise
-# phi to a float D; symmetric placement raises phi to min(D, N/g) <= N
+# phi to a float D; symmetric placement to symmetric_period_docs <= N
 _ROUTE_LIMITS = {
     Method.EXACT_SUM: (np.iinfo(np.intp).max - 1, sys.float_info.max),
     Method.INTEGRAL: (sys.float_info.max, sys.float_info.max),
@@ -565,13 +567,13 @@ def _survival_integrals(base_log, rules) -> list:
 
 
 def _scale(
-    strategy: PlacementStrategy, rec: RecParams, system: SystemParams, exact=True
-) -> tuple[int, int | float, float]:
+    strategy: PlacementStrategy, rec: RecParams, system: SystemParams
+) -> tuple[int, int, float]:
     """(prefactor, power, bound): E[X] = prefactor * integral_0^1 phi^power,
-    to within the additive bound; exact False passes on to symmetric_power."""
+    to within the additive bound."""
     if strategy is PlacementStrategy.RANDOM:
         return system.nodes, system.docs, 1.0
-    return system.nodes + 1, symmetric_power(rec, system, exact=exact), 0.0
+    return system.nodes + 1, symmetric_power(rec, system), 0.0
 
 
 def _expect_integrals(
@@ -612,7 +614,8 @@ def _expect_asymptotic(
     semantics: LossSemantics,
 ) -> AnalyticResult:
     s, kappa = _tail(rec, semantics)
-    _, power, _ = _scale(strategy, rec, system, exact=False)
+    power = (system.docs if strategy is PlacementStrategy.RANDOM
+             else symmetric_period_docs(rec, system.nodes, system.docs))
     try:
         scale = (kappa * power) ** (-1.0 / s)
     except OverflowError:

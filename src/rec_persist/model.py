@@ -144,25 +144,19 @@ class SystemParams:
         object.__setattr__(self, "docs", require_int(self.docs, "docs", 1))
 
 
-def symmetric_power(rec: RecParams, system: SystemParams, *, exact: bool = True):
-    """min(D, N/g), g = (p+q)*r: the power in symmetric placement's exact
-    E[X] = (N+1) integral_0^1 phi^power dx, decided here for every caller.
-
-    Document k sits on nodes k*g .. k*g+g-1 (mod N).  While D*g <= N none
-    wraps, so the D documents sit on disjoint nodes and survive i.i.d.
-    erasures independently; when g divides N they repeat the N/g disjoint
-    groups.  Elsewhere there is no exact theory: ParameterError, or with
-    exact False the real min(D, N/g) that the asymptotic form takes.
+def symmetric_power(rec: RecParams, system: SystemParams) -> int:
+    """symmetric_period_docs, the power in symmetric placement's exact
+    E[X] = (N+1) integral_0^1 phi^power dx, decided here for every caller:
+    the documents' distinct windows of g = (p+q)*r nodes.  Disjoint ones
+    (power*g <= N: no document wraps, or g divides N) survive i.i.d.
+    erasures independently; overlapping ones have no exact theory, and
+    raise ParameterError.
     """
-    g = rec.fragments
-    if system.docs * g < system.nodes:
-        return system.docs
-    if not exact:
-        return system.nodes / g
-    if system.nodes % g:
-        raise ParameterError(f"symmetric placement wraps: docs*(p+q)*r > nodes = "
-                             f"{system.nodes}, and (p+q)*r = {g} does not divide it")
-    return system.nodes // g
+    power = symmetric_period_docs(rec, system.nodes, system.docs)
+    if power * rec.fragments > system.nodes:
+        raise ParameterError(f"symmetric placement wraps: {power} windows of "
+                             f"{rec.fragments} nodes overlap on N = {system.nodes}")
+    return power
 
 
 def symmetric_period_docs(rec: RecParams, nodes: int, docs: int) -> int:

@@ -270,7 +270,7 @@ class SimConfig:
 
         The analysis covers either loss rule.  Mixed workloads have no
         single-formula counterpart, and symmetric runs leave it where
-        symmetric_power raises: documents that wrap, (p+q)*r not dividing N.
+        symmetric_power raises: the documents' windows of nodes overlap.
         """
         if len(self.classes) > 1:
             return True

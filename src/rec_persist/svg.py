@@ -69,15 +69,16 @@ def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 def _log_ticks(lo: float, hi: float) -> list[float]:
     """1, 2 and 5 times each power of ten in [lo, hi], with a slack of 1e-7
     of either end; the top end stays finite, so no decade past the float
-    range is visited."""
+    range is visited.  Past 12 ticks only powers of ten stay, every
+    step-th decade's, at most 12; a range with no tick gets [lo, hi]."""
     bottom, top = lo * 0.9999999, min(hi * 1.0000001, sys.float_info.max)
-    ticks = [
-        t
-        for k in range(math.floor(math.log10(lo)), math.floor(math.log10(top)) + 1)
-        for t in (10.0**k, 2.0 * 10.0**k, 5.0 * 10.0**k)
-        if bottom <= t <= top
-    ]
-    return ticks or [lo, hi]
+    decades = range(math.floor(math.log10(lo)), math.floor(math.log10(top)) + 1)
+    ticks = [t for k in decades for t in (10.0**k, 2.0 * 10.0**k, 5.0 * 10.0**k)
+             if bottom <= t <= top]
+    if len(ticks) > 12:
+        step = math.ceil(len(decades) / 12)
+        ticks = [10.0**k for k in decades[::step] if bottom <= 10.0**k <= top]
+    return ticks or sorted({lo, hi})  # one tick if lo = hi
 
 
 def _axis(values: list[float], log: bool, start: float, length: float):

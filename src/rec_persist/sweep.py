@@ -298,7 +298,7 @@ def _theory_cells(
     An overlay is one expect_many call over the whole grid, so the exact
     column of a symmetric sweep is one shared quadrature.  A cell stays
     empty where expect has no route (beta-exact at p != 1), the point is
-    outside the theory (symmetric documents that wrap, model.symmetric_power)
+    outside the theory (symmetric windows that overlap, model.symmetric_power)
     or its quadrature fails; the other cells are unaffected.
     """
     cells = [dict.fromkeys(column for column, _, _ in OVERLAYS.values())

@@ -50,7 +50,7 @@ from rec_persist.cli import main
 class Case:
     """A command as plain words, the exit code it must return, the files
     (name to text) written before it runs, and the checks made after it:
-    each takes its stdout and returns a failure message or None."""
+    each takes its stdout and stderr and returns a failure message or None."""
 
     argv: str
     code: int = 0
@@ -59,7 +59,7 @@ class Case:
 
 
 def _lines(path: str, count: int):
-    def check(stdout):
+    def check(stdout, stderr):
         found = Path(path).read_text().count("\n")
         if found != count:
             return f"{path} has {found} lines, expected {count}"
@@ -67,16 +67,23 @@ def _lines(path: str, count: int):
 
 
 def _absent(path: str):
-    def check(stdout):
+    def check(stdout, stderr):
         if os.path.lexists(path):
             return f"{path} exists"
     return check
 
 
 def _prints(prefix: str):
-    def check(stdout):
+    def check(stdout, stderr):
         if not any(line.startswith(prefix) for line in stdout.splitlines()):
             return f"no stdout line starts with {prefix!r}"
+    return check
+
+
+def _in_stderr(text: str):
+    def check(stdout, stderr):
+        if text not in stderr:
+            return f"stderr does not say {text!r}"
     return check
 
 
@@ -145,6 +152,15 @@ CASES = (
          "--method integral", after=(_prints("RESULT "),)),
     Case("oracle --what symmetric-exact --p 1 --q 1 --r 1 --nodes 9 --docs 3",
          after=(_prints("E[X] = 32/7 "),)),
+    # 2977 documents of g = 2 wrap onto 2977 distinct windows: the leading
+    # term takes that count, and the exact routes refuse the overlap
+    Case("analytic --strategy symmetric --p 1 --q 1 --r 1 --nodes 2977 "
+         "--docs 2977 --method asymptotic",
+         after=(_prints("RESULT strategy=symmetric method=asymptotic p=1 q=1 r=1 "
+                        "nodes=2977 docs=2977 value=48.354217317977"),)),
+    Case("analytic --strategy symmetric --p 1 --q 1 --r 1 --nodes 2977 "
+         "--docs 2977 --method integral", code=2,
+         after=(_in_stderr("symmetric placement wraps"),)),
     # kappa * power past the float range: the leading term is still finite
     Case("analytic --strategy symmetric --p 2 --q 1 --r 700 --nodes 2100 "
          "--docs 1 --method asymptotic"),
@@ -177,7 +193,8 @@ def run_case(case: Case) -> list[str]:
             failures = [] if code == case.code else [
                 f"exit code {code}, expected {case.code}; stderr: {err.getvalue()!r}"
             ]
-            failures += filter(None, (check(out.getvalue()) for check in case.after))
+            failures += filter(None, (check(out.getvalue(), err.getvalue())
+                                      for check in case.after))
         finally:
             os.chdir(home)
     return failures

@@ -679,6 +679,20 @@ class TestExpectSymmetric:
             GAMMA_4_3 * 3 ** (1 / 3) * 1200 ** (2 / 3), rel=1e-12
         )
 
+    # (code, N = D, rule): the documents wrap, and g does not divide N
+    @pytest.mark.parametrize("code, nodes, semantics", [
+        ((1, 1, 1), 2977, PC), ((2, 2, 1), 2978, MS), ((1, 2, 1), 997, PC),
+    ])
+    def test_asymptotic_counts_wrapped_windows(self, code, nodes, semantics):
+        # the leading term takes the N/gcd(N, g) distinct windows the
+        # documents hold, not the N/g disjoint groups, and so meets simulate
+        rec, system = RecParams(*code), SystemParams(nodes, nodes)
+        leading = analytic.expect(SYMMETRIC, rec, system, Method.ASYMPTOTIC,
+                                  semantics=semantics).value
+        config = simulator.SimConfig(SYMMETRIC, (simulator.WorkloadClass(rec, nodes),),
+                                     nodes, 2000, 1, semantics)
+        assert leading == pytest.approx(simulator.simulate(config).mean, rel=0.1)
+
     def test_precondition_violations_raise(self):
         # only documents that wrap around N nodes with g = 2 not dividing N
         # leave the theory: 7 on 7 nodes, 5 on 9
@@ -1065,8 +1079,9 @@ class TestSemantics:
         rec, system = RecParams(1, 1, 1), SystemParams(7, 7)
         with pytest.raises(ParameterError):
             analytic.expect(SYMMETRIC, rec, system, Method.INTEGRAL)
+        # 7 distinct windows on 7 nodes: Gamma(3/2) * 7 / sqrt(7)
         result = analytic.expect(SYMMETRIC, rec, system, Method.ASYMPTOTIC)
-        assert result.value == pytest.approx(GAMMA_3_2 * math.sqrt(2 * 7), rel=1e-14)
+        assert result.value == pytest.approx(GAMMA_3_2 * math.sqrt(7), rel=1e-14)
 
     def test_asymptotic_takes_d_below_n_over_g(self):
         # 5 documents on 96 nodes: the power is D = 5, not N/g = 48

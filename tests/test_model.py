@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rec_persist.errors import ParameterError
 from rec_persist.model import (
@@ -15,9 +17,10 @@ from rec_persist.model import (
     default_semantics,
     is_document_lost,
     loss_thresholds,
+    symmetric_period_docs,
     symmetric_power,
 )
-from rec_persist.simulator import SimConfig, WorkloadClass
+from rec_persist.simulator import SimConfig, WorkloadClass, place_symmetric
 from rec_persist.sweep import PRESETS, SweepSpec, preset_spec
 
 
@@ -109,14 +112,13 @@ class TestSymmetricPreconditions:
         rec, system = RecParams(1, 1, 1), SystemParams(7, 7)
         with pytest.raises(ParameterError, match="symmetric placement wraps"):
             symmetric_power(rec, system)
-        # the real min(D, N/g) the asymptotic form takes there
-        assert symmetric_power(rec, system, exact=False) == 3.5
+        # the 7 documents start at distinct nodes, 7 overlapping windows
+        assert symmetric_period_docs(rec, system.nodes, system.docs) == 7
 
     def test_document_count_violation(self):
         # 2 documents on 8 nodes sit on disjoint nodes: power D, below N/g
         rec = RecParams(1, 1, 1)
         assert symmetric_power(rec, SystemParams(8, 2)) == 2
-        assert symmetric_power(rec, SystemParams(8, 2), exact=False) == 2
         # and so do 4 on 9 nodes, though g does not divide 9; 5 wrap
         assert symmetric_power(rec, SystemParams(9, 4)) == 4
         with pytest.raises(ParameterError, match="symmetric placement wraps"):
@@ -127,6 +129,23 @@ class TestSymmetricPreconditions:
         assert symmetric_power(RecParams(1, 0, 2), SystemParams(4, 2)) == 2
         # past one per group the documents repeat the N/g groups
         assert symmetric_power(RecParams(1, 1, 1), SystemParams(8, 10**9)) == 4
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 3), st.integers(0, 3), st.integers(1, 3),
+           st.integers(1, 40), st.data())
+    def test_power_counts_the_placed_windows(self, p, q, r, nodes, data):
+        # the placement's distinct rows are the period's windows, and the
+        # power is refused exactly where some node holds two of their fragments
+        rec = RecParams(p, q, r)
+        docs = data.draw(st.integers(1, 2 * nodes), label="docs")
+        system = SystemParams(nodes, docs)
+        rows = np.unique(place_symmetric(rec, system).reshape(docs, -1), axis=0)
+        assert len(rows) == symmetric_period_docs(rec, nodes, docs)
+        if np.unique(rows).size < rows.size:
+            with pytest.raises(ParameterError, match="symmetric placement wraps"):
+                symmetric_power(rec, system)
+        else:
+            assert symmetric_power(rec, system) == len(rows)
 
 
 def _lost(rec, flags, semantics):

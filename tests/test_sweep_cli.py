@@ -620,9 +620,22 @@ class TestRenderChart:
     @pytest.mark.parametrize("lo, hi, want", [
         (1.0, 9.99999995, [1.0, 2.0, 5.0, 10.0]),  # 10 is within the slack
         (1e307, 1.5e308, [1e307, 2e307, 5e307, 1e308]),
+        (3.0, 3.0, [3.0]),  # one value, between the 1-2-5 ticks
+        (3.0, 4.0, [3.0, 4.0]),
+        (1.0, 1e4, [1.0, 10.0, 100.0, 1000.0, 10000.0]),  # 13 ticks thin out
+        (1.0, 1.5e308, [10.0**k for k in range(0, 309, 26)]),  # every 26th decade
     ])
     def test_log_ticks(self, lo, hi, want):
         assert svg._log_ticks(lo, hi) == want
+
+    def test_single_valued_log_axes_draw_one_tick_each(self):
+        text = render_chart([Series("s", [3.0], [3.0], marker=True)],
+                            title="t", x_label="x", y_label="y", log=True)
+        root = ET.fromstring(text)
+        ns = "{http://www.w3.org/2000/svg}"
+        grid = [el for el in root.iter(f"{ns}line") if el.get("stroke") == "#dddddd"]
+        labels = [el.text for el in root.iter(f"{ns}text") if el.text == "3"]
+        assert len(grid) == 2 and labels == ["3", "3"]
 
     # sha256 of each chart: one per kind of series, axis and empty chart,
     # so any change to the SVG's bytes shows here
