@@ -733,8 +733,8 @@ def expect_many(
 def max_over_p_check(q: int, r: int, system: SystemParams, p_max: int) -> bool:
     """True iff E[X] is nonincreasing in p over 1..p_max at fixed q, r.
 
-    Scans the exact route of each strategy (EXACT_METHOD); every p's
-    symmetric cell needs symmetric_power's exact power.  RecParams reads q and r.
+    Scans the exact route of each strategy (EXACT_METHOD), which raises
+    ParameterError where a p's symmetric windows overlap.  RecParams reads q and r.
     """
     p_max = require_int(p_max, "p_max", 1)
     for strategy, method in EXACT_METHOD.items():

@@ -140,10 +140,10 @@ def brute_force_symmetric(
     """E[X] by enumerating all 2^N erased-node subsets.
 
     Works on the actual deterministic placement at any N and D; wherever
-    symmetric_power has an exact power the result must match
-    exact_symmetric_expectation exactly.  Only one period of
-    the documents is placed (symmetric_period_docs): the rest repeat its
-    nodes.
+    symmetric_power returns (it raises ParameterError where windows
+    overlap) the result must match exact_symmetric_expectation exactly.
+    Only one period of the documents is placed (symmetric_period_docs):
+    the rest repeat its nodes.
     """
     nodes = system.nodes
     if nodes > _BRUTE_SUBSET_LIMIT:

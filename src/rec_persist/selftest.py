@@ -282,9 +282,7 @@ def _check_trial_seeds() -> tuple[bool, str]:
     # that seeds otherwise would change every stream
     seeds = (0, 2**64 + 5, 2**200 + 3)
     points = [(seed, 48, 2**32) for seed in seeds] + [(seeds[1], 2**33 + 1, 5)]
-    # run_sweep's pass: point (N, D) of sweep seed s takes row 0
-    got = simulator._seed_words(*simulator._entropy_table(points))[0].tolist()
-    for point, word in zip(points, got):
+    for point, word in zip(points, simulator._point_seeds(points)):
         want = np.random.SeedSequence(point).generate_state(2, np.uint64)[0]
         if word != want:
             return False, f"point seed of {point}: {word} != {want}"

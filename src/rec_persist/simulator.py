@@ -16,8 +16,7 @@ draws from default_rng(seed), where seed stands in for
 SeedSequence([master_seed, i]) with the words that _seed_words computes in
 numpy uint32 arithmetic for SEED_BLOCK trials at a time (_trial_seeds), so
 numpy seeds PCG64 itself without a SeedSequence object a trial.  The same
-pass, over _entropy_table's words, gives sweep grid points their master
-seeds.  Trials run serially, in batches.
+pass seeds sweep grid points (_point_seeds); trials run serially, in batches.
 simulate_trials returns each trial's X; simulate summarises them, and
 simulate_many summarises many configs from one seeding stream.
 Each trial gathers its erasure times from one reused rank row into its
@@ -160,16 +159,15 @@ def _order_statistic(values: np.ndarray, q: int) -> np.ndarray:
     return kept[-1]
 
 
-def _first_loss(t: np.ndarray, q: int, semantics: LossSemantics) -> np.ndarray:
+def _first_loss(t: np.ndarray, rec: RecParams, semantics: LossSemantics) -> np.ndarray:
     """First document loss of each batch row, for erasure times t.
 
     t[b, k, j, m] is the erasure time of replica j of chunk m of document k
-    in row b, shape (batch, D, r, p+q).  Under the rule's loss_thresholds a
-    unit is hit at the hit_at-th smallest time of its fragments, and a
-    document dies at the lost_at-th smallest hit time of its units.
-    Returns the earliest death over documents, shape (batch,).
+    in row b, shape (batch, D, r, p+q) of rec.  Under the rule's
+    loss_thresholds a unit is hit at the hit_at-th smallest time of its
+    fragments, and a document dies at the lost_at-th smallest hit time of
+    its units.  Returns the earliest death over documents, shape (batch,).
     """
-    rec = RecParams(t.shape[3] - q, q, t.shape[2])
     _, _, hit_at, lost_at = loss_thresholds(rec, semantics)
     hits = _order_statistic(by_unit(t, semantics), hit_at - 1)
     return _order_statistic(hits, lost_at - 1).min(axis=1)
@@ -216,7 +214,7 @@ def persistency(rec: RecParams, table, order, semantics: LossSemantics | str) ->
     # layout so that each (j, m) plane of t is contiguous over documents and
     # the elementwise passes in _first_loss stream through memory
     t = rank.take(table.transpose(1, 2, 0), axis=1).transpose(0, 3, 1, 2)
-    return int(_first_loss(t, rec.q, semantics)[0])
+    return int(_first_loss(t, rec, semantics)[0])
 
 
 @dataclass(frozen=True)
@@ -416,6 +414,12 @@ def _trial_seeds(configs: list[SimConfig]):
             yield _TrialSeed(row)
 
 
+def _point_seeds(entropies) -> list[int]:
+    """SeedSequence(e).generate_state(2, np.uint64)[0] for each e of entropies,
+    from one _seed_words pass: grid point (N, D) of sweep seed s takes (s, N, D)'s."""
+    return _seed_words(*_entropy_table(entropies))[0].tolist()
+
+
 def _guarded_sizes(config: SimConfig) -> tuple[list[int], int]:
     """_stored_docs(config) and one trial's entries, its rank row plus
     placement tables, once config passes simulate's size guards."""
@@ -477,7 +481,7 @@ def _run_trials(
                 rank.take(index, out=t[row], mode="clip")
             del tables, index  # before the next trial draws its own
         deaths = [
-            _first_loss(t[: len(batch)].transpose(0, 3, 1, 2), wc.rec.q, semantics)
+            _first_loss(t[: len(batch)].transpose(0, 3, 1, 2), wc.rec, semantics)
             for wc, t in zip(config.classes, times)
         ]
         xs[batch.start : batch.stop] = reduce(np.minimum, deaths)

@@ -4,8 +4,8 @@ emitted as stable CSV and a self-contained SVG chart.
 Each theory overlay is one analytic.expect_many call over the whole grid,
 so a symmetric sweep's exact column is one shared quadrature.  Grid point
 (N, D) of sweep seed s simulates from master seed
-SeedSequence([s, N, D]).generate_state(2, np.uint64)[0], every point's
-from one pass of the simulator's SeedSequence arithmetic."""
+SeedSequence([s, N, D]).generate_state(2, np.uint64)[0], which
+simulator._point_seeds computes for every point of a sweep at once."""
 
 from __future__ import annotations
 
@@ -27,8 +27,7 @@ from .model import (
     default_semantics,
     require_member,
 )
-from .simulator import SimConfig, WorkloadClass, simulate_many
-from .simulator import _entropy_table, _seed_words
+from .simulator import SimConfig, WorkloadClass, _point_seeds, simulate_many
 from .svg import PALETTE, Series, render_chart
 
 __all__ = [
@@ -66,7 +65,7 @@ def _listed(value, name: str) -> tuple:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: a REC triple simulated across a grid of node counts.
+    """One sweep: a REC triple simulated across a grid of distinct node counts.
 
     docs is either a fixed document count or one of the rules "N"
     (one document per node) and "N/g" (the minimum covering count
@@ -122,6 +121,9 @@ class SweepSpec:
         ))
         if not self.nodes:
             raise ParameterError(f"sweep {self.name!r} has an empty node grid")
+        node, count = Counter(self.nodes).most_common(1)[0]
+        if count > 1:
+            raise ParameterError(f"nodes must be distinct, {node} appears {count} times")
         if not isinstance(self.docs, str):
             put("docs", require_int(self.docs, "docs", 1))
         elif self.docs not in _DOC_RULES:
@@ -327,9 +329,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     rec = spec.rec
     points = sorted((n, spec.docs_at(n)) for n in spec.nodes)
     systems = [SystemParams(nodes, docs) for nodes, docs in points]
-    # point (N, D)'s master seed: SeedSequence([seed, N, D])'s first
-    # uint64 word, every point's from one pass
-    seeds = _seed_words(*_entropy_table([(spec.seed, *point) for point in points]))
+    seeds = _point_seeds([(spec.seed, *point) for point in points])
     configs = [
         SimConfig(
             strategy=spec.strategy,
@@ -339,7 +339,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             master_seed=seed,
             semantics=spec.semantics,
         )
-        for (nodes, docs), seed in zip(points, seeds[0].tolist())
+        for (nodes, docs), seed in zip(points, seeds)
     ]
     summaries = simulate_many(configs)
     cells = _theory_cells(spec, systems)

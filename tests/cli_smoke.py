@@ -171,6 +171,12 @@ CASES = (
              {"name": "first", **_ONE_SWEEP}, {"name": "x" * 300, **_ONE_SWEEP},
          ]})},
          after=(_absent("long-name-out"),)),
+    # a repeated N would simulate one point twice from one master seed
+    Case("sweep --config repeat.json --out repeat-out", code=2,
+         before={"repeat.json": json.dumps({"schema_version": 1, "sweeps": [
+             {"name": "repeat", **_ONE_SWEEP, "nodes": [48, 96, 48]},
+         ]})},
+         after=(_in_stderr("48 appears 2 times"), _absent("repeat-out"))),
 )
 
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -1292,6 +1293,19 @@ class TestSupportBound:
         # 2 do not wrap: each keeps one of its 2 nodes, and the fifth is free
         assert oracle.symmetric_survival_l_max(rec, SystemParams(5, 2)) == 4
 
+    def test_count_past_the_bound_raises(self, monkeypatch):
+        # Pr[X > l_max] = 0, so a bound two short of l_max cuts off the
+        # last survival count, and that must not pass unseen
+        l_max = oracle.symmetric_survival_l_max
+        monkeypatch.setattr(
+            oracle, "symmetric_survival_l_max",
+            lambda rec, system: l_max(rec, system) - 2,
+        )
+        with pytest.raises(RuntimeError, match="beyond the support bound"):
+            oracle.exact_symmetric_survival(
+                RecParams(1, 0, 2), SystemParams(4, 2), LossSemantics.PER_CLUSTER
+            )
+
     def test_matches_oracle_support(self):
         for p, q, r in ((1, 0, 2), (2, 1, 2), (1, 2, 1), (3, 1, 1)):
             rec = RecParams(p, q, r)
@@ -1313,6 +1327,15 @@ class TestMaxOverP:
             assert analytic.max_over_p_check(
                 q, r, SystemParams(nodes, nodes), p_max=3
             )
+
+    def test_increase_in_p_fails(self, monkeypatch):
+        # E[X] standing in as p itself grows with p under both strategies
+        expect = analytic.expect
+        monkeypatch.setattr(
+            analytic, "expect", lambda strategy, rec, system, method: replace(
+                expect(strategy, rec, system, method), value=float(rec.p)),
+        )
+        assert analytic.max_over_p_check(0, 1, SystemParams(12, 12), p_max=2) is False
 
     def test_p_max_validation(self):
         with pytest.raises(ParameterError):

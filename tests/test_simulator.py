@@ -1,5 +1,6 @@
 """Monte Carlo engine: placements, single-run persistency, seeded trials."""
 
+import csv
 import io
 import json
 import math
@@ -166,8 +167,9 @@ class TestFirstLoss:
                     )
                     for sem in (MS, PC):
                         expected = _reference_first_loss(t, q, sem)
+                        rec = RecParams(chunks - q, q, r)
                         for layout in (t, planar.transpose(0, 3, 1, 2)):
-                            got = simulator._first_loss(layout, q, sem)
+                            got = simulator._first_loss(layout, rec, sem)
                             assert got.shape == (batch,)
                             assert np.array_equal(got, expected)
 
@@ -178,11 +180,11 @@ class TestFirstLoss:
 
     def test_unknown_semantics(self):
         # a rule's name is the rule; what names none raises
-        t = np.ones((1, 1, 1, 1), dtype=np.int32)
-        assert simulator._first_loss(t, 0, "multiset") == simulator._first_loss(
-            t, 0, LossSemantics.MULTISET)
+        t, rec = np.ones((1, 1, 1, 1), dtype=np.int32), RecParams(1, 0, 1)
+        assert simulator._first_loss(t, rec, "multiset") == simulator._first_loss(
+            t, rec, LossSemantics.MULTISET)
         with pytest.raises(ParameterError, match="semantics must be one of"):
-            simulator._first_loss(t, 0, "bogus")
+            simulator._first_loss(t, rec, "bogus")
 
 
 def _reference_persistency(rec, table, order, semantics):
@@ -802,9 +804,9 @@ class TestTrialSeeds:
 
     @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**200 + 3])
     def test_point_seeds_are_the_seed_sequence_word(self, seed):
-        # run_sweep seeds every grid point (N, D) from row 0 of one pass
-        words = _words_of([(seed, *point) for point in POINTS])
-        assert words[0].tolist() == [_point_seed(seed, *point) for point in POINTS]
+        # run_sweep seeds every grid point (N, D) from one pass
+        seeds = simulator._point_seeds([(seed, *point) for point in POINTS])
+        assert seeds == [_point_seed(seed, *point) for point in POINTS]
 
     @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**200 + 3])
     def test_sweep_rows_carry_the_point_seeds(self, seed):
@@ -942,6 +944,21 @@ class TestSeededOutput:
             if code != 0 or out.getvalue() != expected:
                 changed.append(command)
         assert changed == []
+
+    @pytest.mark.parametrize("preset", ["fig7", "fig9"])
+    def test_pinned_sweep_rows_replay(self, preset, tmp_path, capsys):
+        # the simulation columns of every `sweep --preset P --trials 20` row
+        # the benchmark pins, each grid point's master seed among them
+        pinned = json.loads(self.PINNED.read_text())["sweep"][preset]
+        assert len(pinned) == 62
+        argv = ["sweep", "--preset", preset, "--trials", "20", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        columns = ("strategy", "p", "q", "r", "N", "D", "trials", "seed",
+                   "mean_empirical", "std_error", "semantics")
+        (path,) = tmp_path.glob("*.csv")
+        with path.open(newline="") as f:
+            rows = [",".join(row[c] for c in columns) for row in csv.DictReader(f)]
+        assert rows == pinned
 
 
 class TestSizeGuard:

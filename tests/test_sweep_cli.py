@@ -5,8 +5,10 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -68,6 +70,16 @@ class TestSweepSpec:
     def test_empty_grid_rejected(self):
         with pytest.raises(ParameterError):
             small_spec(nodes=())
+
+    def test_repeated_node_count_rejected(self):
+        # a repeated N would simulate one point twice from the same master
+        # seed and write two identical rows
+        raw = {"name": "x", "strategy": "random", "p": 1, "q": 0, "r": 1,
+               "nodes": [6, 6], "docs": 1, "trials": 3}
+        with pytest.raises(ParameterError, match="nodes must be distinct, 6 appears 2"):
+            sweep.spec_from_dict(raw)
+        with pytest.raises(ParameterError, match="12 appears 3 times"):
+            small_spec(nodes=(12, 6, 12, 18, 12))
 
     def test_bad_docs_rule_rejected(self):
         with pytest.raises(ParameterError):
@@ -1554,6 +1566,11 @@ def _nan_kernel(x, a, b):
     return out if out.ndim else float(out)
 
 
+def _plus(result, **deltas):
+    """result with each delta added to its field of that name."""
+    return replace(result, **{k: getattr(result, k) + d for k, d in deltas.items()})
+
+
 class TestSelftestNegativeControl:
     def test_perturbed_beta_is_caught(self, monkeypatch):
         from rec_persist import selftest
@@ -1577,6 +1594,64 @@ class TestSelftestNegativeControl:
         )
         ok, detail = selftest._check_trial_seeds()
         assert not ok and detail.startswith("point seed of (0, 48, 4294967296)")
+
+    # (check, module whose name is patched, name, stand-in for the named
+    # function f, detail the check must fail with): each stand-in spoils
+    # the value its check compares
+    FAILURE_CONTROLS = {
+        "monotone-shift-identity": (
+            selftest, "reg_inc_beta", lambda f: lambda x, a, b: -f(x, a, b),
+            r"negative shift -\S+ at x=0\.05, p=1, q=0",
+        ),
+        "survival-curve-sum": (
+            analytic, "survival_curve_random",
+            lambda f: lambda rec, system: f(rec, system)[::-1],
+            "curve not nonincreasing",
+        ),
+        "additive-error-bounds": (
+            selftest, "expect", lambda f: lambda *args: _plus(f(*args), value=2.0),
+            r"\|sum-integral\| = \d\.\d{3} at p=1 q=0 r=2 N=12 D=1",
+        ),
+        "brute-vs-polynomial": (
+            oracle, "exact_symmetric_expectation", lambda f: lambda *args: f(*args) + 1,
+            "8/3 != 11/3 at p=1 q=0 r=2 N=4 per-cluster",
+        ),
+        "brute-random-pinned": (
+            oracle, "brute_force_random", lambda f: lambda *args: f(*args) + 1,
+            r"31/9 != 22/9 \(multiset\)",
+        ),
+        "simulation-agreement": (
+            selftest, "simulate",
+            lambda f: lambda config: _plus(f(config), mean=100.0),
+            r"random: \|\S+ - \S+\| > 3 SE",
+        ),
+        "simulation-agreement-symmetric": (
+            selftest, "simulate",
+            lambda f: lambda config: _plus(
+                f(config), mean=100.0 * (config.strategy is selftest.SYMMETRIC)),
+            r"symmetric: \|\S+ - \S+\| > 3 SE",
+        ),
+        "trial-seeds": (
+            selftest.simulator, "_trial_seeds",
+            lambda f: lambda configs: itertools.islice(f(configs), 1, None),
+            "trial 0 of seed 0: numpy's state differs",
+        ),
+        "symmetric-d-invariance": (
+            selftest, "expect",
+            lambda f: lambda strategy, rec, system, method: _plus(
+                f(strategy, rec, system, method), value=float(system.docs)),
+            r"\S+ != \S+ across D",
+        ),
+    }
+
+    @pytest.mark.parametrize("control", FAILURE_CONTROLS)
+    def test_failure_branch_names_the_fault(self, control, monkeypatch):
+        module, name, stand_in, detail = self.FAILURE_CONTROLS[control]
+        monkeypatch.setattr(module, name, stand_in(getattr(module, name)))
+        check = dict(selftest.CHECKS["full"])[control.removesuffix("-symmetric")]
+        ok, got = check()
+        assert not ok
+        assert re.fullmatch(detail, got), got
 
     # (modules whose name is patched, name, nan stand-in, checks that must fail)
     NAN_CONTROLS = {
