@@ -37,17 +37,20 @@ integrals of one code and loss rule (expect_many, which a sweep calls once
 a theory column) run in groups that share rounds, one vectorised kernel
 call a round; a lone integral is a group of one, and each comes out bit
 for bit as it does alone.
+
+The asymptotic and Beta routes are float math.  The survival sum and the
+quadrature import numpy when they run, so importing this module, or
+taking either of those two routes, loads no numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-
-import numpy as np
 
 from .errors import (
     ParameterError, QuadratureError, SizeLimitError, require_int, require_list,
@@ -63,6 +66,11 @@ from .model import (
     symmetric_power,
 )
 from .specfun import beta_real, log_reg_inc_beta_complement
+
+# typing's flag without loading typing; type checkers take it as true
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Method",
@@ -100,10 +108,11 @@ EXACT_METHOD = {
 }
 
 # the largest (N, D) each route takes: the sum indexes N + 1 terms by
-# np.intp, the others scale by a float N, and all but the asymptotic raise
-# phi to a float D; symmetric placement to symmetric_period_docs <= N
+# np.intp, whose largest value is sys.maxsize, the others scale by a float
+# N, and all but the asymptotic raise phi to a float D; symmetric placement
+# to symmetric_period_docs <= N
 _ROUTE_LIMITS = {
-    Method.EXACT_SUM: (np.iinfo(np.intp).max - 1, sys.float_info.max),
+    Method.EXACT_SUM: (sys.maxsize - 1, sys.float_info.max),
     Method.INTEGRAL: (sys.float_info.max, sys.float_info.max),
     Method.BETA_EXACT: (sys.float_info.max, sys.float_info.max),
     Method.ASYMPTOTIC: (sys.float_info.max, math.inf),
@@ -146,6 +155,8 @@ def _log_survival(x, rec: RecParams, semantics: LossSemantics):
     One level of each rule's loss_thresholds is a plain power, and each
     branch keeps relative precision through the other level's complement.
     """
+    import numpy as np
+
     _, _, hit_at, lost_at = loss_thresholds(rec, semantics)
     if semantics is LossSemantics.MULTISET:
         # a multiset is hit with probability x^r
@@ -186,6 +197,8 @@ def _survival_random_terms(
     l: np.ndarray, rec: RecParams, system: SystemParams, semantics: LossSemantics
 ) -> np.ndarray:
     """Pr[X > l] = phi(l/N)^D under random placement, over an array of l."""
+    import numpy as np
+
     return np.exp(float(system.docs) * _log_survival(l / system.nodes, rec, semantics))
 
 
@@ -249,6 +262,8 @@ def _survival_random_blocks(
     predicted head passes _HEAD_LIMIT terms, and before any block that
     would take the terms yielded past it.
     """
+    import numpy as np
+
     end = system.nodes + 1
     hint = _survival_head_hint(rec, system, semantics)
     _require_head(min(hint, end), "sum's predicted head")
@@ -297,6 +312,8 @@ def _certified_sum(blocks, rest: float) -> float | None:
     rounding being monotone, fsum(terms) and fsum(terms, rest) are it.
     The blocks are split one at a time, so no copy of all terms is made.
     """
+    import numpy as np
+
     n = sum(block.size for block in blocks)
     top = max((float(np.abs(block).max()) for block in blocks if block.size),
               default=0.0)
@@ -379,6 +396,8 @@ def survival_random(
     semantics, here and in the other random functions, is settled by
     default_semantics: a LossSemantics, its name, or None for multiset.
     """
+    import numpy as np
+
     semantics = _random_semantics("survival_random", rec, system, semantics)
     l = require_int(l, "l", 0)
     if l > system.nodes:
@@ -425,6 +444,8 @@ def expect_random_sum(
     bound (a few stops in a thousand), or the head has fewer than
     _FSUM_HEAD terms, do two math.fsum passes decide.
     """
+    import numpy as np
+
     semantics = _random_semantics("expect_random_sum", rec, system, semantics)
     kept = []
     count = 0
@@ -468,9 +489,22 @@ _GAUSS_WEIGHTS = (
     0.0, 0.381830050505118944950369775488975,
     0.0, 0.417959183673469387755102040816327,
 )
-_GK_NODES = np.concatenate((-np.array(_KRONROD_NODES), _KRONROD_NODES[-2::-1]))
-_GK_KRONROD = np.concatenate((_KRONROD_WEIGHTS, _KRONROD_WEIGHTS[-2::-1]))
-_GK_GAUSS = np.concatenate((_GAUSS_WEIGHTS, _GAUSS_WEIGHTS[-2::-1]))
+
+
+@functools.cache
+def _gk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 15 G7/K15 nodes on [-1, 1], their Kronrod weights and their
+    Gauss weights as read-only arrays, made once, on the first quadrature,
+    not every round: a new array of 15 floats costs about 1 us."""
+    import numpy as np
+
+    tables = (np.concatenate((-np.array(_KRONROD_NODES), _KRONROD_NODES[-2::-1])),
+              np.concatenate((_KRONROD_WEIGHTS, _KRONROD_WEIGHTS[-2::-1])),
+              np.concatenate((_GAUSS_WEIGHTS, _GAUSS_WEIGHTS[-2::-1])))
+    for table in tables:
+        table.flags.writeable = False  # one copy serves every rule
+    return tables
+
 
 # the survival function is within e^-40 of 1 beyond t0 + _TAIL_SPAN / s
 _TAIL_SPAN = 40.0
@@ -502,6 +536,9 @@ def _survival_integral(power: int, t0: float, s: int, tol: float):
     Returns (value, achieved relative error estimate, evaluations), or the
     QuadratureError it runs into past _MAX_PANELS panels or on a nan.
     """
+    import numpy as np
+
+    gk_nodes, gk_kronrod, gk_gauss = _gk_tables()
     power = float(power)
     end = t0 + _TAIL_SPAN / s
     edge = math.exp(-end)
@@ -512,16 +549,16 @@ def _survival_integral(power: int, t0: float, s: int, tol: float):
     evals = 0
     while True:
         half = (new_hi - new_lo) / 2
-        t = ((new_lo + half)[:, None] + half[:, None] * _GK_NODES).ravel()
+        t = ((new_lo + half)[:, None] + half[:, None] * gk_nodes).ravel()
         # the tail's edge T rides along after the nodes
         log_f = power * (yield np.concatenate((t, [end])))
         evals += log_f.size
         drop = -math.expm1(log_f[-1])  # 1 - F(e^-T)
         f = np.exp(log_f[:-1] - t).reshape(half.size, -1)
-        kronrod = half * (f @ _GK_KRONROD)
+        kronrod = half * (f @ gk_kronrod)
         lo, hi = np.concatenate((lo, new_lo)), np.concatenate((hi, new_hi))
         values = np.concatenate((values, kronrod))
-        errors = np.concatenate((errors, np.abs(kronrod - half * (f @ _GK_GAUSS))))
+        errors = np.concatenate((errors, np.abs(kronrod - half * (f @ gk_gauss))))
         value = math.fsum(memoryview(values)) + edge * (1.0 - drop / 2)
         error = math.fsum(memoryview(errors)) + edge * drop / 2
         if error <= tol * value:
@@ -548,6 +585,8 @@ def _survival_integrals(base_log, rules) -> list:
     rule does all its own arithmetic, so a rule's result is bit for bit
     the one it gets alone, a group of one.
     """
+    import numpy as np
+
     results = [None] * len(rules)
     for first in range(0, len(rules), _SHARED_INTEGRALS):
         live = {i: (rule, next(rule)) for i, rule in
@@ -583,6 +622,8 @@ def _expect_integrals(
     """The integral route at each of systems, in shared quadrature rounds:
     an AnalyticResult a system, or the ParameterError or QuadratureError
     it raised."""
+    import numpy as np
+
     s, kappa = _tail(rec, semantics)
     results, todo = [], []
     for system in systems:

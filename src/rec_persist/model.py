@@ -27,9 +27,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import ParameterError, require_int
+
+# typing's flag without loading typing; type checkers take it as true
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RecParams",
@@ -175,6 +178,8 @@ def is_document_lost(rec: RecParams, erased, semantics: LossSemantics | str) -> 
     erased is a boolean array of shape (r, p+q): erased[j, m] says replica j
     of chunk m is gone.
     """
+    import numpy as np
+
     flags = np.asarray(erased, dtype=bool)
     if flags.shape != (rec.r, rec.chunks):
         raise ParameterError(

@@ -5,6 +5,8 @@ exhaustive subset enumeration, and exhaustive placement enumeration, all in
 big integers and fractions.Fraction, with the loss rule read from
 model.loss_thresholds.  None of it touches the floating-point formula
 code, so agreement between the two routes is evidence, not tautology.
+Only brute_force_symmetric loads numpy, through the simulator's
+place_symmetric, which it imports when it runs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .model import (
     symmetric_period_docs,
     symmetric_power,
 )
-from .simulator import place_symmetric
 
 __all__ = [
     "group_polynomial",
@@ -145,6 +146,8 @@ def brute_force_symmetric(
     Only one period of the documents is placed (symmetric_period_docs):
     the rest repeat its nodes.
     """
+    from .simulator import place_symmetric
+
     nodes = system.nodes
     if nodes > _BRUTE_SUBSET_LIMIT:
         raise SizeLimitError(

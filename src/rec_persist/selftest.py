@@ -2,7 +2,8 @@
 
 quick: special-function identities, pinned exact values, and the small
 oracle suite (a few seconds).  full: adds the complete polynomial-versus-
-integral sweep up to N = 120 and seeded statistical checks.
+integral sweep up to N = 120 and seeded statistical checks.  The checks
+that run the simulator import it, and numpy with it, when they run.
 """
 
 from __future__ import annotations
@@ -11,13 +12,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import analytic, oracle, simulator
+from . import analytic, oracle
 from .analytic import Method, expect
 from .errors import ParameterError
 from .model import LossSemantics, PlacementStrategy, RecParams, SystemParams
-from .simulator import SimConfig, WorkloadClass, simulate
 from .specfun import beta, beta_real, log_reg_inc_beta_complement, reg_inc_beta
 
 __all__ = ["CHECKS", "CheckResult", "run_selftest"]
@@ -249,25 +247,27 @@ def _check_pinned_values() -> tuple[bool, str]:
 
 
 def _check_simulation_agreement() -> tuple[bool, str]:
-    random_cfg = SimConfig(
+    from . import simulator
+
+    random_cfg = simulator.SimConfig(
         strategy=RANDOM,
-        classes=(WorkloadClass(RecParams(1, 0, 2), 5),),
+        classes=(simulator.WorkloadClass(RecParams(1, 0, 2), 5),),
         nodes=48,
         trials=4000,
         master_seed=1101,
     )
-    summary = simulate(random_cfg)
+    summary = simulator.simulate(random_cfg)
     exact = analytic.expect_random_sum(RecParams(1, 0, 2), SystemParams(48, 5)).value
     if not abs(summary.mean - exact) <= 3 * summary.std_error:
         return False, f"random: |{summary.mean:.3f} - {exact:.3f}| > 3 SE"
-    sym_cfg = SimConfig(
+    sym_cfg = simulator.SimConfig(
         strategy=SYMMETRIC,
-        classes=(WorkloadClass(RecParams(1, 1, 1), 48),),
+        classes=(simulator.WorkloadClass(RecParams(1, 1, 1), 48),),
         nodes=96,
         trials=4000,
         master_seed=1102,
     )
-    summary = simulate(sym_cfg)
+    summary = simulator.simulate(sym_cfg)
     exact = expect(
         SYMMETRIC, RecParams(1, 1, 1), SystemParams(96, 48), Method.INTEGRAL
     ).value
@@ -277,6 +277,10 @@ def _check_simulation_agreement() -> tuple[bool, str]:
 
 
 def _check_trial_seeds() -> tuple[bool, str]:
+    import numpy as np
+
+    from . import simulator
+
     # the simulator computes SeedSequence's words itself, for sweep grid
     # points as for trials, and numpy seeds PCG64 from them, so a numpy
     # that seeds otherwise would change every stream
@@ -287,9 +291,9 @@ def _check_trial_seeds() -> tuple[bool, str]:
         if word != want:
             return False, f"point seed of {point}: {word} != {want}"
     configs = [
-        SimConfig(
+        simulator.SimConfig(
             strategy=RANDOM,
-            classes=(WorkloadClass(RecParams(1, 0, 1), 1),),
+            classes=(simulator.WorkloadClass(RecParams(1, 0, 1), 1),),
             nodes=2,
             trials=3,
             master_seed=seed,

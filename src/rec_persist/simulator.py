@@ -28,6 +28,10 @@ A symmetric class stores one period of its documents, N/gcd(N, g), since
 the rest repeat its nodes.  Ranks are int32, which caps nodes below
 2^31; a trial's arrays are capped at TRIAL_LIMIT entries, and the trial
 count at TRIAL_LIMIT, before anything is allocated.
+
+This is the one module of the package that imports numpy when it loads;
+the others import it in the functions that make or read arrays, so a
+command that computes in floats or fractions loads no numpy.
 """
 
 from __future__ import annotations

@@ -14,6 +14,9 @@ exp(D * log_complement) rather than (1 - I)^D.  An absolute error of one
 ulp in that log is multiplied by D, so the kernel always sums the smaller
 tail (DiDonato & Morris, ACM TOMS 18, 1992): below x = a/(a+b) it sums I
 and returns log1p(-I), otherwise it returns the log of the complement sum.
+
+beta and beta_real are plain math.  The kernel and its tail helpers
+import numpy when they run, so importing this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -21,9 +24,12 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
 from .errors import ParameterError, require_int
+
+# typing's flag without loading typing; type checkers take it as true
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "beta",
@@ -92,6 +98,8 @@ def beta_real(a: float, b: float) -> float:
 
 def _upper_head(n: int, a: int, x: np.ndarray, log1mx: np.ndarray) -> np.ndarray:
     """C(n, a) x^a (1-x)^(n-a), the largest term of I_x(a, n+1-a) below its mean."""
+    import numpy as np
+
     c = math.comb(n, a)
     if c <= _FLOAT_MAX:
         return c * x**a * np.exp((n - a) * log1mx)
@@ -101,6 +109,8 @@ def _upper_head(n: int, a: int, x: np.ndarray, log1mx: np.ndarray) -> np.ndarray
 
 def _upper_tail(n: int, a: int, xs: np.ndarray) -> np.ndarray:
     """I_x(a, n+1-a) for x below a/(n+1): the tail from its largest term up."""
+    import numpy as np
+
     term = _upper_head(n, a, xs, np.log1p(-xs))
     total = term.copy()
     ratio = xs / (1.0 - xs)
@@ -115,6 +125,8 @@ def _upper_tail(n: int, a: int, xs: np.ndarray) -> np.ndarray:
 
 def _log_lower_tail(n: int, a: int, b: int, xs: np.ndarray) -> np.ndarray:
     """ln(1 - I_x(a, b)) for x from a/(a+b) up: the complement from j = a-1 down."""
+    import numpy as np
+
     ratio = (1.0 - xs) / xs
     term = np.ones_like(xs)
     total = term.copy()
@@ -145,6 +157,8 @@ def log_reg_inc_beta_complement(x, a: int, b: int):
 
     x may be an array or a float; a float (or 0-d array) gives a float.
     """
+    import numpy as np
+
     a = require_int(a, "a", 1)
     b = require_int(b, "b", 1)
     n = a + b - 1

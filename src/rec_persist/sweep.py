@@ -27,7 +27,6 @@ from .model import (
     default_semantics,
     require_member,
 )
-from .simulator import SimConfig, WorkloadClass, _point_seeds, simulate_many
 from .svg import PALETTE, Series, render_chart
 
 __all__ = [
@@ -71,9 +70,10 @@ class SweepSpec:
     (one document per node) and "N/g" (the minimum covering count
     N/((p+q)*r), rounded down but at least 1).  name names the output
     files, so it must be a plain file name that stays within _NAME_MAX
-    bytes with its .csv or .svg suffix.  Construction checks every
-    field, turns a strategy name into its enum and the nodes and theory
-    lists into tuples, and settles the loss rule as SimConfig does.
+    bytes with its .csv or .svg suffix.  theory names distinct OVERLAYS
+    kinds.  Construction checks every field, turns a strategy name into
+    its enum and the nodes and theory lists into tuples, and settles the
+    loss rule as SimConfig does.
     """
 
     name: str
@@ -140,6 +140,12 @@ class SweepSpec:
             if kind not in OVERLAYS:
                 raise ParameterError(
                     f"unknown theory overlay {kind!r}; expected {tuple(OVERLAYS)}"
+                )
+        # a repeated overlay would compute and write the same column again
+        for kind, count in Counter(self.theory).most_common(1):
+            if count > 1:
+                raise ParameterError(
+                    f"theory must be distinct, {kind!r} appears {count} times"
                 )
 
     @property
@@ -324,6 +330,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     Rows come back sorted by (N, D); rerunning a spec reproduces them
     exactly.  A spec that is no SweepSpec raises ParameterError.
     """
+    from .simulator import SimConfig, WorkloadClass, _point_seeds, simulate_many
+
     if not isinstance(spec, SweepSpec):
         raise ParameterError(f"run_sweep needs a SweepSpec, got {spec!r}")
     rec = spec.rec

@@ -177,6 +177,13 @@ CASES = (
              {"name": "repeat", **_ONE_SWEEP, "nodes": [48, 96, 48]},
          ]})},
          after=(_in_stderr("48 appears 2 times"), _absent("repeat-out"))),
+    # a repeated theory overlay would compute and write one column twice
+    Case("sweep --config overlays.json --out overlays-out", code=2,
+         before={"overlays.json": json.dumps({"schema_version": 1, "sweeps": [
+             {"name": "overlays", **_ONE_SWEEP,
+              "theory": ["exact", "exact", "asymptotic", "asymptotic"]},
+         ]})},
+         after=(_in_stderr("'exact' appears 2 times"), _absent("overlays-out"))),
 )
 
 
@@ -239,9 +246,10 @@ def check_rule_names() -> list[str]:
 
 def check_probe_loads() -> list[str]:
     """A fresh interpreter importing the CLI entry point loads only the
-    package, cli, errors and model of rec_persist."""
+    package, cli, errors and model of rec_persist, and no numpy."""
     script = ("import sys\nfrom rec_persist.cli import main\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'rec_persist'))")
+              "print(sorted(m for m in sys.modules"
+              " if m.split('.')[0] == 'rec_persist' or m == 'numpy'))")
     # the package this process runs, installed or a source tree
     env = {**os.environ, "PYTHONPATH": str(Path(rec_persist.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], env=env,

@@ -887,6 +887,10 @@ class TestFloatRange:
         # the float routes still take this N
         assert analytic.expect(RANDOM, rec, system, Method.INTEGRAL).value > 0.0
 
+    def test_sum_limit_is_the_intp_bound(self):
+        # written as sys.maxsize - 1, so that importing analytic loads no numpy
+        assert analytic._ROUTE_LIMITS[Method.EXACT_SUM][0] == np.iinfo(np.intp).max - 1
+
     def test_survival_random_at_largest_sum_nodes(self):
         system = SystemParams(self.LARGEST_SUM_NODES, 5)
         rec = RecParams(1, 0, 2)

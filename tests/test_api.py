@@ -69,11 +69,12 @@ PROBE = {"rec_persist", "rec_persist.cli", "rec_persist.errors", "rec_persist.mo
 
 
 def _loaded(script: str, cwd) -> set[str]:
-    """The rec_persist modules a fresh interpreter holds after script runs."""
+    """The rec_persist modules a fresh interpreter holds after script runs,
+    and numpy if it was imported."""
     script += (
         "\nimport json, sys\n"
         "print(json.dumps(sorted(m for m in sys.modules"
-        " if m.split('.')[0] == 'rec_persist')))"
+        " if m.split('.')[0] == 'rec_persist' or m == 'numpy')))"
     )
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd,
                           env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
@@ -116,28 +117,57 @@ def test_cli_import_loads_the_probe_set(tmp_path):
     assert _loaded("from rec_persist.cli import main", tmp_path) == PROBE
 
 
-# each command, and the modules it adds to the probe's
+# only the simulator imports numpy when it loads
+@pytest.mark.parametrize("module", ["analytic", "cli", "errors", "model", "oracle",
+                                    "selftest", "specfun", "svg", "sweep"])
+def test_import_leaves_numpy_unloaded(module, tmp_path):
+    assert "numpy" not in _loaded(f"import rec_persist.{module}", tmp_path)
+
+
+_ANALYTIC = "analytic --strategy random --p 1 --q 1 --r 2 --nodes 1000 --docs 1000"
+_ORACLE = "oracle --what {} --p 2 --q 1 --r 2 --nodes 6"
+# help and usage errors build every subcommand's parser
+_PARSERS = {"analytic", "specfun", "sweep", "svg", "selftest", "oracle"}
+
+# each command, its exit code, the modules it adds to the probe's and
+# whether it loads numpy: only the commands that make arrays do
 COMMAND_LOADS = [
-    ("analytic --strategy random --p 1 --q 1 --r 2 --nodes 1000 --docs 1000 "
-     "--method integral", {"analytic", "specfun"}),
-    ("simulate --strategy random --p 1 --q 0 --r 2 --nodes 48 --docs 5 "
-     "--trials 20", {"simulator"}),
-    ("sweep --preset fig7 --points 2 --trials 2 --out out",
-     {"sweep", "analytic", "specfun", "simulator", "svg"}),
-    ("oracle --what symmetric-exact --p 2 --q 1 --r 2 --nodes 6",
-     {"oracle", "simulator"}),
-    ("selftest --level quick",
-     {"selftest", "analytic", "specfun", "oracle", "simulator"}),
+    pytest.param(f"{_ANALYTIC} --method integral", 0, {"analytic", "specfun"}, True,
+                 id="analytic"),
+    pytest.param(f"{_ANALYTIC} --method sum", 0, {"analytic", "specfun"}, True,
+                 id="analytic-sum"),
+    pytest.param(f"{_ANALYTIC} --method asymptotic", 0, {"analytic", "specfun"},
+                 False, id="analytic-asymptotic"),
+    pytest.param(f"{_ANALYTIC} --method beta-exact", 0, {"analytic", "specfun"},
+                 False, id="analytic-beta-exact"),
+    pytest.param("simulate --strategy random --p 1 --q 0 --r 2 --nodes 48 --docs 5 "
+                 "--trials 20", 0, {"simulator"}, True, id="simulate"),
+    pytest.param("sweep --preset fig7 --points 2 --trials 2 --out out", 0,
+                 {"sweep", "analytic", "specfun", "simulator", "svg"}, True,
+                 id="sweep"),
+    pytest.param(_ORACLE.format("symmetric-exact"), 0, {"oracle"}, False, id="oracle"),
+    pytest.param(_ORACLE.format("brute-random"), 0, {"oracle"}, False,
+                 id="oracle-brute-random"),
+    pytest.param(_ORACLE.format("group-poly"), 0, {"oracle"}, False,
+                 id="oracle-group-poly"),
+    pytest.param(_ORACLE.format("brute-symmetric"), 0, {"oracle", "simulator"}, True,
+                 id="oracle-brute-symmetric"),
+    pytest.param("selftest --level quick", 0,
+                 {"selftest", "analytic", "specfun", "oracle", "simulator"}, True,
+                 id="selftest"),
+    pytest.param("--help", 0, _PARSERS, False, id="help"),
+    pytest.param(f"{_ANALYTIC} --method median", 2, _PARSERS, False, id="usage-error"),
 ]
 
 
-@pytest.mark.parametrize("argv, adds", COMMAND_LOADS,
-                         ids=[argv.split()[0] for argv, _ in COMMAND_LOADS])
-def test_command_loads_only_what_it_runs(argv, adds, tmp_path):
+@pytest.mark.parametrize("argv, code, adds, numpy", COMMAND_LOADS)
+def test_command_loads_only_what_it_runs(argv, code, adds, numpy, tmp_path):
     script = ("import contextlib, io\nfrom rec_persist.cli import main\n"
-              "with contextlib.redirect_stdout(io.StringIO()):\n"
-              f"    assert main({argv.split()!r}) == 0")
-    assert _loaded(script, tmp_path) == PROBE | {f"rec_persist.{m}" for m in adds}
+              "with contextlib.redirect_stdout(io.StringIO()),"
+              " contextlib.redirect_stderr(io.StringIO()):\n"
+              f"    assert main({argv.split()!r}) == {code}")
+    assert _loaded(script, tmp_path) == (PROBE | {f"rec_persist.{m}" for m in adds}
+                                         | ({"numpy"} if numpy else set()))
 
 
 # ------------------------------------------------ help, usage and errors

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rec_persist import analytic, cli, oracle, specfun, svg, sweep
+from rec_persist import analytic, cli, oracle, simulator, specfun, svg, sweep
 from rec_persist.cli import main
 from rec_persist.errors import ParameterError, QuadratureError
 from rec_persist.analytic import Method
@@ -80,6 +80,18 @@ class TestSweepSpec:
             sweep.spec_from_dict(raw)
         with pytest.raises(ParameterError, match="12 appears 3 times"):
             small_spec(nodes=(12, 6, 12, 18, 12))
+
+    def test_repeated_theory_rejected(self):
+        # a repeated overlay would compute and write the same column again
+        raw = {"name": "x", "strategy": "random", "p": 1, "q": 0, "r": 1,
+               "nodes": [6], "docs": 1, "trials": 3,
+               "theory": ["exact", "exact", "asymptotic", "asymptotic"]}
+        with pytest.raises(ParameterError,
+                           match="theory must be distinct, 'exact' appears 2 times"):
+            sweep.spec_from_dict(raw)
+        with pytest.raises(ParameterError, match="'asymptotic' appears 3 times"):
+            small_spec(theory=["asymptotic", "exact", "asymptotic", "asymptotic"])
+        assert small_spec(theory=[]).theory == ()
 
     def test_bad_docs_rule_rejected(self):
         with pytest.raises(ParameterError):
@@ -1586,9 +1598,9 @@ class TestSelftestNegativeControl:
 
     def test_wrong_point_seeds_are_caught(self, monkeypatch):
         # a grid point's entropy has three ints, a trial's two
-        entropy_table = selftest.simulator._entropy_table
+        entropy_table = simulator._entropy_table
         monkeypatch.setattr(
-            selftest.simulator, "_entropy_table",
+            simulator, "_entropy_table",
             lambda entropies: entropy_table(
                 [e[::-1] if len(e) == 3 else e for e in entropies]),
         )
@@ -1621,18 +1633,18 @@ class TestSelftestNegativeControl:
             r"31/9 != 22/9 \(multiset\)",
         ),
         "simulation-agreement": (
-            selftest, "simulate",
+            simulator, "simulate",
             lambda f: lambda config: _plus(f(config), mean=100.0),
             r"random: \|\S+ - \S+\| > 3 SE",
         ),
         "simulation-agreement-symmetric": (
-            selftest, "simulate",
+            simulator, "simulate",
             lambda f: lambda config: _plus(
                 f(config), mean=100.0 * (config.strategy is selftest.SYMMETRIC)),
             r"symmetric: \|\S+ - \S+\| > 3 SE",
         ),
         "trial-seeds": (
-            selftest.simulator, "_trial_seeds",
+            simulator, "_trial_seeds",
             lambda f: lambda configs: itertools.islice(f(configs), 1, None),
             "trial 0 of seed 0: numpy's state differs",
         ),
